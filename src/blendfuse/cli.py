@@ -28,8 +28,9 @@ from .core import SampleRecord, ValidationError
 from .evaluation import (
     CrossValConfig,
     CrossValReport,
-    FoldAssignment,
+    FusionDataset,
     cross_validate,
+    fold_surfaces,
     load_folds,
     save_folds,
     save_results,
@@ -107,12 +108,21 @@ def _load_manifest_records(path: Path) -> list[SampleRecord]:
 
 def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
     if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
+        try:
+            return tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} values must be numbers: {value!r}") from None
     if isinstance(value, dict):
         unknown = set(value) - {"start", "stop", "step"}
         if unknown:
             raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-        start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+        missing = [k for k in ("start", "stop", "step") if k not in value]
+        if missing:
+            raise ConfigError(f"{name} object is missing {', '.join(map(repr, missing))}")
+        try:
+            start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} start/stop/step must be numbers: {value!r}") from None
         if step <= 0 or stop < start:
             raise ConfigError(f"bad grid spec for {name}: {value!r}")
         count = int(round((stop - start) / step)) + 1
@@ -188,6 +198,13 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
         raise ConfigError(f"unknown threshold_strategy {cfg['threshold_strategy']!r}")
     if cfg["neutral_index"] is not None and cfg["neutral_index"] not in range(core.N_EMOTIONS):
         raise ConfigError(f"neutral_index out of range: {cfg['neutral_index']!r}")
+    step = cfg["exhaustive_step"]
+    if isinstance(step, bool) or not isinstance(step, (int, float)):
+        raise ConfigError(f"exhaustive_step must be a number, got {step!r}")
+    try:
+        fusion.grid_units(step)
+    except ValidationError as exc:
+        raise ConfigError(f"exhaustive_step: {exc}") from None
     cfg["alpha_grid"] = list(_parse_grid(cfg["alpha_grid"], "alpha_grid"))
     cfg["beta_grid"] = list(_parse_grid(cfg["beta_grid"], "beta_grid"))
     init = cfg["initial_thresholds"]
@@ -197,11 +214,11 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-def _load_prediction_sets(predictions_dir: Path) -> list[core.EncoderPredictionSet]:
+def _load_prediction_tables(predictions_dir: Path) -> list[core.PredictionTable]:
     files = sorted(predictions_dir.glob("*.csv"))
     if not files:
         raise ValidationError(f"no prediction files under {predictions_dir}")
-    return [core.load_predictions(f) for f in files]
+    return [core.load_prediction_table(f) for f in files]
 
 
 # ---------------------------------------------------------------------------
@@ -388,48 +405,24 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _per_fold_surfaces(
-    preds: Sequence[core.EncoderPredictionSet],
-    records: Sequence[SampleRecord],
-    assignment: FoldAssignment,
-    weights: fusion.WeightVector,
-    alpha_grid: Sequence[float],
-    beta_grid: Sequence[float],
-    pp_cfg: PostprocessConfig,
-) -> tuple[list[int], list[postprocess.ThresholdSurface]]:
-    truth = core.annotations_by_video(records)
-    by_fold = assignment.videos_by_fold(records)
-    fold_ids = [f for f in sorted(by_fold) if by_fold[f]]
-    surfaces = []
-    for f in fold_ids:
-        vids = by_fold[f]
-        fused = {vid: fusion.fuse(preds, weights, vid) for vid in vids}
-        fold_truth = {vid: truth[vid] for vid in vids}
-        surfaces.append(
-            postprocess.search_thresholds(fused, fold_truth, alpha_grid, beta_grid, pp_cfg)
-        )
-    return fold_ids, surfaces
-
-
 def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     overrides = {"seed": args.seed, "threads": args.threads, "output_dir": args.out}
     cfg = load_run_config(Path(args.config), overrides)
     out = _out_dir(cfg["output_dir"])
     chash = _config_hash(cfg)
 
-    preds = _load_prediction_sets(Path(cfg["predictions_dir"]))
+    tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
     records = core.load_labels(Path(cfg["labels_file"]))
     assignment = load_folds(Path(cfg["folds_file"]))
     init = ThresholdPair(*cfg["initial_thresholds"])
     outputs: list[Path] = []
 
     weights, search_log = fusion.optimize_weights(
-        preds,
+        tables,
         records,
         assignment,
         init,
         strategy=cfg["fusion_strategy"],
-        seed=cfg["seed"],
         neutral_index=cfg["neutral_index"],
         renormalize_before_beta=cfg["renormalize_before_beta"],
         exhaustive_step=cfg["exhaustive_step"],
@@ -448,9 +441,9 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
         neutral_index=cfg["neutral_index"],
         renormalize_before_beta=cfg["renormalize_before_beta"],
     )
-    fold_ids, surfaces = _per_fold_surfaces(
-        preds, records, assignment, weights, cfg["alpha_grid"], cfg["beta_grid"], pp_base
-    )
+    data = FusionDataset.build(tables, records, assignment)
+    by_fold = fold_surfaces(data, weights.weights, cfg["alpha_grid"], cfg["beta_grid"], pp_base)
+    fold_ids, surfaces = list(by_fold), list(by_fold.values())
     chosen = postprocess.select_thresholds(surfaces, cfg["threshold_strategy"])
     pairs = [s.argmax_pair() for s in surfaces]
     report = {
@@ -478,10 +471,8 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
         renormalize_before_beta=cfg["renormalize_before_beta"],
         exhaustive_step=cfg["exhaustive_step"],
         joint_threshold_search=cfg["joint_threshold_search"],
-        seed=cfg["seed"],
-        threads=cfg["threads"],
     )
-    cv_report = cross_validate(preds, records, assignment, cv_cfg)
+    cv_report = cross_validate(tables, records, assignment, cv_cfg)
     results_path = out / "results.csv"
     save_results(cv_report, results_path)
     results_json = out / "results.json"
@@ -537,15 +528,15 @@ def _report_payload(report: CrossValReport, chash: str) -> dict[str, Any]:
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     pred_path = Path(args.predictions)
     if pred_path.is_dir():
-        preds = _load_prediction_sets(pred_path)
+        tables = _load_prediction_tables(pred_path)
     else:
-        preds = [core.load_predictions(pred_path)]
+        tables = [core.load_prediction_table(pred_path)]
     records = core.load_labels(Path(args.labels))
     assignment = load_folds(Path(args.folds))
     if args.weights:
         weights = fusion.load_weights(Path(args.weights))
     else:
-        weights = fusion.WeightVector.uniform([p.encoder_name for p in preds])
+        weights = fusion.WeightVector.uniform([t.encoder_name for t in tables])
 
     def parse_grid_flag(raw: Optional[str], name: str):
         if not raw:
@@ -560,9 +551,11 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     pp_cfg = PostprocessConfig(
         thresholds=ThresholdPair(0.0, 0.0), neutral_index=args.neutral_index
     )
-    fold_ids, surfaces = _per_fold_surfaces(
-        preds, records, assignment, weights, alpha_grid, beta_grid, pp_cfg
-    )
+    # Only the weighted encoders need to cover the labeled videos.
+    used = [t for t in tables if t.encoder_name in weights.weights]
+    data = FusionDataset.build(used, records, assignment)
+    by_fold = fold_surfaces(data, weights.weights, alpha_grid, beta_grid, pp_cfg)
+    fold_ids, surfaces = list(by_fold), list(by_fold.values())
     pairs = [s.argmax_pair() for s in surfaces]
     resolved = {
         "command": "sensitivity",

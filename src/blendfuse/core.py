@@ -18,6 +18,8 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Raised when input data violates a documented invariant."""
@@ -288,34 +290,121 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
         return [row for row in reader if row]
 
 
+def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """Video id, actor id and probability row of every line of a predictions file.
+
+    Each line passes the checks of :meth:`EmotionDistribution.from_raw`,
+    whose renormalized values it keeps, and a video may not be listed under
+    two actors.  The first faulty line is reported as ``path:line``.
+    """
+    video_ids: list[str] = []
+    actor_ids: list[str] = []
+    values: list[list[float]] = []
+    actors: dict[str, str] = {}
+    line_error: Optional[str] = None
+    for lineno, row in enumerate(_read_rows(path, PREDICTIONS_HEADER), start=2):
+        if len(row) != len(PREDICTIONS_HEADER):
+            line_error = f"{path}:{lineno}: expected {len(PREDICTIONS_HEADER)} fields"
+            break
+        try:
+            vals = list(map(float, row[2:]))
+        except ValueError as exc:
+            line_error = f"{path}:{lineno}: {exc}"
+            break
+        # The row's values are checked before its actor, as in a per-line read.
+        values.append(vals)
+        video_id, actor_id = row[0], row[1]
+        if actors.setdefault(video_id, actor_id) != actor_id:
+            line_error = f"{path}:{lineno}: video {video_id!r} listed under two actors"
+            break
+        video_ids.append(video_id)
+        actor_ids.append(actor_id)
+    matrix = np.array(values, dtype=np.float64).reshape(len(values), N_EMOTIONS)
+    # Rows that are certainly valid and need no renormalization skip the
+    # scalar check: finite, within [0, 1], and summing to 1 well inside
+    # SUM_TOLERANCE (np.sum and math.fsum differ by ~1e-16 on six values).
+    with np.errstate(invalid="ignore"):
+        doubtful = ~np.isfinite(matrix).all(axis=1)
+        doubtful |= (matrix < 0.0).any(axis=1) | (matrix > 1.0).any(axis=1)
+        doubtful |= np.abs(matrix.sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
+    for i in np.flatnonzero(doubtful).tolist():
+        try:
+            matrix[i] = EmotionDistribution.from_raw(values[i]).values
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{i + 2}: {exc}") from None
+    if line_error is not None:
+        raise ValidationError(line_error)
+    return video_ids, actor_ids, matrix
+
+
 def load_predictions(path: str | Path, encoder_name: Optional[str] = None) -> EncoderPredictionSet:
     """Read one encoder's predictions file.
 
     Repeated video ids are collected as multi-clip rows in file order.
     """
     path = Path(path)
-    name = encoder_name if encoder_name is not None else path.stem
+    video_ids, actor_ids, matrix = _parse_predictions(path)
     rows: dict[str, list[EmotionDistribution]] = {}
-    actors: dict[str, str] = {}
-    for lineno, row in enumerate(_read_rows(path, PREDICTIONS_HEADER), start=2):
-        if len(row) != len(PREDICTIONS_HEADER):
-            raise ValidationError(f"{path}:{lineno}: expected {len(PREDICTIONS_HEADER)} fields")
-        video_id, actor_id = row[0], row[1]
-        try:
-            dist = EmotionDistribution.from_raw([float(v) for v in row[2:]])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        if video_id in actors and actors[video_id] != actor_id:
-            raise ValidationError(
-                f"{path}:{lineno}: video {video_id!r} listed under two actors"
-            )
-        actors[video_id] = actor_id
-        rows.setdefault(video_id, []).append(dist)
+    for video_id, values in zip(video_ids, matrix.tolist()):
+        rows.setdefault(video_id, []).append(EmotionDistribution(tuple(values)))
     return EncoderPredictionSet(
-        encoder_name=name,
+        encoder_name=encoder_name if encoder_name is not None else path.stem,
         rows={vid: tuple(clips) for vid, clips in rows.items()},
-        actors=actors,
+        actors=dict(zip(video_ids, actor_ids)),
     )
+
+
+@dataclass(frozen=True)
+class PredictionTable:
+    """One encoder's predictions file as an array of clip-averaged rows."""
+
+    encoder_name: str
+    row_of: Mapping[str, int]  # video id -> row of probs, in first-appearance order
+    probs: np.ndarray  # (videos, 6)
+
+    @classmethod
+    def from_prediction_set(
+        cls, preds: EncoderPredictionSet, video_ids: Iterable[str]
+    ) -> "PredictionTable":
+        """Clip means of those ``video_ids`` that ``preds`` covers, through
+        the scalar :func:`average_clips`."""
+        row_of: dict[str, int] = {}
+        for vid in video_ids:
+            if vid in preds.rows:
+                row_of[vid] = len(row_of)
+        probs = [preds.distribution_for(vid).values for vid in row_of]
+        return cls(preds.encoder_name, row_of, np.array(probs).reshape(len(row_of), N_EMOTIONS))
+
+    def distribution_for(self, video_id: str) -> EmotionDistribution:
+        """Clip-averaged distribution for one video, as
+        :meth:`EncoderPredictionSet.distribution_for` gives it."""
+        row = self.row_of.get(video_id)
+        if row is None:
+            raise ValidationError(
+                f"encoder {self.encoder_name!r} has no prediction for video {video_id!r}"
+            )
+        return EmotionDistribution(tuple(self.probs[row].tolist()))
+
+
+def load_prediction_table(path: str | Path) -> PredictionTable:
+    """Read one encoder's predictions file with the checks of
+    :func:`load_predictions`, averaging each video's clip rows.
+
+    Rows are summed in file order and then divided by the clip count, the
+    arithmetic of :func:`average_clips`.  Like an
+    :class:`EncoderPredictionSet`, the table leaves the sum check of a
+    multi-clip mean to the videos that are used.
+    """
+    path = Path(path)
+    row_videos, _, matrix = _parse_predictions(path)
+    row_of: dict[str, int] = {}
+    video_of_row = np.array(
+        [row_of.setdefault(vid, len(row_of)) for vid in row_videos], dtype=np.int64
+    )
+    clips = np.bincount(video_of_row, minlength=len(row_of))
+    sums = np.zeros((len(row_of), N_EMOTIONS))
+    np.add.at(sums, video_of_row, matrix)  # accumulates repeated videos in row order
+    return PredictionTable(path.stem, row_of, sums / clips[:, None])
 
 
 def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:

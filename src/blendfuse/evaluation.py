@@ -15,20 +15,29 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .core import (
+    N_EMOTIONS,
+    SUM_TOLERANCE,
     BlendAnnotation,
     DiscretePrediction,
+    EmotionDistribution,
     EncoderPredictionSet,
+    PredictionTable,
     SampleRecord,
     ValidationError,
     annotations_by_video,
 )
 from .postprocess import (
+    DEFAULT_GRID,
     PostprocessConfig,
     ThresholdPair,
     ThresholdSurface,
-    search_thresholds,
+    TruthArrays,
+    discretize,
     select_thresholds,
+    threshold_surface,
 )
 
 
@@ -112,13 +121,6 @@ class FoldAssignment:
             out[self.fold_of(rec.actor_id)].append(rec.video_id)
         return out
 
-    def restrict(self, exclude_fold: int) -> "FoldAssignment":
-        """Assignment covering only the actors outside one fold."""
-        kept = {a: f for a, f in self.folds.items() if f != exclude_fold}
-        if not kept:
-            raise ValidationError("restriction would remove every actor")
-        return FoldAssignment(kept, self.k)
-
 
 def split_actors(records: Sequence[SampleRecord], k: int, seed: int = 0) -> FoldAssignment:
     """Greedy balanced actor-disjoint split.
@@ -147,6 +149,120 @@ def split_actors(records: Sequence[SampleRecord], k: int, seed: int = 0) -> Fold
 
 
 # ---------------------------------------------------------------------------
+# Labeled fusion inputs as arrays
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FusionDataset:
+    """Everything weight search, threshold search and cross-validation read,
+    loaded once: clip-averaged encoder rows, ground truth and folds of the
+    labeled videos.  Subsets are array slices."""
+
+    encoders: tuple[str, ...]  # sorted
+    video_ids: tuple[str, ...]  # sorted
+    probs: np.ndarray  # (encoders, videos, 6)
+    truth: TruthArrays
+    fold: np.ndarray  # fold index of each video
+    fold_ids: tuple[int, ...]  # every fold of the assignment, possibly empty here
+
+    @classmethod
+    def build(
+        cls,
+        preds: Sequence[EncoderPredictionSet | PredictionTable],
+        records: Sequence[SampleRecord],
+        folds: FoldAssignment,
+    ) -> "FusionDataset":
+        """Clip means of the labeled ``records`` from every encoder; an
+        :class:`EncoderPredictionSet` is averaged through the scalar
+        :meth:`EncoderPredictionSet.distribution_for`."""
+        if not preds:
+            raise ValidationError("need at least one encoder prediction set")
+        truth = annotations_by_video(records)
+        video_ids = sorted(truth)
+        tables = [
+            p if isinstance(p, PredictionTable) else PredictionTable.from_prediction_set(p, video_ids)
+            for p in preds
+        ]
+        by_name = {t.encoder_name: t for t in tables}
+        if len(by_name) != len(preds):
+            raise ValidationError("duplicate encoder names in prediction sets")
+        encoders = tuple(sorted(by_name))
+        probs = np.empty((len(encoders), len(video_ids), N_EMOTIONS))
+        for e, name in enumerate(encoders):
+            row_of = by_name[name].row_of
+            rows = [row_of.get(vid, -1) for vid in video_ids]
+            if -1 in rows:
+                missing = video_ids[rows.index(-1)]
+                raise ValidationError(f"encoder {name!r} has no prediction for video {missing!r}")
+            probs[e] = by_name[name].probs[rows]
+            # A mean of clip rows near the sum tolerance can drift past it,
+            # which average_clips rejects.
+            near_limit = np.abs(probs[e].sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
+            for v in np.flatnonzero(near_limit).tolist():
+                try:
+                    EmotionDistribution(tuple(probs[e, v].tolist()))
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"encoder {name!r}, video {video_ids[v]!r}: {exc}"
+                    ) from None
+        fold_of = {rec.video_id: folds.fold_of(rec.actor_id) for rec in records}
+        return cls(
+            encoders,
+            tuple(video_ids),
+            probs,
+            TruthArrays.from_annotations([truth[vid] for vid in video_ids]),
+            np.array([fold_of[vid] for vid in video_ids], dtype=np.int64),
+            tuple(folds.fold_indices()),
+        )
+
+    def fold_rows(self, fold: int) -> np.ndarray:
+        """Indices of the videos in one fold."""
+        return np.flatnonzero(self.fold == fold)
+
+    def without_fold(self, fold: int) -> "FusionDataset":
+        keep = np.flatnonzero(self.fold != fold)
+        return FusionDataset(
+            self.encoders,
+            tuple(self.video_ids[i] for i in keep.tolist()),
+            self.probs[:, keep],
+            self.truth.take(keep),
+            self.fold[keep],
+            tuple(f for f in self.fold_ids if f != fold),
+        )
+
+    def fuse(self, weights: Mapping[str, float]) -> np.ndarray:
+        """Fused rows of every video, accumulated from 0.0 in the order of
+        ``weights`` exactly as :func:`blendfuse.fusion.fuse` adds them."""
+        index = {name: e for e, name in enumerate(self.encoders)}
+        fused = np.zeros(self.probs.shape[1:])
+        for name, weight in weights.items():
+            if name not in index:
+                raise ValidationError(f"no prediction set for encoder {name!r}")
+            fused += weight * self.probs[index[name]]
+        return fused
+
+
+def fold_surfaces(
+    data: FusionDataset,
+    weights: Mapping[str, float],
+    alpha_grid: Sequence[float],
+    beta_grid: Sequence[float],
+    cfg: PostprocessConfig,
+) -> dict[int, ThresholdSurface]:
+    """Threshold search surface of every non-empty fold at fixed weights."""
+    fused = data.fuse(weights)
+    surfaces = {}
+    for f in data.fold_ids:
+        idx = data.fold_rows(f)
+        if idx.size:
+            surfaces[f] = threshold_surface(
+                fused[idx], data.truth.take(idx), alpha_grid, beta_grid, cfg
+            )
+    return surfaces
+
+
+# ---------------------------------------------------------------------------
 # Cross-validation driver
 # ---------------------------------------------------------------------------
 
@@ -164,8 +280,6 @@ class CrossValConfig:
     renormalize_before_beta: bool = False
     exhaustive_step: float = 0.05
     joint_threshold_search: bool = False
-    seed: int = 0
-    threads: int = 1
 
     def postprocess_config(self, thresholds: ThresholdPair) -> PostprocessConfig:
         return PostprocessConfig(
@@ -175,8 +289,6 @@ class CrossValConfig:
         )
 
     def grids(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        from .postprocess import DEFAULT_GRID
-
         a = self.alpha_grid if self.alpha_grid else DEFAULT_GRID
         b = self.beta_grid if self.beta_grid else DEFAULT_GRID
         return a, b
@@ -204,29 +316,22 @@ def _population_std(values: Sequence[float]) -> float:
 
 
 def _evaluate_fold(
-    preds: Sequence[EncoderPredictionSet],
-    records: Sequence[SampleRecord],
-    folds: FoldAssignment,
+    preds: Sequence[EncoderPredictionSet | PredictionTable],
+    data: FusionDataset,
+    truth: Mapping[str, BlendAnnotation],
     fold: int,
     cfg: CrossValConfig,
 ) -> FoldOutcome:
-    from .fusion import fuse, optimize_weights
+    from .fusion import fuse, search_weights
 
-    train_records = [r for r in records if folds.fold_of(r.actor_id) != fold]
-    test_records = [r for r in records if folds.fold_of(r.actor_id) == fold]
-    if not test_records:
-        raise ValidationError(f"fold {fold} holds no labeled videos")
-    if not train_records:
+    train = data.without_fold(fold)
+    if not train.video_ids:
         raise ValidationError(f"fold {fold} would leave no training data")
-    train_folds = folds.restrict(fold)
 
-    weights, _ = optimize_weights(
-        preds,
-        train_records,
-        train_folds,
+    weights, _ = search_weights(
+        train,
         cfg.initial_thresholds,
         strategy=cfg.weight_strategy,
-        seed=cfg.seed,
         neutral_index=cfg.neutral_index,
         renormalize_before_beta=cfg.renormalize_before_beta,
         exhaustive_step=cfg.exhaustive_step,
@@ -237,31 +342,18 @@ def _evaluate_fold(
 
     alpha_grid, beta_grid = cfg.grids()
     base_cfg = cfg.postprocess_config(cfg.initial_thresholds)
-    surfaces: list[ThresholdSurface] = []
-    by_fold = train_folds.videos_by_fold(train_records)
-    truth = annotations_by_video(train_records)
-    for g in sorted(f for f, vids in by_fold.items() if vids):
-        fold_videos = by_fold[g]
-        fused = {vid: fuse(preds, weights, vid) for vid in fold_videos}
-        fold_truth = {vid: truth[vid] for vid in fold_videos}
-        surfaces.append(
-            search_thresholds(fused, fold_truth, alpha_grid, beta_grid, base_cfg)
-        )
-    thresholds = select_thresholds(surfaces, cfg.threshold_strategy)
+    surfaces = fold_surfaces(train, weights.weights, alpha_grid, beta_grid, base_cfg)
+    thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
 
     final_cfg = cfg.postprocess_config(thresholds)
-    from .postprocess import discretize
-
-    test_truth = annotations_by_video(test_records)
-    test_preds = {
-        vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_truth
-    }
-    result = evaluate(test_preds, test_truth)
+    test_ids = [data.video_ids[i] for i in data.fold_rows(fold).tolist()]
+    test_preds = {vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_ids}
+    result = evaluate(test_preds, {vid: truth[vid] for vid in test_ids})
     return FoldOutcome(fold, result, dict(weights.weights), thresholds)
 
 
 def cross_validate(
-    preds: Sequence[EncoderPredictionSet],
+    preds: Sequence[EncoderPredictionSet | PredictionTable],
     records: Sequence[SampleRecord],
     folds: FoldAssignment,
     cfg: CrossValConfig,
@@ -270,24 +362,16 @@ def cross_validate(
 
     Returns per-fold results, their mean and population std, and the pooled
     result over all held-out clips (a clip-weighted average of the folds).
+    The inputs are loaded once into a :class:`FusionDataset`, which the
+    weight and threshold searches slice.  Held-out clips are scored per
+    video by ``fuse``, ``discretize`` and :func:`evaluate`.
     """
-    fold_ids = folds.fold_indices()
-    by_fold = folds.videos_by_fold(records)
-    for f in fold_ids:
-        if not by_fold.get(f):
+    data = FusionDataset.build(preds, records, folds)
+    for f in data.fold_ids:
+        if not data.fold_rows(f).size:
             raise ValidationError(f"fold {f} holds no labeled videos")
-
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda f: _evaluate_fold(preds, records, folds, f, cfg), fold_ids
-                )
-            )
-    else:
-        outcomes = [_evaluate_fold(preds, records, folds, f, cfg) for f in fold_ids]
+    truth = annotations_by_video(records)
+    outcomes = [_evaluate_fold(preds, data, truth, f, cfg) for f in data.fold_ids]
 
     accs_p = [o.result.acc_p for o in outcomes]
     accs_s = [o.result.acc_s for o in outcomes]

@@ -21,17 +21,18 @@ import numpy as np
 from .core import (
     EmotionDistribution,
     EncoderPredictionSet,
+    PredictionTable,
     SampleRecord,
     ValidationError,
-    annotations_by_video,
 )
-from .evaluation import FoldAssignment
+from .evaluation import FoldAssignment, FusionDataset
 from .postprocess import (
     DEFAULT_GRID,
     PostprocessConfig,
     ThresholdPair,
+    TruthArrays,
     point_counts,
-    search_thresholds,
+    threshold_surface,
 )
 
 WEIGHT_STRATEGIES = ("coordinate_ascent", "exhaustive")
@@ -82,7 +83,7 @@ class WeightVector:
 
 
 def fuse(
-    preds: Sequence[EncoderPredictionSet],
+    preds: Sequence[EncoderPredictionSet | PredictionTable],
     w: WeightVector,
     video_id: str,
 ) -> EmotionDistribution:
@@ -108,31 +109,52 @@ class SearchLogEntry:
 
 @dataclass(frozen=True)
 class _ObjectiveContext:
-    """Pre-stacked matrices and truth arrays for fast candidate evaluation."""
+    """Encoder rows and per-fold truth of the search set, for fast candidate
+    evaluation."""
 
-    names: tuple[str, ...]
     matrices: np.ndarray  # (encoders, videos, 6)
-    fold_slices: tuple[tuple[int, ...], ...]
-    fold_truths: tuple[tuple, ...]
+    fold_rows: tuple[np.ndarray, ...]
+    fold_truths: tuple[TruthArrays, ...]
     cfg: PostprocessConfig
     alpha_grid: tuple[float, ...]
     beta_grid: tuple[float, ...]
     joint: bool
 
+    @classmethod
+    def build(
+        cls,
+        data: FusionDataset,
+        cfg: PostprocessConfig,
+        alpha_grid: Optional[Sequence[float]],
+        beta_grid: Optional[Sequence[float]],
+        joint: bool,
+    ) -> "_ObjectiveContext":
+        fold_rows = []
+        for f in data.fold_ids:
+            idx = data.fold_rows(f)
+            if not idx.size:
+                raise ValidationError(f"fold {f} holds no labeled videos")
+            fold_rows.append(idx)
+        return cls(
+            data.probs,
+            tuple(fold_rows),
+            tuple(data.truth.take(idx) for idx in fold_rows),
+            cfg,
+            tuple(alpha_grid) if alpha_grid else DEFAULT_GRID,
+            tuple(beta_grid) if beta_grid else DEFAULT_GRID,
+            joint,
+        )
+
     def evaluate(self, weights: np.ndarray) -> float:
         fused = np.tensordot(weights, self.matrices, axes=(0, 0))
         scores = []
-        for idx, truths in zip(self.fold_slices, self.fold_truths):
-            sub = fused[list(idx)]
+        for idx, truth in zip(self.fold_rows, self.fold_truths):
+            sub = fused[idx]
             if self.joint:
-                fused_map = {str(i): EmotionDistribution(tuple(row)) for i, row in zip(idx, sub)}
-                truth_map = {str(i): t for i, t in zip(idx, truths)}
-                surface = search_thresholds(
-                    fused_map, truth_map, self.alpha_grid, self.beta_grid, self.cfg
-                )
+                surface = threshold_surface(sub, truth, self.alpha_grid, self.beta_grid, self.cfg)
                 scores.append(surface.best_score())
             else:
-                cp, cs = point_counts(sub, truths, self.cfg)
+                cp, cs = point_counts(sub, truth, self.cfg)
                 n = len(idx)
                 scores.append(0.5 * (cp / n + cs / n))
         objective = sum(scores) / len(scores)
@@ -141,67 +163,23 @@ class _ObjectiveContext:
         return objective
 
 
-def _build_context(
-    preds: Sequence[EncoderPredictionSet],
-    records: Sequence[SampleRecord],
-    folds: FoldAssignment,
-    thresholds: ThresholdPair,
-    neutral_index: Optional[int],
-    renormalize_before_beta: bool,
-    alpha_grid: Optional[Sequence[float]],
-    beta_grid: Optional[Sequence[float]],
-    joint: bool,
-) -> _ObjectiveContext:
-    if not preds:
-        raise ValidationError("need at least one encoder prediction set")
-    names = tuple(sorted(p.encoder_name for p in preds))
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate encoder names in prediction sets")
-    by_name = {p.encoder_name: p for p in preds}
-    truth = annotations_by_video(records)
-    video_ids = sorted(truth)
-    matrices = np.empty((len(names), len(video_ids), 6), dtype=np.float64)
-    for e, name in enumerate(names):
-        pset = by_name[name]
-        for v, vid in enumerate(video_ids):
-            matrices[e, v] = pset.distribution_for(vid).values
-
-    index_of = {vid: i for i, vid in enumerate(video_ids)}
-    by_fold = folds.videos_by_fold(records)
-    fold_slices = []
-    fold_truths = []
-    for f in sorted(by_fold):
-        vids = by_fold[f]
-        if not vids:
-            raise ValidationError(f"fold {f} holds no labeled videos")
-        fold_slices.append(tuple(index_of[v] for v in vids))
-        fold_truths.append(tuple(truth[v] for v in vids))
-    cfg = PostprocessConfig(
-        thresholds=thresholds,
-        neutral_index=neutral_index,
-        renormalize_before_beta=renormalize_before_beta,
-    )
-    return _ObjectiveContext(
-        names,
-        matrices,
-        tuple(fold_slices),
-        tuple(fold_truths),
-        cfg,
-        tuple(alpha_grid) if alpha_grid else DEFAULT_GRID,
-        tuple(beta_grid) if beta_grid else DEFAULT_GRID,
-        joint,
-    )
-
-
 def _l1_to_uniform(weights: np.ndarray) -> float:
     return float(np.abs(weights - 1.0 / weights.size).sum())
 
 
-def _simplex_grid(m: int, step: float) -> list[tuple[float, ...]]:
-    """All weight vectors with coordinates that are multiples of ``step``."""
+def grid_units(step: float) -> int:
+    """Number of steps from 0 to 1; ``step`` must be positive and divide 1 evenly."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"grid step {step!r} must be a positive number")
     units = round(1.0 / step)
     if abs(units * step - 1.0) > 1e-9:
         raise ValidationError(f"grid step {step!r} must divide 1 evenly")
+    return units
+
+
+def _simplex_grid(m: int, step: float) -> list[tuple[float, ...]]:
+    """All weight vectors with coordinates that are multiples of ``step``."""
+    units = grid_units(step)
     points: list[tuple[float, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
@@ -216,12 +194,36 @@ def _simplex_grid(m: int, step: float) -> list[tuple[float, ...]]:
 
 
 def optimize_weights(
-    preds: Sequence[EncoderPredictionSet],
+    preds: Sequence[EncoderPredictionSet | PredictionTable],
     records: Sequence[SampleRecord],
     folds: FoldAssignment,
     thresholds: ThresholdPair,
     strategy: str = "coordinate_ascent",
-    seed: int = 0,
+    neutral_index: Optional[int] = None,
+    renormalize_before_beta: bool = False,
+    exhaustive_step: float = 0.05,
+    joint_threshold_search: bool = False,
+    alpha_grid: Optional[Sequence[float]] = None,
+    beta_grid: Optional[Sequence[float]] = None,
+) -> tuple[WeightVector, list[SearchLogEntry]]:
+    """:func:`search_weights` over the labeled ``records`` and their ``folds``."""
+    return search_weights(
+        FusionDataset.build(preds, records, folds),
+        thresholds,
+        strategy=strategy,
+        neutral_index=neutral_index,
+        renormalize_before_beta=renormalize_before_beta,
+        exhaustive_step=exhaustive_step,
+        joint_threshold_search=joint_threshold_search,
+        alpha_grid=alpha_grid,
+        beta_grid=beta_grid,
+    )
+
+
+def search_weights(
+    data: FusionDataset,
+    thresholds: ThresholdPair,
+    strategy: str = "coordinate_ascent",
     neutral_index: Optional[int] = None,
     renormalize_before_beta: bool = False,
     exhaustive_step: float = 0.05,
@@ -231,31 +233,24 @@ def optimize_weights(
 ) -> tuple[WeightVector, list[SearchLogEntry]]:
     """Search the weight simplex for the best mean validation-fold score.
 
-    The objective fuses every labeled video, applies the full
+    The objective fuses every video of ``data``, applies the full
     discretization at the given thresholds, and averages the fold scores.
     With ``joint_threshold_search`` the thresholds are instead re-optimized
     per fold for every candidate.  ``coordinate_ascent`` starts from
     uniform weights and repeatedly applies the best strictly improving
     mass move between two encoders, annealing the move size; ``exhaustive``
     scans a full simplex grid (at most three encoders).  Ties prefer the
-    candidate closest (L1) to uniform.  Both strategies are deterministic;
-    the seed is reserved for future randomized strategies.
+    candidate closest (L1) to uniform.  Both strategies are deterministic.
     """
-    del seed
     if strategy not in WEIGHT_STRATEGIES:
         raise ValidationError(f"unknown weight strategy {strategy!r}")
-    ctx = _build_context(
-        preds,
-        records,
-        folds,
-        thresholds,
-        neutral_index,
-        renormalize_before_beta,
-        alpha_grid,
-        beta_grid,
-        joint_threshold_search,
+    cfg = PostprocessConfig(
+        thresholds=thresholds,
+        neutral_index=neutral_index,
+        renormalize_before_beta=renormalize_before_beta,
     )
-    names = ctx.names
+    ctx = _ObjectiveContext.build(data, cfg, alpha_grid, beta_grid, joint_threshold_search)
+    names = data.encoders
     m = len(names)
     log: list[SearchLogEntry] = []
 
@@ -348,7 +343,18 @@ def load_weights(path: str | Path, tol: float = ROUNDING_TOLERANCE) -> WeightVec
         header = next(reader, None)
         if header != WEIGHTS_HEADER:
             raise ValidationError(f"{path}: bad weights header {header!r}")
-        weights = {row[0]: float(row[1]) for row in reader if row}
+        weights: dict[str, float] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(WEIGHTS_HEADER):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(WEIGHTS_HEADER)} fields, got {len(row)}"
+                )
+            try:
+                weights[row[0]] = float(row[1])
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: weight {row[1]!r} is not a number") from None
     validate_simplex(weights, tol)
     total = math.fsum(weights.values())
     scaled = {name: w / total for name, w in weights.items()}

@@ -142,11 +142,24 @@ def _precompute(matrix: np.ndarray, cfg: PostprocessConfig) -> _VideoPrecompute:
     return _VideoPrecompute(i1, i2, p2, gap, neutral_top2, single_other)
 
 
-def _truth_arrays(truths: Sequence[BlendAnnotation]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t1 = np.array([t.primary for t in truths], dtype=np.int64)
-    t2 = np.array([-1 if t.secondary is None else int(t.secondary) for t in truths], dtype=np.int64)
-    sal = np.array([t.salience_primary for t in truths], dtype=np.int64)
-    return t1, t2, sal
+@dataclass(frozen=True)
+class TruthArrays:
+    """Canonical ground truth of a video set as parallel integer arrays."""
+
+    t1: np.ndarray  # primary emotion
+    t2: np.ndarray  # secondary emotion, -1 for a single emotion
+    sal: np.ndarray  # salience of the primary: 100, 70 or 50
+
+    @classmethod
+    def from_annotations(cls, truths: Sequence[BlendAnnotation]) -> "TruthArrays":
+        return cls(
+            np.array([t.primary for t in truths], dtype=np.int64),
+            np.array([-1 if t.secondary is None else int(t.secondary) for t in truths], dtype=np.int64),
+            np.array([t.salience_primary for t in truths], dtype=np.int64),
+        )
+
+    def take(self, idx: np.ndarray) -> "TruthArrays":
+        return TruthArrays(self.t1[idx], self.t2[idx], self.sal[idx])
 
 
 @dataclass(frozen=True)
@@ -163,8 +176,8 @@ class _OutcomeTable:
     oks_blend70: np.ndarray
 
 
-def _outcome_table(pre: _VideoPrecompute, truths: Sequence[BlendAnnotation]) -> _OutcomeTable:
-    t1, t2, sal = _truth_arrays(truths)
+def _outcome_table(pre: _VideoPrecompute, truth: TruthArrays) -> _OutcomeTable:
+    t1, t2, sal = truth.t1, truth.t2, truth.sal
     truth_single = t2 < 0
     tlo = np.where(truth_single, t1, np.minimum(t1, t2))
     thi = np.where(truth_single, t1, np.maximum(t1, t2))
@@ -220,13 +233,13 @@ class ThresholdSurface:
 
 def _surface_counts(
     matrix: np.ndarray,
-    truths: Sequence[BlendAnnotation],
+    truth: TruthArrays,
     alpha_grid: np.ndarray,
     beta_grid: np.ndarray,
     cfg: PostprocessConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     pre = _precompute(matrix, cfg)
-    table = _outcome_table(pre, truths)
+    table = _outcome_table(pre, truth)
     a_col = alpha_grid[:, None]  # (A, 1)
     b_row = beta_grid[None, :]  # (1, B)
     count_p = np.zeros((alpha_grid.size, beta_grid.size), dtype=np.int64)
@@ -250,7 +263,7 @@ def _surface_counts(
 
 def point_counts(
     matrix: np.ndarray,
-    truths: Sequence[BlendAnnotation],
+    truth: TruthArrays,
     cfg: PostprocessConfig,
 ) -> tuple[int, int]:
     """Presence/salience hit counts for a stack of fused rows at one
@@ -258,7 +271,7 @@ def point_counts(
     counting."""
     alpha, beta = cfg.thresholds.alpha, cfg.thresholds.beta
     pre = _precompute(matrix, cfg)
-    table = _outcome_table(pre, truths)
+    table = _outcome_table(pre, truth)
     both = (pre.p2 > 0.0) & (pre.p2 >= alpha)
     is50 = pre.gap <= beta
     blend_s = np.where(is50, table.oks_blend50, table.oks_blend70)
@@ -275,6 +288,30 @@ def point_counts(
     return int(okp.sum()), int(oks.sum())
 
 
+def threshold_surface(
+    matrix: np.ndarray,
+    truth: TruthArrays,
+    alpha_grid: Sequence[float],
+    beta_grid: Sequence[float],
+    cfg: PostprocessConfig,
+) -> ThresholdSurface:
+    """Score surface over the (alpha, beta) grid for a stack of fused rows
+    (one per video, in the order of ``truth``)."""
+    a = np.asarray(list(alpha_grid), dtype=np.float64)
+    b = np.asarray(list(beta_grid), dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        raise ValidationError("threshold grids must be non-empty")
+    for grid, name in ((a, "alpha"), (b, "beta")):
+        if np.any(grid < 0.0) or np.any(grid > 1.0):
+            raise ValidationError(f"{name} grid values must lie in [0, 1]")
+    count_p, count_s = _surface_counts(matrix, truth, a, b, cfg)
+    n = matrix.shape[0]
+    acc_p = count_p / n
+    acc_s = count_s / n
+    score = 0.5 * (acc_p + acc_s)
+    return ThresholdSurface(tuple(a.tolist()), tuple(b.tolist()), acc_p, acc_s, score, n)
+
+
 def search_thresholds(
     fused: Mapping[str, EmotionDistribution],
     labels: Mapping[str, BlendAnnotation],
@@ -289,28 +326,15 @@ def search_thresholds(
     """
     if not labels:
         raise ValidationError("threshold search needs at least one labeled video")
-    a = np.asarray(list(alpha_grid), dtype=np.float64)
-    b = np.asarray(list(beta_grid), dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("threshold grids must be non-empty")
-    for grid, name in ((a, "alpha"), (b, "beta")):
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
-            raise ValidationError(f"{name} grid values must lie in [0, 1]")
-    cfg = cfg if cfg is not None else PostprocessConfig()
-
     video_ids = sorted(labels)
     missing = [vid for vid in video_ids if vid not in fused]
     if missing:
         raise ValidationError(f"no fused prediction for videos: {missing[:5]!r}")
     matrix = np.array([fused[vid].values for vid in video_ids], dtype=np.float64)
-    truths = [labels[vid] for vid in video_ids]
-
-    count_p, count_s = _surface_counts(matrix, truths, a, b, cfg)
-    n = len(video_ids)
-    acc_p = count_p / n
-    acc_s = count_s / n
-    score = 0.5 * (acc_p + acc_s)
-    return ThresholdSurface(tuple(a.tolist()), tuple(b.tolist()), acc_p, acc_s, score, n)
+    truth = TruthArrays.from_annotations([labels[vid] for vid in video_ids])
+    return threshold_surface(
+        matrix, truth, alpha_grid, beta_grid, cfg if cfg is not None else PostprocessConfig()
+    )
 
 
 def select_thresholds(

@@ -1,8 +1,10 @@
 """Command-line surface: flows, exit codes, determinism, config handling."""
 
 import json
+import shutil
 
 import numpy as np
+import pytest
 
 from fixtures_util import outputs_of, write_feature_dir
 
@@ -137,6 +139,48 @@ class TestFuseEvaluate:
         bad.write_text("video_id,actor_id,p_anger\nv,a,0.5\n", encoding="utf-8")
         cfg_path = self.make_config(tmp_path, data, folds_path)
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("v1,a1,nan,0.5,0,0,0,0.5", "non-finite probability"),
+            ("v1,a1,-0.1,0.6,0,0,0,0.5", "negative probability"),
+            ("v1,a1,0.5,0.5,0.01,0,0,0", "beyond repair tolerance"),
+            ("v1,a1,0.5,0.5,0,0,0", "expected 8 fields"),
+            ("v0,a2,0.5,0.5,0,0,0,0", "listed under two actors"),
+        ],
+    )
+    def test_malformed_prediction_row_is_data_error(self, tmp_path, capsys, row, message):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        bad = data / "predictions" / "bad.csv"
+        bad.write_text(
+            ",".join(core.PREDICTIONS_HEADER) + "\nv0,a1,0.5,0.5,0,0,0,0\n" + row + "\n",
+            encoding="utf-8",
+        )
+        cfg_path = self.make_config(tmp_path, data, folds_path)
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:3: " in err and message in err
+
+    @pytest.mark.parametrize("step", [0, -0.1, 0.3, "0.5"])
+    def test_exhaustive_step_must_divide_one(self, tmp_path, step):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        shutil.copy(data / "predictions" / "synth.csv", data / "predictions" / "copy.csv")
+        folds_path = make_folds(tmp_path, data)
+        cfg_path = self.make_config(
+            tmp_path, data, folds_path, fusion_strategy="exhaustive", exhaustive_step=step
+        )
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("missing", ["start", "stop", "step"])
+    def test_grid_object_missing_key_is_config_error(self, tmp_path, capsys, missing):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        grid = {k: v for k, v in {"start": 0, "stop": 0.5, "step": 0.1}.items() if k != missing}
+        cfg_path = self.make_config(tmp_path, data, folds_path, alpha_grid=grid)
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        assert repr(missing) in capsys.readouterr().err
 
     def test_bad_flag_is_config_error(self, tmp_path):
         assert run("fuse-evaluate", "--no-such-flag") == EXIT_CONFIG
@@ -306,6 +350,28 @@ class TestSensitivity:
         assert (out / "score_surface.svg").read_text().startswith("<svg")
         assert (out / "fold_beta.svg").exists()
 
+    def test_grid_flag_missing_key_is_config_error(self, tmp_path):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        code = run(
+            "sensitivity", "--predictions", data / "predictions", "--labels", data / "labels.csv",
+            "--folds", folds_path, "--alpha-grid", '{"start": 0, "stop": 0.5}', "--out", tmp_path / "s",
+        )
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("row", ["synth", "synth,heavy"])
+    def test_bad_weights_row_is_data_error(self, tmp_path, capsys, row):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"encoder,weight\n{row}\n", encoding="utf-8")
+        code = run(
+            "sensitivity", "--predictions", data / "predictions", "--labels", data / "labels.csv",
+            "--folds", folds_path, "--weights", weights, "--out", tmp_path / "s",
+        )
+        assert code == EXIT_DATA
+        assert f"{weights}:2: " in capsys.readouterr().err
+
 
 class TestVerifyIdentities:
     def test_results_identity_pass_and_fail(self, tmp_path, capsys):
@@ -333,6 +399,13 @@ class TestVerifyIdentities:
         bad = tmp_path / "bad_weights.csv"
         bad.write_text("encoder,weight\ne0,0.5\ne1,0.4\n", encoding="utf-8")
         assert run("verify-identities", "--weights", bad) == EXIT_DATA
+
+    @pytest.mark.parametrize("row", ["e1", "e1,0.4,0.1", "e1,abc"])
+    def test_weights_bad_row_names_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad_weights.csv"
+        bad.write_text(f"encoder,weight\ne0,0.6\n{row}\n", encoding="utf-8")
+        assert run("verify-identities", "--weights", bad) == EXIT_DATA
+        assert f"FAIL weights {bad}: {bad}:3: " in capsys.readouterr().out
 
     def test_requires_some_input(self):
         assert run("verify-identities") == EXIT_CONFIG

@@ -11,11 +11,13 @@ from blendfuse.core import (
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    PREDICTIONS_HEADER,
     SampleRecord,
     ValidationError,
     average_clips,
     canonicalize_annotation,
     load_labels,
+    load_prediction_table,
     load_predictions,
     save_labels,
     save_predictions,
@@ -213,6 +215,31 @@ class TestFileFormats:
         )
         with pytest.raises(ValidationError):
             load_predictions(path)
+
+    @pytest.mark.parametrize("loader", [load_predictions, load_prediction_table])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("v2,a1,inf,0,0,0,0,0", "non-finite probability: inf"),
+            ("v2,a1,-0.5,1.5,0,0,0,0", "negative probability: -0.5"),
+            ("v2,a1,0.5,0.49,0,0,0,0", "probability row sums to 0.99, beyond repair tolerance"),
+            ("v2,a1,1.0000005,0,0,0,0,0", "probability out of [0, 1]: 1.0000005"),
+            ("v2,a1,0.5,x,0,0,0,0", "could not convert string to float: 'x'"),
+            ("v2,a1,0.5,0.5", "expected 8 fields"),
+            ("v1,a2,0.5,0.5,0,0,0,0", "video 'v1' listed under two actors"),
+            ("v1,a2,-1,2,0,0,0,0", "negative probability: -1.0"),
+        ],
+    )
+    def test_predictions_first_bad_line_reported(self, tmp_path, loader, row, message):
+        path = tmp_path / "enc.csv"
+        good = "v1,a1,0.5,0.5,0,0,0,0\n"
+        path.write_text(
+            ",".join(PREDICTIONS_HEADER) + "\n" + good + row + "\n" + "v3,a1,nan,1,0,0,0,0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as exc:
+            loader(path)
+        assert str(exc.value) == f"{path}:3: {message}"
 
     def test_labels_roundtrip(self, tmp_path):
         records = [

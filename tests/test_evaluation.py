@@ -205,14 +205,3 @@ class TestCrossValidate:
         preds = [oracle_predictions(records)]
         with pytest.raises(ValidationError):
             cross_validate(records=records, preds=preds, folds=folds, cfg=CrossValConfig())
-
-    def test_threads_match_sequential(self):
-        rng = np.random.default_rng(41)
-        records = blended_records(rng, [f"a{i}" for i in range(4)], 8)
-        folds = split_actors(records, 2)
-        preds = [oracle_predictions(records)]
-        seq_report = cross_validate(records=records, preds=preds, folds=folds, cfg=CrossValConfig())
-        par_report = cross_validate(
-            records=records, preds=preds, folds=folds, cfg=CrossValConfig(threads=2)
-        )
-        assert seq_report == par_report
