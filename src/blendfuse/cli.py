@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -106,12 +107,21 @@ def _load_manifest_records(path: Path) -> list[SampleRecord]:
     raise ValidationError(f"{path}: unrecognized manifest header {header!r}")
 
 
+def _unit_values(values: Sequence[Any], name: str) -> tuple[float, ...]:
+    """Floats of ``values``, each a finite number in [0, 1]."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{name} values must be numbers: {values!r}")
+    floats = tuple(float(v) for v in values)
+    if not all(0.0 <= v <= 1.0 for v in floats):  # also false for NaN
+        raise ConfigError(f"{name} values must be finite and lie in [0, 1]: {values!r}")
+    return floats
+
+
 def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
     if isinstance(value, (list, tuple)):
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} values must be numbers: {value!r}") from None
+        if not value:
+            raise ConfigError(f"{name} must not be empty")
+        return _unit_values(value, name)
     if isinstance(value, dict):
         unknown = set(value) - {"start", "stop", "step"}
         if unknown:
@@ -123,10 +133,10 @@ def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
             start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
         except (TypeError, ValueError):
             raise ConfigError(f"{name} start/stop/step must be numbers: {value!r}") from None
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ConfigError(f"bad grid spec for {name}: {value!r}")
         count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
+        return _unit_values([round(start + i * step, 12) for i in range(count)], name)
     raise ConfigError(f"{name} must be a list or a start/stop/step object")
 
 
@@ -210,7 +220,7 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
     init = cfg["initial_thresholds"]
     if not (isinstance(init, (list, tuple)) and len(init) == 2):
         raise ConfigError(f"initial_thresholds must be [alpha, beta]: {init!r}")
-    cfg["initial_thresholds"] = [float(init[0]), float(init[1])]
+    cfg["initial_thresholds"] = list(_unit_values(init, "initial_thresholds"))
     return cfg
 
 
@@ -230,7 +240,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError(f"need at least 2 folds, got k={args.k}")
     records = _load_manifest_records(Path(args.manifest))
-    assignment = split_actors(records, args.k, args.seed)
+    assignment = split_actors(records, args.k)
     out = _out_dir(args.out)
     folds_path = out / "folds.csv"
     save_folds(assignment, folds_path)
@@ -526,6 +536,14 @@ def _report_payload(report: CrossValReport, chash: str) -> dict[str, Any]:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
+    for flag, path in (
+        ("--predictions", args.predictions),
+        ("--labels", args.labels),
+        ("--folds", args.folds),
+        ("--weights", args.weights),
+    ):
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"{flag} does not exist: {path!r}")
     pred_path = Path(args.predictions)
     if pred_path.is_dir():
         tables = _load_prediction_tables(pred_path)
@@ -684,7 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="actor-disjoint fold split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="recorded in run_meta.json; the split is deterministic"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 

@@ -122,15 +122,13 @@ class FoldAssignment:
         return out
 
 
-def split_actors(records: Sequence[SampleRecord], k: int, seed: int = 0) -> FoldAssignment:
+def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
     """Greedy balanced actor-disjoint split.
 
     Actors are sorted by descending clip count (ties by actor id) and each
     is assigned to the currently lightest fold (ties by fold index).  The
-    procedure is fully deterministic; the seed is accepted for interface
-    stability but unused by this strategy.
+    procedure is fully deterministic.
     """
-    del seed
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec.actor_id] = counts.get(rec.actor_id, 0) + 1

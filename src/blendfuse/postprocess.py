@@ -123,9 +123,13 @@ class _VideoPrecompute:
 
 
 def _precompute(matrix: np.ndarray, cfg: PostprocessConfig) -> _VideoPrecompute:
-    order = np.argsort(-matrix, axis=1, kind="stable")
-    i1, i2 = order[:, 0], order[:, 1]
+    # argmax returns the first maximum, so two passes give the same top-2
+    # (ties toward the lower index) as a stable descending sort.
     n = np.arange(matrix.shape[0])
+    i1 = np.argmax(matrix, axis=1)
+    rest = np.array(matrix, dtype=np.float64)
+    rest[n, i1] = -np.inf
+    i2 = np.argmax(rest, axis=1)
     p1, p2 = matrix[n, i1], matrix[n, i2]
     if cfg.renormalize_before_beta:
         gap = (p1 - p2) / (p1 + p2)
@@ -238,27 +242,49 @@ def _surface_counts(
     beta_grid: np.ndarray,
     cfg: PostprocessConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Presence/salience hit counts at every (alpha, beta) grid cell.
+
+    A video's outcome changes only where alpha crosses p2 and where beta
+    crosses the gap, so the surface is its "single i1" base count plus
+    histograms of outcome deltas over the sorted grid positions of those two
+    crossings, swept by cumulative sums (as an ROC curve is built).  The
+    grids may be unsorted or hold duplicates: the sweep runs on the sorted
+    unique values and its cells are mapped back to grid order.
+    """
     pre = _precompute(matrix, cfg)
     table = _outcome_table(pre, truth)
-    a_col = alpha_grid[:, None]  # (A, 1)
-    b_row = beta_grid[None, :]  # (1, B)
-    count_p = np.zeros((alpha_grid.size, beta_grid.size), dtype=np.int64)
-    count_s = np.zeros_like(count_p)
-    for v in range(matrix.shape[0]):
-        p2 = pre.p2[v]
-        both = (p2 > 0.0) & (p2 >= a_col)  # (A, 1)
-        if pre.neutral_top2[v]:
-            okp = np.where(both, table.okp_single_other[v], table.okp_single_i1[v])
-            oks = np.where(both, table.oks_single_other[v], table.oks_single_i1[v])
-            count_p += okp.astype(np.int64)
-            count_s += oks.astype(np.int64)
-            continue
-        is50 = pre.gap[v] <= b_row  # (1, B)
-        blend_p = table.okp_blend[v]
-        blend_s = np.where(is50, table.oks_blend50[v], table.oks_blend70[v])
-        count_p += np.where(both, blend_p, table.okp_single_i1[v]).astype(np.int64)
-        count_s += np.where(both, blend_s, table.oks_single_i1[v]).astype(np.int64)
-    return count_p, count_s
+    a_sorted, a_inv = np.unique(alpha_grid, return_inverse=True)
+    b_sorted, b_inv = np.unique(beta_grid, return_inverse=True)
+    n_a, n_b = a_sorted.size, b_sorted.size
+
+    # Both top-2 entries survive exactly at sorted alpha indices < k.
+    k = np.where(pre.p2 > 0.0, np.searchsorted(a_sorted, pre.p2, side="right"), 0)
+    # The 50/50 split holds exactly at sorted beta indices >= m.
+    m = np.searchsorted(b_sorted, pre.gap, side="left")
+
+    neutral = pre.neutral_top2
+    okp_single = table.okp_single_i1.astype(np.int64)
+    oks_single = table.oks_single_i1.astype(np.int64)
+    d_p = np.where(neutral, table.okp_single_other, table.okp_blend) - okp_single
+    d_s70 = np.where(neutral, table.oks_single_other, table.oks_blend70) - oks_single
+    d_s50 = np.where(neutral, 0, table.oks_blend50.astype(np.int64) - table.oks_blend70)
+
+    def histogram(bins: np.ndarray, delta: np.ndarray, size: int) -> np.ndarray:
+        # Deltas are -1, 0 or 1, so the float sums are exact integers.
+        return np.bincount(bins, weights=delta, minlength=size).astype(np.int64)
+
+    def above(hist: np.ndarray) -> np.ndarray:
+        # Row j sums the histogram over k > j: the videos whose pair survives alpha j.
+        return np.cumsum(hist[::-1], axis=0)[::-1][1:]
+
+    p_alpha = above(histogram(k, d_p, n_a + 1))
+    s_alpha = above(histogram(k, d_s70, n_a + 1))
+    s_50 = histogram(k * (n_b + 1) + m, d_s50, (n_a + 1) * (n_b + 1)).reshape(n_a + 1, n_b + 1)
+    s_50 = np.cumsum(above(s_50), axis=1)[:, :n_b]
+
+    count_p = np.broadcast_to(okp_single.sum() + p_alpha[:, None], (n_a, n_b))
+    count_s = oks_single.sum() + s_alpha[:, None] + s_50
+    return count_p[a_inv][:, b_inv], count_s[a_inv][:, b_inv]
 
 
 def point_counts(
@@ -302,8 +328,8 @@ def threshold_surface(
     if a.size == 0 or b.size == 0:
         raise ValidationError("threshold grids must be non-empty")
     for grid, name in ((a, "alpha"), (b, "beta")):
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
-            raise ValidationError(f"{name} grid values must lie in [0, 1]")
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):  # also rejects NaN
+            raise ValidationError(f"{name} grid values must be finite and lie in [0, 1]")
     count_p, count_s = _surface_counts(matrix, truth, a, b, cfg)
     n = matrix.shape[0]
     acc_p = count_p / n

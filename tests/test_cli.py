@@ -14,6 +14,20 @@ from blendfuse.evaluation import evaluate, load_folds
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
+# Grids that must be configuration errors: empty, non-finite, out of [0, 1]
+# (as a list or as a start/stop/step object).
+BAD_GRIDS = [
+    "[]",
+    "[0.1, NaN]",
+    "[NaN, 0.2]",
+    "[0.1, Infinity]",
+    "[0.1, 2]",
+    "[-0.1, 0.2]",
+    '{"start": 0, "stop": 2, "step": 0.5}',
+    '{"start": 0, "stop": 1, "step": NaN}',
+]
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -185,6 +199,23 @@ class TestFuseEvaluate:
     def test_bad_flag_is_config_error(self, tmp_path):
         assert run("fuse-evaluate", "--no-such-flag") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["alpha_grid", "beta_grid"])
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, key, grid):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        cfg_path = self.make_config(tmp_path, data, folds_path, **{key: json.loads(grid)})
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init", ['["x", 0.1]', "[2, 0.1]", "[0.1, -0.5]", "[0.1, NaN]", "[true, 0.1]"])
+    def test_bad_initial_thresholds_is_config_error(self, tmp_path, capsys, init):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        cfg_path = self.make_config(tmp_path, data, folds_path, initial_thresholds=json.loads(init))
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        assert "initial_thresholds" in capsys.readouterr().err
+
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         data = synth_dataset(tmp_path, actors=6, clips=9)
         folds_path = make_folds(tmp_path, data)
@@ -335,6 +366,34 @@ class TestDeterminism:
 
 
 class TestSensitivity:
+    @pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grid_flag_is_config_error(self, tmp_path, capsys, flag, grid):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        code = run(
+            "sensitivity", "--predictions", data / "predictions", "--labels", data / "labels.csv",
+            "--folds", folds_path, flag, grid, "--out", tmp_path / "s",
+        )
+        assert code == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--predictions", "--labels", "--folds", "--weights"])
+    def test_missing_input_is_config_error(self, tmp_path, capsys, flag):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        inputs = {
+            "--predictions": data / "predictions",
+            "--labels": data / "labels.csv",
+            "--folds": folds_path,
+        }
+        ghost = tmp_path / "ghost.csv"
+        inputs[flag] = ghost
+        argv = [a for pair in inputs.items() for a in pair]
+        assert run("sensitivity", *argv, "--out", tmp_path / "s") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and str(ghost) in err
+
     def test_report_and_graphics(self, tmp_path):
         data = synth_dataset(tmp_path, actors=10, clips=20)
         folds_path = make_folds(tmp_path, data, k=5)

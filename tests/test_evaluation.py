@@ -106,8 +106,8 @@ class TestSplitActors:
     def test_deterministic(self):
         counts = {f"a{i}": 5 + i % 3 for i in range(12)}
         records = make_records(counts)
-        a = split_actors(records, 3, seed=7)
-        b = split_actors(records, 3, seed=7)
+        a = split_actors(records, 3)
+        b = split_actors(records, 3)
         assert a == b
 
     def test_k_larger_than_actor_count_rejected(self):

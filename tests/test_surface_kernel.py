@@ -1,0 +1,115 @@
+"""The closed-form threshold surface against the scalar oracle, on every cell.
+
+``discretize`` plus ``evaluate`` scores one threshold pair one row at a
+time; ``threshold_surface`` scores a whole grid at once by sorting the grids
+and sweeping cumulative sums.  The property test below draws inputs where the
+sweep is easiest to get wrong: unsorted and duplicate grid values, grid
+values equal to a row's second entry or to its salience gap, zero entries
+and ties, with and without neutral collapse and gap renormalization.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blendfuse.core import BlendAnnotation, Emotion, EmotionDistribution, ValidationError
+from blendfuse.evaluation import evaluate
+from blendfuse.postprocess import (
+    PostprocessConfig,
+    ThresholdPair,
+    TruthArrays,
+    _precompute,
+    discretize,
+    threshold_surface,
+)
+
+# Small integer weights make ties, zero entries and repeated gaps common.
+_row_weights = st.lists(st.integers(0, 4), min_size=6, max_size=6).filter(lambda w: sum(w) > 0)
+
+
+@st.composite
+def _truth(draw):
+    t1 = draw(st.integers(0, 5))
+    salience = draw(st.sampled_from((100, 70, 50)))
+    if salience == 100:
+        return BlendAnnotation(Emotion(t1), None, 100)
+    t2 = draw(st.integers(0, 5).filter(lambda j: j != t1))
+    if salience == 50:
+        return BlendAnnotation(Emotion(min(t1, t2)), Emotion(max(t1, t2)), 50)
+    return BlendAnnotation(Emotion(t1), Emotion(t2), 70)
+
+
+def _critical_values(rows):
+    """Grid candidates at which some row changes outcome: every entry (so
+    every p2) and both the raw and the renormalized salience gap."""
+    values = {0.0, 1.0}
+    for row in rows:
+        top = sorted(row, reverse=True)
+        values.update(row)
+        values.add(top[0] - top[1])
+        values.add((top[0] - top[1]) / (top[0] + top[1]))
+    return sorted(v for v in values if 0.0 <= v <= 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_every_cell_matches_scalar_discretize(data):
+    weights = data.draw(st.lists(_row_weights, min_size=1, max_size=8), label="weights")
+    rows = [tuple(w / sum(ws) for w in ws) for ws in weights]
+    truths = [data.draw(_truth(), label="truth") for _ in rows]
+    candidates = _critical_values(rows) + [i / 20 for i in range(21)]
+    grid = st.lists(st.sampled_from(candidates), min_size=1, max_size=6)
+    alpha_grid = data.draw(grid, label="alpha_grid")
+    beta_grid = data.draw(grid, label="beta_grid")
+    neutral_index = data.draw(st.none() | st.integers(0, 5), label="neutral_index")
+    renormalize = data.draw(st.booleans(), label="renormalize_before_beta")
+
+    cfg = PostprocessConfig(
+        ThresholdPair(0.0, 0.0), neutral_index=neutral_index, renormalize_before_beta=renormalize
+    )
+    surface = threshold_surface(
+        np.array(rows, dtype=np.float64),
+        TruthArrays.from_annotations(truths),
+        alpha_grid,
+        beta_grid,
+        cfg,
+    )
+    dists = {f"v{i}": EmotionDistribution(row) for i, row in enumerate(rows)}
+    labels = {f"v{i}": truth for i, truth in enumerate(truths)}
+    for ai, alpha in enumerate(alpha_grid):
+        for bi, beta in enumerate(beta_grid):
+            point = PostprocessConfig(
+                ThresholdPair(alpha, beta),
+                neutral_index=neutral_index,
+                renormalize_before_beta=renormalize,
+            )
+            result = evaluate({vid: discretize(p, point) for vid, p in dists.items()}, labels)
+            assert surface.cell(ai, bi) == (result.acc_p, result.acc_s, result.score)
+
+
+def test_top2_matches_stable_descending_sort():
+    rng = np.random.default_rng(3)
+    m = rng.integers(0, 4, size=(500, 6)).astype(np.float64)
+    m[:50] = 0.0  # all-zero rows: every entry ties
+    m[50:100, 1:] = 0.0  # one non-zero entry, five tied zeros
+    order = np.argsort(-m, axis=1, kind="stable")
+    pre = _precompute(m, PostprocessConfig())
+    np.testing.assert_array_equal(pre.i1, order[:, 0])
+    np.testing.assert_array_equal(pre.i2, order[:, 1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("axis", ["alpha", "beta"])
+def test_non_finite_grid_value_rejected(bad, axis):
+    grids = {"alpha": [0.1, 0.2], "beta": [0.1, 0.2]}
+    grids[axis] = [0.1, bad]
+    truth = TruthArrays.from_annotations([BlendAnnotation(Emotion.ANGER, None, 100)])
+    with pytest.raises(ValidationError, match=f"{axis} grid"):
+        threshold_surface(
+            np.array([[1.0, 0, 0, 0, 0, 0]]),
+            truth,
+            grids["alpha"],
+            grids["beta"],
+            PostprocessConfig(),
+        )
