@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -107,8 +108,30 @@ def _load_manifest_records(path: Path) -> list[SampleRecord]:
     raise ValidationError(f"{path}: unrecognized manifest header {header!r}")
 
 
+def _require_paths(*flags: tuple[str, Optional[str]]) -> None:
+    """ConfigError naming the flag and path of the first input that is missing."""
+    for flag, path in flags:
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"{flag} does not exist: {path!r}")
+
+
+def _feature_dir(value: str) -> Path:
+    """The ``--features`` directory, checked to hold a manifest.csv."""
+    _require_paths(("--features", value))
+    manifest = Path(value) / "manifest.csv"
+    if not manifest.is_file():
+        raise ConfigError(f"--features has no manifest.csv: {str(manifest)!r}")
+    return Path(value)
+
+
+# Grids larger than this would make each fold surface hold millions of cells.
+MAX_GRID_VALUES = 10_001
+
+
 def _unit_values(values: Sequence[Any], name: str) -> tuple[float, ...]:
-    """Floats of ``values``, each a finite number in [0, 1]."""
+    """Floats of ``values``: at most MAX_GRID_VALUES, each a finite number in [0, 1]."""
+    if len(values) > MAX_GRID_VALUES:
+        raise ConfigError(f"{name} has more than {MAX_GRID_VALUES} values")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ConfigError(f"{name} values must be numbers: {values!r}")
     floats = tuple(float(v) for v in values)
@@ -135,7 +158,10 @@ def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
             raise ConfigError(f"{name} start/stop/step must be numbers: {value!r}") from None
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ConfigError(f"bad grid spec for {name}: {value!r}")
-        count = int(round((stop - start) / step)) + 1
+        span = (stop - start) / step  # inf when step is tiny against stop - start
+        if span > MAX_GRID_VALUES:
+            raise ConfigError(f"{name} has more than {MAX_GRID_VALUES} values: {value!r}")
+        count = int(round(span)) + 1
         return _unit_values([round(start + i * step, 12) for i in range(count)], name)
     raise ConfigError(f"{name} must be a list or a start/stop/step object")
 
@@ -293,7 +319,7 @@ def _aggregate_directory(
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     cfg = _aggregation_config(args)
-    video_ids, actors, vectors = _aggregate_directory(Path(args.features), cfg)
+    video_ids, actors, vectors = _aggregate_directory(_feature_dir(args.features), cfg)
     out = _out_dir(args.out)
     path = out / "aggregated.csv"
     dim = len(next(iter(vectors.values()))) if vectors else 0
@@ -315,20 +341,38 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _mlp_config(args: argparse.Namespace) -> mlp.MlpConfig:
+    try:
+        hidden = tuple(int(h) for h in args.hidden.split(","))
+    except ValueError:
+        raise ConfigError(f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
+    try:
+        return mlp.MlpConfig(
+            hidden_dims=hidden,
+            dropout=args.dropout,
+            lr=args.lr,
+            max_epochs=args.epochs,
+            patience=args.patience,
+            batch_size=args.batch_size,
+            seed=args.seed,
+        )
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_train_mlp(args: argparse.Namespace) -> int:
     agg_cfg = _aggregation_config(args)
+    mlp_cfg = _mlp_config(args)
+    feature_dir = _feature_dir(args.features)
+    _require_paths(("--labels", args.labels), ("--folds", args.folds))
     records = core.load_labels(Path(args.labels))
     assignment = load_folds(Path(args.folds))
-    video_ids, _, vectors = _aggregate_directory(Path(args.features), agg_cfg)
+    _, _, vectors = _aggregate_directory(feature_dir, agg_cfg)
 
     missing = [r.video_id for r in records if r.video_id not in vectors]
     if missing:
         raise ValidationError(f"missing features for labeled videos: {missing}")
 
-    try:
-        hidden = tuple(int(h) for h in args.hidden.split(","))
-    except ValueError:
-        raise ConfigError(f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
     by_fold = assignment.videos_by_fold(records)
     for f, vids in by_fold.items():
         if not vids:
@@ -354,15 +398,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
         train_vids = [v for f in train_folds[1:] for v in by_fold[f]]
         if not train_vids:  # k == 2 leaves one fold for both roles
             train_vids = list(by_fold[val_fold])
-        cfg = mlp.MlpConfig(
-            hidden_dims=hidden,
-            dropout=args.dropout,
-            lr=args.lr,
-            max_epochs=args.epochs,
-            patience=args.patience,
-            batch_size=args.batch_size,
-            seed=args.seed + fold,
-        )
+        cfg = dataclasses.replace(mlp_cfg, seed=args.seed + fold)
         result = mlp.train(arrays_for(train_vids), arrays_for(by_fold[val_fold]), cfg)
 
         ckpt = out / f"mlp_fold{fold}.npz"
@@ -398,7 +434,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
         "features": str(args.features),
         "labels": str(args.labels),
         "folds": str(args.folds),
-        "hidden": list(hidden),
+        "hidden": list(mlp_cfg.hidden_dims),
         "dropout": args.dropout,
         "lr": args.lr,
         "epochs": args.epochs,
@@ -536,14 +572,12 @@ def _report_payload(report: CrossValReport, chash: str) -> dict[str, Any]:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
-    for flag, path in (
+    _require_paths(
         ("--predictions", args.predictions),
         ("--labels", args.labels),
         ("--folds", args.folds),
         ("--weights", args.weights),
-    ):
-        if path is not None and not Path(path).exists():
-            raise ConfigError(f"{flag} does not exist: {path!r}")
+    )
     pred_path = Path(args.predictions)
     if pred_path.is_dir():
         tables = _load_prediction_tables(pred_path)

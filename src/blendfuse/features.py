@@ -174,29 +174,57 @@ def save_feature_file(seq: FrameFeatureSequence, directory: str | Path) -> Path:
 
 
 def load_feature_file(path: str | Path, video_id: str | None = None) -> FrameFeatureSequence:
+    """Read a ``.feat`` file: a ``layers= frames= dims=`` header line, then one
+    line of ``dims`` numbers per (layer, frame), layer-major.  Blank lines are
+    skipped.  Every fault is a ``ValidationError`` naming the path."""
     path = Path(path)
     vid = video_id if video_id is not None else path.stem
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            fields = dict(part.split("=", 1) for part in header.split())
-            layers, frames, dims = (int(fields[k]) for k in ("layers", "frames", "dims"))
-        except (KeyError, ValueError):
-            raise ValidationError(f"{path}: bad feature header {header!r}") from None
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            row = [float(v) for v in line.split()]
-            if len(row) != dims:
-                raise ValidationError(f"{path}:{lineno}: expected {dims} values")
-            values.append(row)
-    if len(values) != layers * frames:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read feature file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    # read_text translates "\r\n" and "\r"; split on "\n" only, as line
+    # iteration does (str.splitlines also breaks on form feeds).
+    lines = text.split("\n")
+    header = lines[0].strip()
+    try:
+        fields = dict(part.split("=", 1) for part in header.split())
+        layers, frames, dims = (int(fields[k]) for k in ("layers", "frames", "dims"))
+    except (KeyError, ValueError):
+        layers = frames = dims = 0
+    if min(layers, frames, dims) < 1:
+        raise ValidationError(f"{path}: bad feature header {header!r}")
+    tokens: list[str] = []
+    line_numbers: list[int] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = line.split()
+        if not row:
+            continue
+        if len(row) != dims:
+            raise ValidationError(f"{path}:{lineno}: expected {dims} values")
+        tokens += row
+        line_numbers.append(lineno)
+    if len(line_numbers) != layers * frames:
         raise ValidationError(
-            f"{path}: expected {layers * frames} rows, found {len(values)}"
+            f"{path}: expected {layers * frames} rows, found {len(line_numbers)}"
         )
-    data = np.array(values, dtype=np.float64).reshape(layers, frames, dims)
-    return FrameFeatureSequence(vid, data)
+    try:
+        # Same parser as float(), so the values are bit-identical to it.
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        for k, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                lineno = line_numbers[k // dims]
+                raise ValidationError(f"{path}:{lineno}: not a number: {token!r}") from None
+        raise
+    try:
+        return FrameFeatureSequence(vid, values.reshape(layers, frames, dims))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_feature_manifest(

@@ -47,12 +47,14 @@ class MlpConfig:
             raise ValidationError(f"bad hidden_dims: {self.hidden_dims!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be positive, got {self.lr!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
         if self.patience > self.max_epochs:
             raise ValidationError("patience cannot exceed max_epochs")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ValidationError("max_epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -213,22 +215,27 @@ def loss_and_gradients(
     x: np.ndarray,
     y: np.ndarray,
     dropout_rng: Optional[np.random.Generator] = None,
+    weight_grads: Optional[dict[str, np.ndarray]] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean KL loss over a batch plus gradients for every parameter.
 
     Uses train-mode forward (batch statistics); caller controls dropout by
-    passing a generator or a model with dropout 0.
+    passing a generator or a model with dropout 0.  ``weight_grads`` may map
+    weight names (``w0``, ``w1``, ...) to arrays of the weights' shapes,
+    which then receive those gradients and are returned in the dict.  The
+    gradient with respect to ``x`` is not computed.
     """
     logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
     probs = softmax(logits)
     loss = _mean_kl(y, probs)
     n = x.shape[0]
+    out = weight_grads or {}
     grads: dict[str, np.ndarray] = {}
 
     dlogits = (probs - y) / n
-    head_cache = caches[-1]
-    grads[f"w{len(model.weights) - 1}"] = head_cache["x"].T @ dlogits
-    grads[f"b{len(model.weights) - 1}"] = dlogits.sum(axis=0)
+    head = len(model.weights) - 1
+    grads[f"w{head}"] = np.matmul(caches[-1]["x"].T, dlogits, out=out.get(f"w{head}"))
+    grads[f"b{head}"] = dlogits.sum(axis=0)
     dh = dlogits @ model.weights[-1].T
 
     for i in range(len(model.config.hidden_dims) - 1, -1, -1):
@@ -239,9 +246,10 @@ def loss_and_gradients(
         dz, dgamma, dbeta = _batchnorm_backward(dz_bn, model.batchnorms[i], cache["bn"])
         grads[f"bn{i}_gamma"] = dgamma
         grads[f"bn{i}_beta"] = dbeta
-        grads[f"w{i}"] = cache["x"].T @ dz
+        grads[f"w{i}"] = np.matmul(cache["x"].T, dz, out=out.get(f"w{i}"))
         grads[f"b{i}"] = dz.sum(axis=0)
-        dh = dz @ model.weights[i].T
+        if i > 0:
+            dh = dz @ model.weights[i].T
     return loss, grads
 
 
@@ -316,6 +324,7 @@ def train(
     rng = np.random.default_rng(cfg.seed + 1)
     dropout_rng = np.random.default_rng(cfg.seed + 2)
     velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    weight_grads = {f"w{i}": np.empty_like(w) for i, w in enumerate(model.weights)}
 
     best: Optional[MlpModel] = None
     best_val = math.inf
@@ -329,14 +338,15 @@ def train(
         epoch_loss = 0.0
         for batch in _batches(n, cfg.batch_size, order):
             xb, yb = x_train[batch], y_train[batch]
-            loss, grads = loss_and_gradients(model, xb, yb, dropout_rng)
+            loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, weight_grads)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}: {loss!r}")
             epoch_loss += loss * batch.size
             for name, arr in model.parameters():
-                v = velocity[name]
+                g, v = grads[name], velocity[name]
+                g *= cfg.lr
                 v *= cfg.momentum
-                v -= cfg.lr * grads[name]
+                v -= g
                 arr += v
         train_loss = epoch_loss / n
 

@@ -8,14 +8,14 @@ import pytest
 
 from fixtures_util import outputs_of, write_feature_dir
 
-from blendfuse import core
+from blendfuse import cli, core, features
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from blendfuse.evaluation import evaluate, load_folds
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
 # Grids that must be configuration errors: empty, non-finite, out of [0, 1]
-# (as a list or as a start/stop/step object).
+# (as a list or as a start/stop/step object), or more than 10,001 values.
 BAD_GRIDS = [
     "[]",
     "[0.1, NaN]",
@@ -25,6 +25,20 @@ BAD_GRIDS = [
     "[-0.1, 0.2]",
     '{"start": 0, "stop": 2, "step": 0.5}',
     '{"start": 0, "stop": 1, "step": NaN}',
+    '{"start": 0, "stop": 1, "step": 9e-05}',
+]
+
+GOOD_ROW = " ".join(["0.5"] * 6)
+# (case, .feat content or None for a missing file, expected message fragment)
+FEATURE_FAULTS = [
+    ("bad-token", f"layers=1 frames=3 dims=6\n{GOOD_ROW}\n0.5 0.5 zero 0.5 0.5 0.5\n{GOOD_ROW}\n",
+     "{path}:3: not a number: 'zero'"),
+    ("missing", None, "{path}: cannot read feature file"),
+    ("not-utf8", b"layers=1 frames=1 dims=6\n\xff\n", "{path}: not UTF-8"),
+    ("negative-frames", "layers=1 frames=-1 dims=6\n", "{path}: bad feature header"),
+    ("zero-dims", "layers=1 frames=3 dims=0\n", "{path}: bad feature header"),
+    ("non-finite", f"layers=1 frames=2 dims=6\n{GOOD_ROW}\n0.5 inf 0.5 0.5 0.5 0.5\n",
+     "{path}: non-finite values"),
 ]
 
 
@@ -40,6 +54,25 @@ def synth_dataset(tmp_path, seed=0, actors=8, clips=18, noise=0.3):
     )
     assert code == EXIT_OK
     return out
+
+
+def feature_inputs(tmp_path):
+    """train-mlp input flags for 2 actors x 3 clips of 1 x 4 x 6 features, 2 folds."""
+    records = [
+        core.SampleRecord(f"a{a}_v{c}", f"a{a}", core.BlendAnnotation(core.EMOTIONS[c], None, 100))
+        for a in range(2)
+        for c in range(3)
+    ]
+    labels_path = tmp_path / "labels.csv"
+    core.save_labels(records, labels_path)
+    feat_dir = write_feature_dir(tmp_path, records, np.random.default_rng(3))
+    folds_out = tmp_path / "folds"
+    assert run("split", "--manifest", labels_path, "--k", 2, "--out", folds_out) == EXIT_OK
+    return {"--features": feat_dir, "--labels": labels_path, "--folds": folds_out / "folds.csv"}
+
+
+def flags_of(inputs):
+    return [a for pair in inputs.items() for a in pair]
 
 
 def make_folds(tmp_path, data_dir, k=2):
@@ -264,6 +297,26 @@ class TestFuseEvaluate:
             assert fold["score"] == 1.0
 
 
+class TestGridSizeBound:
+    def test_bound_is_inclusive(self):
+        grid = cli._parse_grid({"start": 0, "stop": 1, "step": 1e-4}, "alpha_grid")
+        assert len(grid) == cli.MAX_GRID_VALUES == 10_001
+        assert grid[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"start": 0, "stop": 1, "step": 1e-6},
+            {"start": 0, "stop": 1, "step": 1e-320},  # the value count overflows a float
+            {"start": 0, "stop": 1, "step": 0.99995e-4},  # 10,002 values after rounding
+            [0.5] * 10_002,
+        ],
+    )
+    def test_larger_grid_rejected(self, spec):
+        with pytest.raises(cli.ConfigError, match="alpha_grid has more than 10001 values"):
+            cli._parse_grid(spec, "alpha_grid")
+
+
 class TestTrainMlp:
     def test_separable_features_reach_high_presence_accuracy(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -338,6 +391,69 @@ class TestTrainMlp:
                 "--epochs", 30, "--patience", 30, "--out", tmp_path / "mlp",
             )
         assert code == EXIT_NUMERIC
+
+
+    @pytest.mark.parametrize("case,content,message", FEATURE_FAULTS, ids=[f[0] for f in FEATURE_FAULTS])
+    def test_bad_feature_file_is_data_error(self, tmp_path, capsys, case, content, message):
+        inputs = feature_inputs(tmp_path)
+        path = inputs["--features"] / "a1_v0.feat"
+        if content is None:
+            path.unlink()
+        else:
+            path.write_bytes(content.encode() if isinstance(content, str) else content)
+        code = run("train-mlp", *flags_of(inputs), "--hidden", "4", "--epochs", 2, "--patience", 2,
+                   "--out", tmp_path / "mlp")
+        assert code == EXIT_DATA
+        assert message.format(path=path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lr", "-1"],
+            ["--lr", "0"],
+            ["--lr", "inf"],
+            ["--hidden", "1024,0"],
+            ["--hidden", "8,x"],
+            ["--dropout", "1.5"],
+            ["--batch-size", "0"],
+            ["--epochs", "10", "--patience", "11"],
+            ["--epochs", "0", "--patience", "0"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_bad_flag_is_config_error_before_features_are_read(self, tmp_path, monkeypatch, flags):
+        inputs = feature_inputs(tmp_path)
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("a feature file was read")
+
+        monkeypatch.setattr(features, "load_feature_file", no_reads)
+        code = run("train-mlp", *flags_of(inputs), *flags, "--out", tmp_path / "mlp")
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--features", "--labels", "--folds"])
+    def test_missing_input_is_config_error(self, tmp_path, capsys, flag):
+        inputs = feature_inputs(tmp_path)
+        ghost = tmp_path / "ghost"
+        inputs[flag] = ghost
+        assert run("train-mlp", *flags_of(inputs), "--out", tmp_path / "mlp") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and str(ghost) in err
+
+    @pytest.mark.parametrize("command", ["train-mlp", "aggregate"])
+    def test_feature_dir_without_manifest_is_config_error(self, tmp_path, capsys, command):
+        inputs = feature_inputs(tmp_path)
+        manifest = inputs["--features"] / "manifest.csv"
+        manifest.unlink()
+        if command == "aggregate":
+            inputs = {"--features": inputs["--features"]}
+        assert run(command, *flags_of(inputs), "--out", tmp_path / "out") == EXIT_CONFIG
+        assert f"--features has no manifest.csv: '{manifest}'" in capsys.readouterr().err
+
+    def test_aggregate_missing_feature_dir_is_config_error(self, tmp_path, capsys):
+        ghost = tmp_path / "ghost"
+        assert run("aggregate", "--features", ghost, "--out", tmp_path / "out") == EXIT_CONFIG
+        assert f"--features does not exist: '{ghost}'" in capsys.readouterr().err
 
 
 class TestDeterminism:

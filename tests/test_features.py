@@ -1,5 +1,7 @@
 """Layer averaging, segment statistics, and the feature file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,74 @@ class TestFeatureFiles:
         manual = data[1:3].mean(axis=0)
         expected = np.concatenate([manual[:3].mean(axis=0), manual[3:].mean(axis=0)])
         assert np.allclose(out, expected, atol=1e-15)
+
+
+def float_oracle(path):
+    """Per-token ``float()`` parse of a .feat file's value lines."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+    return np.array(rows, dtype=np.float64)
+
+
+class TestFeatureFileParse:
+    def test_values_bit_identical_to_float_oracle(self, tmp_path):
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=(3, 4, 5)) * 10.0 ** rng.integers(-300, 300, size=(3, 4, 5))
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                   0.1 + 0.2, 1 / 3, -2 / 3, 1.7976931348623157e308, 123456789.01234567]
+        data.reshape(-1)[: len(special)] = special
+        path = save_feature_file(seq(data, "v17"), tmp_path)
+        loaded = load_feature_file(path)
+        oracle = float_oracle(path)
+        assert np.array_equal(loaded.data.reshape(oracle.shape).view(np.int64), oracle.view(np.int64))
+        assert np.array_equal(loaded.data.view(np.int64), data.view(np.int64))
+
+    def test_every_float_spelling_accepted_like_float(self, tmp_path):
+        path = tmp_path / "odd.feat"
+        path.write_bytes(
+            "layers=1 frames=2 dims=4\r\n1_0\t+.5 1E-3 -0\r\n\r\n  \uff11\uff12 \u0663 0012.50 -1e-320\r\n".encode()
+        )
+        loaded = load_feature_file(path)
+        oracle = float_oracle(path)
+        assert np.array_equal(loaded.data.reshape(oracle.shape).view(np.int64), oracle.view(np.int64))
+
+    def test_bad_token_names_path_and_line(self, tmp_path):
+        path = tmp_path / "x.feat"
+        path.write_text("layers=1 frames=3 dims=2\n1 2\n\n3 0x10\n5 6\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:4: not a number: '0x10'")):
+            load_feature_file(path)
+
+    def test_wrong_value_count_names_line(self, tmp_path):
+        path = tmp_path / "x.feat"
+        path.write_text("layers=1 frames=2 dims=2\n1 2\n3 4 5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3: expected 2 values")):
+            load_feature_file(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["layers=1 frames=-1 dims=2", "layers=1 frames=1 dims=0", "layers=0 frames=1 dims=1",
+         "layers=1 frames=x dims=2", "layers=1 dims=2", ""],
+    )
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "x.feat"
+        path.write_text(f"{header}\n1 2\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="bad feature header"):
+            load_feature_file(path)
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.feat"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot read feature file")):
+            load_feature_file(path)
+
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "x.feat"
+        path.write_bytes(b"layers=1 frames=1 dims=1\n\xff\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8")):
+            load_feature_file(path)
+
+    def test_non_finite_names_path(self, tmp_path):
+        path = tmp_path / "x.feat"
+        path.write_text("layers=1 frames=1 dims=2\n1 1e400\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: non-finite values")):
+            load_feature_file(path)

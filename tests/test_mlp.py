@@ -1,5 +1,7 @@
 """Classifier head: forward, batchnorm, backprop gradients, training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from blendfuse.mlp import (
     MlpConfig,
     MlpModel,
     NumericError,
+    TrainLogEntry,
     batchnorm_forward,
     forward,
     load_model,
@@ -18,6 +21,8 @@ from blendfuse.mlp import (
     save_model,
     save_train_log,
     train,
+    _batchnorm_backward,
+    _batches,
     _forward_batch,
     _mean_kl,
 )
@@ -286,3 +291,100 @@ class TestCheckpoint:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == len(result.log) + 1
+
+
+def reference_loss_and_gradients(model, x, y, dropout_rng):
+    """Backprop with fresh arrays and all six matmuls, the input gradient included."""
+    logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
+    probs = softmax(logits)
+    loss = _mean_kl(y, probs)
+    grads = {}
+    dlogits = (probs - y) / x.shape[0]
+    last = len(model.weights) - 1
+    grads[f"w{last}"] = caches[-1]["x"].T @ dlogits
+    grads[f"b{last}"] = dlogits.sum(axis=0)
+    dh = dlogits @ model.weights[-1].T
+    for i in reversed(range(len(model.config.hidden_dims))):
+        cache = caches[i]
+        if "drop_mask" in cache:
+            dh = dh * cache["drop_mask"]
+        dz, dgamma, dbeta = _batchnorm_backward(dh * cache["relu_mask"], model.batchnorms[i], cache["bn"])
+        grads[f"bn{i}_gamma"] = dgamma
+        grads[f"bn{i}_beta"] = dbeta
+        grads[f"w{i}"] = cache["x"].T @ dz
+        grads[f"b{i}"] = dz.sum(axis=0)
+        dh = dz @ model.weights[i].T
+    return loss, grads
+
+
+def reference_train(train_set, val_set, cfg):
+    """The training loop with a fresh gradient per step and ``v -= lr * g``."""
+    x, y = train_set
+    x_val, y_val = val_set
+    model = MlpModel.initialize(x.shape[1], cfg)
+    model.set_mode("train")
+    rng = np.random.default_rng(cfg.seed + 1)
+    dropout_rng = np.random.default_rng(cfg.seed + 2)
+    velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    best, best_val, best_epoch, bad_epochs, log = None, math.inf, -1, 0, []
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(x.shape[0])
+        epoch_loss = 0.0
+        for batch in _batches(x.shape[0], cfg.batch_size, order):
+            loss, grads = reference_loss_and_gradients(model, x[batch], y[batch], dropout_rng)
+            epoch_loss += loss * batch.size
+            for name, arr in model.parameters():
+                v = velocity[name]
+                v *= cfg.momentum
+                v -= cfg.lr * grads[name]
+                arr += v
+        val_loss = _mean_kl(y_val, predict_proba(model, x_val))
+        log.append(TrainLogEntry(epoch, epoch_loss / x.shape[0], val_loss))
+        if val_loss < best_val:
+            best, best_val, best_epoch, bad_epochs = model.copy(), val_loss, epoch, 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= max(cfg.patience, 1):
+                break
+    return best, tuple(log), best_epoch, best_val
+
+
+def assert_models_identical(a, b):
+    for (n1, a1), (n2, a2) in zip(a.parameters(), b.parameters(), strict=True):
+        assert n1 == n2
+        assert np.array_equal(a1.view(np.int64), a2.view(np.int64)), n1
+    for bn1, bn2 in zip(a.batchnorms, b.batchnorms, strict=True):
+        assert np.array_equal(bn1.running_mean.view(np.int64), bn2.running_mean.view(np.int64))
+        assert np.array_equal(bn1.running_var.view(np.int64), bn2.running_var.view(np.int64))
+
+
+class TestTrainMatchesReference:
+    def test_gradients_match_reference(self):
+        rng = np.random.default_rng(14)
+        model = MlpModel.initialize(12, toy_config(hidden_dims=(16, 8), dropout=0.3, seed=3))
+        x = rng.normal(size=(9, 12))
+        y = random_soft_rows(rng, 9)
+        ref_loss, ref = reference_loss_and_gradients(model.copy(), x, y, np.random.default_rng(5))
+        buffers = {f"w{i}": np.full_like(w, np.nan) for i, w in enumerate(model.weights)}
+        for weight_grads in (None, buffers):
+            loss, grads = loss_and_gradients(model.copy(), x, y, np.random.default_rng(5), weight_grads)
+            assert loss == ref_loss
+            assert grads.keys() == ref.keys()
+            for name, g in ref.items():
+                assert np.array_equal(grads[name].view(np.int64), g.view(np.int64)), name
+        assert all(grads[name] is buf for name, buf in buffers.items())
+
+    # 25 rows in batches of 8: _batches folds the trailing row into the third batch.
+    @pytest.mark.parametrize("dropout,patience", [(0.3, 8), (0.0, 8), (0.3, 1)])
+    def test_train_bit_identical_to_reference(self, dropout, patience):
+        rng = np.random.default_rng(15)
+        x, y = rng.normal(size=(25, 12)), random_soft_rows(rng, 25)
+        x_val, y_val = rng.normal(size=(10, 12)), random_soft_rows(rng, 10)
+        assert [b.size for b in _batches(25, 8, np.arange(25))] == [8, 8, 9]
+        cfg = MlpConfig(hidden_dims=(16, 8), dropout=dropout, lr=0.05, max_epochs=8,
+                        patience=patience, batch_size=8, seed=4)
+        result = train((x, y), (x_val, y_val), cfg)
+        best, log, best_epoch, best_val = reference_train((x, y), (x_val, y_val), cfg)
+        assert result.log == log
+        assert (result.best_epoch, result.best_val_loss) == (best_epoch, best_val)
+        assert_models_identical(result.model, best)
