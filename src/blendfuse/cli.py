@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .evaluation import (
     split_actors,
 )
 from .mlp import NumericError
-from .postprocess import PostprocessConfig, ThresholdPair, fold_beta_spread
+from .postprocess import PostprocessConfig, ThresholdPair, ThresholdSurface, fold_beta_spread
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -96,8 +96,11 @@ def _out_dir(path_str: str) -> Path:
 
 def _load_manifest_records(path: Path) -> list[SampleRecord]:
     """Accept either a labels file or a feature manifest as the clip list."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if header == core.LABELS_HEADER:
         return core.load_labels(path)
     if header == features.MANIFEST_HEADER:
@@ -170,11 +173,12 @@ def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
 # fuse-evaluate run configuration
 # ---------------------------------------------------------------------------
 
-_RUN_CONFIG_KEYS = {
+# The type each value must have; a bool is not an int, an int is a float.
+_RUN_CONFIG_KEYS: dict[str, Any] = {
     "predictions_dir": str,
     "labels_file": str,
     "folds_file": str,
-    "feature_dir": str,
+    "feature_dir": (str, type(None)),
     "output_dir": str,
     "seed": int,
     "threads": int,
@@ -182,7 +186,7 @@ _RUN_CONFIG_KEYS = {
     "beta_grid": object,
     "fusion_strategy": str,
     "threshold_strategy": str,
-    "neutral_index": object,
+    "neutral_index": (int, type(None)),
     "renormalize_before_beta": bool,
     "joint_threshold_search": bool,
     "initial_thresholds": object,
@@ -206,11 +210,19 @@ _RUN_CONFIG_DEFAULTS: dict[str, Any] = {
 }
 
 
+def _has_declared_type(value: Any, declared: Any) -> bool:
+    if declared is object:
+        return True
+    if isinstance(value, bool):
+        return declared is bool
+    return isinstance(value, (int, float) if declared is float else declared)
+
+
 def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
     """Parse, default, override and validate a fuse-evaluate run config."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
@@ -225,6 +237,13 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
     for key in ("predictions_dir", "labels_file", "folds_file", "output_dir"):
         if key not in cfg or cfg[key] is None:
             raise ConfigError(f"missing required config key {key!r}")
+    for key, value in cfg.items():
+        declared = _RUN_CONFIG_KEYS[key]
+        if not _has_declared_type(value, declared):
+            names = [t.__name__ for t in (declared if isinstance(declared, tuple) else (declared,))]
+            raise ConfigError(f"{key} must be of type {' or '.join(names)}, got {value!r}")
+    if cfg["threads"] < 1:
+        raise ConfigError(f"threads must be at least 1, got {cfg['threads']!r}")
     for key in ("predictions_dir", "labels_file", "folds_file", "feature_dir"):
         if key in cfg and cfg[key] is not None and not Path(cfg[key]).exists():
             raise ConfigError(f"{key} does not exist: {cfg[key]!r}")
@@ -234,11 +253,8 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
         raise ConfigError(f"unknown threshold_strategy {cfg['threshold_strategy']!r}")
     if cfg["neutral_index"] is not None and cfg["neutral_index"] not in range(core.N_EMOTIONS):
         raise ConfigError(f"neutral_index out of range: {cfg['neutral_index']!r}")
-    step = cfg["exhaustive_step"]
-    if isinstance(step, bool) or not isinstance(step, (int, float)):
-        raise ConfigError(f"exhaustive_step must be a number, got {step!r}")
     try:
-        fusion.grid_units(step)
+        fusion.grid_units(cfg["exhaustive_step"])
     except ValidationError as exc:
         raise ConfigError(f"exhaustive_step: {exc}") from None
     cfg["alpha_grid"] = list(_parse_grid(cfg["alpha_grid"], "alpha_grid"))
@@ -456,61 +472,10 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     cfg = load_run_config(Path(args.config), overrides)
     out = _out_dir(cfg["output_dir"])
     chash = _config_hash(cfg)
-
-    tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
-    records = core.load_labels(Path(cfg["labels_file"]))
-    assignment = load_folds(Path(cfg["folds_file"]))
-    init = ThresholdPair(*cfg["initial_thresholds"])
-    outputs: list[Path] = []
-
-    weights, search_log = fusion.optimize_weights(
-        tables,
-        records,
-        assignment,
-        init,
-        strategy=cfg["fusion_strategy"],
-        neutral_index=cfg["neutral_index"],
-        renormalize_before_beta=cfg["renormalize_before_beta"],
-        exhaustive_step=cfg["exhaustive_step"],
-        joint_threshold_search=cfg["joint_threshold_search"],
-        alpha_grid=cfg["alpha_grid"],
-        beta_grid=cfg["beta_grid"],
-    )
-    weights_path = out / "weights.csv"
-    fusion.save_weights(weights, weights_path)
-    log_path = out / "weight_search_log.csv"
-    fusion.save_search_log(search_log, log_path)
-    outputs += [weights_path, log_path]
-
-    pp_base = PostprocessConfig(
-        thresholds=init,
-        neutral_index=cfg["neutral_index"],
-        renormalize_before_beta=cfg["renormalize_before_beta"],
-    )
-    data = FusionDataset.build(tables, records, assignment)
-    by_fold = fold_surfaces(data, weights.weights, cfg["alpha_grid"], cfg["beta_grid"], pp_base)
-    fold_ids, surfaces = list(by_fold), list(by_fold.values())
-    chosen = postprocess.select_thresholds(surfaces, cfg["threshold_strategy"])
-    pairs = [s.argmax_pair() for s in surfaces]
-    report = {
-        "config_hash": chash,
-        "strategy": cfg["threshold_strategy"],
-        "alpha": chosen.alpha,
-        "beta": chosen.beta,
-        "per_fold": [
-            {"fold": f, "alpha": p.alpha, "beta": p.beta, "best_score": s.best_score()}
-            for f, p, s in zip(fold_ids, pairs, surfaces)
-        ],
-        **fold_beta_spread(pairs),
-    }
-    thresholds_path = out / "thresholds.json"
-    _write_json(thresholds_path, report)
-    outputs.append(thresholds_path)
-
     cv_cfg = CrossValConfig(
         weight_strategy=cfg["fusion_strategy"],
         threshold_strategy=cfg["threshold_strategy"],
-        initial_thresholds=init,
+        initial_thresholds=ThresholdPair(*cfg["initial_thresholds"]),
         alpha_grid=tuple(cfg["alpha_grid"]),
         beta_grid=tuple(cfg["beta_grid"]),
         neutral_index=cfg["neutral_index"],
@@ -518,26 +483,64 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
         exhaustive_step=cfg["exhaustive_step"],
         joint_threshold_search=cfg["joint_threshold_search"],
     )
+
+    tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
+    records = core.load_labels(Path(cfg["labels_file"]))
+    assignment = load_folds(Path(cfg["folds_file"]))
+    data = FusionDataset.build(tables, records, assignment)
+    weights, search_log, surfaces, chosen = fusion.fit(data, cv_cfg)
+
+    weights_path = out / "weights.csv"
+    fusion.save_weights(weights, weights_path)
+    log_path = out / "weight_search_log.csv"
+    fusion.save_search_log(search_log, log_path)
+    per_fold, svgs = _fold_report(surfaces, out if cfg["emit_plots"] else None)
+    report = {
+        "config_hash": chash,
+        "strategy": cfg["threshold_strategy"],
+        "alpha": chosen.alpha,
+        "beta": chosen.beta,
+        **per_fold,
+    }
+    thresholds_path = out / "thresholds.json"
+    _write_json(thresholds_path, report)
+
     cv_report = cross_validate(tables, records, assignment, cv_cfg)
     results_path = out / "results.csv"
     save_results(cv_report, results_path)
     results_json = out / "results.json"
     _write_json(results_json, _report_payload(cv_report, chash))
-    outputs += [results_path, results_json]
 
-    if cfg["emit_plots"]:
-        heat_path = out / "score_surface.svg"
-        plots.surface_heatmap_svg(plots.surface_mean(surfaces), heat_path)
-        bars_path = out / "fold_beta.svg"
-        plots.fold_beta_bars_svg(pairs, bars_path)
-        outputs += [heat_path, bars_path]
-
+    outputs = [weights_path, log_path, thresholds_path, results_path, results_json, *svgs]
     _write_run_meta(out, "fuse-evaluate", cfg, outputs)
     print(
         f"weights={weights_path} thresholds=({chosen.alpha:.4f},{chosen.beta:.4f}) "
         f"mean score={cv_report.mean.score:.4f}"
     )
     return EXIT_OK
+
+
+def _fold_report(
+    surfaces: Mapping[int, ThresholdSurface], svg_dir: Optional[Path]
+) -> tuple[dict[str, Any], list[Path]]:
+    """The ``per_fold`` best cells and the fold beta spread of ``surfaces``,
+    and the paths of the mean-surface heatmap and fold-beta bars written
+    under ``svg_dir`` (none when it is None)."""
+    pairs = [s.argmax_pair() for s in surfaces.values()]
+    fields = {
+        "per_fold": [
+            {"fold": f, "alpha": p.alpha, "beta": p.beta, "best_score": s.best_score()}
+            for (f, s), p in zip(surfaces.items(), pairs)
+        ],
+        **fold_beta_spread(pairs),
+    }
+    if svg_dir is None:
+        return fields, []
+    heat_path = svg_dir / "score_surface.svg"
+    plots.surface_heatmap_svg(plots.surface_mean(list(surfaces.values())), heat_path)
+    bars_path = svg_dir / "fold_beta.svg"
+    plots.fold_beta_bars_svg(pairs, bars_path)
+    return fields, [heat_path, bars_path]
 
 
 def _report_payload(report: CrossValReport, chash: str) -> dict[str, Any]:
@@ -606,9 +609,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     # Only the weighted encoders need to cover the labeled videos.
     used = [t for t in tables if t.encoder_name in weights.weights]
     data = FusionDataset.build(used, records, assignment)
-    by_fold = fold_surfaces(data, weights.weights, alpha_grid, beta_grid, pp_cfg)
-    fold_ids, surfaces = list(by_fold), list(by_fold.values())
-    pairs = [s.argmax_pair() for s in surfaces]
+    surfaces = fold_surfaces(data, weights.weights, alpha_grid, beta_grid, pp_cfg)
     resolved = {
         "command": "sensitivity",
         "predictions": str(args.predictions),
@@ -617,28 +618,22 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "weights": str(args.weights) if args.weights else None,
         "neutral_index": args.neutral_index,
     }
+    out = _out_dir(args.out)
+    per_fold, svgs = _fold_report(surfaces, out)
+    alphas = [e["alpha"] for e in per_fold["per_fold"]]
     report = {
         "config_hash": _config_hash(resolved),
-        "per_fold": [
-            {"fold": f, "alpha": p.alpha, "beta": p.beta, "best_score": s.best_score()}
-            for f, p, s in zip(fold_ids, pairs, surfaces)
-        ],
-        **fold_beta_spread(pairs),
-        "alpha_min": min(p.alpha for p in pairs),
-        "alpha_max": max(p.alpha for p in pairs),
+        **per_fold,
+        "alpha_min": min(alphas),
+        "alpha_max": max(alphas),
     }
-    out = _out_dir(args.out)
     report_path = out / "sensitivity.json"
     _write_json(report_path, report)
-    heat_path = out / "score_surface.svg"
-    plots.surface_heatmap_svg(plots.surface_mean(surfaces), heat_path)
-    bars_path = out / "fold_beta.svg"
-    plots.fold_beta_bars_svg(pairs, bars_path)
-    _write_run_meta(out, "sensitivity", resolved, [report_path, heat_path, bars_path])
-    spread = fold_beta_spread(pairs)
+    _write_run_meta(out, "sensitivity", resolved, [report_path, *svgs])
+    ratio = per_fold["beta_ratio"]
     print(
-        f"beta spread: min={spread['beta_min']:.2f} max={spread['beta_max']:.2f} "
-        f"ratio={spread['beta_ratio'] if spread['beta_ratio'] is not None else 'inf'}"
+        f"beta spread: min={per_fold['beta_min']:.2f} max={per_fold['beta_max']:.2f} "
+        f"ratio={ratio if ratio is not None else 'inf'}"
     )
     return EXIT_OK
 

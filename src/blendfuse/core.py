@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class EmotionDistribution:
     def __getitem__(self, index: int) -> float:
         return self.values[index]
 
-    def as_list(self) -> list[float]:
-        return list(self.values)
-
     def argmax(self) -> Emotion:
         """Index of the largest entry, ties resolved toward the lower index."""
         best = 0
@@ -160,9 +157,6 @@ class BlendAnnotation:
         if self.secondary is None:
             return frozenset((self.primary,))
         return frozenset((self.primary, self.secondary))
-
-    def is_blend(self) -> bool:
-        return self.secondary is not None
 
 
 # Discrete pipeline outputs have exactly the shape and invariants of a
@@ -276,18 +270,26 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if header != expected_header:
-            raise ValidationError(
-                f"{path}: bad header {header!r}, expected {expected_header!r}"
-            )
-        return [row for row in reader if row]
+def read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after ``expected_header``, read one at a time, each
+    with the number of the file line it ends on.  An empty file, another
+    header or bytes that are not UTF-8 are a :class:`ValidationError`
+    naming ``path``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            if header != expected_header:
+                raise ValidationError(
+                    f"{path}: bad header {header!r}, expected {expected_header!r}"
+                )
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
@@ -300,9 +302,10 @@ def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     video_ids: list[str] = []
     actor_ids: list[str] = []
     values: list[list[float]] = []
+    lines: list[int] = []
     actors: dict[str, str] = {}
     line_error: Optional[str] = None
-    for lineno, row in enumerate(_read_rows(path, PREDICTIONS_HEADER), start=2):
+    for lineno, row in read_csv_rows(path, PREDICTIONS_HEADER):
         if len(row) != len(PREDICTIONS_HEADER):
             line_error = f"{path}:{lineno}: expected {len(PREDICTIONS_HEADER)} fields"
             break
@@ -313,6 +316,7 @@ def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
             break
         # The row's values are checked before its actor, as in a per-line read.
         values.append(vals)
+        lines.append(lineno)
         video_id, actor_id = row[0], row[1]
         if actors.setdefault(video_id, actor_id) != actor_id:
             line_error = f"{path}:{lineno}: video {video_id!r} listed under two actors"
@@ -331,7 +335,7 @@ def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
         try:
             matrix[i] = EmotionDistribution.from_raw(values[i]).values
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{i + 2}: {exc}") from None
+            raise ValidationError(f"{path}:{lines[i]}: {exc}") from None
     if line_error is not None:
         raise ValidationError(line_error)
     return video_ids, actor_ids, matrix
@@ -425,7 +429,7 @@ def load_labels(path: str | Path) -> list[SampleRecord]:
     path = Path(path)
     records: list[SampleRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(_read_rows(path, LABELS_HEADER), start=2):
+    for lineno, row in read_csv_rows(path, LABELS_HEADER):
         if len(row) != len(LABELS_HEADER):
             raise ValidationError(f"{path}:{lineno}: expected {len(LABELS_HEADER)} fields")
         video_id, actor_id, emo_a, emo_b, salience = row
@@ -469,7 +473,3 @@ def annotations_by_video(records: Iterable[SampleRecord]) -> dict[str, BlendAnno
             raise ValidationError(f"record {rec.video_id!r} is unlabeled")
         out[rec.video_id] = rec.annotation
     return out
-
-
-def actors_by_video(records: Iterable[SampleRecord]) -> dict[str, str]:
-    return {rec.video_id: rec.actor_id for rec in records}

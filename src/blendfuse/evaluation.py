@@ -28,6 +28,7 @@ from .core import (
     SampleRecord,
     ValidationError,
     annotations_by_video,
+    read_csv_rows,
 )
 from .postprocess import (
     DEFAULT_GRID,
@@ -36,7 +37,6 @@ from .postprocess import (
     ThresholdSurface,
     TruthArrays,
     discretize,
-    select_thresholds,
     threshold_surface,
 )
 
@@ -267,7 +267,8 @@ def fold_surfaces(
 
 @dataclass(frozen=True)
 class CrossValConfig:
-    """Pipeline settings for one cross-validation run."""
+    """Every fusion setting: of the weight search, the threshold selection
+    and the post-processing.  Empty grids mean ``DEFAULT_GRID``."""
 
     weight_strategy: str = "coordinate_ascent"
     threshold_strategy: str = "per_fold_average"
@@ -320,28 +321,12 @@ def _evaluate_fold(
     fold: int,
     cfg: CrossValConfig,
 ) -> FoldOutcome:
-    from .fusion import fuse, search_weights
+    from .fusion import fit, fuse
 
     train = data.without_fold(fold)
     if not train.video_ids:
         raise ValidationError(f"fold {fold} would leave no training data")
-
-    weights, _ = search_weights(
-        train,
-        cfg.initial_thresholds,
-        strategy=cfg.weight_strategy,
-        neutral_index=cfg.neutral_index,
-        renormalize_before_beta=cfg.renormalize_before_beta,
-        exhaustive_step=cfg.exhaustive_step,
-        joint_threshold_search=cfg.joint_threshold_search,
-        alpha_grid=cfg.alpha_grid or None,
-        beta_grid=cfg.beta_grid or None,
-    )
-
-    alpha_grid, beta_grid = cfg.grids()
-    base_cfg = cfg.postprocess_config(cfg.initial_thresholds)
-    surfaces = fold_surfaces(train, weights.weights, alpha_grid, beta_grid, base_cfg)
-    thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
+    weights, _, _, thresholds = fit(train, cfg)
 
     final_cfg = cfg.postprocess_config(thresholds)
     test_ids = [data.video_ids[i] for i in data.fold_rows(fold).tolist()]
@@ -403,19 +388,12 @@ def save_folds(assignment: FoldAssignment, path: str | Path) -> None:
 
 def load_folds(path: str | Path) -> FoldAssignment:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FOLDS_HEADER:
-            raise ValidationError(f"{path}: bad folds header {header!r}")
-        folds = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                folds[row[0]] = int(row[1])
-            except (IndexError, ValueError):
-                raise ValidationError(f"{path}:{lineno}: bad fold row {row!r}") from None
+    folds = {}
+    for lineno, row in read_csv_rows(path, FOLDS_HEADER):
+        try:
+            folds[row[0]] = int(row[1])
+        except (IndexError, ValueError):
+            raise ValidationError(f"{path}:{lineno}: bad fold row {row!r}") from None
     if not folds:
         raise ValidationError(f"{path}: no fold assignments")
     return FoldAssignment(folds, max(folds.values()) + 1)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, read_csv_rows
 
 SEGMENT_STATS = ("segment_mean", "segment_std")
 GLOBAL_STATS = ("global_mean", "global_median")
@@ -240,16 +240,9 @@ def save_feature_manifest(
 
 def load_feature_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ValidationError(f"{path}: bad manifest header {header!r}")
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected 3 fields")
-            entries.append((row[0], row[1], row[2]))
-        return entries
+    entries = []
+    for lineno, row in read_csv_rows(path, MANIFEST_HEADER):
+        if len(row) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 3 fields")
+        entries.append((row[0], row[1], row[2]))
+    return entries

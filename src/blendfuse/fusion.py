@@ -22,16 +22,17 @@ from .core import (
     EmotionDistribution,
     EncoderPredictionSet,
     PredictionTable,
-    SampleRecord,
     ValidationError,
+    read_csv_rows,
 )
-from .evaluation import FoldAssignment, FusionDataset
+from .evaluation import CrossValConfig, FusionDataset, fold_surfaces
 from .postprocess import (
-    DEFAULT_GRID,
     PostprocessConfig,
     ThresholdPair,
+    ThresholdSurface,
     TruthArrays,
     point_counts,
+    select_thresholds,
     threshold_surface,
 )
 
@@ -121,28 +122,22 @@ class _ObjectiveContext:
     joint: bool
 
     @classmethod
-    def build(
-        cls,
-        data: FusionDataset,
-        cfg: PostprocessConfig,
-        alpha_grid: Optional[Sequence[float]],
-        beta_grid: Optional[Sequence[float]],
-        joint: bool,
-    ) -> "_ObjectiveContext":
+    def build(cls, data: FusionDataset, cfg: CrossValConfig) -> "_ObjectiveContext":
         fold_rows = []
         for f in data.fold_ids:
             idx = data.fold_rows(f)
             if not idx.size:
                 raise ValidationError(f"fold {f} holds no labeled videos")
             fold_rows.append(idx)
+        alpha_grid, beta_grid = cfg.grids()
         return cls(
             data.probs,
             tuple(fold_rows),
             tuple(data.truth.take(idx) for idx in fold_rows),
-            cfg,
-            tuple(alpha_grid) if alpha_grid else DEFAULT_GRID,
-            tuple(beta_grid) if beta_grid else DEFAULT_GRID,
-            joint,
+            cfg.postprocess_config(cfg.initial_thresholds),
+            tuple(alpha_grid),
+            tuple(beta_grid),
+            cfg.joint_threshold_search,
         )
 
     def evaluate(self, weights: np.ndarray) -> float:
@@ -194,62 +189,23 @@ def _simplex_grid(m: int, step: float) -> list[tuple[float, ...]]:
 
 
 def optimize_weights(
-    preds: Sequence[EncoderPredictionSet | PredictionTable],
-    records: Sequence[SampleRecord],
-    folds: FoldAssignment,
-    thresholds: ThresholdPair,
-    strategy: str = "coordinate_ascent",
-    neutral_index: Optional[int] = None,
-    renormalize_before_beta: bool = False,
-    exhaustive_step: float = 0.05,
-    joint_threshold_search: bool = False,
-    alpha_grid: Optional[Sequence[float]] = None,
-    beta_grid: Optional[Sequence[float]] = None,
-) -> tuple[WeightVector, list[SearchLogEntry]]:
-    """:func:`search_weights` over the labeled ``records`` and their ``folds``."""
-    return search_weights(
-        FusionDataset.build(preds, records, folds),
-        thresholds,
-        strategy=strategy,
-        neutral_index=neutral_index,
-        renormalize_before_beta=renormalize_before_beta,
-        exhaustive_step=exhaustive_step,
-        joint_threshold_search=joint_threshold_search,
-        alpha_grid=alpha_grid,
-        beta_grid=beta_grid,
-    )
-
-
-def search_weights(
-    data: FusionDataset,
-    thresholds: ThresholdPair,
-    strategy: str = "coordinate_ascent",
-    neutral_index: Optional[int] = None,
-    renormalize_before_beta: bool = False,
-    exhaustive_step: float = 0.05,
-    joint_threshold_search: bool = False,
-    alpha_grid: Optional[Sequence[float]] = None,
-    beta_grid: Optional[Sequence[float]] = None,
+    data: FusionDataset, cfg: CrossValConfig
 ) -> tuple[WeightVector, list[SearchLogEntry]]:
     """Search the weight simplex for the best mean validation-fold score.
 
     The objective fuses every video of ``data``, applies the full
-    discretization at the given thresholds, and averages the fold scores.
-    With ``joint_threshold_search`` the thresholds are instead re-optimized
-    per fold for every candidate.  ``coordinate_ascent`` starts from
-    uniform weights and repeatedly applies the best strictly improving
-    mass move between two encoders, annealing the move size; ``exhaustive``
-    scans a full simplex grid (at most three encoders).  Ties prefer the
-    candidate closest (L1) to uniform.  Both strategies are deterministic.
+    discretization at ``cfg.initial_thresholds``, and averages the fold
+    scores.  With ``cfg.joint_threshold_search`` the thresholds are instead
+    re-optimized per fold for every candidate.  ``coordinate_ascent``
+    starts from uniform weights and repeatedly applies the best strictly
+    improving mass move between two encoders, annealing the move size;
+    ``exhaustive`` scans a full simplex grid of ``cfg.exhaustive_step`` (at
+    most three encoders).  Ties prefer the candidate closest (L1) to
+    uniform.  Both strategies are deterministic.
     """
-    if strategy not in WEIGHT_STRATEGIES:
-        raise ValidationError(f"unknown weight strategy {strategy!r}")
-    cfg = PostprocessConfig(
-        thresholds=thresholds,
-        neutral_index=neutral_index,
-        renormalize_before_beta=renormalize_before_beta,
-    )
-    ctx = _ObjectiveContext.build(data, cfg, alpha_grid, beta_grid, joint_threshold_search)
+    if cfg.weight_strategy not in WEIGHT_STRATEGIES:
+        raise ValidationError(f"unknown weight strategy {cfg.weight_strategy!r}")
+    ctx = _ObjectiveContext.build(data, cfg)
     names = data.encoders
     m = len(names)
     log: list[SearchLogEntry] = []
@@ -263,11 +219,11 @@ def search_weights(
         log_candidate(0, "single", only, obj)
         return WeightVector({names[0]: 1.0}), log
 
-    if strategy == "exhaustive":
+    if cfg.weight_strategy == "exhaustive":
         if m > 3:
             raise ValidationError("exhaustive strategy supports at most 3 encoders")
         candidates = [("uniform", np.full(m, 1.0 / m))]
-        for i, pt in enumerate(_simplex_grid(m, exhaustive_step)):
+        for i, pt in enumerate(_simplex_grid(m, cfg.exhaustive_step)):
             candidates.append((f"grid:{i}", np.asarray(pt)))
         best_w: Optional[np.ndarray] = None
         best_obj = -math.inf
@@ -319,6 +275,21 @@ def search_weights(
     return WeightVector(dict(zip(names, current.tolist()))), log
 
 
+def fit(
+    data: FusionDataset, cfg: CrossValConfig
+) -> tuple[WeightVector, list[SearchLogEntry], dict[int, ThresholdSurface], ThresholdPair]:
+    """Fusion weights and ``(alpha, beta)`` fitted on ``data``: the weight
+    search, the threshold surface of every fold at those weights, and the
+    pair ``cfg.threshold_strategy`` selects from the surfaces."""
+    weights, log = optimize_weights(data, cfg)
+    alpha_grid, beta_grid = cfg.grids()
+    surfaces = fold_surfaces(
+        data, weights.weights, alpha_grid, beta_grid, cfg.postprocess_config(cfg.initial_thresholds)
+    )
+    thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
+    return weights, log, surfaces, thresholds
+
+
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -338,23 +309,16 @@ def load_weights(path: str | Path, tol: float = ROUNDING_TOLERANCE) -> WeightVec
     """Read a weights file, accepting rounded sums within ``tol`` and
     renormalizing to an exact simplex."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WEIGHTS_HEADER:
-            raise ValidationError(f"{path}: bad weights header {header!r}")
-        weights: dict[str, float] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(WEIGHTS_HEADER):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(WEIGHTS_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                weights[row[0]] = float(row[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: weight {row[1]!r} is not a number") from None
+    weights: dict[str, float] = {}
+    for lineno, row in read_csv_rows(path, WEIGHTS_HEADER):
+        if len(row) != len(WEIGHTS_HEADER):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(WEIGHTS_HEADER)} fields, got {len(row)}"
+            )
+        try:
+            weights[row[0]] = float(row[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: weight {row[1]!r} is not a number") from None
     validate_simplex(weights, tol)
     total = math.fsum(weights.values())
     scaled = {name: w / total for name, w in weights.items()}

@@ -22,7 +22,7 @@ from test_postprocess import as_tuple, random_distribution, reference_discretize
 
 from blendfuse import core
 from blendfuse.cli import EXIT_OK, main as cli_main
-from blendfuse.evaluation import evaluate
+from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate
 from blendfuse.features import AggregationConfig, aggregate_temporal
 from blendfuse.fusion import optimize_weights, validate_simplex
 from blendfuse.labels import kl_grad_logits, kl_loss, softmax
@@ -208,11 +208,15 @@ def test_criterion_08_fusion_oracle_recovery():
     for n_uniform in (1, 2):
         records, preds, folds = ladder_fixture(n_uniform=n_uniform)
         ca_w, _ = optimize_weights(
-            preds, records, folds, LADDER_THRESHOLDS, strategy="coordinate_ascent"
+            FusionDataset.build(preds, records, folds),
+            CrossValConfig(weight_strategy="coordinate_ascent", initial_thresholds=LADDER_THRESHOLDS),
         )
         ex_w, _ = optimize_weights(
-            preds, records, folds, LADDER_THRESHOLDS, strategy="exhaustive",
-            exhaustive_step=0.05,
+            FusionDataset.build(preds, records, folds),
+            CrossValConfig(
+                weight_strategy="exhaustive", initial_thresholds=LADDER_THRESHOLDS,
+                exhaustive_step=0.05,
+            ),
         )
         assert ca_w["oracle"] >= 0.9, (n_uniform, ca_w.weights)
         ca_obj = independent_objective(preds, records, folds, ca_w, LADDER_THRESHOLDS)

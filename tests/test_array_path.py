@@ -19,7 +19,15 @@ from blendfuse.evaluation import (
     save_folds,
     split_actors,
 )
-from blendfuse.fusion import WeightVector, fuse, load_weights, optimize_weights
+from blendfuse.fusion import (
+    WeightVector,
+    fit,
+    fuse,
+    load_weights,
+    optimize_weights,
+    save_search_log,
+    save_weights,
+)
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize, search_thresholds
 from blendfuse.synth import SynthConfig, generate
 
@@ -177,8 +185,11 @@ def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):
     with pytest.warns(UserWarning, match="renormalizing"):
         assert main(["fuse-evaluate", "--config", str(tmp_path / "run.json")]) == EXIT_OK
     weights, _ = optimize_weights(
-        preds, records, folds, ThresholdPair(0.1, 0.1), neutral_index=NEUTRAL,
-        renormalize_before_beta=True,
+        FusionDataset.build(preds, records, folds),
+        CrossValConfig(
+            initial_thresholds=ThresholdPair(0.1, 0.1), neutral_index=NEUTRAL,
+            renormalize_before_beta=True,
+        ),
     )
     cfg = PostprocessConfig(ThresholdPair(0.1, 0.1), NEUTRAL, renormalize_before_beta=True)
     truth = core.annotations_by_video(records)
@@ -198,6 +209,43 @@ def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):
             ThresholdPair(fold["alpha"], fold["beta"]),
         )
         assert (fold["acc_p"], fold["acc_s"], fold["n"]) == (oracle.acc_p, oracle.acc_s, oracle.n)
+
+
+def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(inputs, tmp_path):
+    root, records, folds, tables, _ = inputs
+    config = {
+        "predictions_dir": str(root / "predictions"),
+        "labels_file": str(root / "labels.csv"),
+        "folds_file": str(root / "folds.csv"),
+        "output_dir": str(tmp_path / "run"),
+        "alpha_grid": GRID,
+        "beta_grid": GRID,
+        "neutral_index": NEUTRAL,
+        "renormalize_before_beta": True,
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    with pytest.warns(UserWarning, match="renormalizing"):
+        assert main(["fuse-evaluate", "--config", str(tmp_path / "run.json")]) == EXIT_OK
+    cfg = CrossValConfig(
+        alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
+        renormalize_before_beta=True,
+    )
+    data = FusionDataset.build(tables, records, folds)
+    weights, log, surfaces, chosen = fit(data, cfg)
+    save_weights(weights, tmp_path / "weights.csv")
+    save_search_log(log, tmp_path / "log.csv")
+    run = tmp_path / "run"
+    assert (run / "weights.csv").read_bytes() == (tmp_path / "weights.csv").read_bytes()
+    assert (run / "weight_search_log.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
+    report = json.loads((run / "thresholds.json").read_text())
+    assert (report["alpha"], report["beta"]) == (chosen.alpha, chosen.beta)
+    assert [e["best_score"] for e in report["per_fold"]] == [s.best_score() for s in surfaces.values()]
+    results = json.loads((run / "results.json").read_text())
+    for fold in results["folds"]:
+        fold_weights, _, _, fold_thresholds = fit(data.without_fold(fold["fold"]), cfg)
+        assert (fold["weights"], fold["alpha"], fold["beta"]) == (
+            fold_weights.weights, fold_thresholds.alpha, fold_thresholds.beta
+        )
 
 
 def test_sensitivity_cli_matches_scalar_path(inputs, tmp_path):

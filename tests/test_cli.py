@@ -112,6 +112,18 @@ class TestSynthAndSplit:
         assert len(lines) == 8 * 18 + 1
 
 
+    @pytest.mark.parametrize("row", ["v9,a1,joy,,100", "v9,a1,anger"])
+    def test_bad_label_row_after_blank_line_names_its_line(self, tmp_path, capsys, row):
+        labels = tmp_path / "lab2.csv"
+        good = "v{},a1,anger,,100"
+        labels.write_text(
+            ",".join(core.LABELS_HEADER) + f"\n{good.format(0)}\n\n{good.format(1)}\n{row}\n",
+            encoding="utf-8",
+        )
+        assert run("encode-labels", "--labels", labels, "--out", tmp_path / "enc") == EXIT_DATA
+        assert f"{labels}:5: " in capsys.readouterr().err
+
+
 class TestFuseEvaluate:
     def make_config(self, tmp_path, data, folds_path, **extra):
         cfg = {
@@ -249,6 +261,51 @@ class TestFuseEvaluate:
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
         assert "initial_thresholds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "x"),
+            ("seed", True),
+            ("threads", 0),
+            ("threads", -1),
+            ("threads", 1.5),
+            ("emit_plots", 1),
+            ("renormalize_before_beta", "yes"),
+            ("neutral_index", True),
+            ("labels_file", 5),
+        ],
+    )
+    def test_value_of_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        cfg_path = self.make_config(tmp_path, data, folds_path, **{key: value})
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_threads_flag_below_one_is_config_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        cfg_path = self.make_config(tmp_path, data, folds_path)
+        assert run("fuse-evaluate", "--config", cfg_path, "--threads", 0) == EXIT_CONFIG
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("v9,a1,0.5,0.5,0,0,0", "expected 8 fields"), ("v9,a1,nan,0.5,0,0,0,0.5", "non-finite")],
+    )
+    def test_bad_prediction_row_after_blank_line_names_its_line(self, tmp_path, capsys, row, message):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        bad = data / "predictions" / "p2.csv"
+        good = "v0,a1,0.5,0.5,0,0,0,0"
+        bad.write_text(
+            ",".join(core.PREDICTIONS_HEADER) + f"\n{good}\n\n{good}\n{row}\n", encoding="utf-8"
+        )
+        cfg_path = self.make_config(tmp_path, data, folds_path)
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:5: " in err and message in err
+
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         data = synth_dataset(tmp_path, actors=6, clips=9)
         folds_path = make_folds(tmp_path, data)
@@ -295,6 +352,45 @@ class TestFuseEvaluate:
         report = json.loads((tmp_path / "run" / "results.json").read_text())
         for fold in report["folds"]:
             assert fold["score"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["labels", "predictions", "folds", "weights", "split-manifest", "feature-manifest", "run-config"],
+)
+def test_input_that_is_not_utf8_is_an_error_naming_the_file(tmp_path, capsys, case):
+    data = synth_dataset(tmp_path, actors=4, clips=6)
+    folds = make_folds(tmp_path, data)
+    labels, preds = data / "labels.csv", data / "predictions" / "synth.csv"
+    weights = tmp_path / "weights.csv"
+    weights.write_text("encoder,weight\nsynth,1.0\n", encoding="utf-8")
+    (tmp_path / "mlp").mkdir()
+    feature_dir = feature_inputs(tmp_path / "mlp")["--features"]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "predictions_dir": str(data / "predictions"), "labels_file": str(labels),
+        "folds_file": str(folds), "output_dir": str(tmp_path / "run"),
+    }), encoding="utf-8")
+    sensitivity = [
+        "sensitivity", "--predictions", preds, "--labels", labels, "--folds", folds,
+        "--weights", weights, "--out", tmp_path / "s",
+    ]
+    path, argv, code = {
+        "labels": (labels, sensitivity, EXIT_DATA),
+        "predictions": (preds, sensitivity, EXIT_DATA),
+        "folds": (folds, sensitivity, EXIT_DATA),
+        "weights": (weights, sensitivity, EXIT_DATA),
+        "split-manifest": (labels, ["split", "--manifest", labels, "--out", tmp_path / "f"], EXIT_DATA),
+        "feature-manifest": (
+            feature_dir / "manifest.csv",
+            ["aggregate", "--features", feature_dir, "--out", tmp_path / "agg"],
+            EXIT_DATA,
+        ),
+        "run-config": (config, ["fuse-evaluate", "--config", config], EXIT_CONFIG),
+    }[case]
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert run(*argv) == code
+    assert str(path) in capsys.readouterr().err
 
 
 class TestGridSizeBound:

@@ -16,6 +16,7 @@ from blendfuse.core import (
     EncoderPredictionSet,
     ValidationError,
 )
+from blendfuse.evaluation import CrossValConfig, FusionDataset
 from blendfuse.fusion import (
     WeightVector,
     fuse,
@@ -124,7 +125,10 @@ class TestOptimizeWeights:
     def test_single_encoder_degenerate(self):
         rng = np.random.default_rng(1)
         records, oracle, folds = exact_oracle_fixture(rng)
-        w, log = optimize_weights([oracle], records, folds, ThresholdPair(0.1, 0.2))
+        w, log = optimize_weights(
+            FusionDataset.build([oracle], records, folds),
+            CrossValConfig(initial_thresholds=ThresholdPair(0.1, 0.2)),
+        )
         assert w.weights == {"oracle": 1.0}
         assert len(log) == 1
 
@@ -137,7 +141,8 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.015, 0.37)
         w, _ = optimize_weights(
-            [oracle, uni], records, folds, thresholds, strategy="exhaustive"
+            FusionDataset.build([oracle, uni], records, folds),
+            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=thresholds),
         )
         assert w["oracle"] >= 0.9
         objective = independent_objective([oracle, uni], records, folds, w, thresholds)
@@ -152,7 +157,8 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.1, 0.2)
         w, log = optimize_weights(
-            [oracle, uni], records, folds, thresholds, strategy="exhaustive"
+            FusionDataset.build([oracle, uni], records, folds),
+            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=thresholds),
         )
         grid_objs = []
         for k in range(21):
@@ -168,12 +174,19 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         encs = [oracle] + [uniform_encoder(f"u{k}", records) for k in range(3)]
         with pytest.raises(ValidationError):
-            optimize_weights(records=records, preds=encs, folds=folds,
-                             thresholds=ThresholdPair(0.1, 0.2), strategy="exhaustive")
+            optimize_weights(
+                data=FusionDataset.build(records=records, preds=encs, folds=folds),
+                cfg=CrossValConfig(
+                    weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)
+                ),
+            )
 
     def test_coordinate_ascent_ladder_recovery(self):
         records, preds, folds = ladder_fixture(n_uniform=2)
-        w, log = optimize_weights(preds, records, folds, LADDER_THRESHOLDS)
+        w, log = optimize_weights(
+            FusionDataset.build(preds, records, folds),
+            CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
+        )
         assert w["oracle"] >= 0.9
         obj = independent_objective(preds, records, folds, w, LADDER_THRESHOLDS)
         assert obj == 1.0
@@ -192,7 +205,10 @@ class TestOptimizeWeights:
             preds, records, folds, WeightVector.uniform(["oracle", "noisy"]), thresholds
         )
         for strategy in ("coordinate_ascent", "exhaustive"):
-            w, _ = optimize_weights(preds, records, folds, thresholds, strategy=strategy)
+            w, _ = optimize_weights(
+                FusionDataset.build(preds, records, folds),
+                CrossValConfig(weight_strategy=strategy, initial_thresholds=thresholds),
+            )
             obj = independent_objective(preds, records, folds, w, thresholds)
             assert obj >= uniform_obj
 
@@ -203,16 +219,20 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=4, clips_per_actor=6)
         uni = uniform_encoder("uniform", records)
         w, log = optimize_weights(
-            [oracle, uni], records, folds, ThresholdPair(0.1, 0.2),
-            strategy="exhaustive", joint_threshold_search=True,
-            alpha_grid=[0.0, 0.05, 0.1, 0.2], beta_grid=[0.0, 0.1, 0.2, 0.4],
+            FusionDataset.build([oracle, uni], records, folds),
+            CrossValConfig(
+                weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2),
+                joint_threshold_search=True,
+                alpha_grid=(0.0, 0.05, 0.1, 0.2), beta_grid=(0.0, 0.1, 0.2, 0.4),
+            ),
         )
         assert max(e.objective for e in log) == 1.0
         assert w["oracle"] == 0.5
         # without re-optimization the same fixed thresholds are imperfect at
         # uniform weights, so the flag demonstrably changes the objective
         _, fixed_log = optimize_weights(
-            [oracle, uni], records, folds, ThresholdPair(0.1, 0.2), strategy="exhaustive"
+            FusionDataset.build([oracle, uni], records, folds),
+            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         fixed_uniform = next(e.objective for e in fixed_log if e.candidate_id == "uniform")
         joint_uniform = next(e.objective for e in log if e.candidate_id == "uniform")
@@ -220,21 +240,28 @@ class TestOptimizeWeights:
 
     def test_returned_vector_is_simplex(self):
         records, preds, folds = ladder_fixture(n_uniform=1)
-        w, _ = optimize_weights(preds, records, folds, LADDER_THRESHOLDS)
+        w, _ = optimize_weights(
+            FusionDataset.build(preds, records, folds),
+            CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
+        )
         validate_simplex(w.weights, tol=1e-9)
 
     def test_unknown_strategy_rejected(self):
         rng = np.random.default_rng(8)
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         with pytest.raises(ValidationError):
-            optimize_weights([oracle], records, folds, ThresholdPair(0.1, 0.2), strategy="anneal")
+            optimize_weights(
+                FusionDataset.build([oracle], records, folds),
+                CrossValConfig(weight_strategy="anneal", initial_thresholds=ThresholdPair(0.1, 0.2)),
+            )
 
     def test_search_log_records_candidates(self, tmp_path):
         rng = np.random.default_rng(9)
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         uni = uniform_encoder("uniform", records)
         _, log = optimize_weights(
-            [oracle, uni], records, folds, ThresholdPair(0.1, 0.2), strategy="exhaustive"
+            FusionDataset.build([oracle, uni], records, folds),
+            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert len(log) == 22  # uniform + 21 grid points
         path = tmp_path / "log.csv"
