@@ -28,6 +28,7 @@ import numpy as np
 from . import core, features, fusion, labels as labels_mod, mlp, plots, postprocess, synth
 from .core import SampleRecord, ValidationError
 from .evaluation import (
+    RESULTS_HEADER,
     CrossValConfig,
     CrossValReport,
     FusionDataset,
@@ -39,7 +40,7 @@ from .evaluation import (
     split_actors,
 )
 from .mlp import NumericError
-from .postprocess import PostprocessConfig, ThresholdPair, ThresholdSurface, fold_beta_spread
+from .postprocess import ThresholdPair, ThresholdSurface, fold_beta_spread
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -60,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 # Execution details that do not influence any computed content are not part
 # of a run's identity.
-_NON_SEMANTIC_KEYS = ("output_dir", "threads")
+_NON_SEMANTIC_KEYS = ("output_dir",)
 
 
 def _config_hash(resolved: dict[str, Any]) -> str:
@@ -178,10 +179,8 @@ _RUN_CONFIG_KEYS: dict[str, Any] = {
     "predictions_dir": str,
     "labels_file": str,
     "folds_file": str,
-    "feature_dir": (str, type(None)),
     "output_dir": str,
     "seed": int,
-    "threads": int,
     "alpha_grid": object,
     "beta_grid": object,
     "fusion_strategy": str,
@@ -196,7 +195,6 @@ _RUN_CONFIG_KEYS: dict[str, Any] = {
 
 _RUN_CONFIG_DEFAULTS: dict[str, Any] = {
     "seed": 0,
-    "threads": 1,
     "alpha_grid": list(postprocess.DEFAULT_GRID),
     "beta_grid": list(postprocess.DEFAULT_GRID),
     "fusion_strategy": "coordinate_ascent",
@@ -218,8 +216,16 @@ def _has_declared_type(value: Any, declared: Any) -> bool:
     return isinstance(value, (int, float) if declared is float else declared)
 
 
-def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
-    """Parse, default, override and validate a fuse-evaluate run config."""
+def _crossval_config(**settings: Any) -> CrossValConfig:
+    try:
+        return CrossValConfig(**settings)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, Any], CrossValConfig]:
+    """Parse, default, override and validate a fuse-evaluate run config: the
+    resolved config and the fusion settings it declares."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -242,28 +248,27 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> dict[str, Any]:
         if not _has_declared_type(value, declared):
             names = [t.__name__ for t in (declared if isinstance(declared, tuple) else (declared,))]
             raise ConfigError(f"{key} must be of type {' or '.join(names)}, got {value!r}")
-    if cfg["threads"] < 1:
-        raise ConfigError(f"threads must be at least 1, got {cfg['threads']!r}")
-    for key in ("predictions_dir", "labels_file", "folds_file", "feature_dir"):
-        if key in cfg and cfg[key] is not None and not Path(cfg[key]).exists():
+    for key in ("predictions_dir", "labels_file", "folds_file"):
+        if not Path(cfg[key]).exists():
             raise ConfigError(f"{key} does not exist: {cfg[key]!r}")
-    if cfg["fusion_strategy"] not in fusion.WEIGHT_STRATEGIES:
-        raise ConfigError(f"unknown fusion_strategy {cfg['fusion_strategy']!r}")
-    if cfg["threshold_strategy"] not in postprocess.THRESHOLD_STRATEGIES:
-        raise ConfigError(f"unknown threshold_strategy {cfg['threshold_strategy']!r}")
-    if cfg["neutral_index"] is not None and cfg["neutral_index"] not in range(core.N_EMOTIONS):
-        raise ConfigError(f"neutral_index out of range: {cfg['neutral_index']!r}")
-    try:
-        fusion.grid_units(cfg["exhaustive_step"])
-    except ValidationError as exc:
-        raise ConfigError(f"exhaustive_step: {exc}") from None
     cfg["alpha_grid"] = list(_parse_grid(cfg["alpha_grid"], "alpha_grid"))
     cfg["beta_grid"] = list(_parse_grid(cfg["beta_grid"], "beta_grid"))
     init = cfg["initial_thresholds"]
     if not (isinstance(init, (list, tuple)) and len(init) == 2):
         raise ConfigError(f"initial_thresholds must be [alpha, beta]: {init!r}")
     cfg["initial_thresholds"] = list(_unit_values(init, "initial_thresholds"))
-    return cfg
+    cv_cfg = _crossval_config(
+        weight_strategy=cfg["fusion_strategy"],
+        threshold_strategy=cfg["threshold_strategy"],
+        initial_thresholds=ThresholdPair(*cfg["initial_thresholds"]),
+        alpha_grid=tuple(cfg["alpha_grid"]),
+        beta_grid=tuple(cfg["beta_grid"]),
+        neutral_index=cfg["neutral_index"],
+        renormalize_before_beta=cfg["renormalize_before_beta"],
+        exhaustive_step=cfg["exhaustive_step"],
+        joint_threshold_search=cfg["joint_threshold_search"],
+    )
+    return cfg, cv_cfg
 
 
 def _load_prediction_tables(predictions_dir: Path) -> list[core.PredictionTable]:
@@ -468,21 +473,9 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
-    overrides = {"seed": args.seed, "threads": args.threads, "output_dir": args.out}
-    cfg = load_run_config(Path(args.config), overrides)
+    cfg, cv_cfg = load_run_config(Path(args.config), {"seed": args.seed, "output_dir": args.out})
     out = _out_dir(cfg["output_dir"])
     chash = _config_hash(cfg)
-    cv_cfg = CrossValConfig(
-        weight_strategy=cfg["fusion_strategy"],
-        threshold_strategy=cfg["threshold_strategy"],
-        initial_thresholds=ThresholdPair(*cfg["initial_thresholds"]),
-        alpha_grid=tuple(cfg["alpha_grid"]),
-        beta_grid=tuple(cfg["beta_grid"]),
-        neutral_index=cfg["neutral_index"],
-        renormalize_before_beta=cfg["renormalize_before_beta"],
-        exhaustive_step=cfg["exhaustive_step"],
-        joint_threshold_search=cfg["joint_threshold_search"],
-    )
 
     tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
     records = core.load_labels(Path(cfg["labels_file"]))
@@ -581,6 +574,20 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         ("--folds", args.folds),
         ("--weights", args.weights),
     )
+
+    def parse_grid_flag(raw: Optional[str], name: str) -> tuple[float, ...]:
+        if not raw:
+            return postprocess.DEFAULT_GRID
+        try:
+            return _parse_grid(json.loads(raw), name)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"bad {name}: {exc}") from None
+
+    cfg = _crossval_config(
+        alpha_grid=parse_grid_flag(args.alpha_grid, "alpha_grid"),
+        beta_grid=parse_grid_flag(args.beta_grid, "beta_grid"),
+        neutral_index=args.neutral_index,
+    )
     pred_path = Path(args.predictions)
     if pred_path.is_dir():
         tables = _load_prediction_tables(pred_path)
@@ -592,30 +599,18 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         weights = fusion.load_weights(Path(args.weights))
     else:
         weights = fusion.WeightVector.uniform([t.encoder_name for t in tables])
-
-    def parse_grid_flag(raw: Optional[str], name: str):
-        if not raw:
-            return postprocess.DEFAULT_GRID
-        try:
-            return _parse_grid(json.loads(raw), name)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad {name}: {exc}") from None
-
-    alpha_grid = parse_grid_flag(args.alpha_grid, "alpha_grid")
-    beta_grid = parse_grid_flag(args.beta_grid, "beta_grid")
-    pp_cfg = PostprocessConfig(
-        thresholds=ThresholdPair(0.0, 0.0), neutral_index=args.neutral_index
-    )
     # Only the weighted encoders need to cover the labeled videos.
     used = [t for t in tables if t.encoder_name in weights.weights]
     data = FusionDataset.build(used, records, assignment)
-    surfaces = fold_surfaces(data, weights.weights, alpha_grid, beta_grid, pp_cfg)
+    surfaces = fold_surfaces(data, weights.weights, cfg)
     resolved = {
         "command": "sensitivity",
         "predictions": str(args.predictions),
         "labels": str(args.labels),
         "folds": str(args.folds),
         "weights": str(args.weights) if args.weights else None,
+        "alpha_grid": list(cfg.alpha_grid),
+        "beta_grid": list(cfg.beta_grid),
         "neutral_index": args.neutral_index,
     }
     out = _out_dir(args.out)
@@ -683,23 +678,28 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_verify_identities(args: argparse.Namespace) -> int:
     ok = True
+    _require_paths(("--results", args.results), ("--weights", args.weights))
     if args.results:
-        with open(args.results, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["fold", "acc_p", "acc_s", "score", "n"]:
-                raise ValidationError(f"{args.results}: bad results header {header!r}")
-            for row in reader:
-                if not row or row[0] == "summary":
-                    continue
-                acc_p, acc_s, score = float(row[1]), float(row[2]), float(row[3])
-                diff = abs(0.5 * (acc_p + acc_s) - score)
-                passed = diff <= args.tol
-                ok &= passed
-                print(
-                    f"{'PASS' if passed else 'FAIL'} row {row[0]}: "
-                    f"0.5*({acc_p}+{acc_s}) vs {score} (diff {diff:.6f})"
+        for lineno, row in core.read_csv_rows(Path(args.results), RESULTS_HEADER):
+            if len(row) != len(RESULTS_HEADER):
+                raise ValidationError(
+                    f"{args.results}:{lineno}: expected {len(RESULTS_HEADER)} fields, got {len(row)}"
                 )
+            if row[0] == "summary":
+                continue
+            try:
+                acc_p, acc_s, score = map(float, row[1:4])
+            except ValueError:
+                raise ValidationError(
+                    f"{args.results}:{lineno}: acc_p, acc_s and score must be numbers, got {row[1:4]!r}"
+                ) from None
+            diff = abs(0.5 * (acc_p + acc_s) - score)
+            passed = diff <= args.tol
+            ok &= passed
+            print(
+                f"{'PASS' if passed else 'FAIL'} row {row[0]}: "
+                f"0.5*({acc_p}+{acc_s}) vs {score} (diff {diff:.6f})"
+            )
     if args.weights:
         try:
             fusion.load_weights(Path(args.weights), tol=args.tol_simplex)
@@ -766,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse-evaluate", help="weight search, thresholds, cross-validation")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fuse_evaluate)
 

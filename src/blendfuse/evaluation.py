@@ -32,6 +32,7 @@ from .core import (
 )
 from .postprocess import (
     DEFAULT_GRID,
+    THRESHOLD_STRATEGIES,
     PostprocessConfig,
     ThresholdPair,
     ThresholdSurface,
@@ -162,7 +163,7 @@ class FusionDataset:
     probs: np.ndarray  # (encoders, videos, 6)
     truth: TruthArrays
     fold: np.ndarray  # fold index of each video
-    fold_ids: tuple[int, ...]  # every fold of the assignment, possibly empty here
+    fold_ids: tuple[int, ...]  # every fold, each holding at least one video
 
     @classmethod
     def build(
@@ -173,7 +174,8 @@ class FusionDataset:
     ) -> "FusionDataset":
         """Clip means of the labeled ``records`` from every encoder; an
         :class:`EncoderPredictionSet` is averaged through the scalar
-        :meth:`EncoderPredictionSet.distribution_for`."""
+        :meth:`EncoderPredictionSet.distribution_for`.  Every fold of
+        ``folds`` must hold a labeled video."""
         if not preds:
             raise ValidationError("need at least one encoder prediction set")
         truth = annotations_by_video(records)
@@ -205,6 +207,9 @@ class FusionDataset:
                         f"encoder {name!r}, video {video_ids[v]!r}: {exc}"
                     ) from None
         fold_of = {rec.video_id: folds.fold_of(rec.actor_id) for rec in records}
+        empty = sorted(set(folds.fold_indices()) - set(fold_of.values()))
+        if empty:
+            raise ValidationError(f"fold {empty[0]} holds no labeled videos")
         return cls(
             encoders,
             tuple(video_ids),
@@ -242,21 +247,16 @@ class FusionDataset:
 
 
 def fold_surfaces(
-    data: FusionDataset,
-    weights: Mapping[str, float],
-    alpha_grid: Sequence[float],
-    beta_grid: Sequence[float],
-    cfg: PostprocessConfig,
+    data: FusionDataset, weights: Mapping[str, float], cfg: CrossValConfig
 ) -> dict[int, ThresholdSurface]:
-    """Threshold search surface of every non-empty fold at fixed weights."""
+    """Threshold surface over ``cfg``'s grids of every fold at fixed weights."""
     fused = data.fuse(weights)
+    pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
     surfaces = {}
     for f in data.fold_ids:
         idx = data.fold_rows(f)
-        if idx.size:
-            surfaces[f] = threshold_surface(
-                fused[idx], data.truth.take(idx), alpha_grid, beta_grid, cfg
-            )
+        rows, truth = fused[idx], data.truth.take(idx)
+        surfaces[f] = threshold_surface(rows, truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg)
     return surfaces
 
 
@@ -265,20 +265,42 @@ def fold_surfaces(
 # ---------------------------------------------------------------------------
 
 
+WEIGHT_STRATEGIES = ("coordinate_ascent", "exhaustive")
+
+
+def grid_units(step: float) -> int:
+    """Steps from 0 to 1 of the exhaustive weight grid; ``step`` must divide 1 evenly."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"exhaustive_step {step!r} must be a positive number")
+    units = round(1.0 / step)
+    if abs(units * step - 1.0) > 1e-9:
+        raise ValidationError(f"exhaustive_step {step!r} must divide 1 evenly")
+    return units
+
+
 @dataclass(frozen=True)
 class CrossValConfig:
     """Every fusion setting: of the weight search, the threshold selection
-    and the post-processing.  Empty grids mean ``DEFAULT_GRID``."""
+    and the post-processing.  Checked on construction; a bad value is a
+    :class:`ValidationError` naming its run-config key."""
 
     weight_strategy: str = "coordinate_ascent"
     threshold_strategy: str = "per_fold_average"
     initial_thresholds: ThresholdPair = field(default_factory=lambda: ThresholdPair(0.1, 0.1))
-    alpha_grid: tuple[float, ...] = ()
-    beta_grid: tuple[float, ...] = ()
+    alpha_grid: tuple[float, ...] = DEFAULT_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_GRID
     neutral_index: Optional[int] = None
     renormalize_before_beta: bool = False
     exhaustive_step: float = 0.05
     joint_threshold_search: bool = False
+
+    def __post_init__(self) -> None:
+        if self.weight_strategy not in WEIGHT_STRATEGIES:
+            raise ValidationError(f"unknown fusion_strategy {self.weight_strategy!r}")
+        if self.threshold_strategy not in THRESHOLD_STRATEGIES:
+            raise ValidationError(f"unknown threshold_strategy {self.threshold_strategy!r}")
+        grid_units(self.exhaustive_step)
+        self.postprocess_config(self.initial_thresholds)  # checks neutral_index
 
     def postprocess_config(self, thresholds: ThresholdPair) -> PostprocessConfig:
         return PostprocessConfig(
@@ -286,11 +308,6 @@ class CrossValConfig:
             neutral_index=self.neutral_index,
             renormalize_before_beta=self.renormalize_before_beta,
         )
-
-    def grids(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        a = self.alpha_grid if self.alpha_grid else DEFAULT_GRID
-        b = self.beta_grid if self.beta_grid else DEFAULT_GRID
-        return a, b
 
 
 @dataclass(frozen=True)
@@ -350,9 +367,6 @@ def cross_validate(
     video by ``fuse``, ``discretize`` and :func:`evaluate`.
     """
     data = FusionDataset.build(preds, records, folds)
-    for f in data.fold_ids:
-        if not data.fold_rows(f).size:
-            raise ValidationError(f"fold {f} holds no labeled videos")
     truth = annotations_by_video(records)
     outcomes = [_evaluate_fold(preds, data, truth, f, cfg) for f in data.fold_ids]
 

@@ -25,7 +25,7 @@ from .core import (
     ValidationError,
     read_csv_rows,
 )
-from .evaluation import CrossValConfig, FusionDataset, fold_surfaces
+from .evaluation import CrossValConfig, FusionDataset, fold_surfaces, grid_units
 from .postprocess import (
     PostprocessConfig,
     ThresholdPair,
@@ -35,8 +35,6 @@ from .postprocess import (
     select_thresholds,
     threshold_surface,
 )
-
-WEIGHT_STRATEGIES = ("coordinate_ascent", "exhaustive")
 
 SIMPLEX_TOLERANCE = 1e-9
 # Published weight tables are rounded to 3 decimals; the loader accepts
@@ -116,28 +114,18 @@ class _ObjectiveContext:
     matrices: np.ndarray  # (encoders, videos, 6)
     fold_rows: tuple[np.ndarray, ...]
     fold_truths: tuple[TruthArrays, ...]
-    cfg: PostprocessConfig
-    alpha_grid: tuple[float, ...]
-    beta_grid: tuple[float, ...]
-    joint: bool
+    cfg: CrossValConfig
+    pp_cfg: PostprocessConfig  # at the initial thresholds
 
     @classmethod
     def build(cls, data: FusionDataset, cfg: CrossValConfig) -> "_ObjectiveContext":
-        fold_rows = []
-        for f in data.fold_ids:
-            idx = data.fold_rows(f)
-            if not idx.size:
-                raise ValidationError(f"fold {f} holds no labeled videos")
-            fold_rows.append(idx)
-        alpha_grid, beta_grid = cfg.grids()
+        fold_rows = tuple(data.fold_rows(f) for f in data.fold_ids)
         return cls(
             data.probs,
-            tuple(fold_rows),
+            fold_rows,
             tuple(data.truth.take(idx) for idx in fold_rows),
+            cfg,
             cfg.postprocess_config(cfg.initial_thresholds),
-            tuple(alpha_grid),
-            tuple(beta_grid),
-            cfg.joint_threshold_search,
         )
 
     def evaluate(self, weights: np.ndarray) -> float:
@@ -145,11 +133,13 @@ class _ObjectiveContext:
         scores = []
         for idx, truth in zip(self.fold_rows, self.fold_truths):
             sub = fused[idx]
-            if self.joint:
-                surface = threshold_surface(sub, truth, self.alpha_grid, self.beta_grid, self.cfg)
+            if self.cfg.joint_threshold_search:
+                surface = threshold_surface(
+                    sub, truth, self.cfg.alpha_grid, self.cfg.beta_grid, self.pp_cfg
+                )
                 scores.append(surface.best_score())
             else:
-                cp, cs = point_counts(sub, truth, self.cfg)
+                cp, cs = point_counts(sub, truth, self.pp_cfg)
                 n = len(idx)
                 scores.append(0.5 * (cp / n + cs / n))
         objective = sum(scores) / len(scores)
@@ -160,16 +150,6 @@ class _ObjectiveContext:
 
 def _l1_to_uniform(weights: np.ndarray) -> float:
     return float(np.abs(weights - 1.0 / weights.size).sum())
-
-
-def grid_units(step: float) -> int:
-    """Number of steps from 0 to 1; ``step`` must be positive and divide 1 evenly."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"grid step {step!r} must be a positive number")
-    units = round(1.0 / step)
-    if abs(units * step - 1.0) > 1e-9:
-        raise ValidationError(f"grid step {step!r} must divide 1 evenly")
-    return units
 
 
 def _simplex_grid(m: int, step: float) -> list[tuple[float, ...]]:
@@ -203,8 +183,6 @@ def optimize_weights(
     most three encoders).  Ties prefer the candidate closest (L1) to
     uniform.  Both strategies are deterministic.
     """
-    if cfg.weight_strategy not in WEIGHT_STRATEGIES:
-        raise ValidationError(f"unknown weight strategy {cfg.weight_strategy!r}")
     ctx = _ObjectiveContext.build(data, cfg)
     names = data.encoders
     m = len(names)
@@ -282,10 +260,7 @@ def fit(
     search, the threshold surface of every fold at those weights, and the
     pair ``cfg.threshold_strategy`` selects from the surfaces."""
     weights, log = optimize_weights(data, cfg)
-    alpha_grid, beta_grid = cfg.grids()
-    surfaces = fold_surfaces(
-        data, weights.weights, alpha_grid, beta_grid, cfg.postprocess_config(cfg.initial_thresholds)
-    )
+    surfaces = fold_surfaces(data, weights.weights, cfg)
     thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
     return weights, log, surfaces, thresholds
 

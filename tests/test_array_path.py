@@ -114,7 +114,13 @@ def test_fused_rows_and_surfaces_match_scalar_path(inputs):
         assert tuple(fused[v].tolist()) == fuse(preds, weights, vid).values
 
     cfg = PostprocessConfig(ThresholdPair(0.1, 0.1), NEUTRAL, renormalize_before_beta=True)
-    surfaces = fold_surfaces(data, weights.weights, GRID, GRID, cfg)
+    surfaces = fold_surfaces(
+        data,
+        weights.weights,
+        CrossValConfig(
+            alpha_grid=GRID, beta_grid=GRID, neutral_index=NEUTRAL, renormalize_before_beta=True
+        ),
+    )
     truth = core.annotations_by_video(records)
     by_fold = folds.videos_by_fold(records)
     assert list(surfaces) == sorted(by_fold)

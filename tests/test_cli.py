@@ -10,7 +10,7 @@ from fixtures_util import outputs_of, write_feature_dir
 
 from blendfuse import cli, core, features
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from blendfuse.evaluation import evaluate, load_folds
+from blendfuse.evaluation import CrossValConfig, evaluate, load_folds
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
@@ -306,17 +306,28 @@ class TestFuseEvaluate:
         err = capsys.readouterr().err
         assert f"{bad}:5: " in err and message in err
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path):
-        data = synth_dataset(tmp_path, actors=6, clips=9)
+    def test_config_of_paths_only_yields_default_settings(self, tmp_path):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
         folds_path = make_folds(tmp_path, data)
-        runs = []
-        for name, threads in (("t1", 1), ("t2", 2)):
-            cfg_path = self.make_config(
-                tmp_path, data, folds_path, output_dir=str(tmp_path / name), threads=threads
-            )
-            assert run("fuse-evaluate", "--config", cfg_path) == EXIT_OK
-            runs.append(outputs_of(tmp_path / name))
-        assert runs[0] == runs[1]
+        paths = {
+            "predictions_dir": str(data / "predictions"),
+            "labels_file": str(data / "labels.csv"),
+            "folds_file": str(folds_path),
+            "output_dir": str(tmp_path / "run"),
+        }
+        cfg_path = tmp_path / "paths.json"
+        cfg_path.write_text(json.dumps(paths), encoding="utf-8")
+        resolved, settings = cli.load_run_config(cfg_path, {})
+        assert settings == CrossValConfig()
+        assert {k: resolved[k] for k in paths} == paths
+
+    def test_feature_dir_key_is_config_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        cfg_path = self.make_config(tmp_path, data, folds_path, feature_dir=str(data))
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        assert "unknown config keys: ['feature_dir']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_perfect_oracle_scores_one_on_every_fold(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -630,6 +641,52 @@ class TestSensitivity:
         )
         assert code == EXIT_CONFIG
 
+    def sensitivity(self, data, labels, folds_path, out, *flags):
+        return run(
+            "sensitivity", "--predictions", data / "predictions", "--labels", labels,
+            "--folds", folds_path, *flags, "--out", out,
+        )
+
+    def test_neutral_index_out_of_range_is_config_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        out = tmp_path / "s"
+        code = self.sensitivity(data, data / "labels.csv", folds_path, out, "--neutral-index", 9)
+        assert code == EXIT_CONFIG
+        assert "neutral_index out of range: 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_labels_is_data_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        labels = tmp_path / "header_only.csv"
+        labels.write_text(",".join(core.LABELS_HEADER) + "\n", encoding="utf-8")
+        assert self.sensitivity(data, labels, folds_path, tmp_path / "s") == EXIT_DATA
+        assert "fold 0 holds no labeled videos" in capsys.readouterr().err
+
+    def test_one_empty_fold_is_data_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        with open(folds_path, "a", encoding="utf-8") as fh:
+            fh.write("ghost,2\n")
+        code = self.sensitivity(data, data / "labels.csv", folds_path, tmp_path / "s")
+        assert code == EXIT_DATA
+        assert "fold 2 holds no labeled videos" in capsys.readouterr().err
+
+    def test_config_hash_covers_the_grids(self, tmp_path):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        hashes = []
+        for name, grid in (("s1", "[0.1]"), ("s2", "[0.2]")):
+            out = tmp_path / name
+            code = self.sensitivity(data, data / "labels.csv", folds_path, out, "--alpha-grid", grid)
+            assert code == EXIT_OK
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["resolved_config"]["alpha_grid"] == json.loads(grid)
+            assert json.loads((out / "sensitivity.json").read_text())["config_hash"] == meta["config_hash"]
+            hashes.append(meta["config_hash"])
+        assert hashes[0] != hashes[1]
+
     @pytest.mark.parametrize("row", ["synth", "synth,heavy"])
     def test_bad_weights_row_is_data_error(self, tmp_path, capsys, row):
         data = synth_dataset(tmp_path, actors=4, clips=6)
@@ -680,3 +737,31 @@ class TestVerifyIdentities:
 
     def test_requires_some_input(self):
         assert run("verify-identities") == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"0,abc,0.1,0.2,10", "acc_p, acc_s and score must be numbers"),
+            (b"0,0.1", "expected 5 fields, got 2"),
+            (b"summary,0.1", "expected 5 fields, got 2"),
+            (b"0,0.1,0.1,0.1,10,7", "expected 5 fields, got 6"),
+        ],
+    )
+    def test_results_bad_row_is_data_error_naming_its_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"fold,acc_p,acc_s,score,n\n0,0.3,0.1,0.2,10\n\n" + row + b"\n")
+        assert run("verify-identities", "--results", path) == EXIT_DATA
+        assert f"{path}:4: {message}" in capsys.readouterr().err
+
+    def test_results_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"fold,acc_p,acc_s,score,n\n0,0.3,0.1,0.2,10\n\xff\n")
+        assert run("verify-identities", "--results", path) == EXIT_DATA
+        assert f"{path}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--results", "--weights"])
+    def test_missing_input_is_config_error(self, tmp_path, capsys, flag):
+        ghost = tmp_path / "ghost.csv"
+        assert run("verify-identities", flag, ghost) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and str(ghost) in err

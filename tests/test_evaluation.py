@@ -15,6 +15,7 @@ from blendfuse.evaluation import (
     CrossValConfig,
     EvalResult,
     FoldAssignment,
+    FusionDataset,
     cross_validate,
     evaluate,
     load_folds,
@@ -22,6 +23,7 @@ from blendfuse.evaluation import (
     split_actors,
 )
 from blendfuse.labels import encode_soft_label
+from blendfuse.postprocess import DEFAULT_GRID
 
 ANGER, DISGUST, FEAR, HAPPY = Emotion.ANGER, Emotion.DISGUST, Emotion.FEAR, Emotion.HAPPINESS
 
@@ -205,3 +207,30 @@ class TestCrossValidate:
         preds = [oracle_predictions(records)]
         with pytest.raises(ValidationError):
             cross_validate(records=records, preds=preds, folds=folds, cfg=CrossValConfig())
+
+    def test_dataset_with_an_empty_fold_rejected(self):
+        records = blended_records(np.random.default_rng(0), ["a0", "a1"], 4)
+        folds = FoldAssignment({"a0": 0, "ghost": 1, "a1": 2}, 3)
+        with pytest.raises(ValidationError, match="^fold 1 holds no labeled videos$"):
+            FusionDataset.build([oracle_predictions(records)], records, folds)
+
+
+class TestCrossValConfig:
+    def test_grids_default_to_default_grid(self):
+        cfg = CrossValConfig()
+        assert cfg.alpha_grid == cfg.beta_grid == DEFAULT_GRID
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"weight_strategy": "anneal"}, "fusion_strategy"),
+            ({"threshold_strategy": "median"}, "threshold_strategy"),
+            ({"exhaustive_step": 0.3}, "exhaustive_step"),
+            ({"exhaustive_step": 0.0}, "exhaustive_step"),
+            ({"neutral_index": 6}, "neutral_index"),
+            ({"neutral_index": -1}, "neutral_index"),
+        ],
+    )
+    def test_bad_setting_names_its_run_config_key(self, settings, key):
+        with pytest.raises(ValidationError, match=key):
+            CrossValConfig(**settings)
