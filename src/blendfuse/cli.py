@@ -25,7 +25,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import core, features, fusion, labels as labels_mod, mlp, plots, postprocess, synth
+from . import core, features, fusion, labels as labels_mod, mlp, plots, synth
 from .core import SampleRecord, ValidationError
 from .evaluation import (
     RESULTS_HEADER,
@@ -113,7 +113,8 @@ def _load_manifest_records(path: Path) -> list[SampleRecord]:
 
 
 def _require_paths(*flags: tuple[str, Optional[str]]) -> None:
-    """ConfigError naming the flag and path of the first input that is missing."""
+    """ConfigError naming the flag (or run-config key) and path of the first
+    input that is missing."""
     for flag, path in flags:
         if path is not None and not Path(path).exists():
             raise ConfigError(f"{flag} does not exist: {path!r}")
@@ -126,6 +127,16 @@ def _feature_dir(value: str) -> Path:
     if not manifest.is_file():
         raise ConfigError(f"--features has no manifest.csv: {str(manifest)!r}")
     return Path(value)
+
+
+def _number_list(flag: str, value: Optional[str], kind: type) -> Optional[tuple[Any, ...]]:
+    """The comma-separated numbers of a flag's value, or None when the flag was not given."""
+    if value is None:
+        return None
+    try:
+        return tuple(kind(v) for v in value.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated {kind.__name__} values, got {value!r}") from None
 
 
 # Grids larger than this would make each fold surface hold millions of cells.
@@ -193,19 +204,8 @@ _RUN_CONFIG_KEYS: dict[str, Any] = {
     "emit_plots": bool,
 }
 
-_RUN_CONFIG_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "alpha_grid": list(postprocess.DEFAULT_GRID),
-    "beta_grid": list(postprocess.DEFAULT_GRID),
-    "fusion_strategy": "coordinate_ascent",
-    "threshold_strategy": "per_fold_average",
-    "neutral_index": None,
-    "renormalize_before_beta": False,
-    "joint_threshold_search": False,
-    "initial_thresholds": [0.1, 0.1],
-    "exhaustive_step": 0.05,
-    "emit_plots": True,
-}
+# CrossValConfig owns the defaults of the keys that are its fields.
+_RUN_CONFIG_DEFAULTS: dict[str, Any] = {"seed": 0, "emit_plots": True}
 
 
 def _has_declared_type(value: Any, declared: Any) -> bool:
@@ -216,16 +216,26 @@ def _has_declared_type(value: Any, declared: Any) -> bool:
     return isinstance(value, (int, float) if declared is float else declared)
 
 
-def _crossval_config(**settings: Any) -> CrossValConfig:
+def _build(cls: Any, **settings: Any) -> Any:
+    """``cls`` from the settings that are not None, the other fields at their
+    defaults; a bad value is a ConfigError."""
     try:
-        return CrossValConfig(**settings)
+        return cls(**{k: v for k, v in settings.items() if v is not None})
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
 
 
+def _plain(value: Any) -> Any:
+    """A config field value as JSON holds it: tuples and threshold pairs as lists."""
+    if isinstance(value, ThresholdPair):
+        return [value.alpha, value.beta]
+    return list(value) if isinstance(value, tuple) else value
+
+
 def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, Any], CrossValConfig]:
-    """Parse, default, override and validate a fuse-evaluate run config: the
-    resolved config and the fusion settings it declares."""
+    """Parse, override and validate a fuse-evaluate run config: the resolved
+    config and the fusion settings it declares.  Keys that name a
+    CrossValConfig field set that field; an omitted one keeps its default."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -248,26 +258,19 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, An
         if not _has_declared_type(value, declared):
             names = [t.__name__ for t in (declared if isinstance(declared, tuple) else (declared,))]
             raise ConfigError(f"{key} must be of type {' or '.join(names)}, got {value!r}")
-    for key in ("predictions_dir", "labels_file", "folds_file"):
-        if not Path(cfg[key]).exists():
-            raise ConfigError(f"{key} does not exist: {cfg[key]!r}")
-    cfg["alpha_grid"] = list(_parse_grid(cfg["alpha_grid"], "alpha_grid"))
-    cfg["beta_grid"] = list(_parse_grid(cfg["beta_grid"], "beta_grid"))
-    init = cfg["initial_thresholds"]
-    if not (isinstance(init, (list, tuple)) and len(init) == 2):
-        raise ConfigError(f"initial_thresholds must be [alpha, beta]: {init!r}")
-    cfg["initial_thresholds"] = list(_unit_values(init, "initial_thresholds"))
-    cv_cfg = _crossval_config(
-        weight_strategy=cfg["fusion_strategy"],
-        threshold_strategy=cfg["threshold_strategy"],
-        initial_thresholds=ThresholdPair(*cfg["initial_thresholds"]),
-        alpha_grid=tuple(cfg["alpha_grid"]),
-        beta_grid=tuple(cfg["beta_grid"]),
-        neutral_index=cfg["neutral_index"],
-        renormalize_before_beta=cfg["renormalize_before_beta"],
-        exhaustive_step=cfg["exhaustive_step"],
-        joint_threshold_search=cfg["joint_threshold_search"],
-    )
+    _require_paths(*((key, cfg[key]) for key in ("predictions_dir", "labels_file", "folds_file")))
+    fields = [f.name for f in dataclasses.fields(CrossValConfig)]
+    settings = {key: cfg[key] for key in fields if key in cfg}
+    for key in ("alpha_grid", "beta_grid"):
+        if key in settings:
+            settings[key] = _parse_grid(settings[key], key)
+    if "initial_thresholds" in settings:
+        init = settings["initial_thresholds"]
+        if not (isinstance(init, (list, tuple)) and len(init) == 2):
+            raise ConfigError(f"initial_thresholds must be [alpha, beta]: {init!r}")
+        settings["initial_thresholds"] = ThresholdPair(*_unit_values(init, "initial_thresholds"))
+    cv_cfg = _build(CrossValConfig, **settings)
+    cfg.update((key, _plain(getattr(cv_cfg, key))) for key in fields)
     return cfg, cv_cfg
 
 
@@ -286,18 +289,20 @@ def _load_prediction_tables(predictions_dir: Path) -> list[core.PredictionTable]
 def cmd_split(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError(f"need at least 2 folds, got k={args.k}")
+    _require_paths(("--manifest", args.manifest))
     records = _load_manifest_records(Path(args.manifest))
     assignment = split_actors(records, args.k)
     out = _out_dir(args.out)
     folds_path = out / "folds.csv"
     save_folds(assignment, folds_path)
-    resolved = {"command": "split", "manifest": str(args.manifest), "k": args.k, "seed": args.seed}
+    resolved = {"command": "split", "manifest": str(args.manifest), "k": args.k}
     _write_run_meta(out, "split", resolved, [folds_path])
     print(f"wrote {folds_path} ({assignment.k} folds, {len(assignment.folds)} actors)")
     return EXIT_OK
 
 
 def cmd_encode_labels(args: argparse.Namespace) -> int:
+    _require_paths(("--labels", args.labels))
     records = core.load_labels(Path(args.labels))
     out = _out_dir(args.out)
     path = out / "soft_labels.csv"
@@ -314,13 +319,11 @@ def cmd_encode_labels(args: argparse.Namespace) -> int:
 
 
 def _aggregation_config(args: argparse.Namespace) -> features.AggregationConfig:
-    stats = tuple(s.strip() for s in args.stats.split(",")) if args.stats else features.DEFAULT_STATS
-    try:
-        return features.AggregationConfig(
-            layer_lo=args.layer_lo, layer_hi=args.layer_hi, segments=args.segments, stats=stats
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
+    stats = tuple(s.strip() for s in args.stats.split(",")) if args.stats else None
+    return _build(
+        features.AggregationConfig,
+        layer_lo=args.layer_lo, layer_hi=args.layer_hi, segments=args.segments, stats=stats,
+    )
 
 
 def _aggregate_directory(
@@ -363,22 +366,16 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _mlp_config(args: argparse.Namespace) -> mlp.MlpConfig:
-    try:
-        hidden = tuple(int(h) for h in args.hidden.split(","))
-    except ValueError:
-        raise ConfigError(f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
-    try:
-        return mlp.MlpConfig(
-            hidden_dims=hidden,
-            dropout=args.dropout,
-            lr=args.lr,
-            max_epochs=args.epochs,
-            patience=args.patience,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
+    return _build(
+        mlp.MlpConfig,
+        hidden_dims=_number_list("--hidden", args.hidden, int),
+        dropout=args.dropout,
+        lr=args.lr,
+        max_epochs=args.epochs,
+        patience=args.patience,
+        batch_size=args.batch_size,
+        seed=args.seed,
+    )
 
 
 def cmd_train_mlp(args: argparse.Namespace) -> int:
@@ -419,7 +416,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
         train_vids = [v for f in train_folds[1:] for v in by_fold[f]]
         if not train_vids:  # k == 2 leaves one fold for both roles
             train_vids = list(by_fold[val_fold])
-        cfg = dataclasses.replace(mlp_cfg, seed=args.seed + fold)
+        cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
         result = mlp.train(arrays_for(train_vids), arrays_for(by_fold[val_fold]), cfg)
 
         ckpt = out / f"mlp_fold{fold}.npz"
@@ -456,12 +453,12 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
         "labels": str(args.labels),
         "folds": str(args.folds),
         "hidden": list(mlp_cfg.hidden_dims),
-        "dropout": args.dropout,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "patience": args.patience,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
+        "dropout": mlp_cfg.dropout,
+        "lr": mlp_cfg.lr,
+        "epochs": mlp_cfg.max_epochs,
+        "patience": mlp_cfg.patience,
+        "batch_size": mlp_cfg.batch_size,
+        "seed": mlp_cfg.seed,
         "layer_lo": agg_cfg.layer_lo,
         "layer_hi": agg_cfg.layer_hi,
         "segments": agg_cfg.segments,
@@ -575,15 +572,16 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         ("--weights", args.weights),
     )
 
-    def parse_grid_flag(raw: Optional[str], name: str) -> tuple[float, ...]:
+    def parse_grid_flag(raw: Optional[str], name: str) -> Optional[tuple[float, ...]]:
         if not raw:
-            return postprocess.DEFAULT_GRID
+            return None
         try:
             return _parse_grid(json.loads(raw), name)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad {name}: {exc}") from None
 
-    cfg = _crossval_config(
+    cfg = _build(
+        CrossValConfig,
         alpha_grid=parse_grid_flag(args.alpha_grid, "alpha_grid"),
         beta_grid=parse_grid_flag(args.beta_grid, "beta_grid"),
         neutral_index=args.neutral_index,
@@ -611,7 +609,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "weights": str(args.weights) if args.weights else None,
         "alpha_grid": list(cfg.alpha_grid),
         "beta_grid": list(cfg.beta_grid),
-        "neutral_index": args.neutral_index,
+        "neutral_index": cfg.neutral_index,
     }
     out = _out_dir(args.out)
     per_fold, svgs = _fold_report(surfaces, out)
@@ -634,23 +632,20 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        mix = tuple(float(v) for v in args.mix.split(","))
-    except ValueError:
-        raise ConfigError(f"--mix must be three comma-separated numbers, got {args.mix!r}") from None
-    if len(mix) != 3:
-        raise ConfigError(f"--mix needs three comma-separated values, got {args.mix!r}")
-    try:
-        cfg = synth.SynthConfig(
-            n_actors=args.actors,
-            clips_per_actor=args.clips,
-            label_mix=mix,  # type: ignore[arg-type]
-            actor_gap_range=(args.gap_lo, args.gap_hi),
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
+    # --gap-lo and --gap-hi set one field; an omitted end keeps its default.
+    gap = tuple(
+        default if flag is None else flag
+        for flag, default in zip((args.gap_lo, args.gap_hi), synth.SynthConfig.actor_gap_range)
+    )
+    cfg = _build(
+        synth.SynthConfig,
+        n_actors=args.actors,
+        clips_per_actor=args.clips,
+        label_mix=_number_list("--mix", args.mix, float),
+        actor_gap_range=gap,
+        noise_sigma=args.noise_sigma,
+        seed=args.seed,
+    )
     dataset = synth.generate(cfg)
     out = _out_dir(args.out)
     labels_path = out / "labels.csv"
@@ -661,13 +656,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     core.save_predictions(dataset.predictions, pred_path)
     resolved = {
         "command": "synth",
-        "actors": args.actors,
-        "clips": args.clips,
-        "mix": list(mix),
-        "gap_lo": args.gap_lo,
-        "gap_hi": args.gap_hi,
-        "noise_sigma": args.noise_sigma,
-        "seed": args.seed,
+        "actors": cfg.n_actors,
+        "clips": cfg.clips_per_actor,
+        "mix": list(cfg.label_mix),
+        "gap_lo": cfg.actor_gap_range[0],
+        "gap_hi": cfg.actor_gap_range[1],
+        "noise_sigma": cfg.noise_sigma,
+        "seed": cfg.seed,
     }
     gaps_path = out / "actor_gaps.json"
     _write_json(gaps_path, {"config_hash": _config_hash(resolved), "gaps": dict(dataset.actor_gaps)})
@@ -718,10 +713,10 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def _add_aggregation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layer-lo", type=int, default=0)
-    p.add_argument("--layer-hi", type=int, default=0)
-    p.add_argument("--segments", type=int, default=3)
-    p.add_argument("--stats", type=str, default="", help="comma-separated statistic names")
+    p.add_argument("--layer-lo", type=int)
+    p.add_argument("--layer-hi", type=int)
+    p.add_argument("--segments", type=int)
+    p.add_argument("--stats", type=str, help="comma-separated statistic names")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,9 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="actor-disjoint fold split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument(
-        "--seed", type=int, default=0, help="recorded in run_meta.json; the split is deterministic"
-    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -753,49 +745,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--folds", required=True)
     _add_aggregation_flags(p)
-    p.add_argument("--hidden", type=str, default="1024,512")
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=80)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=str, help="comma-separated layer widths")
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_mlp)
 
     p = sub.add_parser("fuse-evaluate", help="weight search, thresholds, cross-validation")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_fuse_evaluate)
 
     p = sub.add_parser("sensitivity", help="per-fold threshold search report")
     p.add_argument("--predictions", required=True, help="predictions file or directory")
     p.add_argument("--labels", required=True)
     p.add_argument("--folds", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--alpha-grid", default=None, help="JSON list or start/stop/step object")
-    p.add_argument("--beta-grid", default=None)
-    p.add_argument("--neutral-index", type=int, default=None)
+    p.add_argument("--weights")
+    p.add_argument("--alpha-grid", help="JSON list or start/stop/step object")
+    p.add_argument("--beta-grid")
+    p.add_argument("--neutral-index", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("synth", help="deterministic synthetic dataset")
-    p.add_argument("--actors", type=int, default=20)
-    p.add_argument("--clips", type=int, default=40)
-    p.add_argument("--mix", type=str, default="0.46,0.18,0.36")
-    p.add_argument("--gap-lo", type=float, default=0.05)
-    p.add_argument("--gap-hi", type=float, default=0.45)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--actors", type=int)
+    p.add_argument("--clips", type=int)
+    p.add_argument("--mix", type=str, help="single, 50/50 and 70/30 shares, comma-separated")
+    p.add_argument("--gap-lo", type=float)
+    p.add_argument("--gap-hi", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify-identities", help="score and simplex identity checks")
-    p.add_argument("--results", default=None)
-    p.add_argument("--weights", default=None)
+    p.add_argument("--results")
+    p.add_argument("--weights")
     p.add_argument("--tol", type=float, default=5e-4)
-    p.add_argument("--tol-simplex", type=float, default=5e-3)
+    p.add_argument("--tol-simplex", type=float, default=fusion.ROUNDING_TOLERANCE)
     p.set_defaults(func=cmd_verify_identities)
 
     return parser

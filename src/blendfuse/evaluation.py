@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -32,6 +32,7 @@ from .core import (
 )
 from .postprocess import (
     DEFAULT_GRID,
+    DEFAULT_THRESHOLDS,
     THRESHOLD_STRATEGIES,
     PostprocessConfig,
     ThresholdPair,
@@ -265,7 +266,7 @@ def fold_surfaces(
 # ---------------------------------------------------------------------------
 
 
-WEIGHT_STRATEGIES = ("coordinate_ascent", "exhaustive")
+FUSION_STRATEGIES = ("coordinate_ascent", "exhaustive")
 
 
 def grid_units(step: float) -> int:
@@ -284,9 +285,9 @@ class CrossValConfig:
     and the post-processing.  Checked on construction; a bad value is a
     :class:`ValidationError` naming its run-config key."""
 
-    weight_strategy: str = "coordinate_ascent"
+    fusion_strategy: str = "coordinate_ascent"
     threshold_strategy: str = "per_fold_average"
-    initial_thresholds: ThresholdPair = field(default_factory=lambda: ThresholdPair(0.1, 0.1))
+    initial_thresholds: ThresholdPair = DEFAULT_THRESHOLDS
     alpha_grid: tuple[float, ...] = DEFAULT_GRID
     beta_grid: tuple[float, ...] = DEFAULT_GRID
     neutral_index: Optional[int] = None
@@ -295,8 +296,8 @@ class CrossValConfig:
     joint_threshold_search: bool = False
 
     def __post_init__(self) -> None:
-        if self.weight_strategy not in WEIGHT_STRATEGIES:
-            raise ValidationError(f"unknown fusion_strategy {self.weight_strategy!r}")
+        if self.fusion_strategy not in FUSION_STRATEGIES:
+            raise ValidationError(f"unknown fusion_strategy {self.fusion_strategy!r}")
         if self.threshold_strategy not in THRESHOLD_STRATEGIES:
             raise ValidationError(f"unknown threshold_strategy {self.threshold_strategy!r}")
         grid_units(self.exhaustive_step)

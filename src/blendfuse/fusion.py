@@ -197,7 +197,7 @@ def optimize_weights(
         log_candidate(0, "single", only, obj)
         return WeightVector({names[0]: 1.0}), log
 
-    if cfg.weight_strategy == "exhaustive":
+    if cfg.fusion_strategy == "exhaustive":
         if m > 3:
             raise ValidationError("exhaustive strategy supports at most 3 encoders")
         candidates = [("uniform", np.full(m, 1.0 / m))]

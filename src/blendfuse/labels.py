@@ -101,14 +101,21 @@ def kl_grad_logits(target: VectorLike, logits: VectorLike) -> np.ndarray:
     return softmax(z) - y
 
 
+def mean_kl(targets: np.ndarray, probs: np.ndarray) -> float:
+    """Mean forward KL over the rows of two float64 arrays of one shape,
+    unchecked: non-finite when an input holds a non-finite value."""
+    p = np.clip(probs, PROB_FLOOR, 1.0)
+    terms = np.where(targets > 0.0, targets * (np.log(np.maximum(targets, PROB_FLOOR)) - np.log(p)), 0.0)
+    return float(np.sum(terms)) / targets.shape[0]
+
+
 def kl_loss_batch(targets: np.ndarray, probs: np.ndarray) -> float:
     """Mean forward KL over a batch of (target, probability) row pairs."""
     y = np.asarray(targets, dtype=np.float64)
-    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_FLOOR, 1.0)
+    p = np.asarray(probs, dtype=np.float64)
     if y.shape != p.shape:
         raise ValidationError(f"shape mismatch: {y.shape} vs {p.shape}")
-    terms = np.where(y > 0.0, y * (np.log(np.maximum(y, PROB_FLOOR)) - np.log(p)), 0.0)
-    total = float(np.sum(terms))
-    if not math.isfinite(total):
+    loss = mean_kl(y, p)
+    if not math.isfinite(loss):
         raise ValidationError("non-finite KL loss")
-    return total / y.shape[0]
+    return loss

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import N_EMOTIONS, EmotionDistribution, ValidationError
-from .labels import PROB_FLOOR, softmax
+from .labels import mean_kl, softmax
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # fraction of the batch statistic folded into the running stats
@@ -204,12 +204,6 @@ def _forward_batch(
     return logits, caches
 
 
-def _mean_kl(targets: np.ndarray, probs: np.ndarray) -> float:
-    p = np.clip(probs, PROB_FLOOR, 1.0)
-    terms = np.where(targets > 0.0, targets * (np.log(np.maximum(targets, PROB_FLOOR)) - np.log(p)), 0.0)
-    return float(terms.sum()) / targets.shape[0]
-
-
 def loss_and_gradients(
     model: MlpModel,
     x: np.ndarray,
@@ -227,7 +221,7 @@ def loss_and_gradients(
     """
     logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
     probs = softmax(logits)
-    loss = _mean_kl(y, probs)
+    loss = mean_kl(y, probs)
     n = x.shape[0]
     out = weight_grads or {}
     grads: dict[str, np.ndarray] = {}
@@ -351,7 +345,7 @@ def train(
         train_loss = epoch_loss / n
 
         val_probs = predict_proba(model, x_val)
-        val_loss = _mean_kl(y_val, val_probs)
+        val_loss = mean_kl(y_val, val_probs)
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
         log.append(TrainLogEntry(epoch, train_loss, val_loss))

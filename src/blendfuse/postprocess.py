@@ -12,7 +12,7 @@ search surfaces into one final pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -46,6 +46,9 @@ class ThresholdPair:
                 raise ValidationError(f"{name} must be a finite value in [0, 1], got {v!r}")
 
 
+DEFAULT_THRESHOLDS = ThresholdPair(0.1, 0.1)
+
+
 @dataclass(frozen=True)
 class PostprocessConfig:
     """Thresholds plus the optional neutral-class handling.
@@ -56,7 +59,7 @@ class PostprocessConfig:
     the survivor-renormalized probabilities instead of the raw ones.
     """
 
-    thresholds: ThresholdPair = field(default_factory=lambda: ThresholdPair(0.1, 0.1))
+    thresholds: ThresholdPair = DEFAULT_THRESHOLDS
     neutral_index: Optional[int] = None
     renormalize_before_beta: bool = False
 

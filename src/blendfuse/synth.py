@@ -51,8 +51,9 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_actors < 1 or self.clips_per_actor < 1:
             raise ValidationError("need at least one actor and one clip per actor")
-        if abs(sum(self.label_mix) - 1.0) > 1e-9 or any(m < 0 for m in self.label_mix):
-            raise ValidationError(f"label_mix must be non-negative and sum to 1: {self.label_mix!r}")
+        mix = self.label_mix
+        if len(mix) != 3 or abs(sum(mix) - 1.0) > 1e-9 or any(m < 0 for m in mix):
+            raise ValidationError(f"label_mix must be three non-negative shares summing to 1: {mix!r}")
         lo, hi = self.actor_gap_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValidationError(f"actor_gap_range must satisfy 0 < lo <= hi < 1: {self.actor_gap_range!r}")

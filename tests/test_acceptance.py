@@ -25,8 +25,8 @@ from blendfuse.cli import EXIT_OK, main as cli_main
 from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate
 from blendfuse.features import AggregationConfig, aggregate_temporal
 from blendfuse.fusion import optimize_weights, validate_simplex
-from blendfuse.labels import kl_grad_logits, kl_loss, softmax
-from blendfuse.mlp import MlpConfig, MlpModel, loss_and_gradients, predict_proba, train, _mean_kl
+from blendfuse.labels import kl_grad_logits, kl_loss, mean_kl, softmax
+from blendfuse.mlp import MlpConfig, MlpModel, loss_and_gradients, predict_proba, train
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize, search_thresholds
 from blendfuse.synth import SynthConfig, generate
 
@@ -183,7 +183,7 @@ def test_criterion_07_overfit_capacity():
     cfg = MlpConfig(hidden_dims=(32, 16), dropout=0.0, lr=0.1, max_epochs=500,
                     patience=500, batch_size=50, seed=7)
     result = train((x, y), (x, y), cfg)
-    final_kl = _mean_kl(y, predict_proba(result.model, x))
+    final_kl = mean_kl(y, predict_proba(result.model, x))
     assert final_kl < 0.01
     assert len(result.log) <= 500
 
@@ -196,7 +196,7 @@ def test_criterion_07_overfit_capacity():
     assert len(stopped.log) < 500
     assert stopped.best_val_loss == min(e.val_loss for e in stopped.log)
     assert stopped.log[stopped.best_epoch].val_loss == stopped.best_val_loss
-    returned_val = _mean_kl(y_val, predict_proba(stopped.model, x))
+    returned_val = mean_kl(y_val, predict_proba(stopped.model, x))
     assert returned_val == pytest.approx(stopped.best_val_loss, abs=1e-12)
     assert stopped.log[-1].val_loss >= stopped.best_val_loss
     print(f"\nACCEPTANCE 7 PASS: train KL {final_kl:.5f} < 0.01 within "
@@ -209,12 +209,12 @@ def test_criterion_08_fusion_oracle_recovery():
         records, preds, folds = ladder_fixture(n_uniform=n_uniform)
         ca_w, _ = optimize_weights(
             FusionDataset.build(preds, records, folds),
-            CrossValConfig(weight_strategy="coordinate_ascent", initial_thresholds=LADDER_THRESHOLDS),
+            CrossValConfig(fusion_strategy="coordinate_ascent", initial_thresholds=LADDER_THRESHOLDS),
         )
         ex_w, _ = optimize_weights(
             FusionDataset.build(preds, records, folds),
             CrossValConfig(
-                weight_strategy="exhaustive", initial_thresholds=LADDER_THRESHOLDS,
+                fusion_strategy="exhaustive", initial_thresholds=LADDER_THRESHOLDS,
                 exhaustive_step=0.05,
             ),
         )
@@ -266,7 +266,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     run("synth", "--actors", 6, "--clips", 12, "--noise-sigma", 0.3,
         "--gap-lo", 0.15, "--gap-hi", 0.4, "--seed", 3, "--out", data)
 
-    twice("folds", "split", "--manifest", data / "labels.csv", "--k", 2, "--seed", 0)
+    twice("folds", "split", "--manifest", data / "labels.csv", "--k", 2)
     run("split", "--manifest", data / "labels.csv", "--k", 2, "--out", tmp_path / "folds")
     folds = tmp_path / "folds" / "folds.csv"
 
@@ -274,11 +274,12 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     records = core.load_labels(data / "labels.csv")
     feat_dir = write_feature_dir(tmp_path, records, np.random.default_rng(1))
-    twice("agg", "aggregate", "--features", feat_dir)
+    twice("agg", "aggregate", "--features", feat_dir, "--layer-lo", 0, "--layer-hi", 0)
 
     twice("mlp", "train-mlp", "--features", feat_dir, "--labels", data / "labels.csv",
-          "--folds", folds, "--hidden", "8", "--dropout", 0.0, "--lr", 0.1,
-          "--epochs", 40, "--patience", 40, "--batch-size", 16, "--seed", 2)
+          "--folds", folds, "--layer-lo", 0, "--layer-hi", 0, "--hidden", "8",
+          "--dropout", 0.0, "--lr", 0.1, "--epochs", 40, "--patience", 40,
+          "--batch-size", 16, "--seed", 2)
 
     run_cfg = {
         "predictions_dir": str(data / "predictions"),

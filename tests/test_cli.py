@@ -1,5 +1,7 @@
 """Command-line surface: flows, exit codes, determinism, config handling."""
 
+import argparse
+import dataclasses
 import json
 import shutil
 
@@ -8,7 +10,7 @@ import pytest
 
 from fixtures_util import outputs_of, write_feature_dir
 
-from blendfuse import cli, core, features
+from blendfuse import cli, core, features, fusion, mlp, synth
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from blendfuse.evaluation import CrossValConfig, evaluate, load_folds
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
@@ -57,7 +59,8 @@ def synth_dataset(tmp_path, seed=0, actors=8, clips=18, noise=0.3):
 
 
 def feature_inputs(tmp_path):
-    """train-mlp input flags for 2 actors x 3 clips of 1 x 4 x 6 features, 2 folds."""
+    """train-mlp input flags for 2 actors x 3 clips of 1 x 4 x 6 features, 2 folds,
+    with the layer range of those one-layer features."""
     records = [
         core.SampleRecord(f"a{a}_v{c}", f"a{a}", core.BlendAnnotation(core.EMOTIONS[c], None, 100))
         for a in range(2)
@@ -68,7 +71,10 @@ def feature_inputs(tmp_path):
     feat_dir = write_feature_dir(tmp_path, records, np.random.default_rng(3))
     folds_out = tmp_path / "folds"
     assert run("split", "--manifest", labels_path, "--k", 2, "--out", folds_out) == EXIT_OK
-    return {"--features": feat_dir, "--labels": labels_path, "--folds": folds_out / "folds.csv"}
+    return {
+        "--features": feat_dir, "--labels": labels_path, "--folds": folds_out / "folds.csv",
+        "--layer-lo": 0, "--layer-hi": 0,
+    }
 
 
 def flags_of(inputs):
@@ -97,6 +103,13 @@ class TestSynthAndSplit:
         assert assignment.k == 3
         records = core.load_labels(data / "labels.csv")
         assert {r.actor_id for r in records} == set(assignment.folds)
+
+    @pytest.mark.parametrize(
+        "flags", [["--mix", "0.5,0.5"], ["--mix", "0.5,x,0.5"], ["--gap-lo", "0.5"], ["--actors", "0"]]
+    )
+    def test_bad_synth_flag_is_config_error(self, tmp_path, flags):
+        assert run("synth", *flags, "--out", tmp_path / "data") == EXIT_CONFIG
+        assert not (tmp_path / "data").exists()
 
     def test_split_k1_is_config_error(self, tmp_path):
         data = synth_dataset(tmp_path)
@@ -445,7 +458,8 @@ class TestTrainMlp:
         out = tmp_path / "mlp"
         code = run(
             "train-mlp", "--features", feat_dir, "--labels", labels_path,
-            "--folds", folds_out / "folds.csv", "--hidden", "16", "--dropout", 0.0,
+            "--folds", folds_out / "folds.csv", "--layer-lo", 0, "--layer-hi", 0,
+            "--hidden", "16", "--dropout", 0.0,
             "--lr", 0.1, "--epochs", 150, "--patience", 150, "--batch-size", 16,
             "--seed", 1, "--out", out,
         )
@@ -475,7 +489,8 @@ class TestTrainMlp:
         run("split", "--manifest", labels_path, "--k", 2, "--out", folds_out)
         code = run(
             "train-mlp", "--features", feat_dir, "--labels", labels_path,
-            "--folds", folds_out / "folds.csv", "--out", tmp_path / "mlp",
+            "--folds", folds_out / "folds.csv", "--layer-lo", 0, "--layer-hi", 0,
+            "--out", tmp_path / "mlp",
         )
         assert code == EXIT_DATA
 
@@ -494,7 +509,8 @@ class TestTrainMlp:
         with np.errstate(all="ignore"):
             code = run(
                 "train-mlp", "--features", feat_dir, "--labels", labels_path,
-                "--folds", folds_out / "folds.csv", "--lr", 1e60, "--hidden", "8",
+                "--folds", folds_out / "folds.csv", "--layer-lo", 0, "--layer-hi", 0,
+                "--lr", 1e60, "--hidden", "8",
                 "--epochs", 30, "--patience", 30, "--out", tmp_path / "mlp",
             )
         assert code == EXIT_NUMERIC
@@ -759,9 +775,149 @@ class TestVerifyIdentities:
         assert run("verify-identities", "--results", path) == EXIT_DATA
         assert f"{path}: not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--results", "--weights"])
-    def test_missing_input_is_config_error(self, tmp_path, capsys, flag):
-        ghost = tmp_path / "ghost.csv"
-        assert run("verify-identities", flag, ghost) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert flag in err and str(ghost) in err
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("verify-identities", "--results"),
+        ("verify-identities", "--weights"),
+        ("encode-labels", "--labels"),
+        ("split", "--manifest"),
+    ],
+)
+def test_missing_input_is_config_error(tmp_path, capsys, command, flag):
+    ghost = tmp_path / "ghost.csv"
+    out = [] if command == "verify-identities" else ["--out", tmp_path / "out"]
+    assert run(command, flag, ghost, *out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert flag in err and str(ghost) in err
+
+
+# Flags that set no config field, and so declare their own default.
+OWN_DEFAULT_FLAGS = {("split", "--k"), ("verify-identities", "--tol"), ("verify-identities", "--tol-simplex")}
+
+
+def test_config_flags_default_to_none():
+    """A flag that sets a config field only overrides the field's default."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest == "help" or (command, action.option_strings[0]) in OWN_DEFAULT_FLAGS:
+                continue
+            assert action.default is None, (command, action.option_strings[0], action.default)
+
+
+class TestOmittedFlagsTakeLibraryDefaults:
+    """With no optional flag, each command resolves to its config dataclass's
+    defaults.  Patched-in dataclasses with other defaults show that the CLI
+    reads them rather than restating them."""
+
+    def test_aggregate_averages_the_default_layers(self, tmp_path):
+        rng = np.random.default_rng(5)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        seqs = [features.FrameFeatureSequence(f"v{i}", rng.normal(size=(13, 5, 3))) for i in range(2)]
+        for seq in seqs:
+            features.save_feature_file(seq, feat_dir)
+        features.save_feature_manifest(
+            [(seq.video_id, "a0", f"{seq.video_id}.feat") for seq in seqs], feat_dir / "manifest.csv"
+        )
+        out = tmp_path / "agg"
+        assert run("aggregate", "--features", feat_dir, "--out", out) == EXIT_OK
+        rows = (out / "aggregated.csv").read_text().splitlines()[1:]
+        for row, seq in zip(rows, seqs):
+            stored = features.load_feature_file(feat_dir / f"{seq.video_id}.feat", seq.video_id)
+            expected = features.aggregate_sequence(stored, features.AggregationConfig())
+            assert [float(v) for v in row.split(",")[2:]] == expected.tolist()
+        resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
+        assert (resolved["layer_lo"], resolved["layer_hi"]) == (6, 12)
+
+    def test_synth(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Small(synth.SynthConfig):
+            n_actors: int = 3
+            clips_per_actor: int = 2
+            label_mix: tuple = (1.0, 0.0, 0.0)
+            actor_gap_range: tuple = (0.1, 0.2)
+            noise_sigma: float = 0.1
+            seed: int = 5
+
+        monkeypatch.setattr(synth, "SynthConfig", Small)
+        out = tmp_path / "data"
+        assert run("synth", "--out", out) == EXIT_OK
+        resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
+        assert resolved == {
+            "command": "synth", "actors": 3, "clips": 2, "mix": [1.0, 0.0, 0.0],
+            "gap_lo": 0.1, "gap_hi": 0.2, "noise_sigma": 0.1, "seed": 5,
+        }
+        assert len(core.load_labels(out / "labels.csv")) == 6
+
+    def test_synth_one_gap_end_keeps_the_other_default(self, tmp_path):
+        out = tmp_path / "data"
+        assert run("synth", "--actors", 2, "--clips", 2, "--gap-hi", 0.3, "--out", out) == EXIT_OK
+        resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
+        assert (resolved["gap_lo"], resolved["gap_hi"]) == (synth.SynthConfig().actor_gap_range[0], 0.3)
+
+    def test_train_mlp(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class SmallMlp(mlp.MlpConfig):
+            hidden_dims: tuple = (4,)
+            dropout: float = 0.0
+            lr: float = 0.05
+            max_epochs: int = 2
+            patience: int = 1
+            batch_size: int = 4
+            seed: int = 7
+
+        @dataclasses.dataclass(frozen=True)
+        class OneLayer(features.AggregationConfig):
+            layer_lo: int = 0
+            layer_hi: int = 0
+            segments: int = 2
+            stats: tuple = ("segment_mean",)
+
+        monkeypatch.setattr(mlp, "MlpConfig", SmallMlp)
+        monkeypatch.setattr(features, "AggregationConfig", OneLayer)
+        inputs = feature_inputs(tmp_path)
+        del inputs["--layer-lo"], inputs["--layer-hi"]
+        out = tmp_path / "mlp"
+        assert run("train-mlp", *flags_of(inputs), "--out", out) == EXIT_OK
+        resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
+        settings = {k: resolved[k] for k in (
+            "hidden", "dropout", "lr", "epochs", "patience", "batch_size", "seed",
+            "layer_lo", "layer_hi", "segments", "stats",
+        )}
+        assert settings == {
+            "hidden": [4], "dropout": 0.0, "lr": 0.05, "epochs": 2, "patience": 1,
+            "batch_size": 4, "seed": 7, "layer_lo": 0, "layer_hi": 0, "segments": 2,
+            "stats": ["segment_mean"],
+        }
+        assert len((out / "mlp_fold0_log.csv").read_text().splitlines()) <= 1 + 2
+
+    def test_sensitivity(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class SmallGrids(CrossValConfig):
+            alpha_grid: tuple = (0.0, 0.2)
+            beta_grid: tuple = (0.1,)
+
+        monkeypatch.setattr(cli, "CrossValConfig", SmallGrids)
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        out = tmp_path / "sens"
+        code = run(
+            "sensitivity", "--predictions", data / "predictions", "--labels", data / "labels.csv",
+            "--folds", folds_path, "--out", out,
+        )
+        assert code == EXIT_OK
+        resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
+        assert (resolved["alpha_grid"], resolved["beta_grid"]) == ([0.0, 0.2], [0.1])
+        report = json.loads((out / "sensitivity.json").read_text())
+        assert {e["beta"] for e in report["per_fold"]} == {0.1}
+
+    def test_verify_identities_simplex_tolerance(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fusion, "ROUNDING_TOLERANCE", 0.2)
+        w = tmp_path / "weights.csv"
+        w.write_text("encoder,weight\ne0,0.5\ne1,0.4\n", encoding="utf-8")
+        assert run("verify-identities", "--weights", w) == EXIT_OK
+        assert "simplex within 0.2" in capsys.readouterr().out

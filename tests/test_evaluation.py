@@ -223,7 +223,7 @@ class TestCrossValConfig:
     @pytest.mark.parametrize(
         "settings, key",
         [
-            ({"weight_strategy": "anneal"}, "fusion_strategy"),
+            ({"fusion_strategy": "anneal"}, "fusion_strategy"),
             ({"threshold_strategy": "median"}, "threshold_strategy"),
             ({"exhaustive_step": 0.3}, "exhaustive_step"),
             ({"exhaustive_step": 0.0}, "exhaustive_step"),

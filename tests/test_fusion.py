@@ -142,7 +142,7 @@ class TestOptimizeWeights:
         thresholds = ThresholdPair(0.015, 0.37)
         w, _ = optimize_weights(
             FusionDataset.build([oracle, uni], records, folds),
-            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=thresholds),
+            CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         assert w["oracle"] >= 0.9
         objective = independent_objective([oracle, uni], records, folds, w, thresholds)
@@ -158,7 +158,7 @@ class TestOptimizeWeights:
         thresholds = ThresholdPair(0.1, 0.2)
         w, log = optimize_weights(
             FusionDataset.build([oracle, uni], records, folds),
-            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=thresholds),
+            CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         grid_objs = []
         for k in range(21):
@@ -177,7 +177,7 @@ class TestOptimizeWeights:
             optimize_weights(
                 data=FusionDataset.build(records=records, preds=encs, folds=folds),
                 cfg=CrossValConfig(
-                    weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)
+                    fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)
                 ),
             )
 
@@ -207,7 +207,7 @@ class TestOptimizeWeights:
         for strategy in ("coordinate_ascent", "exhaustive"):
             w, _ = optimize_weights(
                 FusionDataset.build(preds, records, folds),
-                CrossValConfig(weight_strategy=strategy, initial_thresholds=thresholds),
+                CrossValConfig(fusion_strategy=strategy, initial_thresholds=thresholds),
             )
             obj = independent_objective(preds, records, folds, w, thresholds)
             assert obj >= uniform_obj
@@ -221,7 +221,7 @@ class TestOptimizeWeights:
         w, log = optimize_weights(
             FusionDataset.build([oracle, uni], records, folds),
             CrossValConfig(
-                weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2),
+                fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2),
                 joint_threshold_search=True,
                 alpha_grid=(0.0, 0.05, 0.1, 0.2), beta_grid=(0.0, 0.1, 0.2, 0.4),
             ),
@@ -232,7 +232,7 @@ class TestOptimizeWeights:
         # uniform weights, so the flag demonstrably changes the objective
         _, fixed_log = optimize_weights(
             FusionDataset.build([oracle, uni], records, folds),
-            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
+            CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         fixed_uniform = next(e.objective for e in fixed_log if e.candidate_id == "uniform")
         joint_uniform = next(e.objective for e in log if e.candidate_id == "uniform")
@@ -252,7 +252,7 @@ class TestOptimizeWeights:
         with pytest.raises(ValidationError):
             optimize_weights(
                 FusionDataset.build([oracle], records, folds),
-                CrossValConfig(weight_strategy="anneal", initial_thresholds=ThresholdPair(0.1, 0.2)),
+                CrossValConfig(fusion_strategy="anneal", initial_thresholds=ThresholdPair(0.1, 0.2)),
             )
 
     def test_search_log_records_candidates(self, tmp_path):
@@ -261,7 +261,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         _, log = optimize_weights(
             FusionDataset.build([oracle, uni], records, folds),
-            CrossValConfig(weight_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
+            CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert len(log) == 22  # uniform + 21 grid points
         path = tmp_path / "log.csv"

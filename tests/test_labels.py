@@ -119,6 +119,15 @@ class TestKlLoss:
         scalar = np.mean([kl_loss(y, p) for y, p in zip(ys, ps)])
         assert batch == pytest.approx(scalar, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [(np.full((2, 6), 1 / 6), "shape mismatch"), (np.array([[np.nan] + [0.2] * 5]), "non-finite")],
+    )
+    def test_bad_batch_is_validation_error(self, probs, message):
+        targets = np.array([[1.0, 0, 0, 0, 0, 0]])
+        with pytest.raises(ValidationError, match=message):
+            kl_loss_batch(targets, probs)
+
 
 class TestKlGradLogits:
     def test_zero_at_minimum(self):

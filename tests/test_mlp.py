@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blendfuse.core import ValidationError
-from blendfuse.labels import softmax
+from blendfuse.labels import mean_kl, softmax
 from blendfuse.mlp import (
     BatchNormState,
     MlpConfig,
@@ -24,7 +24,6 @@ from blendfuse.mlp import (
     _batchnorm_backward,
     _batches,
     _forward_batch,
-    _mean_kl,
 )
 
 
@@ -131,9 +130,9 @@ def finite_difference_gradients(model, x, y, h=1e-4):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            lp = _mean_kl(y, softmax(_forward_batch(model, x, train=True)[0]))
+            lp = mean_kl(y, softmax(_forward_batch(model, x, train=True)[0]))
             flat[k] = orig - h
-            lm = _mean_kl(y, softmax(_forward_batch(model, x, train=True)[0]))
+            lm = mean_kl(y, softmax(_forward_batch(model, x, train=True)[0]))
             flat[k] = orig
             gflat[k] = (lp - lm) / (2 * h)
         numeric[name] = grad
@@ -193,7 +192,7 @@ class TestTrain:
                         patience=500, batch_size=50, seed=1)
         result = train((x, y), (x, y), cfg)
         probs = predict_proba(result.model, x)
-        assert _mean_kl(y, probs) < 0.01
+        assert mean_kl(y, probs) < 0.01
 
     def test_patience_zero_stops_after_first_bad_epoch(self):
         rng = np.random.default_rng(7)
@@ -230,7 +229,7 @@ class TestTrain:
         assert result.best_val_loss == min(e.val_loss for e in result.log)
         assert result.log[result.best_epoch].val_loss == result.best_val_loss
         probs = predict_proba(result.model, x)
-        assert _mean_kl(y_val, probs) == pytest.approx(result.best_val_loss, abs=1e-12)
+        assert mean_kl(y_val, probs) == pytest.approx(result.best_val_loss, abs=1e-12)
 
     def test_monotone_loss_on_separable_set(self):
         rng = np.random.default_rng(10)
@@ -297,7 +296,7 @@ def reference_loss_and_gradients(model, x, y, dropout_rng):
     """Backprop with fresh arrays and all six matmuls, the input gradient included."""
     logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
     probs = softmax(logits)
-    loss = _mean_kl(y, probs)
+    loss = mean_kl(y, probs)
     grads = {}
     dlogits = (probs - y) / x.shape[0]
     last = len(model.weights) - 1
@@ -338,7 +337,7 @@ def reference_train(train_set, val_set, cfg):
                 v *= cfg.momentum
                 v -= cfg.lr * grads[name]
                 arr += v
-        val_loss = _mean_kl(y_val, predict_proba(model, x_val))
+        val_loss = mean_kl(y_val, predict_proba(model, x_val))
         log.append(TrainLogEntry(epoch, epoch_loss / x.shape[0], val_loss))
         if val_loss < best_val:
             best, best_val, best_epoch, bad_epochs = model.copy(), val_loss, epoch, 0

@@ -73,6 +73,8 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             SynthConfig(label_mix=(0.5, 0.5, 0.5))
         with pytest.raises(ValidationError):
+            SynthConfig(label_mix=(0.5, 0.5))
+        with pytest.raises(ValidationError):
             SynthConfig(actor_gap_range=(0.0, 0.4))
         with pytest.raises(ValidationError):
             SynthConfig(noise_sigma=-0.1)
