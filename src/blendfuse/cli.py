@@ -392,9 +392,6 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
         raise ValidationError(f"missing features for labeled videos: {missing}")
 
     by_fold = assignment.videos_by_fold(records)
-    for f, vids in by_fold.items():
-        if not vids:
-            raise ValidationError(f"fold {f} holds no labeled videos")
     record_of = {r.video_id: r for r in records}
     out = _out_dir(args.out)
     outputs: list[Path] = []
@@ -470,7 +467,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
-    cfg, cv_cfg = load_run_config(Path(args.config), {"seed": args.seed, "output_dir": args.out})
+    cfg, cv_cfg = load_run_config(Path(args.config), {"output_dir": args.out})
     out = _out_dir(cfg["output_dir"])
     chash = _config_hash(cfg)
 
@@ -600,7 +597,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     # Only the weighted encoders need to cover the labeled videos.
     used = [t for t in tables if t.encoder_name in weights.weights]
     data = FusionDataset.build(used, records, assignment)
-    surfaces = fold_surfaces(data, weights.weights, cfg)
+    surfaces = fold_surfaces(data, data.fuse(weights.weights), cfg)
     resolved = {
         "command": "sensitivity",
         "predictions": str(args.predictions),
@@ -757,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse-evaluate", help="weight search, thresholds, cross-validation")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fuse_evaluate)
 

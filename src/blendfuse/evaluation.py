@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -118,9 +118,13 @@ class FoldAssignment:
         return sorted(set(self.folds.values()))
 
     def videos_by_fold(self, records: Sequence[SampleRecord]) -> dict[int, list[str]]:
+        """Video ids of ``records`` per fold; every fold must hold one."""
         out: dict[int, list[str]] = {f: [] for f in self.fold_indices()}
         for rec in records:
             out[self.fold_of(rec.actor_id)].append(rec.video_id)
+        for f, vids in out.items():
+            if not vids:
+                raise ValidationError(f"fold {f} holds no labeled videos")
         return out
 
 
@@ -153,6 +157,14 @@ def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
 # ---------------------------------------------------------------------------
 
 
+class FoldRows(NamedTuple):
+    """One fold of a :class:`FusionDataset`: its videos' rows and truth."""
+
+    fold: int
+    rows: np.ndarray  # indices into the dataset's videos
+    truth: TruthArrays
+
+
 @dataclass(frozen=True)
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
@@ -165,6 +177,12 @@ class FusionDataset:
     truth: TruthArrays
     fold: np.ndarray  # fold index of each video
     fold_ids: tuple[int, ...]  # every fold, each holding at least one video
+    folds: tuple[FoldRows, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows = [np.flatnonzero(self.fold == f) for f in self.fold_ids]
+        split = tuple(FoldRows(f, idx, self.truth.take(idx)) for f, idx in zip(self.fold_ids, rows))
+        object.__setattr__(self, "folds", split)
 
     @classmethod
     def build(
@@ -207,10 +225,7 @@ class FusionDataset:
                     raise ValidationError(
                         f"encoder {name!r}, video {video_ids[v]!r}: {exc}"
                     ) from None
-        fold_of = {rec.video_id: folds.fold_of(rec.actor_id) for rec in records}
-        empty = sorted(set(folds.fold_indices()) - set(fold_of.values()))
-        if empty:
-            raise ValidationError(f"fold {empty[0]} holds no labeled videos")
+        fold_of = {vid: f for f, vids in folds.videos_by_fold(records).items() for vid in vids}
         return cls(
             encoders,
             tuple(video_ids),
@@ -219,10 +234,6 @@ class FusionDataset:
             np.array([fold_of[vid] for vid in video_ids], dtype=np.int64),
             tuple(folds.fold_indices()),
         )
-
-    def fold_rows(self, fold: int) -> np.ndarray:
-        """Indices of the videos in one fold."""
-        return np.flatnonzero(self.fold == fold)
 
     def without_fold(self, fold: int) -> "FusionDataset":
         keep = np.flatnonzero(self.fold != fold)
@@ -248,17 +259,15 @@ class FusionDataset:
 
 
 def fold_surfaces(
-    data: FusionDataset, weights: Mapping[str, float], cfg: CrossValConfig
+    data: FusionDataset, fused: np.ndarray, cfg: CrossValConfig
 ) -> dict[int, ThresholdSurface]:
-    """Threshold surface over ``cfg``'s grids of every fold at fixed weights."""
-    fused = data.fuse(weights)
+    """Threshold surface over ``cfg``'s grids of every fold of ``data``, from
+    ``fused``, the fused row of each of its videos."""
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
-    surfaces = {}
-    for f in data.fold_ids:
-        idx = data.fold_rows(f)
-        rows, truth = fused[idx], data.truth.take(idx)
-        surfaces[f] = threshold_surface(rows, truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg)
-    return surfaces
+    return {
+        f: threshold_surface(fused[rows], truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg)
+        for f, rows, truth in data.folds
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +345,21 @@ def _evaluate_fold(
     preds: Sequence[EncoderPredictionSet | PredictionTable],
     data: FusionDataset,
     truth: Mapping[str, BlendAnnotation],
-    fold: int,
+    held_out: FoldRows,
     cfg: CrossValConfig,
 ) -> FoldOutcome:
     from .fusion import fit, fuse
 
-    train = data.without_fold(fold)
+    train = data.without_fold(held_out.fold)
     if not train.video_ids:
-        raise ValidationError(f"fold {fold} would leave no training data")
+        raise ValidationError(f"fold {held_out.fold} would leave no training data")
     weights, _, _, thresholds = fit(train, cfg)
 
     final_cfg = cfg.postprocess_config(thresholds)
-    test_ids = [data.video_ids[i] for i in data.fold_rows(fold).tolist()]
+    test_ids = [data.video_ids[i] for i in held_out.rows.tolist()]
     test_preds = {vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_ids}
     result = evaluate(test_preds, {vid: truth[vid] for vid in test_ids})
-    return FoldOutcome(fold, result, dict(weights.weights), thresholds)
+    return FoldOutcome(held_out.fold, result, dict(weights.weights), thresholds)
 
 
 def cross_validate(
@@ -369,7 +378,7 @@ def cross_validate(
     """
     data = FusionDataset.build(preds, records, folds)
     truth = annotations_by_video(records)
-    outcomes = [_evaluate_fold(preds, data, truth, f, cfg) for f in data.fold_ids]
+    outcomes = [_evaluate_fold(preds, data, truth, held_out, cfg) for held_out in data.folds]
 
     accs_p = [o.result.acc_p for o in outcomes]
     accs_s = [o.result.acc_s for o in outcomes]

@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,15 +26,7 @@ from .core import (
     read_csv_rows,
 )
 from .evaluation import CrossValConfig, FusionDataset, fold_surfaces, grid_units
-from .postprocess import (
-    PostprocessConfig,
-    ThresholdPair,
-    ThresholdSurface,
-    TruthArrays,
-    point_counts,
-    select_thresholds,
-    threshold_surface,
-)
+from .postprocess import ThresholdPair, ThresholdSurface, point_counts, select_thresholds
 
 SIMPLEX_TOLERANCE = 1e-9
 # Published weight tables are rounded to 3 decimals; the loader accepts
@@ -100,52 +92,9 @@ def fuse(
 
 @dataclass(frozen=True)
 class SearchLogEntry:
-    step: int
+    step: int  # position in the search log
     candidate_id: str
     objective: float
-    weights: Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class _ObjectiveContext:
-    """Encoder rows and per-fold truth of the search set, for fast candidate
-    evaluation."""
-
-    matrices: np.ndarray  # (encoders, videos, 6)
-    fold_rows: tuple[np.ndarray, ...]
-    fold_truths: tuple[TruthArrays, ...]
-    cfg: CrossValConfig
-    pp_cfg: PostprocessConfig  # at the initial thresholds
-
-    @classmethod
-    def build(cls, data: FusionDataset, cfg: CrossValConfig) -> "_ObjectiveContext":
-        fold_rows = tuple(data.fold_rows(f) for f in data.fold_ids)
-        return cls(
-            data.probs,
-            fold_rows,
-            tuple(data.truth.take(idx) for idx in fold_rows),
-            cfg,
-            cfg.postprocess_config(cfg.initial_thresholds),
-        )
-
-    def evaluate(self, weights: np.ndarray) -> float:
-        fused = np.tensordot(weights, self.matrices, axes=(0, 0))
-        scores = []
-        for idx, truth in zip(self.fold_rows, self.fold_truths):
-            sub = fused[idx]
-            if self.cfg.joint_threshold_search:
-                surface = threshold_surface(
-                    sub, truth, self.cfg.alpha_grid, self.cfg.beta_grid, self.pp_cfg
-                )
-                scores.append(surface.best_score())
-            else:
-                cp, cs = point_counts(sub, truth, self.pp_cfg)
-                n = len(idx)
-                scores.append(0.5 * (cp / n + cs / n))
-        objective = sum(scores) / len(scores)
-        if not math.isfinite(objective):
-            raise ValidationError(f"objective is not finite: {objective!r}")
-        return objective
 
 
 def _l1_to_uniform(weights: np.ndarray) -> float:
@@ -180,77 +129,75 @@ def optimize_weights(
     starts from uniform weights and repeatedly applies the best strictly
     improving mass move between two encoders, annealing the move size;
     ``exhaustive`` scans a full simplex grid of ``cfg.exhaustive_step`` (at
-    most three encoders).  Ties prefer the candidate closest (L1) to
-    uniform.  Both strategies are deterministic.
+    most three encoders).  Both keep the first candidate with the highest
+    objective, ties going to the one closest (L1) to uniform, and log every
+    candidate they score.  Both strategies are deterministic.
     """
-    ctx = _ObjectiveContext.build(data, cfg)
     names = data.encoders
     m = len(names)
+    pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
     log: list[SearchLogEntry] = []
 
-    def log_candidate(step: int, cid: str, weights: np.ndarray, obj: float) -> None:
-        log.append(SearchLogEntry(step, cid, obj, dict(zip(names, weights.tolist()))))
+    def objective(weights: np.ndarray) -> float:
+        fused = np.tensordot(weights, data.probs, axes=(0, 0))
+        if cfg.joint_threshold_search:
+            scores = [surface.best_score() for surface in fold_surfaces(data, fused, cfg).values()]
+        else:
+            scores = []
+            for _, rows, truth in data.folds:
+                cp, cs = point_counts(fused[rows], truth, pp_cfg)
+                scores.append(0.5 * (cp / len(rows) + cs / len(rows)))
+        mean = sum(scores) / len(scores)
+        if not math.isfinite(mean):
+            raise ValidationError(f"objective is not finite: {mean!r}")
+        return mean
 
+    def best_of(candidates: Iterable[tuple[str, np.ndarray]]) -> tuple[Optional[np.ndarray], float]:
+        """Log every candidate; the first with the highest ``(objective,
+        -L1 to uniform)`` and its objective (None and -inf if there is none)."""
+        best_key, best = (-math.inf, -math.inf), None
+        for cid, weights in candidates:
+            obj = objective(weights)
+            log.append(SearchLogEntry(len(log), cid, obj))
+            key = (obj, -_l1_to_uniform(weights))
+            if key > best_key:
+                best_key, best = key, weights
+        return best, best_key[0]
+
+    uniform = [("uniform", np.full(m, 1.0 / m))]
     if m == 1:
-        only = np.array([1.0])
-        obj = ctx.evaluate(only)
-        log_candidate(0, "single", only, obj)
-        return WeightVector({names[0]: 1.0}), log
-
-    if cfg.fusion_strategy == "exhaustive":
+        current, _ = best_of([("single", np.ones(1))])
+    elif cfg.fusion_strategy == "exhaustive":
         if m > 3:
             raise ValidationError("exhaustive strategy supports at most 3 encoders")
-        candidates = [("uniform", np.full(m, 1.0 / m))]
-        for i, pt in enumerate(_simplex_grid(m, cfg.exhaustive_step)):
-            candidates.append((f"grid:{i}", np.asarray(pt)))
-        best_w: Optional[np.ndarray] = None
-        best_obj = -math.inf
-        best_l1 = math.inf
-        for step, (cid, w) in enumerate(candidates):
-            obj = ctx.evaluate(w)
-            log_candidate(step, cid, w, obj)
-            l1 = _l1_to_uniform(w)
-            if obj > best_obj or (obj == best_obj and l1 < best_l1):
-                best_w, best_obj, best_l1 = w, obj, l1
-        assert best_w is not None
-        return WeightVector(dict(zip(names, best_w.tolist()))), log
-
-    # coordinate ascent
-    current = np.full(m, 1.0 / m)
-    current_obj = ctx.evaluate(current)
-    log_candidate(0, "uniform", current, current_obj)
-    step = 1
-    for delta in COORDINATE_DELTAS:
-        improved = True
-        while improved:
-            improved = False
-            best_move: Optional[tuple[np.ndarray, float, float, str]] = None
-            for i in range(m):
-                if current[i] < delta - SIMPLEX_TOLERANCE:
-                    continue
-                for j in range(m):
-                    if i == j:
-                        continue
-                    cand = current.copy()
-                    cand[i] -= delta
-                    if cand[i] < 1e-12:
-                        cand[i] = 0.0
-                    cand[j] += delta
-                    cid = f"move:{names[i]}->{names[j]}:{delta}"
-                    obj = ctx.evaluate(cand)
-                    log_candidate(step, cid, cand, obj)
-                    step += 1
-                    if obj <= current_obj:
-                        continue
-                    l1 = _l1_to_uniform(cand)
-                    if best_move is None or obj > best_move[1] or (
-                        obj == best_move[1] and l1 < best_move[2]
-                    ):
-                        best_move = (cand, obj, l1, cid)
-            if best_move is not None:
-                current, current_obj = best_move[0], best_move[1]
-                improved = True
+        grid = _simplex_grid(m, cfg.exhaustive_step)
+        current, _ = best_of(uniform + [(f"grid:{i}", np.asarray(pt)) for i, pt in enumerate(grid)])
+    else:
+        current, current_obj = best_of(uniform)
+        for delta in COORDINATE_DELTAS:
+            while True:
+                move, move_obj = best_of(_moves(current, delta, names))
+                if move_obj <= current_obj:
+                    break
+                current, current_obj = move, move_obj
     return WeightVector(dict(zip(names, current.tolist()))), log
+
+
+def _moves(current: np.ndarray, delta: float, names: Sequence[str]) -> Iterator[tuple[str, np.ndarray]]:
+    """Every move of ``delta`` weight from one encoder to another, in
+    schedule order."""
+    for i in range(len(names)):
+        if current[i] < delta - SIMPLEX_TOLERANCE:
+            continue
+        for j in range(len(names)):
+            if i == j:
+                continue
+            cand = current.copy()
+            cand[i] -= delta
+            if cand[i] < 1e-12:
+                cand[i] = 0.0
+            cand[j] += delta
+            yield f"move:{names[i]}->{names[j]}:{delta}", cand
 
 
 def fit(
@@ -260,7 +207,7 @@ def fit(
     search, the threshold surface of every fold at those weights, and the
     pair ``cfg.threshold_strategy`` selects from the surfaces."""
     weights, log = optimize_weights(data, cfg)
-    surfaces = fold_surfaces(data, weights.weights, cfg)
+    surfaces = fold_surfaces(data, data.fuse(weights.weights), cfg)
     thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
     return weights, log, surfaces, thresholds
 

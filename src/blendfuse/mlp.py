@@ -22,6 +22,7 @@ from .labels import mean_kl, softmax
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # fraction of the batch statistic folded into the running stats
+DEFAULT_PATIENCE = 80
 CHECKPOINT_VERSION = 1
 
 
@@ -37,7 +38,7 @@ class MlpConfig:
     lr: float = 1e-3
     momentum: float = 0.9
     max_epochs: int = 500
-    patience: int = 80
+    patience: Optional[int] = None  # None: DEFAULT_PATIENCE, capped at max_epochs
     batch_size: int = 64
     seed: int = 0
 
@@ -49,10 +50,16 @@ class MlpConfig:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not 0 < self.lr < math.inf:
             raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
+        if self.max_epochs < 1:
+            raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs!r}")
+        if self.batch_size < 2:
+            raise ValidationError(f"batch_size must be >= 2 for batchnorm, got {self.batch_size!r}")
+        if self.patience is None:
+            object.__setattr__(self, "patience", min(DEFAULT_PATIENCE, self.max_epochs))
+        if self.patience < 0:
+            raise ValidationError(f"patience must be >= 0, got {self.patience!r}")
         if self.patience > self.max_epochs:
             raise ValidationError("patience cannot exceed max_epochs")
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ValidationError("max_epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -172,12 +172,11 @@ class TruthArrays:
 @dataclass(frozen=True)
 class _OutcomeTable:
     """Presence/salience correctness of every possible discrete outcome of a
-    video: single(i1), single(other-than-neutral), 50/50 blend, 70/30 blend."""
+    video: single(i1), single(other-than-neutral), 50/50 blend, 70/30 blend.
+    A single outcome that matches presence matches salience too."""
 
-    okp_single_i1: np.ndarray
-    oks_single_i1: np.ndarray
-    okp_single_other: np.ndarray
-    oks_single_other: np.ndarray
+    ok_single_i1: np.ndarray
+    ok_single_other: np.ndarray
     okp_blend: np.ndarray
     oks_blend50: np.ndarray
     oks_blend70: np.ndarray
@@ -188,28 +187,16 @@ def _outcome_table(pre: _VideoPrecompute, truth: TruthArrays) -> _OutcomeTable:
     truth_single = t2 < 0
     tlo = np.where(truth_single, t1, np.minimum(t1, t2))
     thi = np.where(truth_single, t1, np.maximum(t1, t2))
-
-    def single_ok(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        okp = truth_single & (t1 == idx)
-        return okp, okp  # presence match implies full match for singles
-
-    okp_single_i1, oks_single_i1 = single_ok(pre.i1)
-    okp_single_other, oks_single_other = single_ok(pre.single_other)
-
     plo = np.minimum(pre.i1, pre.i2)
     phi = np.maximum(pre.i1, pre.i2)
     okp_blend = ~truth_single & (tlo == plo) & (thi == phi)
-    oks_blend50 = okp_blend & (sal == 50)
-    # 70/30 credit requires the dominant emotion to match the truth's dominant.
-    oks_blend70 = ~truth_single & (sal == 70) & (t1 == pre.i1) & (t2 == pre.i2)
     return _OutcomeTable(
-        okp_single_i1,
-        oks_single_i1,
-        okp_single_other,
-        oks_single_other,
-        okp_blend,
-        oks_blend50,
-        oks_blend70,
+        ok_single_i1=truth_single & (t1 == pre.i1),
+        ok_single_other=truth_single & (t1 == pre.single_other),
+        okp_blend=okp_blend,
+        oks_blend50=okp_blend & (sal == 50),
+        # 70/30 credit requires the dominant emotion to match the truth's dominant.
+        oks_blend70=~truth_single & (sal == 70) & (t1 == pre.i1) & (t2 == pre.i2),
     )
 
 
@@ -266,10 +253,9 @@ def _surface_counts(
     m = np.searchsorted(b_sorted, pre.gap, side="left")
 
     neutral = pre.neutral_top2
-    okp_single = table.okp_single_i1.astype(np.int64)
-    oks_single = table.oks_single_i1.astype(np.int64)
-    d_p = np.where(neutral, table.okp_single_other, table.okp_blend) - okp_single
-    d_s70 = np.where(neutral, table.oks_single_other, table.oks_blend70) - oks_single
+    ok_single = table.ok_single_i1.astype(np.int64)
+    d_p = np.where(neutral, table.ok_single_other, table.okp_blend) - ok_single
+    d_s70 = np.where(neutral, table.ok_single_other, table.oks_blend70) - ok_single
     d_s50 = np.where(neutral, 0, table.oks_blend50.astype(np.int64) - table.oks_blend70)
 
     def histogram(bins: np.ndarray, delta: np.ndarray, size: int) -> np.ndarray:
@@ -285,8 +271,8 @@ def _surface_counts(
     s_50 = histogram(k * (n_b + 1) + m, d_s50, (n_a + 1) * (n_b + 1)).reshape(n_a + 1, n_b + 1)
     s_50 = np.cumsum(above(s_50), axis=1)[:, :n_b]
 
-    count_p = np.broadcast_to(okp_single.sum() + p_alpha[:, None], (n_a, n_b))
-    count_s = oks_single.sum() + s_alpha[:, None] + s_50
+    count_p = np.broadcast_to(ok_single.sum() + p_alpha[:, None], (n_a, n_b))
+    count_s = ok_single.sum() + s_alpha[:, None] + s_50
     return count_p[a_inv][:, b_inv], count_s[a_inv][:, b_inv]
 
 
@@ -304,16 +290,11 @@ def point_counts(
     both = (pre.p2 > 0.0) & (pre.p2 >= alpha)
     is50 = pre.gap <= beta
     blend_s = np.where(is50, table.oks_blend50, table.oks_blend70)
-    okp = np.where(
-        pre.neutral_top2,
-        np.where(both, table.okp_single_other, table.okp_single_i1),
-        np.where(both, table.okp_blend, table.okp_single_i1),
-    )
-    oks = np.where(
-        pre.neutral_top2,
-        np.where(both, table.oks_single_other, table.oks_single_i1),
-        np.where(both, blend_s, table.oks_single_i1),
-    )
+    # Both entries survive as a blend unless one is neutral, which leaves a single.
+    blend = both & ~pre.neutral_top2
+    single = np.where(both, table.ok_single_other, table.ok_single_i1)
+    okp = np.where(blend, table.okp_blend, single)
+    oks = np.where(blend, blend_s, single)
     return int(okp.sum()), int(oks.sum())
 
 

@@ -10,6 +10,7 @@ optimal salience threshold while the presence threshold stays put.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
@@ -52,13 +53,13 @@ class SynthConfig:
         if self.n_actors < 1 or self.clips_per_actor < 1:
             raise ValidationError("need at least one actor and one clip per actor")
         mix = self.label_mix
-        if len(mix) != 3 or abs(sum(mix) - 1.0) > 1e-9 or any(m < 0 for m in mix):
-            raise ValidationError(f"label_mix must be three non-negative shares summing to 1: {mix!r}")
+        if len(mix) != 3 or not all(0.0 <= m < math.inf for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
+            raise ValidationError(f"label_mix must be three finite non-negative shares summing to 1: {mix!r}")
         lo, hi = self.actor_gap_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValidationError(f"actor_gap_range must satisfy 0 < lo <= hi < 1: {self.actor_gap_range!r}")
-        if self.noise_sigma < 0.0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if not 0.0 <= self.noise_sigma < math.inf:  # also false for NaN
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
 
 @dataclass(frozen=True)

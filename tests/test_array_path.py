@@ -116,7 +116,7 @@ def test_fused_rows_and_surfaces_match_scalar_path(inputs):
     cfg = PostprocessConfig(ThresholdPair(0.1, 0.1), NEUTRAL, renormalize_before_beta=True)
     surfaces = fold_surfaces(
         data,
-        weights.weights,
+        fused,
         CrossValConfig(
             alpha_grid=GRID, beta_grid=GRID, neutral_index=NEUTRAL, renormalize_before_beta=True
         ),

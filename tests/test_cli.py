@@ -105,7 +105,16 @@ class TestSynthAndSplit:
         assert {r.actor_id for r in records} == set(assignment.folds)
 
     @pytest.mark.parametrize(
-        "flags", [["--mix", "0.5,0.5"], ["--mix", "0.5,x,0.5"], ["--gap-lo", "0.5"], ["--actors", "0"]]
+        "flags",
+        [
+            ["--mix", "0.5,0.5"],
+            ["--mix", "0.5,x,0.5"],
+            ["--mix", "nan,0.5,0.5"],
+            ["--gap-lo", "0.5"],
+            ["--actors", "0"],
+            ["--noise-sigma", "nan"],
+            ["--noise-sigma", "inf"],
+        ],
     )
     def test_bad_synth_flag_is_config_error(self, tmp_path, flags):
         assert run("synth", *flags, "--out", tmp_path / "data") == EXIT_CONFIG
@@ -256,6 +265,13 @@ class TestFuseEvaluate:
 
     def test_bad_flag_is_config_error(self, tmp_path):
         assert run("fuse-evaluate", "--no-such-flag") == EXIT_CONFIG
+
+    def test_seed_flag_is_rejected(self, tmp_path):
+        # The run config's seed key stays; no flag overrides it.
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        cfg_path = self.make_config(tmp_path, data, make_folds(tmp_path, data))
+        assert run("fuse-evaluate", "--config", cfg_path, "--seed", 1) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["alpha_grid", "beta_grid"])
     @pytest.mark.parametrize("grid", BAD_GRIDS)
@@ -539,6 +555,8 @@ class TestTrainMlp:
             ["--hidden", "8,x"],
             ["--dropout", "1.5"],
             ["--batch-size", "0"],
+            ["--batch-size", "1"],
+            ["--patience", "-3"],
             ["--epochs", "10", "--patience", "11"],
             ["--epochs", "0", "--patience", "0"],
             ["--seed", "-1"],
@@ -553,6 +571,22 @@ class TestTrainMlp:
         monkeypatch.setattr(features, "load_feature_file", no_reads)
         code = run("train-mlp", *flags_of(inputs), *flags, "--out", tmp_path / "mlp")
         assert code == EXIT_CONFIG
+
+    def test_epochs_alone_caps_the_default_patience(self, tmp_path):
+        inputs = feature_inputs(tmp_path)
+        out = tmp_path / "mlp"
+        assert run("train-mlp", *flags_of(inputs), "--hidden", "4", "--epochs", 10, "--out", out) == EXIT_OK
+        resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
+        assert (resolved["epochs"], resolved["patience"]) == (10, 10)
+
+    def test_empty_fold_is_data_error(self, tmp_path, capsys):
+        inputs = feature_inputs(tmp_path)
+        with open(inputs["--folds"], "a", encoding="utf-8") as fh:
+            fh.write("ghost,2\n")
+        code = run("train-mlp", *flags_of(inputs), "--hidden", "4", "--epochs", 2, "--patience", 2,
+                   "--out", tmp_path / "mlp")
+        assert code == EXIT_DATA
+        assert "fold 2 holds no labeled videos" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--features", "--labels", "--folds"])
     def test_missing_input_is_config_error(self, tmp_path, capsys, flag):

@@ -214,6 +214,16 @@ class TestCrossValidate:
         with pytest.raises(ValidationError, match="^fold 1 holds no labeled videos$"):
             FusionDataset.build([oracle_predictions(records)], records, folds)
 
+    def test_videos_by_fold_rejects_an_empty_fold(self):
+        records = blended_records(np.random.default_rng(0), ["a0", "a1"], 4)
+        folds = FoldAssignment({"a0": 0, "a1": 1, "ghost": 2}, 3)
+        with pytest.raises(ValidationError, match="^fold 2 holds no labeled videos$"):
+            folds.videos_by_fold(records)
+        assert FoldAssignment({"a0": 0, "a1": 1}, 2).videos_by_fold(records) == {
+            0: [r.video_id for r in records if r.actor_id == "a0"],
+            1: [r.video_id for r in records if r.actor_id == "a1"],
+        }
+
 
 class TestCrossValConfig:
     def test_grids_default_to_default_grid(self):

@@ -1,5 +1,7 @@
 """Late fusion, simplex weights, and the weight search strategies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,10 @@ from blendfuse.core import (
 )
 from blendfuse.evaluation import CrossValConfig, FusionDataset
 from blendfuse.fusion import (
+    COORDINATE_DELTAS,
+    SIMPLEX_TOLERANCE,
     WeightVector,
+    _simplex_grid,
     fuse,
     load_weights,
     optimize_weights,
@@ -26,7 +31,7 @@ from blendfuse.fusion import (
     save_weights,
     validate_simplex,
 )
-from blendfuse.postprocess import ThresholdPair
+from blendfuse.postprocess import ThresholdPair, point_counts, threshold_surface
 
 # Reported fusion weights of the two ensemble configurations, rounded to
 # three decimals (sums 0.999 and 1.000).
@@ -269,3 +274,146 @@ class TestOptimizeWeights:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,candidate_id,objective"
         assert len(lines) == 23
+
+
+def reference_search(data, cfg):
+    """The weight search written out on its own: fold rows sliced here, and
+    one hand-written tie-break loop per strategy.  Returns the weights and
+    the log as (step, candidate id, objective) triples."""
+    fold_rows = [np.flatnonzero(data.fold == f) for f in data.fold_ids]
+    fold_truths = [data.truth.take(idx) for idx in fold_rows]
+    pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
+
+    def evaluate(weights):
+        fused = np.tensordot(weights, data.probs, axes=(0, 0))
+        scores = []
+        for idx, truth in zip(fold_rows, fold_truths):
+            sub = fused[idx]
+            if cfg.joint_threshold_search:
+                surface = threshold_surface(sub, truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg)
+                scores.append(surface.best_score())
+            else:
+                cp, cs = point_counts(sub, truth, pp_cfg)
+                n = len(idx)
+                scores.append(0.5 * (cp / n + cs / n))
+        return sum(scores) / len(scores)
+
+    def l1_to_uniform(weights):
+        return float(np.abs(weights - 1.0 / weights.size).sum())
+
+    names = data.encoders
+    m = len(names)
+    log = []
+    if m == 1:
+        log.append((0, "single", evaluate(np.array([1.0]))))
+        return {names[0]: 1.0}, log
+
+    if cfg.fusion_strategy == "exhaustive":
+        candidates = [("uniform", np.full(m, 1.0 / m))]
+        for i, pt in enumerate(_simplex_grid(m, cfg.exhaustive_step)):
+            candidates.append((f"grid:{i}", np.asarray(pt)))
+        best_w, best_obj, best_l1 = None, -math.inf, math.inf
+        for step, (cid, w) in enumerate(candidates):
+            obj = evaluate(w)
+            log.append((step, cid, obj))
+            l1 = l1_to_uniform(w)
+            if obj > best_obj or (obj == best_obj and l1 < best_l1):
+                best_w, best_obj, best_l1 = w, obj, l1
+        return dict(zip(names, best_w.tolist())), log
+
+    current = np.full(m, 1.0 / m)
+    current_obj = evaluate(current)
+    log.append((0, "uniform", current_obj))
+    step = 1
+    for delta in COORDINATE_DELTAS:
+        improved = True
+        while improved:
+            improved = False
+            best_move = None
+            for i in range(m):
+                if current[i] < delta - SIMPLEX_TOLERANCE:
+                    continue
+                for j in range(m):
+                    if i == j:
+                        continue
+                    cand = current.copy()
+                    cand[i] -= delta
+                    if cand[i] < 1e-12:
+                        cand[i] = 0.0
+                    cand[j] += delta
+                    cid = f"move:{names[i]}->{names[j]}:{delta}"
+                    obj = evaluate(cand)
+                    log.append((step, cid, obj))
+                    step += 1
+                    if obj <= current_obj:
+                        continue
+                    l1 = l1_to_uniform(cand)
+                    if best_move is None or obj > best_move[1] or (
+                        obj == best_move[1] and l1 < best_move[2]
+                    ):
+                        best_move = (cand, obj, l1)
+            if best_move is not None:
+                current, current_obj = best_move[0], best_move[1]
+                improved = True
+    return dict(zip(names, current.tolist())), log
+
+
+def _oracle_and_uniform(n_actors=4, clips_per_actor=6, with_uniform=True):
+    records, oracle, folds = exact_oracle_fixture(
+        np.random.default_rng(11), n_actors=n_actors, clips_per_actor=clips_per_actor
+    )
+    preds = [oracle, uniform_encoder("uniform", records)] if with_uniform else [oracle]
+    return FusionDataset.build(preds, records, folds)
+
+
+JOINT_GRIDS = dict(
+    joint_threshold_search=True, alpha_grid=(0.0, 0.05, 0.1, 0.2), beta_grid=(0.0, 0.1, 0.2, 0.4)
+)
+FIXED = ThresholdPair(0.1, 0.2)
+
+# (case, dataset builder, search settings)
+SEARCH_CASES = [
+    ("single", lambda: _oracle_and_uniform(with_uniform=False), dict(initial_thresholds=FIXED)),
+    ("coordinate_ascent", lambda: FusionDataset.build(*_ladder(1)),
+     dict(initial_thresholds=LADDER_THRESHOLDS)),
+    ("exhaustive", _oracle_and_uniform,
+     dict(fusion_strategy="exhaustive", initial_thresholds=FIXED)),
+    ("joint_exhaustive", _oracle_and_uniform,
+     dict(fusion_strategy="exhaustive", initial_thresholds=FIXED, **JOINT_GRIDS)),
+    ("joint_coordinate_ascent", lambda: FusionDataset.build(*_ladder(1)),
+     dict(initial_thresholds=LADDER_THRESHOLDS, **JOINT_GRIDS)),
+    ("tied_moves", lambda: FusionDataset.build(*_ladder(2)),
+     dict(initial_thresholds=LADDER_THRESHOLDS)),
+    ("tied_grid", lambda: FusionDataset.build(*_ladder(2)),
+     dict(fusion_strategy="exhaustive", exhaustive_step=0.1, initial_thresholds=LADDER_THRESHOLDS)),
+]
+
+
+def _ladder(n_uniform):
+    records, preds, folds = ladder_fixture(n_uniform=n_uniform)
+    return preds, records, folds
+
+
+class TestSearchMatchesReference:
+    """The shared objective and candidate rule reproduce the written-out
+    search: the same weights and, entry by entry, the same log."""
+
+    @pytest.mark.parametrize("build, settings", [c[1:] for c in SEARCH_CASES], ids=[c[0] for c in SEARCH_CASES])
+    def test_weights_and_log_match(self, build, settings):
+        data = build()
+        cfg = CrossValConfig(**settings)
+        expected_weights, expected_log = reference_search(data, cfg)
+        weights, log = optimize_weights(data, cfg)
+        assert weights.weights == expected_weights
+        assert [(e.step, e.candidate_id, e.objective.hex()) for e in log] == [
+            (step, cid, obj.hex()) for step, cid, obj in expected_log
+        ]
+
+    def test_tied_moves_case_ties(self):
+        # Moving mass from either of two identical encoders scores the same
+        # at the same L1 distance, so only the first-candidate rule decides.
+        data = FusionDataset.build(*_ladder(2))
+        _, log = reference_search(data, CrossValConfig(initial_thresholds=LADDER_THRESHOLDS))
+        first_round = {cid: obj for _, cid, obj in log[1:7]}
+        assert first_round["move:u0->oracle:0.1"] == first_round["move:u1->oracle:0.1"]
+        assert first_round["move:u0->oracle:0.1"] > log[0][2]

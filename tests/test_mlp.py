@@ -259,6 +259,16 @@ class TestTrain:
         with pytest.raises(ValidationError):
             MlpConfig(max_epochs=10, patience=11)
 
+    def test_omitted_patience_is_capped_at_max_epochs(self):
+        assert MlpConfig().patience == 80
+        assert MlpConfig(max_epochs=10).patience == 10
+        assert MlpConfig(max_epochs=10, patience=0).patience == 0
+
+    @pytest.mark.parametrize("settings", [dict(patience=-1), dict(batch_size=1)])
+    def test_negative_patience_and_single_row_batches_rejected(self, settings):
+        with pytest.raises(ValidationError):
+            MlpConfig(**settings)
+
 
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
