@@ -28,6 +28,7 @@ import numpy as np
 from . import core, features, fusion, labels as labels_mod, mlp, plots, synth
 from .core import SampleRecord, ValidationError
 from .evaluation import (
+    MAX_GRID_VALUES,
     RESULTS_HEADER,
     CrossValConfig,
     CrossValReport,
@@ -137,10 +138,6 @@ def _number_list(flag: str, value: Optional[str], kind: type) -> Optional[tuple[
         return tuple(kind(v) for v in value.split(","))
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated {kind.__name__} values, got {value!r}") from None
-
-
-# Grids larger than this would make each fold surface hold millions of cells.
-MAX_GRID_VALUES = 10_001
 
 
 def _unit_values(values: Sequence[Any], name: str) -> tuple[float, ...]:

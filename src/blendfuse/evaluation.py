@@ -158,11 +158,10 @@ def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
 
 
 class FoldRows(NamedTuple):
-    """One fold of a :class:`FusionDataset`: its videos' rows and truth."""
+    """One fold of a :class:`FusionDataset`: its videos' rows."""
 
     fold: int
     rows: np.ndarray  # indices into the dataset's videos
-    truth: TruthArrays
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,13 @@ class FusionDataset:
     truth: TruthArrays
     fold: np.ndarray  # fold index of each video
     fold_ids: tuple[int, ...]  # every fold, each holding at least one video
+    fold_position: np.ndarray = field(init=False, repr=False, compare=False)  # in fold_ids
     folds: tuple[FoldRows, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = [np.flatnonzero(self.fold == f) for f in self.fold_ids]
-        split = tuple(FoldRows(f, idx, self.truth.take(idx)) for f, idx in zip(self.fold_ids, rows))
+        position = np.searchsorted(self.fold_ids, self.fold)
+        split = tuple(FoldRows(f, np.flatnonzero(position == i)) for i, f in enumerate(self.fold_ids))
+        object.__setattr__(self, "fold_position", position)
         object.__setattr__(self, "folds", split)
 
     @classmethod
@@ -240,7 +241,7 @@ class FusionDataset:
         return FusionDataset(
             self.encoders,
             tuple(self.video_ids[i] for i in keep.tolist()),
-            self.probs[:, keep],
+            self.probs.take(keep, axis=1),  # C-contiguous, unlike probs[:, keep]: a faster tensordot
             self.truth.take(keep),
             self.fold[keep],
             tuple(f for f in self.fold_ids if f != fold),
@@ -262,12 +263,12 @@ def fold_surfaces(
     data: FusionDataset, fused: np.ndarray, cfg: CrossValConfig
 ) -> dict[int, ThresholdSurface]:
     """Threshold surface over ``cfg``'s grids of every fold of ``data``, from
-    ``fused``, the fused row of each of its videos."""
+    ``fused``, the fused row of each of its videos, in one sweep."""
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
-    return {
-        f: threshold_surface(fused[rows], truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg)
-        for f, rows, truth in data.folds
-    }
+    surfaces = threshold_surface(
+        fused, data.truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg, data.fold_position
+    )
+    return dict(zip(data.fold_ids, surfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +278,20 @@ def fold_surfaces(
 
 FUSION_STRATEGIES = ("coordinate_ascent", "exhaustive")
 
+# Grids larger than this would make each fold surface hold millions of
+# cells, or the exhaustive weight search score as many candidates.
+MAX_GRID_VALUES = 10_001
+
 
 def grid_units(step: float) -> int:
-    """Steps from 0 to 1 of the exhaustive weight grid; ``step`` must divide 1 evenly."""
+    """Steps from 0 to 1 of the exhaustive weight grid; ``step`` must divide 1
+    evenly, into a three-encoder grid of at most MAX_GRID_VALUES points."""
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"exhaustive_step {step!r} must be a positive number")
+    if (1.0 / step + 1) * (1.0 / step + 2) / 2 > MAX_GRID_VALUES:  # inf when step is tiny
+        raise ValidationError(
+            f"exhaustive_step {step!r} makes a three-encoder grid of more than {MAX_GRID_VALUES} points"
+        )
     units = round(1.0 / step)
     if abs(units * step - 1.0) > 1e-9:
         raise ValidationError(f"exhaustive_step {step!r} must divide 1 evenly")
@@ -415,9 +425,12 @@ def load_folds(path: str | Path) -> FoldAssignment:
     folds = {}
     for lineno, row in read_csv_rows(path, FOLDS_HEADER):
         try:
-            folds[row[0]] = int(row[1])
+            actor, fold = row[0], int(row[1])
         except (IndexError, ValueError):
             raise ValidationError(f"{path}:{lineno}: bad fold row {row!r}") from None
+        if actor in folds:
+            raise ValidationError(f"{path}:{lineno}: actor {actor!r} is listed twice")
+        folds[actor] = fold
     if not folds:
         raise ValidationError(f"{path}: no fold assignments")
     return FoldAssignment(folds, max(folds.values()) + 1)

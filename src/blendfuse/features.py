@@ -240,9 +240,11 @@ def save_feature_manifest(
 
 def load_feature_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     path = Path(path)
-    entries = []
+    entries: dict[str, tuple[str, str, str]] = {}
     for lineno, row in read_csv_rows(path, MANIFEST_HEADER):
         if len(row) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 fields")
-        entries.append((row[0], row[1], row[2]))
-    return entries
+        if row[0] in entries:
+            raise ValidationError(f"{path}:{lineno}: video {row[0]!r} is listed twice")
+        entries[row[0]] = (row[0], row[1], row[2])
+    return list(entries.values())

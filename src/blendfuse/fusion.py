@@ -136,6 +136,7 @@ def optimize_weights(
     names = data.encoders
     m = len(names)
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
+    sizes = np.array([len(rows) for _, rows in data.folds])
     log: list[SearchLogEntry] = []
 
     def objective(weights: np.ndarray) -> float:
@@ -143,10 +144,8 @@ def optimize_weights(
         if cfg.joint_threshold_search:
             scores = [surface.best_score() for surface in fold_surfaces(data, fused, cfg).values()]
         else:
-            scores = []
-            for _, rows, truth in data.folds:
-                cp, cs = point_counts(fused[rows], truth, pp_cfg)
-                scores.append(0.5 * (cp / len(rows) + cs / len(rows)))
+            cp, cs = point_counts(fused, data.truth, pp_cfg, data.fold_position)
+            scores = (0.5 * (cp / sizes + cs / sizes)).tolist()
         mean = sum(scores) / len(scores)
         if not math.isfinite(mean):
             raise ValidationError(f"objective is not finite: {mean!r}")
@@ -237,6 +236,8 @@ def load_weights(path: str | Path, tol: float = ROUNDING_TOLERANCE) -> WeightVec
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(WEIGHTS_HEADER)} fields, got {len(row)}"
             )
+        if row[0] in weights:
+            raise ValidationError(f"{path}:{lineno}: encoder {row[0]!r} is listed twice")
         try:
             weights[row[0]] = float(row[1])
         except ValueError:

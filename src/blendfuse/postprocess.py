@@ -112,92 +112,106 @@ def discretize(p: EmotionDistribution, cfg: PostprocessConfig) -> DiscretePredic
 # ---------------------------------------------------------------------------
 
 
+# Bit of each emotion in a set code, and the lowest set bit (the first
+# emotion) of every 6-bit mask.
+_BIT = 1 << np.arange(N_EMOTIONS, dtype=np.uint8)
+_LOWEST_BIT = np.array([0] + [(c & -c).bit_length() - 1 for c in range(1, 1 << N_EMOTIONS)])
+
+
+def _outcome_codes(
+    first: np.ndarray, second: np.ndarray, salience: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Set and salience codes of outcomes ``(first, second, salience)``,
+    ``second`` -1 for a single emotion.  Two outcomes have equal set codes
+    exactly when their emotion sets match, and equal salience codes exactly
+    when they also match in split and, for 70/30, in direction.  A single
+    emotion's salience code is its set code."""
+    set_code = _BIT[first] | np.where(second >= 0, _BIT[second], 0)
+    blend = np.where(salience == 50, 64 + set_code, 128 + 8 * first + second)
+    return set_code, np.where(salience == 100, set_code, blend).astype(np.uint8)
+
+
+def _pair_outcomes(neutral_index: Optional[int]) -> tuple[np.ndarray, ...]:
+    """Set code and 50/50 and 70/30 salience codes of the outcome when both
+    top-2 entries survive alpha, at ``6 * i1 + i2``: the blend, or the single
+    non-neutral entry when the other one is neutral."""
+    i1, i2 = np.divmod(np.arange(N_EMOTIONS**2), N_EMOTIONS)
+    set_code, sal50 = _outcome_codes(i1, i2, np.full(i1.size, 50))
+    sal70 = _outcome_codes(i1, i2, np.full(i1.size, 70))[1]
+    if neutral_index is None:
+        return set_code, sal50, sal70
+    collapse = (i1 == neutral_index) | (i2 == neutral_index)
+    single = _BIT[np.where(i1 == neutral_index, i2, i1)]
+    return tuple(np.where(collapse, single, code) for code in (set_code, sal50, sal70))
+
+
 @dataclass(frozen=True)
 class _VideoPrecompute:
     """Per-video quantities that fully determine the prediction at any
-    (alpha, beta): top-2 indices, their probabilities, and the salience gap."""
+    (alpha, beta): the top-2 indices, p2, the salience gap, and the codes of
+    the outcomes: single(i1) unless p2 survives alpha, else the pair outcome
+    at a 50/50 or a 70/30 split."""
 
     i1: np.ndarray
     i2: np.ndarray
     p2: np.ndarray
     gap: np.ndarray
-    neutral_top2: np.ndarray  # True where the neutral class is in the top-2
-    single_other: np.ndarray  # emitted single when neutral survives in a pair
+    single: np.ndarray  # set and salience code of single(i1)
+    pair_set: np.ndarray
+    pair_sal50: np.ndarray
+    pair_sal70: np.ndarray
+
+
+def _first_max(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of every column and the first row holding it."""
+    top = cols.max(axis=0)
+    mask = ((cols == top) * _BIT[:, None]).sum(axis=0, dtype=np.uint8)
+    return top, _LOWEST_BIT.take(mask)
 
 
 def _precompute(matrix: np.ndarray, cfg: PostprocessConfig) -> _VideoPrecompute:
-    # argmax returns the first maximum, so two passes give the same top-2
-    # (ties toward the lower index) as a stable descending sort.
-    n = np.arange(matrix.shape[0])
-    i1 = np.argmax(matrix, axis=1)
-    rest = np.array(matrix, dtype=np.float64)
-    rest[n, i1] = -np.inf
-    i2 = np.argmax(rest, axis=1)
-    p1, p2 = matrix[n, i1], matrix[n, i2]
-    if cfg.renormalize_before_beta:
-        gap = (p1 - p2) / (p1 + p2)
-    else:
-        gap = p1 - p2
-    if cfg.neutral_index is None:
-        neutral_top2 = np.zeros(matrix.shape[0], dtype=bool)
-        single_other = i1.copy()
-    else:
-        is_n1 = i1 == cfg.neutral_index
-        is_n2 = i2 == cfg.neutral_index
-        neutral_top2 = is_n1 | is_n2
-        single_other = np.where(is_n1, i2, i1)
-    return _VideoPrecompute(i1, i2, p2, gap, neutral_top2, single_other)
+    # Emotion-major copy, so each pass compares six contiguous rows; ties go
+    # to the lower index, as in a stable descending sort.
+    cols = np.array(matrix.T, dtype=np.float64, order="C")
+    p1, i1 = _first_max(cols)
+    cols[i1, np.arange(cols.shape[1])] = -np.inf
+    p2, i2 = _first_max(cols)
+    gap = (p1 - p2) / (p1 + p2) if cfg.renormalize_before_beta else p1 - p2
+    pair = N_EMOTIONS * i1 + i2
+    pair_set, sal50, sal70 = (code[pair] for code in _pair_outcomes(cfg.neutral_index))
+    return _VideoPrecompute(i1, i2, p2, gap, _BIT[i1], pair_set, sal50, sal70)
 
 
 @dataclass(frozen=True)
 class TruthArrays:
-    """Canonical ground truth of a video set as parallel integer arrays."""
+    """Canonical ground truth of a video set as outcome codes (see
+    :func:`_outcome_codes`), computed once and compared per candidate."""
 
-    t1: np.ndarray  # primary emotion
-    t2: np.ndarray  # secondary emotion, -1 for a single emotion
-    sal: np.ndarray  # salience of the primary: 100, 70 or 50
+    set_code: np.ndarray
+    sal_code: np.ndarray
 
     @classmethod
     def from_annotations(cls, truths: Sequence[BlendAnnotation]) -> "TruthArrays":
         return cls(
-            np.array([t.primary for t in truths], dtype=np.int64),
-            np.array([-1 if t.secondary is None else int(t.secondary) for t in truths], dtype=np.int64),
-            np.array([t.salience_primary for t in truths], dtype=np.int64),
+            *_outcome_codes(
+                np.array([t.primary for t in truths], dtype=np.int64),
+                np.array([-1 if t.secondary is None else int(t.secondary) for t in truths], dtype=np.int64),
+                np.array([t.salience_primary for t in truths], dtype=np.int64),
+            )
         )
 
     def take(self, idx: np.ndarray) -> "TruthArrays":
-        return TruthArrays(self.t1[idx], self.t2[idx], self.sal[idx])
+        return TruthArrays(self.set_code[idx], self.sal_code[idx])
 
 
-@dataclass(frozen=True)
-class _OutcomeTable:
-    """Presence/salience correctness of every possible discrete outcome of a
-    video: single(i1), single(other-than-neutral), 50/50 blend, 70/30 blend.
-    A single outcome that matches presence matches salience too."""
-
-    ok_single_i1: np.ndarray
-    ok_single_other: np.ndarray
-    okp_blend: np.ndarray
-    oks_blend50: np.ndarray
-    oks_blend70: np.ndarray
+def _pick(cond: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
+    # np.where for bool arrays; several times faster on irregular conditions.
+    return (cond & if_true) | (~cond & if_false)
 
 
-def _outcome_table(pre: _VideoPrecompute, truth: TruthArrays) -> _OutcomeTable:
-    t1, t2, sal = truth.t1, truth.t2, truth.sal
-    truth_single = t2 < 0
-    tlo = np.where(truth_single, t1, np.minimum(t1, t2))
-    thi = np.where(truth_single, t1, np.maximum(t1, t2))
-    plo = np.minimum(pre.i1, pre.i2)
-    phi = np.maximum(pre.i1, pre.i2)
-    okp_blend = ~truth_single & (tlo == plo) & (thi == phi)
-    return _OutcomeTable(
-        ok_single_i1=truth_single & (t1 == pre.i1),
-        ok_single_other=truth_single & (t1 == pre.single_other),
-        okp_blend=okp_blend,
-        oks_blend50=okp_blend & (sal == 50),
-        # 70/30 credit requires the dominant emotion to match the truth's dominant.
-        oks_blend70=~truth_single & (sal == 70) & (t1 == pre.i1) & (t2 == pre.i2),
-    )
+def _bin_sums(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    # Weights are -1, 0 or 1, so the float sums are exact integers.
+    return np.bincount(bins, weights=weights, minlength=size).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -231,18 +245,21 @@ def _surface_counts(
     alpha_grid: np.ndarray,
     beta_grid: np.ndarray,
     cfg: PostprocessConfig,
+    fold: np.ndarray,
+    n_folds: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Presence/salience hit counts at every (alpha, beta) grid cell.
+    """Presence/salience hit counts of every fold at every (alpha, beta)
+    grid cell, as ``(fold, alpha, beta)`` arrays.
 
     A video's outcome changes only where alpha crosses p2 and where beta
     crosses the gap, so the surface is its "single i1" base count plus
     histograms of outcome deltas over the sorted grid positions of those two
     crossings, swept by cumulative sums (as an ROC curve is built).  The
-    grids may be unsorted or hold duplicates: the sweep runs on the sorted
-    unique values and its cells are mapped back to grid order.
+    fold is the histograms' leading dimension.  The grids may be unsorted or
+    hold duplicates: the sweep runs on the sorted unique values and its
+    cells are mapped back to grid order.
     """
     pre = _precompute(matrix, cfg)
-    table = _outcome_table(pre, truth)
     a_sorted, a_inv = np.unique(alpha_grid, return_inverse=True)
     b_sorted, b_inv = np.unique(beta_grid, return_inverse=True)
     n_a, n_b = a_sorted.size, b_sorted.size
@@ -252,50 +269,49 @@ def _surface_counts(
     # The 50/50 split holds exactly at sorted beta indices >= m.
     m = np.searchsorted(b_sorted, pre.gap, side="left")
 
-    neutral = pre.neutral_top2
-    ok_single = table.ok_single_i1.astype(np.int64)
-    d_p = np.where(neutral, table.ok_single_other, table.okp_blend) - ok_single
-    d_s70 = np.where(neutral, table.ok_single_other, table.oks_blend70) - ok_single
-    d_s50 = np.where(neutral, 0, table.oks_blend50.astype(np.int64) - table.oks_blend70)
-
-    def histogram(bins: np.ndarray, delta: np.ndarray, size: int) -> np.ndarray:
-        # Deltas are -1, 0 or 1, so the float sums are exact integers.
-        return np.bincount(bins, weights=delta, minlength=size).astype(np.int64)
+    ok_single = (truth.set_code == pre.single).view(np.int8)
+    ok_s70 = (truth.sal_code == pre.pair_sal70).view(np.int8)
+    d_p = (truth.set_code == pre.pair_set).view(np.int8) - ok_single
+    d_s50 = (truth.sal_code == pre.pair_sal50).view(np.int8) - ok_s70
 
     def above(hist: np.ndarray) -> np.ndarray:
-        # Row j sums the histogram over k > j: the videos whose pair survives alpha j.
-        return np.cumsum(hist[::-1], axis=0)[::-1][1:]
+        # Row j of a fold sums its histogram over k > j: the videos whose pair survives alpha j.
+        return np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:]
 
-    p_alpha = above(histogram(k, d_p, n_a + 1))
-    s_alpha = above(histogram(k, d_s70, n_a + 1))
-    s_50 = histogram(k * (n_b + 1) + m, d_s50, (n_a + 1) * (n_b + 1)).reshape(n_a + 1, n_b + 1)
-    s_50 = np.cumsum(above(s_50), axis=1)[:, :n_b]
+    fold_k = fold * (n_a + 1) + k
+    shape = (n_folds, n_a + 1)
+    p_alpha = above(_bin_sums(fold_k, d_p, n_folds * (n_a + 1)).reshape(shape))
+    s_alpha = above(_bin_sums(fold_k, ok_s70 - ok_single, n_folds * (n_a + 1)).reshape(shape))
+    s_50 = _bin_sums(fold_k * (n_b + 1) + m, d_s50, n_folds * (n_a + 1) * (n_b + 1))
+    s_50 = np.cumsum(above(s_50.reshape(*shape, n_b + 1)), axis=2)[:, :, :n_b]
 
-    count_p = np.broadcast_to(ok_single.sum() + p_alpha[:, None], (n_a, n_b))
-    count_s = ok_single.sum() + s_alpha[:, None] + s_50
-    return count_p[a_inv][:, b_inv], count_s[a_inv][:, b_inv]
+    base = _bin_sums(fold, ok_single, n_folds)[:, None, None]
+    count_p = np.broadcast_to(base + p_alpha[:, :, None], (n_folds, n_a, n_b))
+    count_s = base + s_alpha[:, :, None] + s_50
+    return count_p[:, a_inv][:, :, b_inv], count_s[:, a_inv][:, :, b_inv]
 
 
 def point_counts(
     matrix: np.ndarray,
     truth: TruthArrays,
     cfg: PostprocessConfig,
-) -> tuple[int, int]:
+    fold: Optional[np.ndarray] = None,
+) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
     """Presence/salience hit counts for a stack of fused rows at one
     threshold pair; agrees exactly with per-row :func:`discretize` plus
-    counting."""
+    counting.  With ``fold``, the position (0, 1, ...) of each row's fold,
+    the counts are arrays with one entry per fold position."""
     alpha, beta = cfg.thresholds.alpha, cfg.thresholds.beta
     pre = _precompute(matrix, cfg)
-    table = _outcome_table(pre, truth)
     both = (pre.p2 > 0.0) & (pre.p2 >= alpha)
     is50 = pre.gap <= beta
-    blend_s = np.where(is50, table.oks_blend50, table.oks_blend70)
-    # Both entries survive as a blend unless one is neutral, which leaves a single.
-    blend = both & ~pre.neutral_top2
-    single = np.where(both, table.ok_single_other, table.ok_single_i1)
-    okp = np.where(blend, table.okp_blend, single)
-    oks = np.where(blend, blend_s, single)
-    return int(okp.sum()), int(oks.sum())
+    ok_single = truth.set_code == pre.single
+    ok_pair_s = _pick(is50, truth.sal_code == pre.pair_sal50, truth.sal_code == pre.pair_sal70)
+    okp = _pick(both, truth.set_code == pre.pair_set, ok_single)
+    oks = _pick(both, ok_pair_s, ok_single)
+    if fold is None:
+        return int(okp.sum()), int(oks.sum())
+    return _bin_sums(fold, okp, 0), _bin_sums(fold, oks, 0)
 
 
 def threshold_surface(
@@ -304,9 +320,12 @@ def threshold_surface(
     alpha_grid: Sequence[float],
     beta_grid: Sequence[float],
     cfg: PostprocessConfig,
-) -> ThresholdSurface:
+    fold: Optional[np.ndarray] = None,
+) -> ThresholdSurface | list[ThresholdSurface]:
     """Score surface over the (alpha, beta) grid for a stack of fused rows
-    (one per video, in the order of ``truth``)."""
+    (one per video, in the order of ``truth``).  With ``fold``, the position
+    (0, 1, ...) of each row's fold, the surfaces of every fold position from
+    one sweep, as a list."""
     a = np.asarray(list(alpha_grid), dtype=np.float64)
     b = np.asarray(list(beta_grid), dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -314,12 +333,17 @@ def threshold_surface(
     for grid, name in ((a, "alpha"), (b, "beta")):
         if not np.all((grid >= 0.0) & (grid <= 1.0)):  # also rejects NaN
             raise ValidationError(f"{name} grid values must be finite and lie in [0, 1]")
-    count_p, count_s = _surface_counts(matrix, truth, a, b, cfg)
-    n = matrix.shape[0]
-    acc_p = count_p / n
-    acc_s = count_s / n
+    position = np.zeros(matrix.shape[0], dtype=np.intp) if fold is None else fold
+    sizes = np.bincount(position, minlength=1)
+    count_p, count_s = _surface_counts(matrix, truth, a, b, cfg, position, sizes.size)
+    acc_p = count_p / sizes[:, None, None]
+    acc_s = count_s / sizes[:, None, None]
     score = 0.5 * (acc_p + acc_s)
-    return ThresholdSurface(tuple(a.tolist()), tuple(b.tolist()), acc_p, acc_s, score, n)
+    grids = tuple(a.tolist()), tuple(b.tolist())
+    surfaces = [
+        ThresholdSurface(*grids, acc_p[f], acc_s[f], score[f], n) for f, n in enumerate(sizes.tolist())
+    ]
+    return surfaces[0] if fold is None else surfaces
 
 
 def search_thresholds(

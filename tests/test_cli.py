@@ -254,6 +254,18 @@ class TestFuseEvaluate:
         )
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("step", [1e-6, 5e-324])
+    def test_oversized_exhaustive_grid_is_config_error_before_inputs_are_read(self, tmp_path, capsys, step):
+        # 1e-6 divides 1 into a grid of about 5e11 points; 1 / 5e-324 overflows.
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        (data / "labels.csv").write_text("not a labels file\n", encoding="utf-8")
+        cfg_path = self.make_config(
+            tmp_path, data, folds_path, fusion_strategy="exhaustive", exhaustive_step=step
+        )
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        assert f"exhaustive_step {step!r} makes a three-encoder grid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("missing", ["start", "stop", "step"])
     def test_grid_object_missing_key_is_config_error(self, tmp_path, capsys, missing):
         data = synth_dataset(tmp_path, actors=4, clips=6)
@@ -431,6 +443,32 @@ def test_input_that_is_not_utf8_is_an_error_naming_the_file(tmp_path, capsys, ca
     path.write_bytes(path.read_bytes() + b"\xff\n")
     assert run(*argv) == code
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["folds", "weights", "feature-manifest"])
+def test_repeated_key_is_data_error_naming_its_line(tmp_path, capsys, case):
+    # A repeated key used to overwrite the earlier row: the actor moved to its
+    # last fold, the weights file loaded as a simplex, the video was aggregated twice.
+    if case == "feature-manifest":
+        inputs = feature_inputs(tmp_path)
+        path = inputs["--features"] / "manifest.csv"
+        argv = ["aggregate", "--features", inputs["--features"], "--out", tmp_path / "agg",
+                "--layer-lo", 0, "--layer-hi", 0]
+    elif case == "weights":
+        path = tmp_path / "weights.csv"
+        path.write_text("encoder,weight\nenc_a,0.5\nenc_b,0.5\n", encoding="utf-8")
+        argv = ["verify-identities", "--weights", path]
+    else:
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        path = make_folds(tmp_path, data)
+        argv = ["fuse-evaluate", "--config", TestFuseEvaluate().make_config(tmp_path, data, path)]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    assert run(*argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    key = lines[1].split(",")[0]
+    assert f"{path}:{len(lines) + 1}: " in captured.err + captured.out
+    assert f"{key!r} is listed twice" in captured.err + captured.out
 
 
 class TestGridSizeBound:

@@ -12,6 +12,7 @@ from blendfuse.core import (
     ValidationError,
 )
 from blendfuse.evaluation import (
+    MAX_GRID_VALUES,
     CrossValConfig,
     EvalResult,
     FoldAssignment,
@@ -22,6 +23,7 @@ from blendfuse.evaluation import (
     save_folds,
     split_actors,
 )
+from blendfuse.fusion import _simplex_grid
 from blendfuse.labels import encode_soft_label
 from blendfuse.postprocess import DEFAULT_GRID
 
@@ -237,6 +239,8 @@ class TestCrossValConfig:
             ({"threshold_strategy": "median"}, "threshold_strategy"),
             ({"exhaustive_step": 0.3}, "exhaustive_step"),
             ({"exhaustive_step": 0.0}, "exhaustive_step"),
+            ({"exhaustive_step": 1e-6}, "exhaustive_step"),  # divides 1, too many grid points
+            ({"exhaustive_step": 5e-324}, "exhaustive_step"),  # 1 / step overflows
             ({"neutral_index": 6}, "neutral_index"),
             ({"neutral_index": -1}, "neutral_index"),
         ],
@@ -244,3 +248,8 @@ class TestCrossValConfig:
     def test_bad_setting_names_its_run_config_key(self, settings, key):
         with pytest.raises(ValidationError, match=key):
             CrossValConfig(**settings)
+
+    def test_exhaustive_grid_bound_admits_a_grid_below_it(self):
+        step = 1 / 128  # 129 * 130 / 2 = 8385 points; 1 / 160 would give 13041
+        CrossValConfig(fusion_strategy="exhaustive", exhaustive_step=step)
+        assert len(_simplex_grid(3, step)) == 8385 <= MAX_GRID_VALUES

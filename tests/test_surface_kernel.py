@@ -1,26 +1,30 @@
-"""The closed-form threshold surface against the scalar oracle, on every cell.
+"""The vectorized kernels against the scalar oracle, on every cell and fold.
 
 ``discretize`` plus ``evaluate`` scores one threshold pair one row at a
 time; ``threshold_surface`` scores a whole grid at once by sorting the grids
-and sweeping cumulative sums.  The property test below draws inputs where the
-sweep is easiest to get wrong: unsorted and duplicate grid values, grid
-values equal to a row's second entry or to its salience gap, zero entries
-and ties, with and without neutral collapse and gap renormalization.
+and sweeping cumulative sums, and ``point_counts`` scores one pair for every
+fold in one pass.  The property tests below draw inputs where these are
+easiest to get wrong: unsorted and duplicate grid values, grid values equal
+to a row's second entry or to its salience gap, zero entries and ties, rows
+in any fold order, with and without neutral collapse and gap
+renormalization.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blendfuse.core import BlendAnnotation, Emotion, EmotionDistribution, ValidationError
-from blendfuse.evaluation import evaluate
+from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate, fold_surfaces
 from blendfuse.postprocess import (
     PostprocessConfig,
     ThresholdPair,
     TruthArrays,
     _precompute,
     discretize,
+    point_counts,
     threshold_surface,
 )
 
@@ -86,6 +90,96 @@ def test_every_cell_matches_scalar_discretize(data):
             )
             result = evaluate({vid: discretize(p, point) for vid, p in dists.items()}, labels)
             assert surface.cell(ai, bi) == (result.acc_p, result.acc_s, result.score)
+
+
+def _unchecked(row):
+    """``row`` as a distribution without the checks: an all-zero row is none,
+    but the kernels take any non-negative matrix, and discretize reads only
+    the values."""
+    dist = object.__new__(EmotionDistribution)
+    object.__setattr__(dist, "values", tuple(row))
+    return dist
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_point_counts_match_scalar_discretize_per_fold(data):
+    weights = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=6, max_size=6), min_size=1, max_size=12))
+    rows = [tuple(w / sum(ws) if sum(ws) else 0.0 for w in ws) for ws in weights]
+    truths = [data.draw(_truth(), label="truth") for _ in rows]
+    fold = data.draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)), label="fold")
+    candidates = _critical_values([r for r in rows if sum(r)]) + [i / 20 for i in range(21)]
+    alpha = data.draw(st.sampled_from(candidates), label="alpha")
+    beta = data.draw(st.sampled_from(candidates), label="beta")
+    cfg = PostprocessConfig(
+        ThresholdPair(alpha, beta),
+        neutral_index=data.draw(st.none() | st.integers(0, 5), label="neutral_index"),
+        renormalize_before_beta=data.draw(st.booleans(), label="renormalize_before_beta"),
+    )
+
+    expected = np.zeros((2, max(fold) + 1), dtype=np.int64)
+    for row, truth, f in zip(rows, truths, fold):
+        result = evaluate({"v": discretize(_unchecked(row), cfg)}, {"v": truth})
+        expected[:, f] += (int(result.acc_p), int(result.acc_s))
+    matrix = np.array(rows, dtype=np.float64)
+    truth_arrays = TruthArrays.from_annotations(truths)
+    with np.errstate(invalid="ignore"):  # the renormalized gap of an all-zero row is 0/0
+        per_fold = point_counts(matrix, truth_arrays, cfg, np.array(fold))
+        pooled = point_counts(matrix, truth_arrays, cfg)
+    assert [c.tolist() for c in per_fold] == expected.tolist()
+    assert pooled == tuple(expected.sum(axis=1).tolist())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 300), st.just(6)),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    )
+)
+def test_top2_matches_stable_descending_sort_at_any_row_count(matrix):
+    order = np.argsort(-matrix, axis=1, kind="stable")
+    pre = _precompute(matrix, PostprocessConfig())
+    np.testing.assert_array_equal(pre.i1, order[:, 0])
+    np.testing.assert_array_equal(pre.i2, order[:, 1])
+    np.testing.assert_array_equal(pre.p2, matrix[np.arange(len(matrix)), order[:, 1]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fold_surfaces_match_per_fold_threshold_surface(data):
+    weights = data.draw(st.lists(_row_weights, min_size=3, max_size=12), label="weights")
+    rows = np.array([[w / sum(ws) for w in ws] for ws in weights])
+    truth = TruthArrays.from_annotations([data.draw(_truth(), label="truth") for _ in rows])
+    # Fold ids need not be 0..k-1; every fold holds at least one row.
+    fold_ids = data.draw(st.sets(st.integers(0, 6), min_size=1, max_size=3).map(sorted), label="fold_ids")
+    fold = data.draw(
+        st.lists(st.sampled_from(fold_ids), min_size=len(rows), max_size=len(rows)).filter(
+            lambda f: set(f) == set(fold_ids)
+        ),
+        label="fold",
+    )
+    candidates = _critical_values(rows.tolist()) + [i / 20 for i in range(21)]
+    grid = st.lists(st.sampled_from(candidates), min_size=1, max_size=6).map(tuple)
+    cfg = CrossValConfig(
+        alpha_grid=data.draw(grid, label="alpha_grid"),
+        beta_grid=data.draw(grid, label="beta_grid"),
+        neutral_index=data.draw(st.none() | st.integers(0, 5), label="neutral_index"),
+        renormalize_before_beta=data.draw(st.booleans(), label="renormalize_before_beta"),
+    )
+    dataset = FusionDataset(
+        ("enc",), tuple(f"v{i}" for i in range(len(rows))), rows[None], truth, np.array(fold), tuple(fold_ids)
+    )
+    surfaces = fold_surfaces(dataset, rows, cfg)
+    assert list(surfaces) == fold_ids
+    pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
+    for f, surface in surfaces.items():
+        idx = np.flatnonzero(np.array(fold) == f)
+        alone = threshold_surface(rows[idx], truth.take(idx), cfg.alpha_grid, cfg.beta_grid, pp_cfg)
+        assert (surface.alpha_grid, surface.beta_grid, surface.n) == (alone.alpha_grid, alone.beta_grid, idx.size)
+        for name in ("acc_p", "acc_s", "score"):
+            np.testing.assert_array_equal(getattr(surface, name), getattr(alone, name))
 
 
 def test_top2_matches_stable_descending_sort():
