@@ -101,6 +101,8 @@ def _load_manifest_records(path: Path) -> list[SampleRecord]:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), None)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if header == core.LABELS_HEADER:
@@ -489,7 +491,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     thresholds_path = out / "thresholds.json"
     _write_json(thresholds_path, report)
 
-    cv_report = cross_validate(tables, records, assignment, cv_cfg)
+    cv_report = cross_validate(tables, records, data, cv_cfg)
     results_path = out / "results.csv"
     save_results(cv_report, results_path)
     results_json = out / "results.json"

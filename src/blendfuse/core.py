@@ -273,8 +273,8 @@ def _format_float(x: float) -> str:
 def read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows after ``expected_header``, read one at a time, each
     with the number of the file line it ends on.  An empty file, another
-    header or bytes that are not UTF-8 are a :class:`ValidationError`
-    naming ``path``."""
+    header, bytes that are not UTF-8 or a path that cannot be read (such as
+    a directory) are a :class:`ValidationError` naming ``path``."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -288,6 +288,8 @@ def read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int,
             for row in reader:
                 if row:
                     yield reader.line_num, row
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -157,13 +157,6 @@ def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
 # ---------------------------------------------------------------------------
 
 
-class FoldRows(NamedTuple):
-    """One fold of a :class:`FusionDataset`: its videos' rows."""
-
-    fold: int
-    rows: np.ndarray  # indices into the dataset's videos
-
-
 @dataclass(frozen=True)
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
@@ -174,16 +167,8 @@ class FusionDataset:
     video_ids: tuple[str, ...]  # sorted
     probs: np.ndarray  # (encoders, videos, 6)
     truth: TruthArrays
-    fold: np.ndarray  # fold index of each video
     fold_ids: tuple[int, ...]  # every fold, each holding at least one video
-    fold_position: np.ndarray = field(init=False, repr=False, compare=False)  # in fold_ids
-    folds: tuple[FoldRows, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        position = np.searchsorted(self.fold_ids, self.fold)
-        split = tuple(FoldRows(f, np.flatnonzero(position == i)) for i, f in enumerate(self.fold_ids))
-        object.__setattr__(self, "fold_position", position)
-        object.__setattr__(self, "folds", split)
+    fold_position: np.ndarray  # position in fold_ids of each video's fold
 
     @classmethod
     def build(
@@ -226,25 +211,28 @@ class FusionDataset:
                     raise ValidationError(
                         f"encoder {name!r}, video {video_ids[v]!r}: {exc}"
                     ) from None
-        fold_of = {vid: f for f, vids in folds.videos_by_fold(records).items() for vid in vids}
+        by_fold = folds.videos_by_fold(records)  # in ascending fold order
+        position_of = {vid: i for i, vids in enumerate(by_fold.values()) for vid in vids}
         return cls(
             encoders,
             tuple(video_ids),
             probs,
             TruthArrays.from_annotations([truth[vid] for vid in video_ids]),
-            np.array([fold_of[vid] for vid in video_ids], dtype=np.int64),
-            tuple(folds.fold_indices()),
+            tuple(by_fold),
+            np.array([position_of[vid] for vid in video_ids], dtype=np.intp),
         )
 
-    def without_fold(self, fold: int) -> "FusionDataset":
-        keep = np.flatnonzero(self.fold != fold)
+    def without_fold(self, position: int) -> "FusionDataset":
+        """The videos of every fold but the one at ``position`` in ``fold_ids``."""
+        keep = np.flatnonzero(self.fold_position != position)
+        kept = self.fold_position[keep]
         return FusionDataset(
             self.encoders,
             tuple(self.video_ids[i] for i in keep.tolist()),
             self.probs.take(keep, axis=1),  # C-contiguous, unlike probs[:, keep]: a faster tensordot
             self.truth.take(keep),
-            self.fold[keep],
-            tuple(f for f in self.fold_ids if f != fold),
+            self.fold_ids[:position] + self.fold_ids[position + 1 :],
+            kept - (kept > position),
         )
 
     def fuse(self, weights: Mapping[str, float]) -> np.ndarray:
@@ -355,40 +343,40 @@ def _evaluate_fold(
     preds: Sequence[EncoderPredictionSet | PredictionTable],
     data: FusionDataset,
     truth: Mapping[str, BlendAnnotation],
-    held_out: FoldRows,
+    position: int,
     cfg: CrossValConfig,
 ) -> FoldOutcome:
     from .fusion import fit, fuse
 
-    train = data.without_fold(held_out.fold)
+    fold = data.fold_ids[position]
+    train = data.without_fold(position)
     if not train.video_ids:
-        raise ValidationError(f"fold {held_out.fold} would leave no training data")
+        raise ValidationError(f"fold {fold} would leave no training data")
     weights, _, _, thresholds = fit(train, cfg)
 
     final_cfg = cfg.postprocess_config(thresholds)
-    test_ids = [data.video_ids[i] for i in held_out.rows.tolist()]
+    test_ids = [data.video_ids[i] for i in np.flatnonzero(data.fold_position == position).tolist()]
     test_preds = {vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_ids}
     result = evaluate(test_preds, {vid: truth[vid] for vid in test_ids})
-    return FoldOutcome(held_out.fold, result, dict(weights.weights), thresholds)
+    return FoldOutcome(fold, result, dict(weights.weights), thresholds)
 
 
 def cross_validate(
     preds: Sequence[EncoderPredictionSet | PredictionTable],
     records: Sequence[SampleRecord],
-    folds: FoldAssignment,
+    data: FusionDataset,
     cfg: CrossValConfig,
 ) -> CrossValReport:
     """Fit weights and thresholds on k-1 folds, evaluate on the held-out fold.
 
     Returns per-fold results, their mean and population std, and the pooled
     result over all held-out clips (a clip-weighted average of the folds).
-    The inputs are loaded once into a :class:`FusionDataset`, which the
-    weight and threshold searches slice.  Held-out clips are scored per
-    video by ``fuse``, ``discretize`` and :func:`evaluate`.
+    ``data``, the :class:`FusionDataset` of ``preds`` and ``records``, is
+    what the weight and threshold searches slice.  Held-out clips are
+    scored per video by ``fuse``, ``discretize`` and :func:`evaluate`.
     """
-    data = FusionDataset.build(preds, records, folds)
     truth = annotations_by_video(records)
-    outcomes = [_evaluate_fold(preds, data, truth, held_out, cfg) for held_out in data.folds]
+    outcomes = [_evaluate_fold(preds, data, truth, i, cfg) for i in range(len(data.fold_ids))]
 
     accs_p = [o.result.acc_p for o in outcomes]
     accs_s = [o.result.acc_s for o in outcomes]

@@ -136,7 +136,7 @@ def optimize_weights(
     names = data.encoders
     m = len(names)
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
-    sizes = np.array([len(rows) for _, rows in data.folds])
+    sizes = np.bincount(data.fold_position)
     log: list[SearchLogEntry] = []
 
     def objective(weights: np.ndarray) -> float:

@@ -9,7 +9,6 @@ is simply softmax(z) - target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -107,15 +106,3 @@ def mean_kl(targets: np.ndarray, probs: np.ndarray) -> float:
     p = np.clip(probs, PROB_FLOOR, 1.0)
     terms = np.where(targets > 0.0, targets * (np.log(np.maximum(targets, PROB_FLOOR)) - np.log(p)), 0.0)
     return float(np.sum(terms)) / targets.shape[0]
-
-
-def kl_loss_batch(targets: np.ndarray, probs: np.ndarray) -> float:
-    """Mean forward KL over a batch of (target, probability) row pairs."""
-    y = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    if y.shape != p.shape:
-        raise ValidationError(f"shape mismatch: {y.shape} vs {p.shape}")
-    loss = mean_kl(y, p)
-    if not math.isfinite(loss):
-        raise ValidationError("non-finite KL loss")
-    return loss

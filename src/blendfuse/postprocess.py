@@ -176,7 +176,10 @@ def _precompute(matrix: np.ndarray, cfg: PostprocessConfig) -> _VideoPrecompute:
     p1, i1 = _first_max(cols)
     cols[i1, np.arange(cols.shape[1])] = -np.inf
     p2, i2 = _first_max(cols)
-    gap = (p1 - p2) / (p1 + p2) if cfg.renormalize_before_beta else p1 - p2
+    gap = p1 - p2
+    if cfg.renormalize_before_beta:
+        # An all-zero row would divide 0 by 0; its p2 is 0, so no count reads its gap.
+        gap = np.divide(gap, p1 + p2, out=np.zeros_like(gap), where=p1 > 0.0)
     pair = N_EMOTIONS * i1 + i2
     pair_set, sal50, sal70 = (code[pair] for code in _pair_outcomes(cfg.neutral_index))
     return _VideoPrecompute(i1, i2, p2, gap, _BIT[i1], pair_set, sal50, sal70)
@@ -292,15 +295,12 @@ def _surface_counts(
 
 
 def point_counts(
-    matrix: np.ndarray,
-    truth: TruthArrays,
-    cfg: PostprocessConfig,
-    fold: Optional[np.ndarray] = None,
-) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
+    matrix: np.ndarray, truth: TruthArrays, cfg: PostprocessConfig, fold: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Presence/salience hit counts for a stack of fused rows at one
-    threshold pair; agrees exactly with per-row :func:`discretize` plus
-    counting.  With ``fold``, the position (0, 1, ...) of each row's fold,
-    the counts are arrays with one entry per fold position."""
+    threshold pair, as two arrays with one entry per fold position, where
+    ``fold`` is the position (0, 1, ...) of each row's fold; agrees exactly
+    with per-row :func:`discretize` plus counting."""
     alpha, beta = cfg.thresholds.alpha, cfg.thresholds.beta
     pre = _precompute(matrix, cfg)
     both = (pre.p2 > 0.0) & (pre.p2 >= alpha)
@@ -309,8 +309,6 @@ def point_counts(
     ok_pair_s = _pick(is50, truth.sal_code == pre.pair_sal50, truth.sal_code == pre.pair_sal70)
     okp = _pick(both, truth.set_code == pre.pair_set, ok_single)
     oks = _pick(both, ok_pair_s, ok_single)
-    if fold is None:
-        return int(okp.sum()), int(oks.sum())
     return _bin_sums(fold, okp, 0), _bin_sums(fold, oks, 0)
 
 
@@ -320,12 +318,11 @@ def threshold_surface(
     alpha_grid: Sequence[float],
     beta_grid: Sequence[float],
     cfg: PostprocessConfig,
-    fold: Optional[np.ndarray] = None,
-) -> ThresholdSurface | list[ThresholdSurface]:
-    """Score surface over the (alpha, beta) grid for a stack of fused rows
-    (one per video, in the order of ``truth``).  With ``fold``, the position
-    (0, 1, ...) of each row's fold, the surfaces of every fold position from
-    one sweep, as a list."""
+    fold: np.ndarray,
+) -> list[ThresholdSurface]:
+    """Score surfaces over the (alpha, beta) grid for a stack of fused rows
+    (one per video, in the order of ``truth``), one per fold position from
+    one sweep, where ``fold`` is the position (0, 1, ...) of each row's fold."""
     a = np.asarray(list(alpha_grid), dtype=np.float64)
     b = np.asarray(list(beta_grid), dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -333,17 +330,13 @@ def threshold_surface(
     for grid, name in ((a, "alpha"), (b, "beta")):
         if not np.all((grid >= 0.0) & (grid <= 1.0)):  # also rejects NaN
             raise ValidationError(f"{name} grid values must be finite and lie in [0, 1]")
-    position = np.zeros(matrix.shape[0], dtype=np.intp) if fold is None else fold
-    sizes = np.bincount(position, minlength=1)
-    count_p, count_s = _surface_counts(matrix, truth, a, b, cfg, position, sizes.size)
+    sizes = np.bincount(fold)
+    count_p, count_s = _surface_counts(matrix, truth, a, b, cfg, fold, sizes.size)
     acc_p = count_p / sizes[:, None, None]
     acc_s = count_s / sizes[:, None, None]
     score = 0.5 * (acc_p + acc_s)
     grids = tuple(a.tolist()), tuple(b.tolist())
-    surfaces = [
-        ThresholdSurface(*grids, acc_p[f], acc_s[f], score[f], n) for f, n in enumerate(sizes.tolist())
-    ]
-    return surfaces[0] if fold is None else surfaces
+    return [ThresholdSurface(*grids, acc_p[f], acc_s[f], score[f], n) for f, n in enumerate(sizes.tolist())]
 
 
 def search_thresholds(
@@ -366,9 +359,8 @@ def search_thresholds(
         raise ValidationError(f"no fused prediction for videos: {missing[:5]!r}")
     matrix = np.array([fused[vid].values for vid in video_ids], dtype=np.float64)
     truth = TruthArrays.from_annotations([labels[vid] for vid in video_ids])
-    return threshold_surface(
-        matrix, truth, alpha_grid, beta_grid, cfg if cfg is not None else PostprocessConfig()
-    )
+    pp_cfg = cfg if cfg is not None else PostprocessConfig()
+    return threshold_surface(matrix, truth, alpha_grid, beta_grid, pp_cfg, np.zeros(len(video_ids), np.intp))[0]
 
 
 def select_thresholds(

@@ -12,6 +12,7 @@ from blendfuse import core
 from blendfuse.cli import EXIT_OK, main
 from blendfuse.evaluation import (
     CrossValConfig,
+    FoldAssignment,
     FusionDataset,
     cross_validate,
     evaluate,
@@ -101,7 +102,27 @@ def test_dataset_matches_object_build(inputs):
     assert a.encoders == b.encoders == ("enc_a", "enc_b", "enc_c")
     assert a.video_ids == b.video_ids == tuple(sorted(r.video_id for r in records))
     assert np.array_equal(a.probs, b.probs)
-    assert np.array_equal(a.fold, b.fold)
+    assert a.fold_ids == b.fold_ids == tuple(folds.fold_indices())
+    assert np.array_equal(a.fold_position, b.fold_position)
+
+
+def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):
+    _, records, folds, tables, _ = inputs
+    odd = FoldAssignment({actor: 2 * f + 1 for actor, f in folds.folds.items()}, 2 * folds.k)
+    data = FusionDataset.build(tables, records, odd)
+    assert data.fold_ids == (1, 3, 5)  # so positions and fold ids differ
+    for position, fold in enumerate(data.fold_ids):
+        rest = FoldAssignment({a: f for a, f in odd.folds.items() if f != fold}, odd.k)
+        expected = FusionDataset.build(tables, [r for r in records if r.actor_id in rest.folds], rest)
+        train = data.without_fold(position)
+        assert (train.video_ids, train.fold_ids) == (expected.video_ids, expected.fold_ids)
+        for a, b in (
+            (train.probs, expected.probs),
+            (train.fold_position, expected.fold_position),
+            (train.truth.set_code, expected.truth.set_code),
+            (train.truth.sal_code, expected.truth.sal_code),
+        ):
+            assert np.array_equal(a, b)
 
 
 def test_fused_rows_and_surfaces_match_scalar_path(inputs):
@@ -145,8 +166,8 @@ def test_cross_validation_matches_scalar_path(inputs):
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    report = cross_validate(tables, records, folds, cfg)
-    assert report == cross_validate(preds, records, folds, cfg)
+    report = cross_validate(tables, records, FusionDataset.build(tables, records, folds), cfg)
+    assert report == cross_validate(preds, records, FusionDataset.build(preds, records, folds), cfg)
     for outcome in report.folds:
         oracle = _scalar_fold_result(
             preds, records, folds, outcome.fold, outcome.weights, outcome.thresholds
@@ -248,7 +269,7 @@ def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(in
     assert [e["best_score"] for e in report["per_fold"]] == [s.best_score() for s in surfaces.values()]
     results = json.loads((run / "results.json").read_text())
     for fold in results["folds"]:
-        fold_weights, _, _, fold_thresholds = fit(data.without_fold(fold["fold"]), cfg)
+        fold_weights, _, _, fold_thresholds = fit(data.without_fold(data.fold_ids.index(fold["fold"])), cfg)
         assert (fold["weights"], fold["alpha"], fold["beta"]) == (
             fold_weights.weights, fold_thresholds.alpha, fold_thresholds.beta
         )

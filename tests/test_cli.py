@@ -12,7 +12,7 @@ from fixtures_util import outputs_of, write_feature_dir
 
 from blendfuse import cli, core, features, fusion, mlp, synth
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from blendfuse.evaluation import CrossValConfig, evaluate, load_folds
+from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate, load_folds
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
@@ -184,6 +184,20 @@ class TestFuseEvaluate:
         assert thresholds["config_hash"] == meta["config_hash"]
         # single informative encoder at high thresholds quality: mean score positive
         assert 0.0 < report["mean"]["score"] <= 1.0
+
+    def test_dataset_is_built_once_per_run(self, tmp_path, monkeypatch):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        cfg_path = self.make_config(tmp_path, data, make_folds(tmp_path, data))
+        calls = []
+        build = FusionDataset.build
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(FusionDataset, "build", classmethod(counted))
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_OK
+        assert len(calls) == 1
 
     def test_unknown_config_key_rejected(self, tmp_path):
         data = synth_dataset(tmp_path)
@@ -443,6 +457,49 @@ def test_input_that_is_not_utf8_is_an_error_naming_the_file(tmp_path, capsys, ca
     path.write_bytes(path.read_bytes() + b"\xff\n")
     assert run(*argv) == code
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("split", "--manifest"),
+        ("encode-labels", "--labels"),
+        ("sensitivity", "--labels"),
+        ("sensitivity", "--folds"),
+        ("sensitivity", "--weights"),
+        ("verify-identities", "--results"),
+        ("verify-identities", "--weights"),
+        ("fuse-evaluate", "labels_file"),
+        ("fuse-evaluate", "predictions_dir"),
+    ],
+)
+def test_directory_in_place_of_a_csv_file_is_data_error_naming_it(tmp_path, capsys, command, key):
+    data = synth_dataset(tmp_path, actors=4, clips=6)
+    folds = make_folds(tmp_path, data)
+    weights = tmp_path / "weights.csv"
+    weights.write_text("encoder,weight\nsynth,1.0\n", encoding="utf-8")
+    # Every *.csv under a predictions directory is read, a directory too.
+    directory = (data / "predictions" if key == "predictions_dir" else tmp_path) / "x.csv"
+    directory.mkdir()
+    if command == "fuse-evaluate":
+        extra = {} if key == "predictions_dir" else {key: str(directory)}
+        argv = ["--config", TestFuseEvaluate().make_config(tmp_path, data, folds, **extra)]
+    else:
+        inputs = {
+            "split": {"--manifest": data / "labels.csv"},
+            "encode-labels": {"--labels": data / "labels.csv"},
+            "sensitivity": {
+                "--predictions": data / "predictions", "--labels": data / "labels.csv",
+                "--folds": folds, "--weights": weights,
+            },
+            "verify-identities": {},
+        }[command]
+        inputs[key] = directory
+        out = [] if command == "verify-identities" else ["--out", tmp_path / "out"]
+        argv = flags_of(inputs) + out
+    assert run(command, *argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"{directory}: cannot read file" in captured.err + captured.out
 
 
 @pytest.mark.parametrize("case", ["folds", "weights", "feature-manifest"])

@@ -280,7 +280,7 @@ def reference_search(data, cfg):
     """The weight search written out on its own: fold rows sliced here, and
     one hand-written tie-break loop per strategy.  Returns the weights and
     the log as (step, candidate id, objective) triples."""
-    fold_rows = [np.flatnonzero(data.fold == f) for f in data.fold_ids]
+    fold_rows = [np.flatnonzero(data.fold_position == i) for i in range(len(data.fold_ids))]
     fold_truths = [data.truth.take(idx) for idx in fold_rows]
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
 
@@ -288,12 +288,12 @@ def reference_search(data, cfg):
         fused = np.tensordot(weights, data.probs, axes=(0, 0))
         scores = []
         for idx, truth in zip(fold_rows, fold_truths):
-            sub = fused[idx]
+            sub, one_fold = fused[idx], np.zeros(len(idx), np.intp)
             if cfg.joint_threshold_search:
-                surface = threshold_surface(sub, truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg)
+                (surface,) = threshold_surface(sub, truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg, one_fold)
                 scores.append(surface.best_score())
             else:
-                cp, cs = point_counts(sub, truth, pp_cfg)
+                (cp,), (cs,) = point_counts(sub, truth, pp_cfg, one_fold)
                 n = len(idx)
                 scores.append(0.5 * (cp / n + cs / n))
         return sum(scores) / len(scores)

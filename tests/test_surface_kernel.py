@@ -72,12 +72,13 @@ def test_every_cell_matches_scalar_discretize(data):
     cfg = PostprocessConfig(
         ThresholdPair(0.0, 0.0), neutral_index=neutral_index, renormalize_before_beta=renormalize
     )
-    surface = threshold_surface(
+    (surface,) = threshold_surface(
         np.array(rows, dtype=np.float64),
         TruthArrays.from_annotations(truths),
         alpha_grid,
         beta_grid,
         cfg,
+        np.zeros(len(rows), np.intp),
     )
     dists = {f"v{i}": EmotionDistribution(row) for i, row in enumerate(rows)}
     labels = {f"v{i}": truth for i, truth in enumerate(truths)}
@@ -104,7 +105,9 @@ def _unchecked(row):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_point_counts_match_scalar_discretize_per_fold(data):
-    weights = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=6, max_size=6), min_size=1, max_size=12))
+    # An all-zero row is drawn on purpose: its renormalized gap would be 0/0.
+    row = st.just([0] * 6) | st.lists(st.integers(0, 4), min_size=6, max_size=6)
+    weights = data.draw(st.lists(row, min_size=1, max_size=12))
     rows = [tuple(w / sum(ws) if sum(ws) else 0.0 for w in ws) for ws in weights]
     truths = [data.draw(_truth(), label="truth") for _ in rows]
     fold = data.draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)), label="fold")
@@ -123,11 +126,10 @@ def test_point_counts_match_scalar_discretize_per_fold(data):
         expected[:, f] += (int(result.acc_p), int(result.acc_s))
     matrix = np.array(rows, dtype=np.float64)
     truth_arrays = TruthArrays.from_annotations(truths)
-    with np.errstate(invalid="ignore"):  # the renormalized gap of an all-zero row is 0/0
-        per_fold = point_counts(matrix, truth_arrays, cfg, np.array(fold))
-        pooled = point_counts(matrix, truth_arrays, cfg)
+    per_fold = point_counts(matrix, truth_arrays, cfg, np.array(fold))
+    pooled = point_counts(matrix, truth_arrays, cfg, np.zeros(len(rows), np.intp))
     assert [c.tolist() for c in per_fold] == expected.tolist()
-    assert pooled == tuple(expected.sum(axis=1).tolist())
+    assert [c.tolist() for c in pooled] == expected.sum(axis=1, keepdims=True).tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -169,14 +171,17 @@ def test_fold_surfaces_match_per_fold_threshold_surface(data):
         renormalize_before_beta=data.draw(st.booleans(), label="renormalize_before_beta"),
     )
     dataset = FusionDataset(
-        ("enc",), tuple(f"v{i}" for i in range(len(rows))), rows[None], truth, np.array(fold), tuple(fold_ids)
+        ("enc",), tuple(f"v{i}" for i in range(len(rows))), rows[None], truth, tuple(fold_ids),
+        np.searchsorted(fold_ids, fold),
     )
     surfaces = fold_surfaces(dataset, rows, cfg)
     assert list(surfaces) == fold_ids
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
     for f, surface in surfaces.items():
         idx = np.flatnonzero(np.array(fold) == f)
-        alone = threshold_surface(rows[idx], truth.take(idx), cfg.alpha_grid, cfg.beta_grid, pp_cfg)
+        (alone,) = threshold_surface(
+            rows[idx], truth.take(idx), cfg.alpha_grid, cfg.beta_grid, pp_cfg, np.zeros(idx.size, np.intp)
+        )
         assert (surface.alpha_grid, surface.beta_grid, surface.n) == (alone.alpha_grid, alone.beta_grid, idx.size)
         for name in ("acc_p", "acc_s", "score"):
             np.testing.assert_array_equal(getattr(surface, name), getattr(alone, name))
@@ -206,4 +211,5 @@ def test_non_finite_grid_value_rejected(bad, axis):
             grids["alpha"],
             grids["beta"],
             PostprocessConfig(),
+            np.zeros(1, np.intp),
         )
