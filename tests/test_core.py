@@ -11,6 +11,7 @@ from blendfuse.core import (
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    LABELS_HEADER,
     PREDICTIONS_HEADER,
     SampleRecord,
     ValidationError,
@@ -250,6 +251,34 @@ class TestFileFormats:
         path = tmp_path / "labels.csv"
         save_labels(records, path)
         assert load_labels(path) == records
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("v2,a1,anger,,100,x", "expected 5 fields"),
+            ("v2,a1,anger", "expected 5 fields"),
+            ("v1,a2,anger,,100", "duplicate video id 'v1'"),
+            ("v1,a2,joy,,60", "duplicate video id 'v1'"),
+            ("v2,a1,joy,,100", "unknown emotion name: 'joy'"),
+            ("v2,a1,anger,joy,x", "unknown emotion name: 'joy'"),
+            ("v2,a1,anger,fear,x", "invalid literal for int() with base 10: 'x'"),
+            ("v2,a1,anger,fear,70.0", "invalid literal for int() with base 10: '70.0'"),
+            ("v2,a1,anger,fear,60", "salience must be one of 100/70/50/30, got 60"),
+            ("v2,a1,anger,fear,100", "salience 100 cannot carry a secondary emotion"),
+            ("v2,a1,anger,,70", "salience 70 requires a secondary emotion"),
+            ("v2,a1,anger,Anger,50", "primary and secondary emotions must differ"),
+        ],
+    )
+    def test_labels_first_bad_line_reported(self, tmp_path, row, message):
+        path = tmp_path / "labels.csv"
+        good = "v1,a1,anger,fear,70\n"
+        path.write_text(
+            ",".join(LABELS_HEADER) + "\n" + good + row + "\n" + "v3,a1,anger,,60\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as exc:
+            load_labels(path)
+        assert str(exc.value) == f"{path}:3: {message}"
 
     def test_labels_accept_salience_30(self, tmp_path):
         path = tmp_path / "labels.csv"
