@@ -100,11 +100,14 @@ def _load_manifest_records(path: Path) -> list[SampleRecord]:
     """Accept either a labels file or a feature manifest as the clip list."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if header == core.LABELS_HEADER:
         return core.load_labels(path)
     if header == features.MANIFEST_HEADER:

@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -273,8 +274,9 @@ def _format_float(x: float) -> str:
 def read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows after ``expected_header``, read one at a time, each
     with the number of the file line it ends on.  An empty file, another
-    header, bytes that are not UTF-8 or a path that cannot be read (such as
-    a directory) are a :class:`ValidationError` naming ``path``."""
+    header, bytes that are not UTF-8, a field over ``csv.field_size_limit()``
+    or a path that cannot be read (such as a directory) are a
+    :class:`ValidationError` naming ``path``."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -292,6 +294,54 @@ def read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int,
         raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+# Characters per block of whole lines: enough to amortise a block's numpy
+# calls, few enough that its tokens stay a small part of peak memory.
+_BLOCK_CHARS = 1 << 18
+
+
+class _Doubt(Exception):
+    """The block reader cannot vouch for a file; the per-row reader reads it."""
+
+
+def _field_blocks(path: Path, header: list[str]) -> Iterator[list[str]]:
+    """The fields of the non-blank rows after ``header``, flattened, a block
+    of whole lines at a time.  Raises :class:`_Doubt` unless every line is
+    one that ``csv.reader`` splits at each comma: no quote or NUL (rejected
+    before Python 3.11), ``len(header) - 1`` commas and at most
+    ``csv.field_size_limit()`` characters."""
+    commas, limit = len(header) - 1, csv.field_size_limit()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if fh.readline().rstrip("\r\n") != ",".join(header):
+                raise _Doubt
+            while lines := fh.readlines(_BLOCK_CHARS):
+                # Lines end in "\n", "\r\n" or a lone "\r", as csv.reader splits them.
+                rows = list(filter(None, map(str.rstrip, lines, repeat("\r\n"))))
+                if not rows:
+                    continue
+                text = ",".join(rows)
+                if '"' in text or "\0" in text or max(map(len, rows)) > limit:
+                    raise _Doubt
+                if set(map(str.count, rows, repeat(","))) != {commas}:
+                    raise _Doubt
+                yield text.split(",")
+    except (OSError, UnicodeDecodeError):
+        raise _Doubt from None
+
+
+def _doubtful_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows that may fail or need :meth:`EmotionDistribution.from_raw`: all
+    but those finite, within [0, 1] and summing to 1 well inside
+    ``SUM_TOLERANCE`` (np.sum and math.fsum differ by ~1e-16 on six values)."""
+    with np.errstate(invalid="ignore"):
+        doubtful = ~np.isfinite(matrix).all(axis=1)
+        doubtful |= (matrix < 0.0).any(axis=1) | (matrix > 1.0).any(axis=1)
+        doubtful |= np.abs(matrix.sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
+    return doubtful
 
 
 def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
@@ -301,6 +351,36 @@ def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     whose renormalized values it keeps, and a video may not be listed under
     two actors.  The first faulty line is reported as ``path:line``.
     """
+    try:
+        return _parse_prediction_blocks(path)
+    except _Doubt:
+        return _parse_prediction_rows(path)
+
+
+def _parse_prediction_blocks(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """:func:`_parse_predictions` of a file of rows valid as they stand, each
+    block's numbers parsed by one ``np.array`` call (``float()``'s parser)."""
+    width = len(PREDICTIONS_HEADER)
+    video_ids: list[str] = []
+    actor_ids: list[str] = []
+    blocks = [np.empty(0)]
+    for fields in _field_blocks(path, PREDICTIONS_HEADER):
+        video_ids += fields[0::width]
+        actor_ids += fields[1::width]
+        del fields[0::width], fields[0::width - 1]  # leaves the probabilities
+        try:
+            blocks.append(np.array(fields, dtype=np.float64))
+        except ValueError:
+            raise _Doubt from None
+    matrix = np.concatenate(blocks).reshape(-1, N_EMOTIONS)
+    actor_of = dict(zip(video_ids, actor_ids))
+    if _doubtful_rows(matrix).any() or list(map(actor_of.__getitem__, video_ids)) != actor_ids:
+        raise _Doubt
+    return video_ids, actor_ids, matrix
+
+
+def _parse_prediction_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """:func:`_parse_predictions` one row at a time, for any file."""
     video_ids: list[str] = []
     actor_ids: list[str] = []
     values: list[list[float]] = []
@@ -326,14 +406,7 @@ def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
         video_ids.append(video_id)
         actor_ids.append(actor_id)
     matrix = np.array(values, dtype=np.float64).reshape(len(values), N_EMOTIONS)
-    # Rows that are certainly valid and need no renormalization skip the
-    # scalar check: finite, within [0, 1], and summing to 1 well inside
-    # SUM_TOLERANCE (np.sum and math.fsum differ by ~1e-16 on six values).
-    with np.errstate(invalid="ignore"):
-        doubtful = ~np.isfinite(matrix).all(axis=1)
-        doubtful |= (matrix < 0.0).any(axis=1) | (matrix > 1.0).any(axis=1)
-        doubtful |= np.abs(matrix.sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
-    for i in np.flatnonzero(doubtful).tolist():
+    for i in np.flatnonzero(_doubtful_rows(matrix)).tolist():
         try:
             matrix[i] = EmotionDistribution.from_raw(values[i]).values
         except ValidationError as exc:
@@ -403,10 +476,9 @@ def load_prediction_table(path: str | Path) -> PredictionTable:
     """
     path = Path(path)
     row_videos, _, matrix = _parse_predictions(path)
-    row_of: dict[str, int] = {}
-    video_of_row = np.array(
-        [row_of.setdefault(vid, len(row_of)) for vid in row_videos], dtype=np.int64
-    )
+    videos = dict.fromkeys(row_videos)  # in first-appearance order
+    row_of = dict(zip(videos, range(len(videos))))
+    video_of_row = np.fromiter(map(row_of.__getitem__, row_videos), np.int64, len(row_videos))
     clips = np.bincount(video_of_row, minlength=len(row_of))
     sums = np.zeros((len(row_of), N_EMOTIONS))
     np.add.at(sums, video_of_row, matrix)  # accumulates repeated videos in row order
@@ -427,8 +499,43 @@ def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> list[SampleRecord]:
-    """Read a ground-truth labels file into canonical annotated records."""
+    """Read a ground-truth labels file into canonical annotated records.
+
+    The first faulty line is reported as ``path:line``."""
     path = Path(path)
+    try:
+        return _label_blocks(path)
+    except _Doubt:
+        return _label_rows(path)
+
+
+def _annotation(emotion_a: str, emotion_b: str, salience_a: str) -> BlendAnnotation:
+    primary = Emotion.from_name(emotion_a)
+    secondary = Emotion.from_name(emotion_b) if emotion_b.strip() else None
+    return canonicalize_annotation(primary, secondary, int(salience_a))
+
+
+def _label_blocks(path: Path) -> list[SampleRecord]:
+    """:func:`load_labels` of a file of valid rows, canonicalizing each
+    distinct ``(emotion_a, emotion_b, salience_a)`` once."""
+    records: list[SampleRecord] = []
+    annotation_of: dict[tuple[str, str, str], BlendAnnotation] = {}
+    for fields in _field_blocks(path, LABELS_HEADER):
+        columns = [fields[i :: len(LABELS_HEADER)] for i in range(len(LABELS_HEADER))]
+        raw = list(zip(*columns[2:]))
+        for triple in set(raw).difference(annotation_of):
+            try:
+                annotation_of[triple] = _annotation(*triple)
+            except ValueError:
+                raise _Doubt from None
+        records += map(SampleRecord, columns[0], columns[1], map(annotation_of.__getitem__, raw))
+    if len({rec.video_id for rec in records}) != len(records):
+        raise _Doubt  # a repeated video id
+    return records
+
+
+def _label_rows(path: Path) -> list[SampleRecord]:
+    """:func:`load_labels` one row at a time, for any file."""
     records: list[SampleRecord] = []
     seen: set[str] = set()
     for lineno, row in read_csv_rows(path, LABELS_HEADER):
@@ -439,10 +546,8 @@ def load_labels(path: str | Path) -> list[SampleRecord]:
             raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
         seen.add(video_id)
         try:
-            primary = Emotion.from_name(emo_a)
-            secondary = Emotion.from_name(emo_b) if emo_b.strip() else None
-            annotation = canonicalize_annotation(primary, secondary, int(salience))
-        except (ValidationError, ValueError) as exc:
+            annotation = _annotation(emo_a, emo_b, salience)
+        except ValueError as exc:  # ValidationError is one
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         records.append(SampleRecord(video_id, actor_id, annotation))
     return records

@@ -157,7 +157,7 @@ def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
     loaded once: clip-averaged encoder rows, ground truth and folds of the

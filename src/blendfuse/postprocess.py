@@ -185,7 +185,7 @@ def _precompute(matrix: np.ndarray, cfg: PostprocessConfig) -> _VideoPrecompute:
     return _VideoPrecompute(i1, i2, p2, gap, _BIT[i1], pair_set, sal50, sal70)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class TruthArrays:
     """Canonical ground truth of a video set as outcome codes (see
     :func:`_outcome_codes`), computed once and compared per candidate."""
@@ -217,7 +217,7 @@ def _bin_sums(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(bins, weights=weights, minlength=size).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class ThresholdSurface:
     """Score/ACC_P/ACC_S over a full (alpha, beta) grid for one video set."""
 

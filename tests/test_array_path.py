@@ -29,7 +29,13 @@ from blendfuse.fusion import (
     save_search_log,
     save_weights,
 )
-from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize, search_thresholds
+from blendfuse.postprocess import (
+    PostprocessConfig,
+    ThresholdPair,
+    discretize,
+    search_thresholds,
+    threshold_surface,
+)
 from blendfuse.synth import SynthConfig, generate
 
 GRID = [i / 20 for i in range(11)]
@@ -104,6 +110,20 @@ def test_dataset_matches_object_build(inputs):
     assert np.array_equal(a.probs, b.probs)
     assert a.fold_ids == b.fold_ids == tuple(folds.fold_indices())
     assert np.array_equal(a.fold_position, b.fold_position)
+
+
+def test_array_dataclasses_compare_by_identity(inputs):
+    # Generated field-wise == would compare ndarrays and raise ValueError.
+    _, records, folds, tables, _ = inputs
+    a, b = (FusionDataset.build(tables, records, folds) for _ in range(2))
+    fused = a.fuse({name: 1.0 / len(a.encoders) for name in a.encoders})
+    fold = np.zeros(len(a.video_ids), dtype=np.intp)
+    s, t = (
+        threshold_surface(fused, a.truth, GRID, GRID, PostprocessConfig(), fold)[0] for _ in range(2)
+    )
+    for x, y in ((a, b), (a.truth, b.truth), (s, t)):
+        assert (x == y) is False
+        assert (x == x) is True
 
 
 def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):

@@ -502,6 +502,39 @@ def test_directory_in_place_of_a_csv_file_is_data_error_naming_it(tmp_path, caps
     assert f"{directory}: cannot read file" in captured.err + captured.out
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("fuse-evaluate", "predictions"),
+        ("fuse-evaluate", "labels"),
+        ("split", "labels"),
+        ("split", "header"),
+    ],
+)
+def test_over_long_field_is_data_error_naming_its_line(tmp_path, capsys, command, target):
+    # csv.reader rejects a field over csv.field_size_limit() (131072 characters).
+    data = synth_dataset(tmp_path, actors=4, clips=6)
+    folds = make_folds(tmp_path, data)
+    path = data / ("predictions/synth.csv" if target == "predictions" else "labels.csv")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    long_id = "v" * 200_000
+    if target == "header":
+        lines[0] = long_id + lines[0]
+        lineno = 1
+    else:
+        lines.append(long_id + lines[-1][lines[-1].index(","):])
+        lineno = len(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+    if command == "split":
+        argv = ["--manifest", path, "--k", 2, "--out", tmp_path / "out"]
+    else:
+        argv = ["--config", TestFuseEvaluate().make_config(tmp_path, data, folds)]
+    assert run(command, *argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"{path}:{lineno}: field larger than field limit" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("case", ["folds", "weights", "feature-manifest"])
 def test_repeated_key_is_data_error_naming_its_line(tmp_path, capsys, case):
     # A repeated key used to overwrite the earlier row: the actor moved to its
