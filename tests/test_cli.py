@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1083,3 +1084,152 @@ class TestOmittedFlagsTakeLibraryDefaults:
         w.write_text("encoder,weight\ne0,0.5\ne1,0.4\n", encoding="utf-8")
         assert run("verify-identities", "--weights", w) == EXIT_OK
         assert "simplex within 0.2" in capsys.readouterr().out
+
+
+# Every command that records a resolved config, once with every optional flag
+# and once with none, run in order from one directory on relative paths so
+# the records and their hashes name no temporary directory.
+PINNED_ARGV = {
+    "synth-all": [
+        "synth", "--actors", "4", "--clips", "6", "--mix", "0.5,0.2,0.3", "--gap-lo", "0.15",
+        "--gap-hi", "0.4", "--noise-sigma", "0.3", "--seed", "3", "--out", "data",
+    ],
+    "synth-none": ["synth", "--out", "plain"],
+    "split-all": ["split", "--manifest", "data/labels.csv", "--k", "2", "--out", "folds"],
+    "split-none": ["split", "--manifest", "plain/labels.csv", "--out", "folds5"],
+    "encode-labels": ["encode-labels", "--labels", "data/labels.csv", "--out", "enc"],
+    "aggregate-all": [
+        "aggregate", "--features", "features", "--layer-lo", "1", "--layer-hi", "3",
+        "--segments", "2", "--stats", "segment_mean, global_median", "--out", "agg",
+    ],
+    "aggregate-none": ["aggregate", "--features", "features", "--out", "agg-plain"],
+    "train-mlp-all": [
+        "train-mlp", "--features", "features", "--labels", "data/labels.csv",
+        "--folds", "folds/folds.csv", "--layer-lo", "1", "--layer-hi", "3", "--segments", "2",
+        "--stats", "segment_mean,global_median", "--hidden", "8,4", "--dropout", "0.1",
+        "--lr", "0.01", "--epochs", "5", "--patience", "2", "--batch-size", "8", "--seed", "3",
+        "--out", "mlp",
+    ],
+    "train-mlp-none": [
+        "train-mlp", "--features", "features", "--labels", "data/labels.csv",
+        "--folds", "folds/folds.csv", "--out", "mlp-plain",
+    ],
+    "sensitivity-all": [
+        "sensitivity", "--predictions", "data/predictions/synth.csv", "--labels", "data/labels.csv",
+        "--folds", "folds/folds.csv", "--weights", "weights.csv", "--alpha-grid", "[0.1, 0.2]",
+        "--beta-grid", '{"start": 0, "stop": 0.5, "step": 0.25}', "--neutral-index", "2",
+        "--out", "sens",
+    ],
+    "sensitivity-none": [
+        "sensitivity", "--predictions", "data/predictions", "--labels", "data/labels.csv",
+        "--folds", "folds/folds.csv", "--out", "sens-plain",
+    ],
+}
+
+
+def run_pinned_commands(base):
+    """The run_meta.json of each PINNED_ARGV case, run from ``base``, with the
+    config hash each report file holds added as ``report_hash``."""
+    metas = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        for case, argv in PINNED_ARGV.items():
+            assert main(argv) == EXIT_OK, case
+            out = Path(argv[argv.index("--out") + 1])
+            metas[case] = json.loads((out / "run_meta.json").read_text())
+            for report in ("sensitivity.json", "actor_gaps.json"):
+                if (out / report).exists():
+                    metas[case]["report_hash"] = json.loads((out / report).read_text())["config_hash"]
+            if case == "synth-all":
+                # 13-layer features, so the default layer range 6..12 applies, and weights.
+                rng = np.random.default_rng(0)
+                Path("features").mkdir()
+                entries = []
+                for rec in core.load_labels(Path("data/labels.csv")):
+                    seq = features.FrameFeatureSequence(rec.video_id, rng.normal(size=(13, 4, 3)))
+                    features.save_feature_file(seq, Path("features"))
+                    entries.append((rec.video_id, rec.actor_id, f"{rec.video_id}.feat"))
+                features.save_feature_manifest(entries, Path("features/manifest.csv"))
+                Path("weights.csv").write_text("encoder,weight\nsynth,1.0\n", encoding="utf-8")
+    return metas
+
+
+HUNDREDTHS = [i / 100 for i in range(51)]  # the default grids, 0.0 to 0.5
+
+# The records and hashes, copied from the runs' output before the flag tables
+# replaced the hand-written records.
+PINNED = {
+    "synth-all": (
+        {"command": "synth", "actors": 4, "clips": 6, "mix": [0.5, 0.2, 0.3], "gap_lo": 0.15,
+         "gap_hi": 0.4, "noise_sigma": 0.3, "seed": 3},
+        "28a7cd9fb21214b94850cb7f7ffecefc7d7d696f759289012019806a0b196e83",
+    ),
+    "synth-none": (
+        {"command": "synth", "actors": 20, "clips": 40, "mix": [0.46, 0.18, 0.36], "gap_lo": 0.05,
+         "gap_hi": 0.45, "noise_sigma": 0.0, "seed": 0},
+        "b989cf89677def285c87f44d7d887c60f1fe14e9ef254e122b00f98260846928",
+    ),
+    "split-all": (
+        {"command": "split", "manifest": "data/labels.csv", "k": 2},
+        "a6b4ccbabb93e0cd10ae2a34107cdc20b671cabd9c57bb2d76417e37ef21debe",
+    ),
+    "split-none": (
+        {"command": "split", "manifest": "plain/labels.csv", "k": 5},
+        "f44f711d4f3e3a3cc59e7a4283eddc6c4698900add5d8a4a1061cfcb45c9ab67",
+    ),
+    "encode-labels": (
+        {"command": "encode-labels", "labels": "data/labels.csv"},
+        "603d4ab7fd30a58d2b07ff5851e3da80b49ba8720292496af3af48930b7928a8",
+    ),
+    "aggregate-all": (
+        {"command": "aggregate", "features": "features", "layer_lo": 1, "layer_hi": 3,
+         "segments": 2, "stats": ["segment_mean", "global_median"]},
+        "a6f95bfe3f1efca028c7b653f9b1e3fc24bd8827f9c11d9c1b32d3d298fa5edd",
+    ),
+    "aggregate-none": (
+        {"command": "aggregate", "features": "features", "layer_lo": 6, "layer_hi": 12,
+         "segments": 3, "stats": ["segment_mean", "segment_std", "global_mean"]},
+        "5b5f8757c09459c5fd3de2fd39a32c6104dabf2e6ffd00f51ade10d382d4b8e1",
+    ),
+    "train-mlp-all": (
+        {"command": "train-mlp", "features": "features", "labels": "data/labels.csv",
+         "folds": "folds/folds.csv", "hidden": [8, 4], "dropout": 0.1, "lr": 0.01, "epochs": 5,
+         "patience": 2, "batch_size": 8, "seed": 3, "layer_lo": 1, "layer_hi": 3, "segments": 2,
+         "stats": ["segment_mean", "global_median"]},
+        "d96fb4d2f27a29facd8b9e53f02766191ee95a64e37b6ba9139cc949502ba9c3",
+    ),
+    "train-mlp-none": (
+        {"command": "train-mlp", "features": "features", "labels": "data/labels.csv",
+         "folds": "folds/folds.csv", "hidden": [1024, 512], "dropout": 0.3, "lr": 0.001,
+         "epochs": 500, "patience": 80, "batch_size": 64, "seed": 0, "layer_lo": 6, "layer_hi": 12,
+         "segments": 3, "stats": ["segment_mean", "segment_std", "global_mean"]},
+        "2093bfd17db84be1d45100f350922b879c96ef0dca02f8f4e1ab11f4637a7749",
+    ),
+    "sensitivity-all": (
+        {"command": "sensitivity", "predictions": "data/predictions/synth.csv",
+         "labels": "data/labels.csv", "folds": "folds/folds.csv", "weights": "weights.csv",
+         "alpha_grid": [0.1, 0.2], "beta_grid": [0.0, 0.25, 0.5], "neutral_index": 2},
+        "71a8726d05cb9a7c73c41ed24d7ad9a1aec8956c0d2ebb319e9b792a27902778",
+    ),
+    "sensitivity-none": (
+        {"command": "sensitivity", "predictions": "data/predictions", "labels": "data/labels.csv",
+         "folds": "folds/folds.csv", "weights": None, "alpha_grid": HUNDREDTHS,
+         "beta_grid": HUNDREDTHS, "neutral_index": None},
+        "a151626ba6b38495ed79cca9b4de8afea028f1ea715d4b1fade24c2b241e2477",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    return run_pinned_commands(tmp_path_factory.mktemp("pinned"))
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_resolved_record_is_pinned(pinned_runs, case):
+    resolved, chash = PINNED[case]
+    meta = pinned_runs[case]
+    assert (meta["resolved_config"], meta["config_hash"]) == (resolved, chash)
+    # sensitivity.json and actor_gaps.json carry the same hash.
+    if case.startswith(("synth", "sensitivity")):
+        assert meta["report_hash"] == chash
