@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,9 +90,13 @@ def _write_run_meta(out_dir: Path, command: str, resolved: dict[str, Any], outpu
     _write_json(out_dir / "run_meta.json", meta)
 
 
-def _out_dir(path_str: str) -> Path:
+def _out_dir(path_str: str, name: str = "--out") -> Path:
+    """The output directory, made if missing; ``name`` is its flag or run-config key."""
     out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{name} cannot be made a directory: {path_str!r}: {exc.strerror or exc}") from None
     return out
 
 
@@ -135,26 +139,21 @@ def _feature_dir(value: str) -> Path:
     return Path(value)
 
 
-def _number_list(flag: str, value: Optional[str], kind: type) -> Optional[tuple[Any, ...]]:
-    """The comma-separated numbers of a flag's value, or None when the flag was not given."""
-    if value is None:
-        return None
-    try:
-        return tuple(kind(v) for v in value.split(","))
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated {kind.__name__} values, got {value!r}") from None
+def _is_number(value: Any) -> bool:
+    """An int or a float; a bool is neither here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _unit_values(values: Sequence[Any], name: str) -> tuple[float, ...]:
     """Floats of ``values``: at most MAX_GRID_VALUES, each a finite number in [0, 1]."""
     if len(values) > MAX_GRID_VALUES:
         raise ConfigError(f"{name} has more than {MAX_GRID_VALUES} values")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not all(map(_is_number, values)):
         raise ConfigError(f"{name} values must be numbers: {values!r}")
-    floats = tuple(float(v) for v in values)
-    if not all(0.0 <= v <= 1.0 for v in floats):  # also false for NaN
+    # Compared before conversion: an int too large for a float is out of range, too.
+    if not all(0.0 <= v <= 1.0 for v in values):  # also false for NaN
         raise ConfigError(f"{name} values must be finite and lie in [0, 1]: {values!r}")
-    return floats
+    return tuple(float(v) for v in values)
 
 
 def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
@@ -169,12 +168,13 @@ def _parse_grid(value: Any, name: str) -> tuple[float, ...]:
         missing = [k for k in ("start", "stop", "step") if k not in value]
         if missing:
             raise ConfigError(f"{name} object is missing {', '.join(map(repr, missing))}")
-        try:
-            start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} start/stop/step must be numbers: {value!r}") from None
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        bounds = [value[k] for k in ("start", "stop", "step")]
+        if not all(map(_is_number, bounds)):
+            raise ConfigError(f"{name} start/stop/step must be numbers: {value!r}")
+        # Also false for NaN, infinities and ints too large for a float.
+        if not all(abs(v) <= sys.float_info.max for v in bounds) or bounds[2] <= 0 or bounds[1] < bounds[0]:
             raise ConfigError(f"bad grid spec for {name}: {value!r}")
+        start, stop, step = map(float, bounds)
         span = (stop - start) / step  # inf when step is tiny against stop - start
         if span > MAX_GRID_VALUES:
             raise ConfigError(f"{name} has more than {MAX_GRID_VALUES} values: {value!r}")
@@ -232,6 +232,97 @@ def _plain(value: Any) -> Any:
     if isinstance(value, ThresholdPair):
         return [value.alpha, value.beta]
     return list(value) if isinstance(value, tuple) else value
+
+
+class _Flag(NamedTuple):
+    """A flag that sets one config field; ``parse``, if any, turns its text into the value."""
+
+    flag: str
+    field: str
+    kind: Callable[[str], Any] = str
+    parse: Optional[Callable[[str, "_Flag"], Any]] = None
+    help: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _comma_list(kind: Callable[[str], Any]) -> Callable[[str, _Flag], tuple[Any, ...]]:
+    """A parser of comma-separated values, each converted by ``kind``."""
+
+    def parse(text: str, flag: _Flag) -> tuple[Any, ...]:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"{flag.flag} must be comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _grid(text: str, flag: _Flag) -> tuple[float, ...]:
+    try:
+        return _parse_grid(json.loads(text), flag.dest)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad {flag.dest}: {exc}") from None
+
+
+# The flags of each config class.  A command names its class when it runs, so
+# a patched-in class with other defaults is the one that is built.
+_AGGREGATION_FLAGS = (
+    _Flag("--layer-lo", "layer_lo", int),
+    _Flag("--layer-hi", "layer_hi", int),
+    _Flag("--segments", "segments", int),
+    _Flag("--stats", "stats", parse=_comma_list(str.strip), help="comma-separated statistic names"),
+)
+_MLP_FLAGS = (
+    _Flag("--hidden", "hidden_dims", parse=_comma_list(int), help="comma-separated layer widths"),
+    _Flag("--dropout", "dropout", float),
+    _Flag("--lr", "lr", float),
+    _Flag("--epochs", "max_epochs", int),
+    _Flag("--patience", "patience", int),
+    _Flag("--batch-size", "batch_size", int),
+    _Flag("--seed", "seed", int),
+)
+_SYNTH_FLAGS = (
+    _Flag("--actors", "n_actors", int),
+    _Flag("--clips", "clips_per_actor", int),
+    _Flag("--mix", "label_mix", parse=_comma_list(float),
+          help="single, 50/50 and 70/30 shares, comma-separated"),
+    _Flag("--noise-sigma", "noise_sigma", float),
+    _Flag("--seed", "seed", int),
+)
+_CROSS_VAL_FLAGS = (
+    _Flag("--alpha-grid", "alpha_grid", parse=_grid, help="JSON list or start/stop/step object"),
+    _Flag("--beta-grid", "beta_grid", parse=_grid),
+    _Flag("--neutral-index", "neutral_index", int),
+)
+
+
+def _add_flags(p: argparse.ArgumentParser, *tables: Sequence[_Flag]) -> None:
+    for table in tables:
+        for f in table:
+            p.add_argument(f.flag, type=f.kind, help=f.help)
+
+
+def _config(
+    cls: Any, table: Sequence[_Flag], args: argparse.Namespace, **settings: Any
+) -> tuple[Any, dict[str, Any]]:
+    """``cls`` built from ``settings`` and the flags of ``table`` that were
+    given, and the resolved value of each flag by its argparse dest."""
+    for f in table:
+        value = getattr(args, f.dest)
+        settings[f.field] = value if value is None or f.parse is None else f.parse(value, f)
+    cfg = _build(cls, **settings)
+    return cfg, {f.dest: _plain(getattr(cfg, f.field)) for f in table}
+
+
+def _record(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
+    """A command's resolved config: its flags as given, ``--out`` aside, with
+    the config flags at their ``resolved`` values."""
+    return {**{k: v for k, v in vars(args).items() if k not in ("func", "out")}, **resolved}
 
 
 def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, Any], CrossValConfig]:
@@ -297,8 +388,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     folds_path = out / "folds.csv"
     save_folds(assignment, folds_path)
-    resolved = {"command": "split", "manifest": str(args.manifest), "k": args.k}
-    _write_run_meta(out, "split", resolved, [folds_path])
+    _write_run_meta(out, "split", _record(args), [folds_path])
     print(f"wrote {folds_path} ({assignment.k} folds, {len(assignment.folds)} actors)")
     return EXIT_OK
 
@@ -314,18 +404,9 @@ def cmd_encode_labels(args: argparse.Namespace) -> int:
         for rec in records:
             soft = labels_mod.encode_soft_label(rec.annotation)
             writer.writerow([rec.video_id] + [repr(v) for v in soft.values])
-    resolved = {"command": "encode-labels", "labels": str(args.labels)}
-    _write_run_meta(out, "encode-labels", resolved, [path])
+    _write_run_meta(out, "encode-labels", _record(args), [path])
     print(f"wrote {path} ({len(records)} rows)")
     return EXIT_OK
-
-
-def _aggregation_config(args: argparse.Namespace) -> features.AggregationConfig:
-    stats = tuple(s.strip() for s in args.stats.split(",")) if args.stats else None
-    return _build(
-        features.AggregationConfig,
-        layer_lo=args.layer_lo, layer_hi=args.layer_hi, segments=args.segments, stats=stats,
-    )
 
 
 def _aggregate_directory(
@@ -344,7 +425,7 @@ def _aggregate_directory(
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    cfg = _aggregation_config(args)
+    cfg, resolved = _config(features.AggregationConfig, _AGGREGATION_FLAGS, args)
     video_ids, actors, vectors = _aggregate_directory(_feature_dir(args.features), cfg)
     out = _out_dir(args.out)
     path = out / "aggregated.csv"
@@ -354,35 +435,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         writer.writerow(["video_id", "actor_id"] + [f"f{i}" for i in range(dim)])
         for vid in video_ids:
             writer.writerow([vid, actors[vid]] + [repr(float(v)) for v in vectors[vid]])
-    resolved = {
-        "command": "aggregate",
-        "features": str(args.features),
-        "layer_lo": cfg.layer_lo,
-        "layer_hi": cfg.layer_hi,
-        "segments": cfg.segments,
-        "stats": list(cfg.stats),
-    }
-    _write_run_meta(out, "aggregate", resolved, [path])
+    _write_run_meta(out, "aggregate", _record(args, **resolved), [path])
     print(f"wrote {path} ({len(video_ids)} videos, {dim} dims)")
     return EXIT_OK
 
 
-def _mlp_config(args: argparse.Namespace) -> mlp.MlpConfig:
-    return _build(
-        mlp.MlpConfig,
-        hidden_dims=_number_list("--hidden", args.hidden, int),
-        dropout=args.dropout,
-        lr=args.lr,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-
-
 def cmd_train_mlp(args: argparse.Namespace) -> int:
-    agg_cfg = _aggregation_config(args)
-    mlp_cfg = _mlp_config(args)
+    agg_cfg, agg_resolved = _config(features.AggregationConfig, _AGGREGATION_FLAGS, args)
+    mlp_cfg, mlp_resolved = _config(mlp.MlpConfig, _MLP_FLAGS, args)
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
     records = core.load_labels(Path(args.labels))
@@ -446,31 +506,14 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     oof_path = out / "mlp_oof.csv"
     core.save_predictions(core.EncoderPredictionSet("mlp", oof_rows, merged_actors), oof_path)
     outputs.append(oof_path)
-    resolved = {
-        "command": "train-mlp",
-        "features": str(args.features),
-        "labels": str(args.labels),
-        "folds": str(args.folds),
-        "hidden": list(mlp_cfg.hidden_dims),
-        "dropout": mlp_cfg.dropout,
-        "lr": mlp_cfg.lr,
-        "epochs": mlp_cfg.max_epochs,
-        "patience": mlp_cfg.patience,
-        "batch_size": mlp_cfg.batch_size,
-        "seed": mlp_cfg.seed,
-        "layer_lo": agg_cfg.layer_lo,
-        "layer_hi": agg_cfg.layer_hi,
-        "segments": agg_cfg.segments,
-        "stats": list(agg_cfg.stats),
-    }
-    _write_run_meta(out, "train-mlp", resolved, outputs)
+    _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs)
     print(f"wrote {oof_path}")
     return EXIT_OK
 
 
 def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     cfg, cv_cfg = load_run_config(Path(args.config), {"output_dir": args.out})
-    out = _out_dir(cfg["output_dir"])
+    out = _out_dir(cfg["output_dir"], "output_dir" if args.out is None else "--out")
     chash = _config_hash(cfg)
 
     tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
@@ -570,21 +613,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         ("--folds", args.folds),
         ("--weights", args.weights),
     )
-
-    def parse_grid_flag(raw: Optional[str], name: str) -> Optional[tuple[float, ...]]:
-        if not raw:
-            return None
-        try:
-            return _parse_grid(json.loads(raw), name)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad {name}: {exc}") from None
-
-    cfg = _build(
-        CrossValConfig,
-        alpha_grid=parse_grid_flag(args.alpha_grid, "alpha_grid"),
-        beta_grid=parse_grid_flag(args.beta_grid, "beta_grid"),
-        neutral_index=args.neutral_index,
-    )
+    cfg, cfg_resolved = _config(CrossValConfig, _CROSS_VAL_FLAGS, args)
     pred_path = Path(args.predictions)
     if pred_path.is_dir():
         tables = _load_prediction_tables(pred_path)
@@ -600,16 +629,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     used = [t for t in tables if t.encoder_name in weights.weights]
     data = FusionDataset.build(used, records, assignment)
     surfaces = fold_surfaces(data, data.fuse(weights.weights), cfg)
-    resolved = {
-        "command": "sensitivity",
-        "predictions": str(args.predictions),
-        "labels": str(args.labels),
-        "folds": str(args.folds),
-        "weights": str(args.weights) if args.weights else None,
-        "alpha_grid": list(cfg.alpha_grid),
-        "beta_grid": list(cfg.beta_grid),
-        "neutral_index": cfg.neutral_index,
-    }
+    resolved = _record(args, **cfg_resolved)
     out = _out_dir(args.out)
     per_fold, svgs = _fold_report(surfaces, out)
     alphas = [e["alpha"] for e in per_fold["per_fold"]]
@@ -632,19 +652,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     # --gap-lo and --gap-hi set one field; an omitted end keeps its default.
-    gap = tuple(
-        default if flag is None else flag
-        for flag, default in zip((args.gap_lo, args.gap_hi), synth.SynthConfig.actor_gap_range)
-    )
-    cfg = _build(
-        synth.SynthConfig,
-        n_actors=args.actors,
-        clips_per_actor=args.clips,
-        label_mix=_number_list("--mix", args.mix, float),
-        actor_gap_range=gap,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
+    lo, hi = synth.SynthConfig.actor_gap_range
+    gap = (lo if args.gap_lo is None else args.gap_lo, hi if args.gap_hi is None else args.gap_hi)
+    cfg, cfg_resolved = _config(synth.SynthConfig, _SYNTH_FLAGS, args, actor_gap_range=gap)
     dataset = synth.generate(cfg)
     out = _out_dir(args.out)
     labels_path = out / "labels.csv"
@@ -653,16 +663,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     pred_dir.mkdir(exist_ok=True)
     pred_path = pred_dir / f"{cfg.encoder_name}.csv"
     core.save_predictions(dataset.predictions, pred_path)
-    resolved = {
-        "command": "synth",
-        "actors": cfg.n_actors,
-        "clips": cfg.clips_per_actor,
-        "mix": list(cfg.label_mix),
-        "gap_lo": cfg.actor_gap_range[0],
-        "gap_hi": cfg.actor_gap_range[1],
-        "noise_sigma": cfg.noise_sigma,
-        "seed": cfg.seed,
-    }
+    gap_lo, gap_hi = cfg.actor_gap_range
+    resolved = _record(args, **cfg_resolved, gap_lo=gap_lo, gap_hi=gap_hi)
     gaps_path = out / "actor_gaps.json"
     _write_json(gaps_path, {"config_hash": _config_hash(resolved), "gaps": dict(dataset.actor_gaps)})
     _write_run_meta(out, "synth", resolved, [labels_path, pred_path, gaps_path])
@@ -671,6 +673,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_identities(args: argparse.Namespace) -> int:
+    for flag, tol in (("--tol", args.tol), ("--tol-simplex", args.tol_simplex)):
+        if not 0.0 <= tol < math.inf:  # also false for NaN
+            raise ConfigError(f"{flag} must be finite and >= 0, got {tol!r}")
     ok = True
     _require_paths(("--results", args.results), ("--weights", args.weights))
     if args.results:
@@ -711,13 +716,6 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_aggregation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layer-lo", type=int)
-    p.add_argument("--layer-hi", type=int)
-    p.add_argument("--segments", type=int)
-    p.add_argument("--stats", type=str, help="comma-separated statistic names")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="blendfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -735,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", help="layer-average and pool a feature directory")
     p.add_argument("--features", required=True)
-    _add_aggregation_flags(p)
+    _add_flags(p, _AGGREGATION_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_aggregate)
 
@@ -743,14 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--folds", required=True)
-    _add_aggregation_flags(p)
-    p.add_argument("--hidden", type=str, help="comma-separated layer widths")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
+    _add_flags(p, _AGGREGATION_FLAGS, _MLP_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_mlp)
 
@@ -764,20 +755,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--folds", required=True)
     p.add_argument("--weights")
-    p.add_argument("--alpha-grid", help="JSON list or start/stop/step object")
-    p.add_argument("--beta-grid")
-    p.add_argument("--neutral-index", type=int)
+    _add_flags(p, _CROSS_VAL_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("synth", help="deterministic synthetic dataset")
-    p.add_argument("--actors", type=int)
-    p.add_argument("--clips", type=int)
-    p.add_argument("--mix", type=str, help="single, 50/50 and 70/30 shares, comma-separated")
+    _add_flags(p, _SYNTH_FLAGS)
     p.add_argument("--gap-lo", type=float)
     p.add_argument("--gap-hi", type=float)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

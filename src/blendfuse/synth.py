@@ -60,6 +60,8 @@ class SynthConfig:
             raise ValidationError(f"actor_gap_range must satisfy 0 < lo <= hi < 1: {self.actor_gap_range!r}")
         if not 0.0 <= self.noise_sigma < math.inf:  # also false for NaN
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

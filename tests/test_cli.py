@@ -18,7 +18,8 @@ from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
 # Grids that must be configuration errors: empty, non-finite, out of [0, 1]
-# (as a list or as a start/stop/step object), or more than 10,001 values.
+# (as a list or as a start/stop/step object), or more than 10,001 values;
+# start/stop/step that are not numbers; an int too large for a float.
 BAD_GRIDS = [
     "[]",
     "[0.1, NaN]",
@@ -29,6 +30,10 @@ BAD_GRIDS = [
     '{"start": 0, "stop": 2, "step": 0.5}',
     '{"start": 0, "stop": 1, "step": NaN}',
     '{"start": 0, "stop": 1, "step": 9e-05}',
+    '{"start": "0", "stop": "1", "step": "0.5"}',
+    '{"start": 0, "stop": 1, "step": true}',
+    pytest.param("[0.1, 1" + "0" * 400 + "]", id="huge-int-value"),
+    pytest.param('{"start": 0, "stop": 1' + "0" * 400 + ', "step": 0.5}', id="huge-int-stop"),
 ]
 
 GOOD_ROW = " ".join(["0.5"] * 6)
@@ -115,6 +120,7 @@ class TestSynthAndSplit:
             ["--actors", "0"],
             ["--noise-sigma", "nan"],
             ["--noise-sigma", "inf"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_synth_flag_is_config_error(self, tmp_path, flags):
@@ -917,6 +923,22 @@ class TestVerifyIdentities:
     def test_requires_some_input(self):
         assert run("verify-identities") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", ["--tol", "--tol-simplex"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_that_cannot_fail_is_config_error_before_files_are_read(
+        self, tmp_path, capsys, flag, value
+    ):
+        # The weights sum to 0.9, which a tolerance of NaN or infinity would pass.
+        weights = tmp_path / "weights.csv"
+        weights.write_text("encoder,weight\ne0,0.5\ne1,0.4\n", encoding="utf-8")
+        results = tmp_path / "results.csv"
+        results.write_text("fold,acc_p,acc_s,score,n\n0,0.3,0.1,0.2,10\n", encoding="utf-8")
+        code = run("verify-identities", "--results", results, "--weights", weights, flag, value)
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{flag} must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -956,6 +978,39 @@ def test_missing_input_is_config_error(tmp_path, capsys, command, flag):
     assert flag in err and str(ghost) in err
 
 
+@pytest.mark.parametrize("under_it", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "command",
+    ["split", "encode-labels", "aggregate", "train-mlp", "fuse-evaluate", "sensitivity", "synth"],
+)
+def test_out_that_names_a_file_is_config_error(tmp_path, capsys, command, under_it):
+    data = synth_dataset(tmp_path, actors=4, clips=6)
+    folds = make_folds(tmp_path, data)
+    (tmp_path / "mlp").mkdir()
+    mlp_inputs = feature_inputs(tmp_path / "mlp")
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="utf-8")
+    out = taken / "run" if under_it else taken
+    name = "output_dir" if command == "fuse-evaluate" else "--out"
+    argv = {
+        "split": ["--manifest", data / "labels.csv", "--k", 2],
+        "encode-labels": ["--labels", data / "labels.csv"],
+        "aggregate": ["--features", mlp_inputs["--features"], "--layer-lo", 0, "--layer-hi", 0],
+        "train-mlp": [*flags_of(mlp_inputs), "--hidden", 4, "--epochs", 2],
+        "fuse-evaluate": [
+            "--config", TestFuseEvaluate().make_config(tmp_path, data, folds, output_dir=str(out)),
+        ],
+        "sensitivity": [
+            "--predictions", data / "predictions", "--labels", data / "labels.csv", "--folds", folds,
+        ],
+        "synth": ["--actors", 2, "--clips", 2],
+    }[command]
+    if name == "--out":
+        argv += ["--out", out]
+    assert run(command, *argv) == EXIT_CONFIG
+    assert f"{name} cannot be made a directory: {str(out)!r}" in capsys.readouterr().err
+
+
 # Flags that set no config field, and so declare their own default.
 OWN_DEFAULT_FLAGS = {("split", "--k"), ("verify-identities", "--tol"), ("verify-identities", "--tol-simplex")}
 
@@ -969,6 +1024,28 @@ def test_config_flags_default_to_none():
             if action.dest == "help" or (command, action.option_strings[0]) in OWN_DEFAULT_FLAGS:
                 continue
             assert action.default is None, (command, action.option_strings[0], action.default)
+
+
+# Config fields that no flag sets: fixed by the model or the generator, or
+# (actor_gap_range) set by the --gap-lo/--gap-hi pair.
+NO_FLAG_FIELDS = {"output_dim", "momentum", "encoder_name", "actor_gap_range"}
+
+
+def test_every_config_field_has_a_flag_or_is_listed_without_one():
+    tables = {
+        features.AggregationConfig: cli._AGGREGATION_FLAGS,
+        mlp.MlpConfig: cli._MLP_FLAGS,
+        synth.SynthConfig: cli._SYNTH_FLAGS,
+        CrossValConfig: cli._CROSS_VAL_FLAGS,
+    }
+    for cls, table in tables.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        flagged = [entry.field for entry in table]
+        assert len(set(flagged)) == len(flagged) and set(flagged) <= fields, cls.__name__
+        if cls is not CrossValConfig:
+            assert fields - set(flagged) <= NO_FLAG_FIELDS, cls.__name__
+    # fuse-evaluate's run config sets every CrossValConfig field.
+    assert {f.name for f in dataclasses.fields(CrossValConfig)} <= set(cli._RUN_CONFIG_KEYS)
 
 
 class TestOmittedFlagsTakeLibraryDefaults:
