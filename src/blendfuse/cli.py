@@ -411,30 +411,38 @@ def cmd_encode_labels(args: argparse.Namespace) -> int:
 
 def _aggregate_directory(
     feature_dir: Path, cfg: features.AggregationConfig
-) -> tuple[list[str], dict[str, str], dict[str, np.ndarray]]:
+) -> tuple[list[str], list[str], np.ndarray]:
+    """Video ids, actor ids and the ``(videos, D)`` matrix of aggregated
+    vectors of a feature directory, in manifest order.  A file whose vector
+    is not as wide as the first file's is a ValidationError naming both."""
     manifest = features.load_feature_manifest(feature_dir / "manifest.csv")
-    video_ids: list[str] = []
-    actors: dict[str, str] = {}
-    vectors: dict[str, np.ndarray] = {}
-    for video_id, actor_id, rel_path in manifest:
-        seq = features.load_feature_file(feature_dir / rel_path, video_id)
-        vectors[video_id] = features.aggregate_sequence(seq, cfg)
-        actors[video_id] = actor_id
-        video_ids.append(video_id)
-    return video_ids, actors, vectors
+    matrix = np.empty((len(manifest), 0))
+    for row, (video_id, _, rel_path) in enumerate(manifest):
+        path = feature_dir / rel_path
+        vector = features.aggregate_sequence(features.load_feature_file(path, video_id), cfg)
+        if row == 0:
+            matrix = np.empty((len(manifest), vector.size))
+        elif vector.size != matrix.shape[1]:
+            first = feature_dir / manifest[0][2]
+            raise ValidationError(
+                f"{path}: aggregates to {vector.size} values, but {first} to {matrix.shape[1]}"
+            )
+        matrix[row] = vector
+    return [e[0] for e in manifest], [e[1] for e in manifest], matrix
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     cfg, resolved = _config(features.AggregationConfig, _AGGREGATION_FLAGS, args)
-    video_ids, actors, vectors = _aggregate_directory(_feature_dir(args.features), cfg)
+    video_ids, actor_ids, matrix = _aggregate_directory(_feature_dir(args.features), cfg)
     out = _out_dir(args.out)
     path = out / "aggregated.csv"
-    dim = len(next(iter(vectors.values()))) if vectors else 0
+    dim = matrix.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "actor_id"] + [f"f{i}" for i in range(dim)])
-        for vid in video_ids:
-            writer.writerow([vid, actors[vid]] + [repr(float(v)) for v in vectors[vid]])
+        writer.writerows(
+            [vid, actor, *map(repr, row)] for vid, actor, row in zip(video_ids, actor_ids, matrix.tolist())
+        )
     _write_run_meta(out, "aggregate", _record(args, **resolved), [path])
     print(f"wrote {path} ({len(video_ids)} videos, {dim} dims)")
     return EXIT_OK
@@ -447,64 +455,54 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
     records = core.load_labels(Path(args.labels))
     assignment = load_folds(Path(args.folds))
-    _, _, vectors = _aggregate_directory(feature_dir, agg_cfg)
+    video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg)
 
-    missing = [r.video_id for r in records if r.video_id not in vectors]
+    row_of = dict(zip(video_ids, range(len(video_ids))))
+    missing = [r.video_id for r in records if r.video_id not in row_of]
     if missing:
         raise ValidationError(f"missing features for labeled videos: {missing}")
-
+    # Each labeled video's soft-label target, on its feature row.
+    targets = np.zeros((len(video_ids), core.N_EMOTIONS))
+    for rec in records:
+        targets[row_of[rec.video_id]] = labels_mod.encode_soft_label(rec.annotation).values
+    actor_of = {r.video_id: r.actor_id for r in records}
     by_fold = assignment.videos_by_fold(records)
-    record_of = {r.video_id: r for r in records}
+    rows = {f: np.array([row_of[v] for v in vids], dtype=np.intp) for f, vids in by_fold.items()}
+
     out = _out_dir(args.out)
     outputs: list[Path] = []
-    merged_preds: dict[str, tuple[core.EmotionDistribution, ...]] = {}
-    merged_actors: dict[str, str] = {}
-
-    def arrays_for(vids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([vectors[v] for v in vids])
-        y = np.stack(
-            [labels_mod.encode_soft_label(record_of[v].annotation).as_array() for v in vids]
-        )
-        return x, y
-
-    for fold in assignment.fold_indices():
-        held_out = by_fold[fold]
-        train_folds = [f for f in assignment.fold_indices() if f != fold]
-        # The lowest-index remaining fold gates early stopping; the rest train.
-        val_fold = train_folds[0]
-        train_vids = [v for f in train_folds[1:] for v in by_fold[f]]
-        if not train_vids:  # k == 2 leaves one fold for both roles
-            train_vids = list(by_fold[val_fold])
+    oof: list[tuple[str, str, list[float]]] = []
+    for fold, held_out in rows.items():
+        train_folds = [f for f in rows if f != fold]
+        # The lowest-index remaining fold gates early stopping; the rest train,
+        # or it does both when k == 2 leaves no other.
+        val = rows[train_folds[0]]
+        train = np.concatenate([rows[f] for f in train_folds[1:]] or [val])
         cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
-        result = mlp.train(arrays_for(train_vids), arrays_for(by_fold[val_fold]), cfg)
+        result = mlp.train((matrix[train], targets[train]), (matrix[val], targets[val]), cfg)
 
         ckpt = out / f"mlp_fold{fold}.npz"
         mlp.save_model(result.model, ckpt)
         log_path = out / f"mlp_fold{fold}_log.csv"
         mlp.save_train_log(result.log, log_path)
 
-        probs = mlp.predict_proba(result.model, np.stack([vectors[v] for v in held_out]))
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        fold_rows = {
-            vid: (core.EmotionDistribution(tuple(float(x) for x in row)),)
-            for vid, row in zip(held_out, probs)
-        }
-        fold_actors = {vid: record_of[vid].actor_id for vid in held_out}
+        probs = mlp.predict_proba(result.model, matrix[held_out])
+        probs /= probs.sum(axis=1, keepdims=True)
+        if not np.isfinite(probs).all():
+            raise ValidationError(f"fold {fold}: non-finite probability in the held-out predictions")
+        vids = by_fold[fold]
+        fold_rows = list(zip(vids, map(actor_of.__getitem__, vids), probs.tolist()))
         pred_path = out / f"mlp_fold{fold}.csv"
-        core.save_predictions(
-            core.EncoderPredictionSet("mlp", fold_rows, fold_actors), pred_path
-        )
-        merged_preds.update(fold_rows)
-        merged_actors.update(fold_actors)
+        core.write_prediction_rows(pred_path, fold_rows)
+        oof += fold_rows
         outputs += [ckpt, log_path, pred_path]
         print(
             f"fold {fold}: best epoch {result.best_epoch}, val KL {result.best_val_loss:.6f}, "
-            f"{len(held_out)} held-out predictions"
+            f"{len(vids)} held-out predictions"
         )
 
-    oof_rows = {vid: merged_preds[vid] for vid in sorted(merged_preds)}
     oof_path = out / "mlp_oof.csv"
-    core.save_predictions(core.EncoderPredictionSet("mlp", oof_rows, merged_actors), oof_path)
+    core.write_prediction_rows(oof_path, sorted(oof))  # by video id, which is unique
     outputs.append(oof_path)
     _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs)
     print(f"wrote {oof_path}")
@@ -579,30 +577,13 @@ def _report_payload(report: CrossValReport, chash: str) -> dict[str, Any]:
     return {
         "config_hash": chash,
         "folds": [
-            {
-                "fold": o.fold,
-                "acc_p": o.result.acc_p,
-                "acc_s": o.result.acc_s,
-                "score": o.result.score,
-                "n": o.result.n,
-                "weights": dict(o.weights),
-                "alpha": o.thresholds.alpha,
-                "beta": o.thresholds.beta,
-            }
+            {"fold": o.fold, **dataclasses.asdict(o.result), "weights": dict(o.weights),
+             **dataclasses.asdict(o.thresholds)}
             for o in report.folds
         ],
-        "mean": {
-            "acc_p": report.mean.acc_p,
-            "acc_s": report.mean.acc_s,
-            "score": report.mean.score,
-        },
-        "std": {"acc_p": report.std[0], "acc_s": report.std[1], "score": report.std[2]},
-        "pooled": {
-            "acc_p": report.pooled.acc_p,
-            "acc_s": report.pooled.acc_s,
-            "score": report.pooled.score,
-            "n": report.pooled.n,
-        },
+        "mean": {k: v for k, v in dataclasses.asdict(report.mean).items() if k != "n"},
+        "std": dict(zip(("acc_p", "acc_s", "score"), report.std)),
+        "pooled": dataclasses.asdict(report.pooled),
     }
 
 
@@ -789,6 +770,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # Input reads raise ValidationError, so this came from writing an output.
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -485,17 +485,19 @@ def load_prediction_table(path: str | Path) -> PredictionTable:
     return PredictionTable(path.stem, row_of, sums / clips[:, None])
 
 
-def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
-    path = Path(path)
+def write_prediction_rows(path: str | Path, rows: Iterable[tuple[str, str, Sequence[float]]]) -> None:
+    """Write a predictions file of ``(video_id, actor_id, probabilities)`` rows, in order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTIONS_HEADER)
-        for video_id, clips in preds.rows.items():
-            actor_id = preds.actors.get(video_id, "")
-            for clip in clips:
-                writer.writerow(
-                    [video_id, actor_id] + [_format_float(v) for v in clip.values]
-                )
+        writer.writerows([vid, actor, *map(_format_float, values)] for vid, actor, values in rows)
+
+
+def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
+    write_prediction_rows(
+        path,
+        ((vid, preds.actors.get(vid, ""), clip.values) for vid, clips in preds.rows.items() for clip in clips),
+    )
 
 
 def load_labels(path: str | Path) -> list[SampleRecord]:

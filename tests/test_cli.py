@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -77,6 +78,31 @@ def feature_inputs(tmp_path):
     feat_dir = write_feature_dir(tmp_path, records, np.random.default_rng(3))
     folds_out = tmp_path / "folds"
     assert run("split", "--manifest", labels_path, "--k", 2, "--out", folds_out) == EXIT_OK
+    return {
+        "--features": feat_dir, "--labels": labels_path, "--folds": folds_out / "folds.csv",
+        "--layer-lo": 0, "--layer-hi": 0,
+    }
+
+
+def three_fold_inputs(tmp_path):
+    """train-mlp input flags for 3 actors x 4 clips of single and blended
+    emotions, 3 folds.  The labels list the clips clip-major with video ids
+    descending and the manifest lists them in reverse, so the labels,
+    feature and video-id orders all differ."""
+    blends = [
+        core.BlendAnnotation(core.Emotion.ANGER, None, 100),
+        core.BlendAnnotation(core.Emotion.FEAR, core.Emotion.HAPPINESS, 70),
+        core.BlendAnnotation(core.Emotion.DISGUST, core.Emotion.SURPRISE, 50),
+        core.BlendAnnotation(core.Emotion.SADNESS, core.Emotion.ANGER, 70),
+    ]
+    records = [
+        core.SampleRecord(f"a{a}_v{3 - c}", f"a{a}", blends[(a + c) % 4]) for c in range(4) for a in range(3)
+    ]
+    labels_path = tmp_path / "labels.csv"
+    core.save_labels(records, labels_path)
+    feat_dir = write_feature_dir(tmp_path, records[::-1], np.random.default_rng(4))
+    folds_out = tmp_path / "folds"
+    assert run("split", "--manifest", labels_path, "--k", 3, "--out", folds_out) == EXIT_OK
     return {
         "--features": feat_dir, "--labels": labels_path, "--folds": folds_out / "folds.csv",
         "--layer-lo": 0, "--layer-hi": 0,
@@ -747,6 +773,83 @@ class TestTrainMlp:
         assert run("aggregate", "--features", ghost, "--out", tmp_path / "out") == EXIT_CONFIG
         assert f"--features does not exist: '{ghost}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["aggregate", "train-mlp"])
+    def test_mixed_feature_widths_are_data_error_naming_the_file(self, tmp_path, capsys, command):
+        inputs = feature_inputs(tmp_path)
+        feat_dir = inputs["--features"]
+        wide = features.FrameFeatureSequence("a1_v0", np.ones((1, 4, 7)))  # 7 dims, the others 6
+        features.save_feature_file(wide, feat_dir)
+        if command == "aggregate":
+            argv = ["--features", feat_dir, "--layer-lo", 0, "--layer-hi", 0]
+        else:
+            argv = [*flags_of(inputs), "--hidden", 4, "--epochs", 2]
+        assert run(command, *argv, "--out", tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{feat_dir / 'a1_v0.feat'}: aggregates to 49 values, but {feat_dir / 'a0_v0.feat'} to 42" in err
+
+    def test_non_finite_held_out_row_is_data_error_naming_its_fold(self, tmp_path, capsys, monkeypatch):
+        inputs = feature_inputs(tmp_path)
+        predict_proba = mlp.predict_proba
+        held_out_calls = []
+
+        def nan_for_the_second_held_out_fold(model, x):
+            probs = predict_proba(model, x)
+            if model.mode == "eval":  # the best snapshot, predicting its held-out fold
+                held_out_calls.append(len(x))
+                if len(held_out_calls) == 2:
+                    probs[-1] = np.nan
+            return probs
+
+        monkeypatch.setattr(mlp, "predict_proba", nan_for_the_second_held_out_fold)
+        out = tmp_path / "mlp"
+        code = run("train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2, "--out", out)
+        assert code == EXIT_DATA
+        assert held_out_calls == [3, 3]
+        assert "fold 1: non-finite probability in the held-out predictions" in capsys.readouterr().err
+        assert (out / "mlp_fold0.csv").exists() and not (out / "mlp_fold1.csv").exists()
+
+
+# SHA-256 of each train-mlp output but run_meta.json, and of aggregated.csv
+# from aggregate on the same features, copied from the output of the
+# implementation that built a prediction object per held-out video.
+PINNED_FEATURE_OUTPUTS = {
+    "2-fold": {
+        "aggregated.csv": "503325ecbdf209198faa8a33e711ea3a39759c6ee2591174f58e7fdf0daced04",
+        "mlp_fold0.csv": "5407132dc7a436c503435090dff49dcb8e2ef22024c475385732182c4a30e1cf",
+        "mlp_fold0.npz": "3078e69f76a3207383e7919556f581bf60cf0723d3dc6fc6ddcdb66ace75b748",
+        "mlp_fold0_log.csv": "8bb42e267292914e045aa18b740dc577007fc3407d6559d7e196c0e36274d2c3",
+        "mlp_fold1.csv": "79ead4acdaad5a2bbcc3f824f1acaaef056abf7e65eb254293e947b94a490a8b",
+        "mlp_fold1.npz": "d18d0608bd3615168de6225edf829292f5fba202d69ceb5df9ac965733254c71",
+        "mlp_fold1_log.csv": "a0227f2994c6216b8cee1a91c27a0f12ed91b41fc645353402951f181338b05b",
+        "mlp_oof.csv": "cbee78359325c43f648e1fc9fbc8b7d118326cce27ad28f927eb76d4b5693615",
+    },
+    "3-fold": {
+        "aggregated.csv": "f5cec35b082e50c8f38840795d1fd1a3bf352d209c417ad197d9c639b4632d1c",
+        "mlp_fold0.csv": "02fd790c3308de4e467e96ac692d14fd849bb8193b51989188a7a21ce74dfe46",
+        "mlp_fold0.npz": "180dc91a690a591f6d1f9c1edd7dca35bce8611a6d89ee1118d4b9b427f97226",
+        "mlp_fold0_log.csv": "c5a65a6db8f7bea49d7c0c4f6e70dac6df04131be7b5025ec013f09abd498ec2",
+        "mlp_fold1.csv": "4affba2503950f693aa36cc9335d9e6f6ff540f5cb3cc8be31d991786adaf668",
+        "mlp_fold1.npz": "547e4340a4dc4adda9e234bf0a86f7d05e3ded61e2c4ee766eb243d5da18a586",
+        "mlp_fold1_log.csv": "57d5c966d015d142c232fc0061841eb938c555d7f8ed456d784ca8d78f176382",
+        "mlp_fold2.csv": "5812b9d7f7433214e0b3f98bba64f4d39726bb1cdbd212d5a02a116b36907e5b",
+        "mlp_fold2.npz": "1ae7188dc4f55b5a4d353dfc8754308160319de4f73a11891a2b72a6041c9991",
+        "mlp_fold2_log.csv": "28e4f06324b83b32e551aebede014d2e4ce2b6c88555fa7b02b92b1587c4e657",
+        "mlp_oof.csv": "97b580c635ad87825b2137cdfaa60b5c708bf0a1cf6cbca1497f6db596514f74",
+    },
+}
+
+
+@pytest.mark.parametrize("case", PINNED_FEATURE_OUTPUTS)
+def test_train_mlp_and_aggregate_outputs_are_pinned(tmp_path, case):
+    inputs = (feature_inputs if case == "2-fold" else three_fold_inputs)(tmp_path)
+    out = tmp_path / "out"
+    assert run("train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 3, "--batch-size", 4,
+               "--out", out) == EXIT_OK
+    assert run("aggregate", "--features", inputs["--features"], "--layer-lo", 0, "--layer-hi", 0,
+               "--out", out) == EXIT_OK
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs_of(out).items()}
+    assert digests == PINNED_FEATURE_OUTPUTS[case]
+
 
 class TestDeterminism:
     def test_synth_rerun_byte_identical(self, tmp_path):
@@ -978,37 +1081,68 @@ def test_missing_input_is_config_error(tmp_path, capsys, command, flag):
     assert flag in err and str(ghost) in err
 
 
-@pytest.mark.parametrize("under_it", [False, True], ids=["file", "under-file"])
-@pytest.mark.parametrize(
-    "command",
-    ["split", "encode-labels", "aggregate", "train-mlp", "fuse-evaluate", "sensitivity", "synth"],
-)
-def test_out_that_names_a_file_is_config_error(tmp_path, capsys, command, under_it):
+WRITING_COMMANDS = ["split", "encode-labels", "aggregate", "train-mlp", "fuse-evaluate", "sensitivity", "synth"]
+
+
+def writing_argv(tmp_path, command, out):
+    """Arguments of a run of ``command`` on small inputs under ``tmp_path``
+    that writes its outputs under ``out``."""
     data = synth_dataset(tmp_path, actors=4, clips=6)
     folds = make_folds(tmp_path, data)
     (tmp_path / "mlp").mkdir()
     mlp_inputs = feature_inputs(tmp_path / "mlp")
+    if command == "fuse-evaluate":
+        return ["--config", TestFuseEvaluate().make_config(tmp_path, data, folds, output_dir=str(out))]
+    return [
+        *{
+            "split": ["--manifest", data / "labels.csv", "--k", 2],
+            "encode-labels": ["--labels", data / "labels.csv"],
+            "aggregate": ["--features", mlp_inputs["--features"], "--layer-lo", 0, "--layer-hi", 0],
+            "train-mlp": [*flags_of(mlp_inputs), "--hidden", 4, "--epochs", 2],
+            "sensitivity": [
+                "--predictions", data / "predictions", "--labels", data / "labels.csv", "--folds", folds,
+            ],
+            "synth": ["--actors", 2, "--clips", 2],
+        }[command],
+        "--out", out,
+    ]
+
+
+@pytest.mark.parametrize("under_it", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_out_that_names_a_file_is_config_error(tmp_path, capsys, command, under_it):
     taken = tmp_path / "taken"
     taken.write_text("a file\n", encoding="utf-8")
     out = taken / "run" if under_it else taken
     name = "output_dir" if command == "fuse-evaluate" else "--out"
-    argv = {
-        "split": ["--manifest", data / "labels.csv", "--k", 2],
-        "encode-labels": ["--labels", data / "labels.csv"],
-        "aggregate": ["--features", mlp_inputs["--features"], "--layer-lo", 0, "--layer-hi", 0],
-        "train-mlp": [*flags_of(mlp_inputs), "--hidden", 4, "--epochs", 2],
-        "fuse-evaluate": [
-            "--config", TestFuseEvaluate().make_config(tmp_path, data, folds, output_dir=str(out)),
-        ],
-        "sensitivity": [
-            "--predictions", data / "predictions", "--labels", data / "labels.csv", "--folds", folds,
-        ],
-        "synth": ["--actors", 2, "--clips", 2],
-    }[command]
-    if name == "--out":
-        argv += ["--out", out]
-    assert run(command, *argv) == EXIT_CONFIG
+    assert run(command, *writing_argv(tmp_path, command, out)) == EXIT_CONFIG
     assert f"{name} cannot be made a directory: {str(out)!r}" in capsys.readouterr().err
+
+
+# The first path each writing command writes under its output directory.
+FIRST_OUTPUT = {
+    "split": "folds.csv",
+    "encode-labels": "soft_labels.csv",
+    "aggregate": "aggregated.csv",
+    "train-mlp": "mlp_fold0.npz",
+    "fuse-evaluate": "weights.csv",
+    "sensitivity": "score_surface.svg",
+    "synth": "predictions",  # a directory, so a file takes its place
+}
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_output_path_of_the_wrong_kind_is_config_error_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    taken = out / FIRST_OUTPUT[command]
+    out.mkdir()
+    if command == "synth":
+        taken.write_text("a file\n", encoding="utf-8")
+    else:
+        taken.mkdir()
+    assert run(command, *writing_argv(tmp_path, command, out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and repr(str(taken)) in err
 
 
 # Flags that set no config field, and so declare their own default.
