@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -271,31 +272,58 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows after ``expected_header``, read one at a time, each
-    with the number of the file line it ends on.  An empty file, another
-    header, bytes that are not UTF-8, a field over ``csv.field_size_limit()``
-    or a path that cannot be read (such as a directory) are a
-    :class:`ValidationError` naming ``path``."""
+@contextmanager
+def located(where: object) -> Iterator[None]:
+    """Re-raise a ValueError (a :class:`ValidationError` is one) from inside
+    as a :class:`ValidationError` led by ``where``: a path or ``path:line``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+@contextmanager
+def csv_reader(path: str | Path) -> Iterator[Any]:
+    """A ``csv.reader`` over ``path`` as UTF-8.  An unreadable path (such as a
+    directory), bytes that are not UTF-8 or a field over
+    ``csv.field_size_limit()`` are a :class:`ValidationError` naming ``path``."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file")
-            if header != expected_header:
-                raise ValidationError(
-                    f"{path}: bad header {header!r}, expected {expected_header!r}"
-                )
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
+            yield reader
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def read_csv_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after ``expected_header``, read one at a time, each
+    with the number of the file line it ends on.  An empty file, another
+    header or a row not as wide as the header is a :class:`ValidationError`
+    naming ``path``, as are the faults of :func:`csv_reader`."""
+    with csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        if header != expected_header:
+            raise ValidationError(f"{path}: bad header {header!r}, expected {expected_header!r}")
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
+
+
+def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV lines ending in CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # Characters per block of whole lines: enough to amortise a block's numpy
@@ -386,33 +414,28 @@ def _parse_prediction_rows(path: Path) -> tuple[list[str], list[str], np.ndarray
     values: list[list[float]] = []
     lines: list[int] = []
     actors: dict[str, str] = {}
-    line_error: Optional[str] = None
-    for lineno, row in read_csv_rows(path, PREDICTIONS_HEADER):
-        if len(row) != len(PREDICTIONS_HEADER):
-            line_error = f"{path}:{lineno}: expected {len(PREDICTIONS_HEADER)} fields"
-            break
-        try:
-            vals = list(map(float, row[2:]))
-        except ValueError as exc:
-            line_error = f"{path}:{lineno}: {exc}"
-            break
-        # The row's values are checked before its actor, as in a per-line read.
-        values.append(vals)
-        lines.append(lineno)
-        video_id, actor_id = row[0], row[1]
-        if actors.setdefault(video_id, actor_id) != actor_id:
-            line_error = f"{path}:{lineno}: video {video_id!r} listed under two actors"
-            break
-        video_ids.append(video_id)
-        actor_ids.append(actor_id)
+    line_error: Optional[ValidationError] = None
+    try:
+        for lineno, row in read_csv_rows(path, PREDICTIONS_HEADER):
+            # The row's values are checked before its actor, as in a per-line read.
+            try:
+                values.append(list(map(float, row[2:])))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            lines.append(lineno)
+            video_id, actor_id = row[0], row[1]
+            if actors.setdefault(video_id, actor_id) != actor_id:
+                raise ValidationError(f"{path}:{lineno}: video {video_id!r} listed under two actors")
+            video_ids.append(video_id)
+            actor_ids.append(actor_id)
+    except ValidationError as exc:
+        line_error = exc  # reported after any value fault on an earlier line
     matrix = np.array(values, dtype=np.float64).reshape(len(values), N_EMOTIONS)
     for i in np.flatnonzero(_doubtful_rows(matrix)).tolist():
-        try:
+        with located(f"{path}:{lines[i]}"):
             matrix[i] = EmotionDistribution.from_raw(values[i]).values
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lines[i]}: {exc}") from None
     if line_error is not None:
-        raise ValidationError(line_error)
+        raise line_error
     return video_ids, actor_ids, matrix
 
 
@@ -487,10 +510,8 @@ def load_prediction_table(path: str | Path) -> PredictionTable:
 
 def write_prediction_rows(path: str | Path, rows: Iterable[tuple[str, str, Sequence[float]]]) -> None:
     """Write a predictions file of ``(video_id, actor_id, probabilities)`` rows, in order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTIONS_HEADER)
-        writer.writerows([vid, actor, *map(_format_float, values)] for vid, actor, values in rows)
+    lines = ([vid, actor, *map(_format_float, values)] for vid, actor, values in rows)
+    write_csv_rows(path, PREDICTIONS_HEADER, lines)
 
 
 def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
@@ -541,8 +562,6 @@ def _label_rows(path: Path) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     seen: set[str] = set()
     for lineno, row in read_csv_rows(path, LABELS_HEADER):
-        if len(row) != len(LABELS_HEADER):
-            raise ValidationError(f"{path}:{lineno}: expected {len(LABELS_HEADER)} fields")
         video_id, actor_id, emo_a, emo_b, salience = row
         if video_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
@@ -556,23 +575,20 @@ def _label_rows(path: Path) -> list[SampleRecord]:
 
 
 def save_labels(records: Sequence[SampleRecord], path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELS_HEADER)
-        for rec in records:
-            ann = rec.annotation
-            if ann is None:
-                raise ValidationError(f"record {rec.video_id!r} has no annotation to save")
-            writer.writerow(
-                [
-                    rec.video_id,
-                    rec.actor_id,
-                    ann.primary.label,
-                    ann.secondary.label if ann.secondary is not None else "",
-                    str(ann.salience_primary),
-                ]
-            )
+    write_csv_rows(path, LABELS_HEADER, map(_label_row, records))
+
+
+def _label_row(rec: SampleRecord) -> list[str]:
+    ann = rec.annotation
+    if ann is None:
+        raise ValidationError(f"record {rec.video_id!r} has no annotation to save")
+    return [
+        rec.video_id,
+        rec.actor_id,
+        ann.primary.label,
+        ann.secondary.label if ann.secondary is not None else "",
+        str(ann.salience_primary),
+    ]
 
 
 def annotations_by_video(records: Iterable[SampleRecord]) -> dict[str, BlendAnnotation]:

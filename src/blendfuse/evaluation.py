@@ -9,7 +9,6 @@ actor appears in both a training and a validation fold.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,9 @@ from .core import (
     SampleRecord,
     ValidationError,
     annotations_by_video,
+    located,
     read_csv_rows,
+    write_csv_rows,
 )
 from .postprocess import (
     DEFAULT_GRID,
@@ -401,50 +402,40 @@ RESULTS_HEADER = ["fold", "acc_p", "acc_s", "score", "n"]
 
 
 def save_folds(assignment: FoldAssignment, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FOLDS_HEADER)
-        for actor in sorted(assignment.folds):
-            writer.writerow([actor, str(assignment.folds[actor])])
+    write_csv_rows(path, FOLDS_HEADER, sorted(assignment.folds.items()))  # by actor, which is unique
 
 
 def load_folds(path: str | Path) -> FoldAssignment:
-    path = Path(path)
     folds = {}
     for lineno, row in read_csv_rows(path, FOLDS_HEADER):
-        try:
+        with located(f"{path}:{lineno}"):
             actor, fold = row[0], int(row[1])
-        except (IndexError, ValueError):
-            raise ValidationError(f"{path}:{lineno}: bad fold row {row!r}") from None
         if actor in folds:
             raise ValidationError(f"{path}:{lineno}: actor {actor!r} is listed twice")
+        if fold < 0:
+            raise ValidationError(f"{path}:{lineno}: fold index must be >= 0, got {fold}")
         folds[actor] = fold
-    if not folds:
-        raise ValidationError(f"{path}: no fold assignments")
-    return FoldAssignment(folds, max(folds.values()) + 1)
+    with located(path):
+        return FoldAssignment(folds, max(folds.values(), default=-1) + 1)
 
 
 def save_results(report: CrossValReport, path: str | Path) -> None:
     """Write the per-fold results table with a trailing mean +/- std summary row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for o in report.folds:
-            writer.writerow(
-                [
-                    str(o.fold),
-                    repr(o.result.acc_p),
-                    repr(o.result.acc_s),
-                    repr(o.result.score),
-                    str(o.result.n),
-                ]
-            )
-        writer.writerow(
-            [
-                "summary",
-                f"{report.mean.acc_p!r}±{report.std[0]!r}",
-                f"{report.mean.acc_s!r}±{report.std[1]!r}",
-                f"{report.mean.score!r}±{report.std[2]!r}",
-                str(report.mean.n),
-            ]
-        )
+    rows = [
+        [
+            str(o.fold),
+            repr(o.result.acc_p),
+            repr(o.result.acc_s),
+            repr(o.result.score),
+            str(o.result.n),
+        ]
+        for o in report.folds
+    ]
+    summary = [
+        "summary",
+        f"{report.mean.acc_p!r}±{report.std[0]!r}",
+        f"{report.mean.acc_s!r}±{report.std[1]!r}",
+        f"{report.mean.score!r}±{report.std[2]!r}",
+        str(report.mean.n),
+    ]
+    write_csv_rows(path, RESULTS_HEADER, [*rows, summary])

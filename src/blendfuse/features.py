@@ -9,14 +9,13 @@ one global mean) maps D=1024 inputs to 7 * 1024 = 7168 dimensions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, read_csv_rows
+from .core import ValidationError, located, read_csv_rows, write_csv_rows
 
 SEGMENT_STATS = ("segment_mean", "segment_std")
 GLOBAL_STATS = ("global_mean", "global_median")
@@ -221,29 +220,20 @@ def load_feature_file(path: str | Path, video_id: str | None = None) -> FrameFea
                 lineno = line_numbers[k // dims]
                 raise ValidationError(f"{path}:{lineno}: not a number: {token!r}") from None
         raise
-    try:
+    with located(path):
         return FrameFeatureSequence(vid, values.reshape(layers, frames, dims))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_feature_manifest(
     entries: Sequence[tuple[str, str, str]], path: str | Path
 ) -> None:
     """Write the (video_id, actor_id, path) index of a feature directory."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for video_id, actor_id, feat_path in entries:
-            writer.writerow([video_id, actor_id, feat_path])
+    write_csv_rows(path, MANIFEST_HEADER, entries)
 
 
 def load_feature_manifest(path: str | Path) -> list[tuple[str, str, str]]:
-    path = Path(path)
     entries: dict[str, tuple[str, str, str]] = {}
     for lineno, row in read_csv_rows(path, MANIFEST_HEADER):
-        if len(row) != 3:
-            raise ValidationError(f"{path}:{lineno}: expected 3 fields")
         if row[0] in entries:
             raise ValidationError(f"{path}:{lineno}: video {row[0]!r} is listed twice")
         entries[row[0]] = (row[0], row[1], row[2])

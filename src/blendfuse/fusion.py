@@ -10,7 +10,6 @@ grid for up to three encoders.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,9 @@ from .core import (
     EncoderPredictionSet,
     PredictionTable,
     ValidationError,
+    located,
     read_csv_rows,
+    write_csv_rows,
 )
 from .evaluation import CrossValConfig, FusionDataset, fold_surfaces, grid_units
 from .postprocess import ThresholdPair, ThresholdSurface, point_counts, select_thresholds
@@ -36,13 +37,18 @@ ROUNDING_TOLERANCE = 5e-3
 COORDINATE_DELTAS = (0.10, 0.05, 0.02, 0.01)
 
 
+def _check_weight(name: str, w: float) -> float:
+    if not math.isfinite(w) or w < 0.0:
+        raise ValidationError(f"weight for {name!r} must be finite and >= 0, got {w!r}")
+    return w
+
+
 def validate_simplex(weights: Mapping[str, float], tol: float) -> None:
     """Check non-negativity and sum-to-one within ``tol``."""
     if not weights:
         raise ValidationError("empty weight vector")
     for name, w in weights.items():
-        if not math.isfinite(w) or w < 0.0:
-            raise ValidationError(f"weight for {name!r} must be finite and >= 0, got {w!r}")
+        _check_weight(name, w)
     total = math.fsum(weights.values())
     if abs(total - 1.0) > tol:
         raise ValidationError(f"weights sum to {total!r}, outside tolerance {tol}")
@@ -219,30 +225,20 @@ WEIGHTS_HEADER = ["encoder", "weight"]
 
 
 def save_weights(w: WeightVector, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHTS_HEADER)
-        for name in sorted(w.weights):
-            writer.writerow([name, f"{w.weights[name]:.6f}"])
+    write_csv_rows(path, WEIGHTS_HEADER, ([name, f"{w.weights[name]:.6f}"] for name in sorted(w.weights)))
 
 
 def load_weights(path: str | Path, tol: float = ROUNDING_TOLERANCE) -> WeightVector:
     """Read a weights file, accepting rounded sums within ``tol`` and
     renormalizing to an exact simplex."""
-    path = Path(path)
     weights: dict[str, float] = {}
     for lineno, row in read_csv_rows(path, WEIGHTS_HEADER):
-        if len(row) != len(WEIGHTS_HEADER):
-            raise ValidationError(
-                f"{path}:{lineno}: expected {len(WEIGHTS_HEADER)} fields, got {len(row)}"
-            )
         if row[0] in weights:
             raise ValidationError(f"{path}:{lineno}: encoder {row[0]!r} is listed twice")
-        try:
-            weights[row[0]] = float(row[1])
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: weight {row[1]!r} is not a number") from None
-    validate_simplex(weights, tol)
+        with located(f"{path}:{lineno}"):
+            weights[row[0]] = _check_weight(row[0], float(row[1]))
+    with located(path):
+        validate_simplex(weights, tol)
     total = math.fsum(weights.values())
     scaled = {name: w / total for name, w in weights.items()}
     residue = 1.0 - math.fsum(scaled.values())
@@ -252,8 +248,5 @@ def load_weights(path: str | Path, tol: float = ROUNDING_TOLERANCE) -> WeightVec
 
 
 def save_search_log(entries: Sequence[SearchLogEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "candidate_id", "objective"])
-        for e in entries:
-            writer.writerow([str(e.step), e.candidate_id, repr(e.objective)])
+    rows = ([str(e.step), e.candidate_id, repr(e.objective)] for e in entries)
+    write_csv_rows(path, ["step", "candidate_id", "objective"], rows)

@@ -787,6 +787,24 @@ class TestTrainMlp:
         err = capsys.readouterr().err
         assert f"{feat_dir / 'a1_v0.feat'}: aggregates to 49 values, but {feat_dir / 'a0_v0.feat'} to 42" in err
 
+    @pytest.mark.parametrize("command", ["aggregate", "train-mlp"])
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((5, 4, 6), "layer range [6, 12] out of bounds for 5 layers"),
+            ((13, 2, 6), "need at least 3 frames for 3 segments, got 2"),
+        ],
+        ids=["5-layers", "2-frames"],
+    )
+    def test_feature_shape_fault_is_data_error_naming_the_file(self, tmp_path, capsys, command, shape, message):
+        # The default layer range 6..12 and 3 segments; the first manifest file is the bad one.
+        inputs = {k: v for k, v in feature_inputs(tmp_path).items() if not k.startswith("--layer")}
+        feat_dir = inputs["--features"]
+        features.save_feature_file(features.FrameFeatureSequence("a0_v0", np.ones(shape)), feat_dir)
+        argv = ["--features", feat_dir] if command == "aggregate" else [*flags_of(inputs), "--hidden", 4]
+        assert run(command, *argv, "--out", tmp_path / "out") == EXIT_DATA
+        assert f"{feat_dir / 'a0_v0.feat'}: {message}" in capsys.readouterr().err
+
     def test_non_finite_held_out_row_is_data_error_naming_its_fold(self, tmp_path, capsys, monkeypatch):
         inputs = feature_inputs(tmp_path)
         predict_proba = mlp.predict_proba
@@ -849,6 +867,93 @@ def test_train_mlp_and_aggregate_outputs_are_pinned(tmp_path, case):
                "--out", out) == EXIT_OK
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs_of(out).items()}
     assert digests == PINNED_FEATURE_OUTPUTS[case]
+
+
+# The CSV-writing commands on one small synth input, run in order from one
+# directory on relative paths, so the config hashes inside the JSON reports
+# name no temporary directory.  The predictions of a second, noisier synth
+# run join the first as a second encoder, so the weight search has a choice.
+PINNED_DATA_ARGV = {
+    "synth": [
+        "synth", "--actors", "6", "--clips", "9", "--noise-sigma", "0.3", "--gap-lo", "0.15",
+        "--gap-hi", "0.4", "--seed", "1", "--out", "data",
+    ],
+    "synth-noisy": ["synth", "--actors", "6", "--clips", "9", "--noise-sigma", "0.8", "--seed", "2",
+                    "--out", "noisy"],
+    "split": ["split", "--manifest", "data/labels.csv", "--k", "3", "--out", "folds"],
+    "encode-labels": ["encode-labels", "--labels", "data/labels.csv", "--out", "enc"],
+    "fuse-evaluate": ["fuse-evaluate", "--config", "run.json", "--out", "fused"],
+    "sensitivity": [
+        "sensitivity", "--predictions", "data/predictions", "--labels", "data/labels.csv",
+        "--folds", "folds/folds.csv", "--weights", "fused/weights.csv", "--out", "sens",
+    ],
+}
+
+
+def run_data_commands(base):
+    """SHA-256 of every output of each PINNED_DATA_ARGV case but run_meta.json,
+    run from ``base``."""
+    digests = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        for case, argv in PINNED_DATA_ARGV.items():
+            assert main(argv) == EXIT_OK, case
+            out = Path(argv[argv.index("--out") + 1])
+            digests[case] = {name: hashlib.sha256(data).hexdigest() for name, data in outputs_of(out).items()}
+            if case == "synth-noisy":
+                shutil.copy("noisy/predictions/synth.csv", "data/predictions/noisy.csv")
+                run_config = {
+                    "predictions_dir": "data/predictions", "labels_file": "data/labels.csv",
+                    "folds_file": "folds/folds.csv",
+                }
+                Path("run.json").write_text(json.dumps(run_config), encoding="utf-8")
+    return digests
+
+
+# Copied from the output of the implementation whose writers each opened
+# their own csv.writer.
+PINNED_DATA_OUTPUTS = {
+    "synth": {
+        "actor_gaps.json": "b2c51ca1c2ed7cb80defe0fa3d7cf5a2a9ab42574839d4a57ca0def73d98f6f9",
+        "labels.csv": "93729d4786c3ae7a3ff2c0aed54d5870568cead89f7c2e8dce3b61760027f173",
+        "predictions/synth.csv": "876ec81a44362970a317ec54c3e86356044b996e69542273acd54c64eb9796fd",
+    },
+    "synth-noisy": {
+        "actor_gaps.json": "efb14b148f640db06b706433f5bd300d84651638e7691ffde42fc6a91cc47eb2",
+        "labels.csv": "02a1cf1703ccc6630a8992a5d723fd767ace11ed6ab2da872c55e33f8413e6aa",
+        "predictions/synth.csv": "976f34665510771fcf59794645cd7e581ebe30a8d130622a60dadb276d631df3",
+    },
+    "split": {
+        "folds.csv": "3e726ea25ea912b52c4bec0c8dbad36649f889d5034e7334863d1cfd3f04a044",
+    },
+    "encode-labels": {
+        "soft_labels.csv": "ffeb078eaf36a8ddd90eb138cde8c432d5d9097b7a8cdb63ead22d8cf8c6c94a",
+    },
+    "fuse-evaluate": {
+        "fold_beta.svg": "8fcc0018f94eabe88183e299efa4ae7d01bf734227382d4b0ab5303b6ea3d477",
+        "results.csv": "7a633bd366652c5924afda35cd217b9fe0ff94ddf6d0b4c725b9174da80892f6",
+        "results.json": "2fe3d2bd7f9d7f3b8e84d4a9540c5633bf75e2bd002edc93f6b52c008aa8b459",
+        "score_surface.svg": "35f80ff5d894c67feaaa8b547bc1234602ba434f63e5797f06d7713d47931bb9",
+        "thresholds.json": "2ac0781faabb91efe8465d19825eb19c764dde135eca1ab434052b8bdaf71cff",
+        "weight_search_log.csv": "3d22e0220c468ce70a4fd63dcb803e723310f5bf0a2f2e2ae32afe483b2063d5",
+        "weights.csv": "f10c29cde13d6c39abf4567ddd83bc8d342879769fae2eef7ba124f83a6871ef",
+    },
+    "sensitivity": {
+        "fold_beta.svg": "8fcc0018f94eabe88183e299efa4ae7d01bf734227382d4b0ab5303b6ea3d477",
+        "score_surface.svg": "35f80ff5d894c67feaaa8b547bc1234602ba434f63e5797f06d7713d47931bb9",
+        "sensitivity.json": "aec45b34ef91c3ae4ddd2f31db81ce749c9b84caae643eb157f4fe6d3b54f809",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def data_runs(tmp_path_factory):
+    return run_data_commands(tmp_path_factory.mktemp("data-runs"))
+
+
+@pytest.mark.parametrize("case", PINNED_DATA_ARGV)
+def test_data_outputs_are_pinned(data_runs, case):
+    assert data_runs[case] == PINNED_DATA_OUTPUTS[case]
 
 
 class TestDeterminism:
@@ -987,6 +1092,45 @@ class TestSensitivity:
         )
         assert code == EXIT_DATA
         assert f"{weights}:2: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "rows, where, message",
+        [
+            ("actor000,0\nactor001,-1\n", ":3", "fold index must be >= 0, got -1"),
+            ("actor000,0\nactor001,0\n", "", "need at least 2 folds, got 1"),
+            ("", "", "need at least 2 folds, got 0"),
+            ("actor000,0,junk\nactor001,1\n", ":2", "expected 2 fields, got 3"),
+            ("actor000,x\n", ":2", "invalid literal for int() with base 10: 'x'"),
+        ],
+        ids=["negative-fold", "one-fold", "no-rows", "extra-field", "not-an-int"],
+    )
+    def test_bad_folds_file_is_data_error_naming_it(self, tmp_path, capsys, rows, where, message):
+        data = synth_dataset(tmp_path, actors=2, clips=6)
+        folds = tmp_path / "folds.csv"
+        folds.write_text(f"actor_id,fold\n{rows}", encoding="utf-8")
+        assert self.sensitivity(data, data / "labels.csv", folds, tmp_path / "s") == EXIT_DATA
+        assert f"{folds}{where}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight, where, message",
+        [
+            ("-0.5", ":2", "weight for 'synth' must be finite and >= 0, got -0.5"),
+            ("nan", ":2", "weight for 'synth' must be finite and >= 0, got nan"),
+            ("0.5", "", "weights sum to 0.5, outside tolerance 0.005"),
+        ],
+        ids=["negative", "nan", "half-sum"],
+    )
+    def test_weights_off_the_simplex_are_data_error_naming_the_file(
+        self, tmp_path, capsys, weight, where, message
+    ):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"encoder,weight\nsynth,{weight}\n", encoding="utf-8")
+        code = self.sensitivity(data, data / "labels.csv", folds_path, tmp_path / "s", "--weights", weights)
+        assert code == EXIT_DATA
+        assert f"{weights}{where}: {message}" in capsys.readouterr().err
 
 
 class TestVerifyIdentities:

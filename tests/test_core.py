@@ -1,10 +1,13 @@
 """Core domain types, canonicalization, clip averaging, file round-trips."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blendfuse
 from blendfuse.core import (
     EMOTIONS,
     BlendAnnotation,
@@ -226,7 +229,7 @@ class TestFileFormats:
             ("v2,a1,0.5,0.49,0,0,0,0", "probability row sums to 0.99, beyond repair tolerance"),
             ("v2,a1,1.0000005,0,0,0,0,0", "probability out of [0, 1]: 1.0000005"),
             ("v2,a1,0.5,x,0,0,0,0", "could not convert string to float: 'x'"),
-            ("v2,a1,0.5,0.5", "expected 8 fields"),
+            ("v2,a1,0.5,0.5", "expected 8 fields, got 4"),
             ("v1,a2,0.5,0.5,0,0,0,0", "video 'v1' listed under two actors"),
             ("v1,a2,-1,2,0,0,0,0", "negative probability: -1.0"),
         ],
@@ -255,8 +258,8 @@ class TestFileFormats:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("v2,a1,anger,,100,x", "expected 5 fields"),
-            ("v2,a1,anger", "expected 5 fields"),
+            ("v2,a1,anger,,100,x", "expected 5 fields, got 6"),
+            ("v2,a1,anger", "expected 5 fields, got 3"),
             ("v1,a2,anger,,100", "duplicate video id 'v1'"),
             ("v1,a2,joy,,60", "duplicate video id 'v1'"),
             ("v2,a1,joy,,100", "unknown emotion name: 'joy'"),
@@ -309,3 +312,19 @@ class TestFileFormats:
         loaded = load_predictions(path, "enc")
         assert len(loaded.rows["v1"]) == 2
         assert loaded.distribution_for("v1") == dist(0.5, 0.5, 0, 0, 0, 0)
+
+
+def test_only_core_imports_csv():
+    """The CSV opener, field-count rule and writer live in core alone."""
+    importers = set()
+    for module in sorted(Path(blendfuse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.add(module.name)
+    assert importers == {"core.py"}
