@@ -439,7 +439,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
     records = core.load_labels(Path(args.labels))
-    assignment = load_folds(Path(args.folds))
+    assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
     video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg)
 
     row_of = dict(zip(video_ids, range(len(video_ids))))
@@ -501,7 +501,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
 
     tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
     records = core.load_labels(Path(cfg["labels_file"]))
-    assignment = load_folds(Path(cfg["folds_file"]))
+    assignment = load_folds(Path(cfg["folds_file"]), (r.actor_id for r in records))
     data = FusionDataset.build(tables, records, assignment)
     weights, search_log, surfaces, chosen = fusion.fit(data, cv_cfg)
 
@@ -586,9 +586,14 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     else:
         tables = [core.load_prediction_table(pred_path)]
     records = core.load_labels(Path(args.labels))
-    assignment = load_folds(Path(args.folds))
+    assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
     if args.weights:
         weights = fusion.load_weights(Path(args.weights))
+        unknown = sorted(weights.weights.keys() - {t.encoder_name for t in tables})
+        if unknown:
+            raise ValidationError(
+                f"{args.weights}: encoder {unknown[0]!r} has no predictions in {args.predictions}"
+            )
     else:
         weights = fusion.WeightVector.uniform([t.encoder_name for t in tables])
     # Only the weighted encoders need to cover the labeled videos.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -405,7 +405,9 @@ def save_folds(assignment: FoldAssignment, path: str | Path) -> None:
     write_csv_rows(path, FOLDS_HEADER, sorted(assignment.folds.items()))  # by actor, which is unique
 
 
-def load_folds(path: str | Path) -> FoldAssignment:
+def load_folds(path: str | Path, actors: Iterable[str] = ()) -> FoldAssignment:
+    """The folds file at ``path``.  The first of ``actors`` (those of a labels
+    file, say) that it does not list is a ValidationError naming both."""
     folds = {}
     for lineno, row in read_csv_rows(path, FOLDS_HEADER):
         with located(f"{path}:{lineno}"):
@@ -416,7 +418,11 @@ def load_folds(path: str | Path) -> FoldAssignment:
             raise ValidationError(f"{path}:{lineno}: fold index must be >= 0, got {fold}")
         folds[actor] = fold
     with located(path):
-        return FoldAssignment(folds, max(folds.values(), default=-1) + 1)
+        assignment = FoldAssignment(folds, max(folds.values(), default=-1) + 1)
+    unlisted = next((a for a in actors if a not in folds), None)
+    if unlisted is not None:
+        raise ValidationError(f"{path}: actor {unlisted!r} has no fold assignment")
+    return assignment
 
 
 def save_results(report: CrossValReport, path: str | Path) -> None:

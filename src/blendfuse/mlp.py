@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import zipfile
+import zlib
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,117 +66,74 @@ class MlpConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
-@dataclass
-class BatchNormState:
-    """Learnable scale/shift plus running statistics for one layer."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @classmethod
-    def initial(cls, dim: int) -> "BatchNormState":
-        return cls(
-            gamma=np.ones(dim),
-            beta=np.zeros(dim),
-            running_mean=np.zeros(dim),
-            running_var=np.ones(dim),
-        )
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(
-            self.gamma.copy(),
-            self.beta.copy(),
-            self.running_mean.copy(),
-            self.running_var.copy(),
-        )
+def param_layout(input_dim: int, config: MlpConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every array of a head, in checkpoint order: ``w{i}``
+    and ``b{i}`` of each affine layer, then ``bn{i}_gamma``, ``bn{i}_beta``,
+    ``bn{i}_mean`` and ``bn{i}_var`` of each hidden layer."""
+    dims = [input_dim, *config.hidden_dims, config.output_dim]
+    layout: dict[str, tuple[int, ...]] = {}
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        layout[f"w{i}"] = (fan_in, fan_out)
+        layout[f"b{i}"] = (fan_out,)
+    for i, dim in enumerate(config.hidden_dims):
+        layout.update({f"bn{i}_{kind}": (dim,) for kind in ("gamma", "beta", "mean", "var")})
+    return layout
 
 
 def batchnorm_forward(
-    batch: np.ndarray, state: BatchNormState, mode: str
+    batch: np.ndarray, params: dict[str, np.ndarray], layer: int, train: bool
 ) -> tuple[np.ndarray, Optional[dict]]:
-    """Normalize a batch; train mode uses batch statistics and updates the
-    running ones, eval mode uses the running statistics.
+    """Normalize a batch with hidden layer ``layer``'s entries of ``params``.
+    Training uses the batch statistics and replaces the running ones in
+    ``params``; otherwise the running statistics are used.
 
-    Returns the output and, in train mode, the cache needed for backprop.
+    Returns the output and, when training, the cache needed for backprop.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise ValidationError("batchnorm needs at least 2 rows in train mode")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (x - mean) * inv_std
-        out = state.gamma * x_hat + state.beta
-        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
-        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
-        return out, {"x_hat": x_hat, "inv_std": inv_std}
-    if mode == "eval":
-        x_hat = (x - state.running_mean) / np.sqrt(state.running_var + BN_EPS)
-        return state.gamma * x_hat + state.beta, None
-    raise ValidationError(f"unknown batchnorm mode {mode!r}")
-
-
-def _batchnorm_backward(dout: np.ndarray, state: BatchNormState, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x_hat, inv_std = cache["x_hat"], cache["inv_std"]
-    n = dout.shape[0]
-    dgamma = (dout * x_hat).sum(axis=0)
-    dbeta = dout.sum(axis=0)
-    dxhat = dout * state.gamma
-    dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
-    return dx, dgamma, dbeta
+    gamma, beta = params[f"bn{layer}_gamma"], params[f"bn{layer}_beta"]
+    mean_key, var_key = f"bn{layer}_mean", f"bn{layer}_var"
+    if not train:
+        x_hat = (batch - params[mean_key]) / np.sqrt(params[var_key] + BN_EPS)
+        return gamma * x_hat + beta, None
+    if batch.shape[0] < 2:
+        raise ValidationError("batchnorm needs at least 2 rows in train mode")
+    mean = batch.mean(axis=0)
+    var = batch.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    x_hat = (batch - mean) * inv_std
+    params[mean_key] = (1 - BN_MOMENTUM) * params[mean_key] + BN_MOMENTUM * mean
+    params[var_key] = (1 - BN_MOMENTUM) * params[var_key] + BN_MOMENTUM * var
+    return gamma * x_hat + beta, {"x_hat": x_hat, "inv_std": inv_std}
 
 
 @dataclass
 class MlpModel:
-    """All parameters and state of the classifier head."""
+    """A classifier head: every array in ``params``, keyed and ordered as
+    :func:`param_layout` declares them."""
 
     config: MlpConfig
     input_dim: int
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    batchnorms: list[BatchNormState]
-    mode: str = "eval"
+    params: dict[str, np.ndarray]
 
     @classmethod
     def initialize(cls, input_dim: int, config: MlpConfig) -> "MlpModel":
         rng = np.random.default_rng(config.seed)
-        dims = [input_dim, *config.hidden_dims, config.output_dim]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        bns = [BatchNormState.initial(h) for h in config.hidden_dims]
-        return cls(config, input_dim, weights, biases, bns)
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in ("train", "eval"):
-            raise ValidationError(f"unknown mode {mode!r}")
-        self.mode = mode
+        params = {}
+        for name, shape in param_layout(input_dim, config).items():
+            if name.startswith("w"):
+                bound = math.sqrt(6.0 / sum(shape))
+                params[name] = rng.uniform(-bound, bound, size=shape)
+            elif name.endswith(("_gamma", "_var")):
+                params[name] = np.ones(shape)
+            else:
+                params[name] = np.zeros(shape)
+        return cls(config, input_dim, params)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.config,
-            self.input_dim,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [bn.copy() for bn in self.batchnorms],
-            self.mode,
-        )
+        return MlpModel(self.config, self.input_dim, {k: a.copy() for k, a in self.params.items()})
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """Named references to every trainable array, in a fixed order."""
-        params: list[tuple[str, np.ndarray]] = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            params.append((f"w{i}", w))
-            params.append((f"b{i}", b))
-        for i, bn in enumerate(self.batchnorms):
-            params.append((f"bn{i}_gamma", bn.gamma))
-            params.append((f"bn{i}_beta", bn.beta))
-        return params
+        """Named references to every trainable array, in checkpoint order."""
+        return [(k, a) for k, a in self.params.items() if not k.endswith(("_mean", "_var"))]
 
 
 def _forward_batch(
@@ -186,16 +145,13 @@ def _forward_batch(
     """Run the stack up to the logits, recording caches when training."""
     caches: list[dict] = []
     h = x
+    params = model.params
     n_hidden = len(model.config.hidden_dims)
     rate = model.config.dropout
     for i in range(n_hidden):
         cache: dict = {"x": h}
-        z = h @ model.weights[i] + model.biases[i]
-        if train:
-            z_bn, bn_cache = batchnorm_forward(z, model.batchnorms[i], "train")
-            cache["bn"] = bn_cache
-        else:
-            z_bn, _ = batchnorm_forward(z, model.batchnorms[i], "eval")
+        z = h @ params[f"w{i}"] + params[f"b{i}"]
+        z_bn, cache["bn"] = batchnorm_forward(z, params, i, train)
         relu_mask = z_bn > 0.0
         h = z_bn * relu_mask
         cache["relu_mask"] = relu_mask
@@ -207,7 +163,7 @@ def _forward_batch(
             cache["drop_mask"] = drop_mask
         caches.append(cache)
     caches.append({"x": h})
-    logits = h @ model.weights[-1] + model.biases[-1]
+    logits = h @ params[f"w{n_hidden}"] + params[f"b{n_hidden}"]
     return logits, caches
 
 
@@ -232,25 +188,28 @@ def loss_and_gradients(
     n = x.shape[0]
     out = weight_grads or {}
     grads: dict[str, np.ndarray] = {}
+    params = model.params
 
     dlogits = (probs - y) / n
-    head = len(model.weights) - 1
+    head = len(model.config.hidden_dims)
     grads[f"w{head}"] = np.matmul(caches[-1]["x"].T, dlogits, out=out.get(f"w{head}"))
     grads[f"b{head}"] = dlogits.sum(axis=0)
-    dh = dlogits @ model.weights[-1].T
+    dh = dlogits @ params[f"w{head}"].T
 
-    for i in range(len(model.config.hidden_dims) - 1, -1, -1):
+    for i in range(head - 1, -1, -1):
         cache = caches[i]
         if "drop_mask" in cache:
             dh = dh * cache["drop_mask"]
         dz_bn = dh * cache["relu_mask"]
-        dz, dgamma, dbeta = _batchnorm_backward(dz_bn, model.batchnorms[i], cache["bn"])
-        grads[f"bn{i}_gamma"] = dgamma
-        grads[f"bn{i}_beta"] = dbeta
+        x_hat, inv_std = cache["bn"]["x_hat"], cache["bn"]["inv_std"]
+        grads[f"bn{i}_gamma"] = (dz_bn * x_hat).sum(axis=0)
+        grads[f"bn{i}_beta"] = dz_bn.sum(axis=0)
+        dxhat = dz_bn * params[f"bn{i}_gamma"]
+        dz = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
         grads[f"w{i}"] = np.matmul(cache["x"].T, dz, out=out.get(f"w{i}"))
         grads[f"b{i}"] = dz.sum(axis=0)
         if i > 0:
-            dh = dz @ model.weights[i].T
+            dh = dz @ params[f"w{i}"].T
     return loss, grads
 
 
@@ -266,9 +225,7 @@ def predict_proba(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MlpModel, x: Sequence[float]) -> EmotionDistribution:
-    """Single-vector inference; requires eval mode (batch stats need N >= 2)."""
-    if model.mode != "eval":
-        raise ValidationError("single-vector forward requires eval mode")
+    """Single-vector inference with the running batchnorm statistics."""
     probs = predict_proba(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
     # Guard against float residue before constructing the distribution.
     probs = probs / probs.sum()
@@ -321,11 +278,10 @@ def train(
         raise ValidationError("training needs at least 2 samples for batchnorm")
 
     model = MlpModel.initialize(x_train.shape[1], cfg)
-    model.set_mode("train")
     rng = np.random.default_rng(cfg.seed + 1)
     dropout_rng = np.random.default_rng(cfg.seed + 2)
     velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    weight_grads = {f"w{i}": np.empty_like(w) for i, w in enumerate(model.weights)}
+    weight_grads = {k: np.empty_like(a) for k, a in model.params.items() if k.startswith("w")}
 
     best: Optional[MlpModel] = None
     best_val = math.inf
@@ -361,7 +317,6 @@ def train(
             best_val = val_loss
             best_epoch = epoch
             best = model.copy()
-            best.set_mode("eval")
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -379,54 +334,38 @@ def train(
 
 def save_model(model: MlpModel, path: str | Path) -> None:
     """Write a checkpoint that round-trips parameters and running stats exactly."""
-    arrays: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    for i, bn in enumerate(model.batchnorms):
-        arrays[f"bn{i}_gamma"] = bn.gamma
-        arrays[f"bn{i}_beta"] = bn.beta
-        arrays[f"bn{i}_mean"] = bn.running_mean
-        arrays[f"bn{i}_var"] = bn.running_var
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "input_dim": model.input_dim,
-        "config": {
-            "hidden_dims": list(model.config.hidden_dims),
-            "dropout": model.config.dropout,
-            "output_dim": model.config.output_dim,
-            "lr": model.config.lr,
-            "momentum": model.config.momentum,
-            "max_epochs": model.config.max_epochs,
-            "patience": model.config.patience,
-            "batch_size": model.config.batch_size,
-            "seed": model.config.seed,
-        },
-    }
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
+    meta = {"version": CHECKPOINT_VERSION, "input_dim": model.input_dim, "config": asdict(model.config)}
+    meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, __meta__=meta_bytes, **model.params)
 
 
 def load_model(path: str | Path) -> MlpModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {meta.get('version')!r}")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["hidden_dims"] = tuple(cfg_dict["hidden_dims"])
-        cfg = MlpConfig(**cfg_dict)
-        n_layers = len(cfg.hidden_dims) + 1
-        weights = [data[f"w{i}"].copy() for i in range(n_layers)]
-        biases = [data[f"b{i}"].copy() for i in range(n_layers)]
-        bns = [
-            BatchNormState(
-                data[f"bn{i}_gamma"].copy(),
-                data[f"bn{i}_beta"].copy(),
-                data[f"bn{i}_mean"].copy(),
-                data[f"bn{i}_var"].copy(),
+    """The head :func:`save_model` wrote to ``path``.  A file that is not a
+    readable ``.npz``, a bad ``__meta__`` and a missing, extra or misshapen
+    array are a :class:`ValidationError` naming ``path`` and the array."""
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise ValidationError(f"unsupported checkpoint version {meta['version']!r}")
+        cfg = MlpConfig(**meta["config"])
+        input_dim = int(meta["input_dim"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{path}: not a readable checkpoint: {detail}") from None
+    layout = param_layout(input_dim, cfg)
+    for name in [*layout, *arrays]:
+        if name not in arrays:
+            raise ValidationError(f"{path}: missing array {name!r}")
+        if name not in layout:
+            raise ValidationError(f"{path}: unexpected array {name!r}")
+        arr = arrays[name]
+        if arr.shape != layout[name] or arr.dtype.kind != "f":
+            raise ValidationError(
+                f"{path}: array {name!r} is {arr.dtype} {arr.shape}, expected float {layout[name]}"
             )
-            for i in range(len(cfg.hidden_dims))
-        ]
-    return MlpModel(cfg, int(meta["input_dim"]), weights, biases, bns, mode="eval")
+    return MlpModel(cfg, input_dim, {name: arrays[name] for name in layout})
 
 
 def save_train_log(log: Sequence[TrainLogEntry], path: str | Path) -> None:

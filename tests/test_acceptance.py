@@ -166,7 +166,6 @@ def test_criterion_06_gradient_suite():
 
     for case in range(100):
         model = MlpModel.initialize(3, MlpConfig(hidden_dims=(2,), dropout=0.0, seed=case))
-        model.set_mode("train")
         x = rng.normal(size=(4, 3))
         y = random_soft_rows(rng, 4)
         _, analytic = loss_and_gradients(model, x, y)

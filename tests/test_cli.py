@@ -807,17 +807,23 @@ class TestTrainMlp:
 
     def test_non_finite_held_out_row_is_data_error_naming_its_fold(self, tmp_path, capsys, monkeypatch):
         inputs = feature_inputs(tmp_path)
-        predict_proba = mlp.predict_proba
-        held_out_calls = []
+        train, predict_proba = mlp.train, mlp.predict_proba
+        trained, held_out_calls = [], []
+
+        def recording_train(*args):
+            result = train(*args)
+            trained.append(result.model)
+            return result
 
         def nan_for_the_second_held_out_fold(model, x):
             probs = predict_proba(model, x)
-            if model.mode == "eval":  # the best snapshot, predicting its held-out fold
+            if trained and model is trained[-1]:  # the best snapshot, predicting its held-out fold
                 held_out_calls.append(len(x))
                 if len(held_out_calls) == 2:
                     probs[-1] = np.nan
             return probs
 
+        monkeypatch.setattr(mlp, "train", recording_train)
         monkeypatch.setattr(mlp, "predict_proba", nan_for_the_second_held_out_fold)
         out = tmp_path / "mlp"
         code = run("train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2, "--out", out)
@@ -1093,6 +1099,15 @@ class TestSensitivity:
         assert code == EXIT_DATA
         assert f"{weights}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["synth,0.5\nghost,0.5\n", "ghost,1.0\n"], ids=["one-of-two", "only"])
+    def test_weights_encoder_without_predictions_is_data_error_naming_both(self, tmp_path, capsys, rows):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds_path = make_folds(tmp_path, data)
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"encoder,weight\n{rows}", encoding="utf-8")
+        code = self.sensitivity(data, data / "labels.csv", folds_path, tmp_path / "s", "--weights", weights)
+        assert code == EXIT_DATA
+        assert f"{weights}: encoder 'ghost' has no predictions in {data / 'predictions'}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows, where, message",
@@ -1223,6 +1238,27 @@ def test_missing_input_is_config_error(tmp_path, capsys, command, flag):
     assert run(command, flag, ghost, *out) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert flag in err and str(ghost) in err
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "fuse-evaluate", "train-mlp"])
+def test_labeled_actor_missing_from_folds_file_is_data_error_naming_both(tmp_path, capsys, command):
+    folds = tmp_path / "partial_folds.csv"
+    if command == "train-mlp":
+        inputs = three_fold_inputs(tmp_path)  # actors a0, a1 and a2
+        folds.write_text("actor_id,fold\na0,0\na1,1\n", encoding="utf-8")
+        argv = [*flags_of({**inputs, "--folds": folds}), "--hidden", 4, "--epochs", 2, "--out", tmp_path / "out"]
+        actor = "a2"
+    else:
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds.write_text("actor_id,fold\nactor000,0\nactor001,1\n", encoding="utf-8")
+        if command == "fuse-evaluate":
+            argv = ["--config", TestFuseEvaluate().make_config(tmp_path, data, folds, output_dir=str(tmp_path / "out"))]
+        else:
+            argv = ["--predictions", data / "predictions", "--labels", data / "labels.csv", "--folds", folds,
+                    "--out", tmp_path / "out"]
+        actor = "actor002"
+    assert run(command, *argv) == EXIT_DATA
+    assert f"{folds}: actor {actor!r} has no fold assignment" in capsys.readouterr().err
 
 
 WRITING_COMMANDS = ["split", "encode-labels", "aggregate", "train-mlp", "fuse-evaluate", "sensitivity", "synth"]

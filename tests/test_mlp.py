@@ -1,5 +1,6 @@
 """Classifier head: forward, batchnorm, backprop gradients, training loop."""
 
+import io
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from blendfuse.core import ValidationError
 from blendfuse.labels import mean_kl, softmax
 from blendfuse.mlp import (
-    BatchNormState,
     MlpConfig,
     MlpModel,
     NumericError,
@@ -17,11 +17,11 @@ from blendfuse.mlp import (
     forward,
     load_model,
     loss_and_gradients,
+    param_layout,
     predict_proba,
     save_model,
     save_train_log,
     train,
-    _batchnorm_backward,
     _batches,
     _forward_batch,
 )
@@ -65,8 +65,8 @@ class TestForward:
 
     def test_zero_final_layer_gives_uniform(self):
         model = MlpModel.initialize(4, toy_config())
-        model.weights[-1][:] = 0.0
-        model.biases[-1][:] = 0.0
+        model.params["w1"][:] = 0.0
+        model.params["b1"][:] = 0.0
         out = forward(model, np.ones(4))
         assert np.allclose(out.values, [1 / 6] * 6, atol=1e-12)
 
@@ -75,50 +75,55 @@ class TestForward:
         with pytest.raises(ValidationError):
             forward(model, np.ones(5))
 
-    def test_train_mode_single_vector_rejected(self):
-        model = MlpModel.initialize(4, toy_config())
-        model.set_mode("train")
-        with pytest.raises(ValidationError):
-            forward(model, np.ones(4))
+
+def fresh_batchnorm(dim):
+    """The batchnorm entries of a new head's hidden layer 0 of width ``dim``."""
+    params = MlpModel.initialize(1, toy_config(hidden_dims=(dim,))).params
+    return {k: a for k, a in params.items() if k.startswith("bn0_")}
 
 
 class TestBatchNorm:
     def test_train_mode_normalizes_columns(self):
         rng = np.random.default_rng(1)
         x = rng.normal(3.0, 2.5, size=(64, 5))
-        state = BatchNormState.initial(5)
-        out, _ = batchnorm_forward(x, state, "train")
+        out, _ = batchnorm_forward(x, fresh_batchnorm(5), 0, train=True)
         assert np.all(np.abs(out.mean(axis=0)) <= 1e-5)
         assert np.all(np.abs(out.var(axis=0) - 1.0) <= 1e-3)
 
     def test_eval_matches_train_when_stats_equal(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(32, 3))
-        state = BatchNormState.initial(3)
-        state.running_mean = x.mean(axis=0)
-        state.running_var = x.var(axis=0)
-        train_out, _ = batchnorm_forward(x, state.copy(), "train")
-        eval_out, _ = batchnorm_forward(x, state, "eval")
+        params = fresh_batchnorm(3)
+        params["bn0_mean"] = x.mean(axis=0)
+        params["bn0_var"] = x.var(axis=0)
+        train_out, _ = batchnorm_forward(x, dict(params), 0, train=True)
+        eval_out, _ = batchnorm_forward(x, params, 0, train=False)
         assert np.allclose(train_out, eval_out, atol=1e-10)
 
     def test_constant_column_maps_to_zero(self):
         x = np.full((16, 2), 7.25)
-        out, _ = batchnorm_forward(x, BatchNormState.initial(2), "train")
+        out, _ = batchnorm_forward(x, fresh_batchnorm(2), 0, train=True)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_single_row_train_rejected(self):
         with pytest.raises(ValidationError):
-            batchnorm_forward(np.ones((1, 3)), BatchNormState.initial(3), "train")
+            batchnorm_forward(np.ones((1, 3)), fresh_batchnorm(3), 0, train=True)
 
     def test_running_stats_updated_with_momentum(self):
         rng = np.random.default_rng(3)
         x = rng.normal(2.0, 1.0, size=(32, 2))
-        state = BatchNormState.initial(2)
-        batchnorm_forward(x, state, "train")
+        params = fresh_batchnorm(2)
+        batchnorm_forward(x, params, 0, train=True)
         expected_mean = 0.9 * np.zeros(2) + 0.1 * x.mean(axis=0)
         expected_var = 0.9 * np.ones(2) + 0.1 * x.var(axis=0)
-        assert np.allclose(state.running_mean, expected_mean, atol=1e-12)
-        assert np.allclose(state.running_var, expected_var, atol=1e-12)
+        assert np.allclose(params["bn0_mean"], expected_mean, atol=1e-12)
+        assert np.allclose(params["bn0_var"], expected_var, atol=1e-12)
+
+    def test_eval_leaves_running_stats(self):
+        params = fresh_batchnorm(2)
+        before = dict(params)
+        batchnorm_forward(np.arange(8.0).reshape(4, 2), params, 0, train=False)
+        assert all(params[k] is a for k, a in before.items())
 
 
 def finite_difference_gradients(model, x, y, h=1e-4):
@@ -153,7 +158,6 @@ class TestGradients:
         rng = np.random.default_rng(4)
         for case in range(20):
             model = MlpModel.initialize(3, toy_config(seed=case))
-            model.set_mode("train")
             x = rng.normal(size=(4, 3))
             y = random_soft_rows(rng, 4)
             _, analytic = loss_and_gradients(model, x, y)
@@ -279,16 +283,123 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_model(result.model, path)
         loaded = load_model(path)
-        assert loaded.config == result.model.config
-        assert loaded.input_dim == result.model.input_dim
-        for (n1, a1), (n2, a2) in zip(result.model.parameters(), loaded.parameters()):
-            assert n1 == n2
-            assert np.array_equal(a1, a2)
-        for bn1, bn2 in zip(result.model.batchnorms, loaded.batchnorms):
-            assert np.array_equal(bn1.running_mean, bn2.running_mean)
-            assert np.array_equal(bn1.running_var, bn2.running_var)
+        assert_models_identical(result.model, loaded)
         xq = rng.normal(size=(3, 5))
         assert np.array_equal(predict_proba(result.model, xq), predict_proba(loaded, xq))
+
+    def test_layout_names_the_checkpoint_members_in_order(self, tmp_path):
+        cfg = toy_config(hidden_dims=(3, 2))
+        model = MlpModel.initialize(4, cfg)
+        assert list(param_layout(4, cfg).items()) == [
+            ("w0", (4, 3)), ("b0", (3,)), ("w1", (3, 2)), ("b1", (2,)), ("w2", (2, 6)), ("b2", (6,)),
+            ("bn0_gamma", (3,)), ("bn0_beta", (3,)), ("bn0_mean", (3,)), ("bn0_var", (3,)),
+            ("bn1_gamma", (2,)), ("bn1_beta", (2,)), ("bn1_mean", (2,)), ("bn1_var", (2,)),
+        ]
+        assert [name for name, _ in model.parameters()] == [
+            "w0", "b0", "w1", "b1", "w2", "b2", "bn0_gamma", "bn0_beta", "bn1_gamma", "bn1_beta",
+        ]
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            assert data.files == ["__meta__", *param_layout(4, cfg)]
+            assert bytes(data["__meta__"]).decode() == (
+                '{"config": {"batch_size": 8, "dropout": 0.0, "hidden_dims": [3, 2], "lr": 0.05, '
+                '"max_epochs": 50, "momentum": 0.9, "output_dim": 6, "patience": 10, "seed": 0}, '
+                '"input_dim": 4, "version": 1}'
+            )
+
+    def test_copy_shares_no_array(self):
+        model = MlpModel.initialize(4, toy_config())
+        twin = model.copy()
+        assert_models_identical(model, twin)
+        assert not any(np.shares_memory(a, twin.params[k]) for k, a in model.params.items())
+
+
+def rewritten_checkpoint(tmp_path, **changes):
+    """A checkpoint of a (3, 2)-hidden head on 4 inputs, saved and then
+    rewritten with each named member replaced, or dropped where None."""
+    path = tmp_path / "model.npz"
+    save_model(MlpModel.initialize(4, toy_config(hidden_dims=(3, 2))), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    np.savez(path, **arrays)
+    return path
+
+
+def meta_bytes(text):
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def npy_bytes(arr):
+    buffer = io.BytesIO()
+    np.save(buffer, arr)
+    return buffer.getvalue()
+
+
+class TestLoadModelRejects:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(bn0_var=None), "missing array 'bn0_var'"),
+            (dict(w9=np.zeros((2, 2))), "unexpected array 'w9'"),
+            (dict(w1=np.zeros((2, 2))), "array 'w1' is float64 (2, 2), expected float (3, 2)"),
+            (dict(b2=np.zeros(6, dtype=np.int64)), "array 'b2' is int64 (6,), expected float (6,)"),
+            (dict(__meta__=None), "not a readable checkpoint: missing '__meta__'"),
+            (dict(__meta__=meta_bytes("{not json")), "not a readable checkpoint: Expecting property name"),
+            (dict(__meta__=meta_bytes("[1]")), "not a readable checkpoint: list indices must be integers"),
+            (dict(__meta__=meta_bytes('{"version": 2}')), "not a readable checkpoint: unsupported checkpoint version 2"),
+            (dict(__meta__=meta_bytes('{"version": 1, "input_dim": 4}')), "not a readable checkpoint: missing 'config'"),
+            (
+                dict(__meta__=meta_bytes('{"version": 1, "input_dim": 4, "config": {"width": 3}}')),
+                "not a readable checkpoint: MlpConfig.__init__() got an unexpected keyword argument 'width'",
+            ),
+            (
+                dict(__meta__=meta_bytes('{"version": 1, "input_dim": 4, "config": {"dropout": 2}}')),
+                "not a readable checkpoint: dropout must be in [0, 1), got 2",
+            ),
+            (
+                dict(__meta__=meta_bytes('{"version": 1, "input_dim": "x", "config": {}}')),
+                "not a readable checkpoint: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                dict(__meta__=meta_bytes('{"version": 1, "input_dim": 5, "config": {"hidden_dims": [3, 2]}}')),
+                "array 'w0' is float64 (4, 3), expected float (5, 3)",
+            ),
+        ],
+        ids=[
+            "missing", "extra", "wrong-shape", "int-dtype", "no-meta", "meta-not-json", "meta-not-object",
+            "version", "no-config", "unknown-config-key", "bad-config-value", "input-dim-not-int",
+            "input-dim-differs",
+        ],
+    )
+    def test_bad_member_names_path_and_array(self, tmp_path, changes, message):
+        path = rewritten_checkpoint(tmp_path, **changes)
+        with pytest.raises(ValidationError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: p.write_text("not an archive\n"),
+            lambda p: p.write_bytes(b""),
+            lambda p: p.write_bytes(rewritten_checkpoint(p.parent).read_bytes()[:200]),
+            lambda p: p.write_bytes(npy_bytes(np.zeros(3))),
+            lambda p: p.mkdir(),
+            lambda p: None,
+        ],
+        ids=["text", "empty", "truncated", "npy", "directory", "absent"],
+    )
+    def test_unreadable_file_names_path(self, tmp_path, write):
+        path = tmp_path / "bad.npz"
+        write(path)
+        with pytest.raises(ValidationError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: not a readable checkpoint: ")
 
     def test_train_log_file(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -302,6 +413,16 @@ class TestCheckpoint:
         assert len(lines) == len(result.log) + 1
 
 
+def reference_batchnorm_backward(dout, gamma, cache):
+    x_hat, inv_std = cache["x_hat"], cache["inv_std"]
+    n = dout.shape[0]
+    dgamma = (dout * x_hat).sum(axis=0)
+    dbeta = dout.sum(axis=0)
+    dxhat = dout * gamma
+    dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
+    return dx, dgamma, dbeta
+
+
 def reference_loss_and_gradients(model, x, y, dropout_rng):
     """Backprop with fresh arrays and all six matmuls, the input gradient included."""
     logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
@@ -309,20 +430,22 @@ def reference_loss_and_gradients(model, x, y, dropout_rng):
     loss = mean_kl(y, probs)
     grads = {}
     dlogits = (probs - y) / x.shape[0]
-    last = len(model.weights) - 1
+    last = len(model.config.hidden_dims)
     grads[f"w{last}"] = caches[-1]["x"].T @ dlogits
     grads[f"b{last}"] = dlogits.sum(axis=0)
-    dh = dlogits @ model.weights[-1].T
-    for i in reversed(range(len(model.config.hidden_dims))):
+    dh = dlogits @ model.params[f"w{last}"].T
+    for i in reversed(range(last)):
         cache = caches[i]
         if "drop_mask" in cache:
             dh = dh * cache["drop_mask"]
-        dz, dgamma, dbeta = _batchnorm_backward(dh * cache["relu_mask"], model.batchnorms[i], cache["bn"])
+        dz, dgamma, dbeta = reference_batchnorm_backward(
+            dh * cache["relu_mask"], model.params[f"bn{i}_gamma"], cache["bn"]
+        )
         grads[f"bn{i}_gamma"] = dgamma
         grads[f"bn{i}_beta"] = dbeta
         grads[f"w{i}"] = cache["x"].T @ dz
         grads[f"b{i}"] = dz.sum(axis=0)
-        dh = dz @ model.weights[i].T
+        dh = dz @ model.params[f"w{i}"].T
     return loss, grads
 
 
@@ -331,7 +454,6 @@ def reference_train(train_set, val_set, cfg):
     x, y = train_set
     x_val, y_val = val_set
     model = MlpModel.initialize(x.shape[1], cfg)
-    model.set_mode("train")
     rng = np.random.default_rng(cfg.seed + 1)
     dropout_rng = np.random.default_rng(cfg.seed + 2)
     velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
@@ -359,12 +481,11 @@ def reference_train(train_set, val_set, cfg):
 
 
 def assert_models_identical(a, b):
-    for (n1, a1), (n2, a2) in zip(a.parameters(), b.parameters(), strict=True):
+    """Same config, input width and table: names in order and every array bit for bit."""
+    assert (a.config, a.input_dim) == (b.config, b.input_dim)
+    for (n1, a1), (n2, a2) in zip(a.params.items(), b.params.items(), strict=True):
         assert n1 == n2
-        assert np.array_equal(a1.view(np.int64), a2.view(np.int64)), n1
-    for bn1, bn2 in zip(a.batchnorms, b.batchnorms, strict=True):
-        assert np.array_equal(bn1.running_mean.view(np.int64), bn2.running_mean.view(np.int64))
-        assert np.array_equal(bn1.running_var.view(np.int64), bn2.running_var.view(np.int64))
+        assert a1.shape == a2.shape and np.array_equal(a1.view(np.int64), a2.view(np.int64)), n1
 
 
 class TestTrainMatchesReference:
@@ -374,7 +495,7 @@ class TestTrainMatchesReference:
         x = rng.normal(size=(9, 12))
         y = random_soft_rows(rng, 9)
         ref_loss, ref = reference_loss_and_gradients(model.copy(), x, y, np.random.default_rng(5))
-        buffers = {f"w{i}": np.full_like(w, np.nan) for i, w in enumerate(model.weights)}
+        buffers = {k: np.full_like(a, np.nan) for k, a in model.params.items() if k.startswith("w")}
         for weight_grads in (None, buffers):
             loss, grads = loss_and_gradients(model.copy(), x, y, np.random.default_rng(5), weight_grads)
             assert loss == ref_loss
