@@ -78,13 +78,16 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_run_meta(out_dir: Path, command: str, resolved: dict[str, Any], outputs: Sequence[Path]) -> None:
+def _write_run_meta(
+    out_dir: Path, command: str, resolved: dict[str, Any], outputs: Sequence[Path], **extra: Any
+) -> None:
     meta = {
         "command": command,
         "config_hash": _config_hash(resolved),
         "resolved_config": resolved,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "outputs": {str(p.relative_to(out_dir)): _sha256_file(p) for p in outputs},
+        **extra,
     }
     _write_json(out_dir / "run_meta.json", meta)
 
@@ -527,7 +530,9 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     _write_json(results_json, _report_payload(cv_report, chash))
 
     outputs = [weights_path, log_path, thresholds_path, results_path, results_json, *svgs]
-    _write_run_meta(out, "fuse-evaluate", cfg, outputs)
+    counters = {"videos": len(data.video_ids), "encoders": len(data.encoders),
+                "candidates_scored": sum(data.requests.values()), "distinct_candidates": len(data.scored)}
+    _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters)
     print(
         f"weights={weights_path} thresholds=({chosen.alpha:.4f},{chosen.beta:.4f}) "
         f"mean score={cv_report.mean.score:.4f}"

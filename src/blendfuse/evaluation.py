@@ -10,7 +10,8 @@ actor appears in both a training and a validation fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -40,6 +41,7 @@ from .postprocess import (
     ThresholdSurface,
     TruthArrays,
     discretize,
+    point_counts,
     threshold_surface,
 )
 
@@ -162,7 +164,7 @@ def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
     loaded once: clip-averaged encoder rows, ground truth and folds of the
-    labeled videos.  Subsets are array slices."""
+    labeled videos, and the fold scores of the candidates scored on them."""
 
     encoders: tuple[str, ...]  # sorted
     video_ids: tuple[str, ...]  # sorted
@@ -170,6 +172,9 @@ class FusionDataset:
     truth: TruthArrays
     fold_ids: tuple[int, ...]  # every fold, each holding at least one video
     fold_position: np.ndarray  # position in fold_ids of each video's fold
+    # fold_scores by (cfg, weight bytes), and how often each was asked for.
+    scored: dict = field(default_factory=dict, init=False, repr=False)
+    requests: Counter = field(default_factory=Counter, init=False, repr=False)
 
     @classmethod
     def build(
@@ -223,18 +228,24 @@ class FusionDataset:
             np.array([position_of[vid] for vid in video_ids], dtype=np.intp),
         )
 
-    def without_fold(self, position: int) -> "FusionDataset":
-        """The videos of every fold but the one at ``position`` in ``fold_ids``."""
-        keep = np.flatnonzero(self.fold_position != position)
-        kept = self.fold_position[keep]
-        return FusionDataset(
-            self.encoders,
-            tuple(self.video_ids[i] for i in keep.tolist()),
-            self.probs.take(keep, axis=1),  # C-contiguous, unlike probs[:, keep]: a faster tensordot
-            self.truth.take(keep),
-            self.fold_ids[:position] + self.fold_ids[position + 1 :],
-            kept - (kept > position),
-        )
+    def fold_scores(self, weights: np.ndarray, cfg: CrossValConfig) -> tuple[float, ...]:
+        """Weight-search score of every fold (``fold_ids`` order) at fused
+        ``weights``: its best surface score with ``cfg.joint_threshold_search``,
+        else its score at ``cfg.initial_thresholds``.  A fold's score reads its
+        own rows only.  Kept per candidate, so each is scored once per dataset."""
+        key = (cfg, weights.tobytes())
+        self.requests[key] += 1
+        if key not in self.scored:
+            fused = np.tensordot(weights, self.probs, axes=(0, 0))
+            if cfg.joint_threshold_search:
+                scores = tuple(s.best_score() for s in fold_surfaces(self, fused, cfg).values())
+            else:
+                pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
+                cp, cs = point_counts(fused, self.truth, pp_cfg, self.fold_position)
+                sizes = np.bincount(self.fold_position)
+                scores = tuple((0.5 * (cp / sizes + cs / sizes)).tolist())
+            self.scored[key] = scores
+        return self.scored[key]
 
     def fuse(self, weights: Mapping[str, float]) -> np.ndarray:
         """Fused rows of every video, accumulated from 0.0 in the order of
@@ -340,28 +351,6 @@ def _population_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
-def _evaluate_fold(
-    preds: Sequence[EncoderPredictionSet | PredictionTable],
-    data: FusionDataset,
-    truth: Mapping[str, BlendAnnotation],
-    position: int,
-    cfg: CrossValConfig,
-) -> FoldOutcome:
-    from .fusion import fit, fuse
-
-    fold = data.fold_ids[position]
-    train = data.without_fold(position)
-    if not train.video_ids:
-        raise ValidationError(f"fold {fold} would leave no training data")
-    weights, _, _, thresholds = fit(train, cfg)
-
-    final_cfg = cfg.postprocess_config(thresholds)
-    test_ids = [data.video_ids[i] for i in np.flatnonzero(data.fold_position == position).tolist()]
-    test_preds = {vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_ids}
-    result = evaluate(test_preds, {vid: truth[vid] for vid in test_ids})
-    return FoldOutcome(fold, result, dict(weights.weights), thresholds)
-
-
 def cross_validate(
     preds: Sequence[EncoderPredictionSet | PredictionTable],
     records: Sequence[SampleRecord],
@@ -373,11 +362,21 @@ def cross_validate(
     Returns per-fold results, their mean and population std, and the pooled
     result over all held-out clips (a clip-weighted average of the folds).
     ``data``, the :class:`FusionDataset` of ``preds`` and ``records``, is
-    what the weight and threshold searches slice.  Held-out clips are
-    scored per video by ``fuse``, ``discretize`` and :func:`evaluate`.
+    fitted with each fold held out in turn, and the fits share its fold
+    scores.  Held-out clips are scored per video by ``fuse``, ``discretize``
+    and :func:`evaluate`.
     """
+    from .fusion import fit, fuse
+
     truth = annotations_by_video(records)
-    outcomes = [_evaluate_fold(preds, data, truth, i, cfg) for i in range(len(data.fold_ids))]
+    outcomes = []
+    for position, fold in enumerate(data.fold_ids):
+        weights, _, _, thresholds = fit(data, cfg, position)
+        final_cfg = cfg.postprocess_config(thresholds)
+        test_ids = [data.video_ids[i] for i in np.flatnonzero(data.fold_position == position).tolist()]
+        test_preds = {vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_ids}
+        result = evaluate(test_preds, {vid: truth[vid] for vid in test_ids})
+        outcomes.append(FoldOutcome(fold, result, dict(weights.weights), thresholds))
 
     accs_p = [o.result.acc_p for o in outcomes]
     accs_s = [o.result.acc_s for o in outcomes]

@@ -10,6 +10,7 @@ grid for up to three encoders.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from .core import (
     write_csv_rows,
 )
 from .evaluation import CrossValConfig, FusionDataset, fold_surfaces, grid_units
-from .postprocess import ThresholdPair, ThresholdSurface, point_counts, select_thresholds
+from .postprocess import ThresholdPair, ThresholdSurface, select_thresholds
 
 SIMPLEX_TOLERANCE = 1e-9
 # Published weight tables are rounded to 3 decimals; the loader accepts
@@ -108,50 +109,38 @@ def _l1_to_uniform(weights: np.ndarray) -> float:
 
 
 def _simplex_grid(m: int, step: float) -> list[tuple[float, ...]]:
-    """All weight vectors with coordinates that are multiples of ``step``."""
+    """All weight vectors with coordinates that are multiples of ``step``,
+    in lexicographic order."""
     units = grid_units(step)
-    points: list[tuple[float, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            points.append(tuple((*prefix, remaining)))
-            return
-        for u in range(remaining + 1):
-            rec([*prefix, u], remaining - u, slots - 1)
-
-    rec([], units, m)
-    return [tuple(u * step for u in pt) for pt in points]
+    heads = (h for h in itertools.product(range(units + 1), repeat=m - 1) if sum(h) <= units)
+    return [tuple(u * step for u in (*h, units - sum(h))) for h in heads]
 
 
 def optimize_weights(
-    data: FusionDataset, cfg: CrossValConfig
+    data: FusionDataset, cfg: CrossValConfig, held_out: Optional[int] = None
 ) -> tuple[WeightVector, list[SearchLogEntry]]:
     """Search the weight simplex for the best mean validation-fold score.
 
-    The objective fuses every video of ``data``, applies the full
-    discretization at ``cfg.initial_thresholds``, and averages the fold
-    scores.  With ``cfg.joint_threshold_search`` the thresholds are instead
-    re-optimized per fold for every candidate.  ``coordinate_ascent``
-    starts from uniform weights and repeatedly applies the best strictly
-    improving mass move between two encoders, annealing the move size;
-    ``exhaustive`` scans a full simplex grid of ``cfg.exhaustive_step`` (at
-    most three encoders).  Both keep the first candidate with the highest
-    objective, ties going to the one closest (L1) to uniform, and log every
-    candidate they score.  Both strategies are deterministic.
+    The objective is the mean of :meth:`FusionDataset.fold_scores` over the
+    folds of ``data``, all of them or all but the one at position
+    ``held_out``; searches on one dataset score each distinct candidate once.
+    ``coordinate_ascent`` starts from uniform weights and repeatedly applies
+    the best strictly improving mass move between two encoders, annealing
+    the move size; ``exhaustive`` scans a full simplex grid of
+    ``cfg.exhaustive_step`` (at most three encoders).  Both keep the first
+    candidate with the highest objective, ties going to the one closest (L1)
+    to uniform, and log every candidate they score.  Both are deterministic.
     """
     names = data.encoders
     m = len(names)
-    pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
-    sizes = np.bincount(data.fold_position)
+    if held_out is not None and len(data.fold_ids) < 2:
+        raise ValidationError(f"fold {data.fold_ids[held_out]} would leave no training data")
     log: list[SearchLogEntry] = []
 
     def objective(weights: np.ndarray) -> float:
-        fused = np.tensordot(weights, data.probs, axes=(0, 0))
-        if cfg.joint_threshold_search:
-            scores = [surface.best_score() for surface in fold_surfaces(data, fused, cfg).values()]
-        else:
-            cp, cs = point_counts(fused, data.truth, pp_cfg, data.fold_position)
-            scores = (0.5 * (cp / sizes + cs / sizes)).tolist()
+        scores = data.fold_scores(weights, cfg)
+        if held_out is not None:
+            scores = scores[:held_out] + scores[held_out + 1 :]
         mean = sum(scores) / len(scores)
         if not math.isfinite(mean):
             raise ValidationError(f"objective is not finite: {mean!r}")
@@ -206,13 +195,15 @@ def _moves(current: np.ndarray, delta: float, names: Sequence[str]) -> Iterator[
 
 
 def fit(
-    data: FusionDataset, cfg: CrossValConfig
+    data: FusionDataset, cfg: CrossValConfig, held_out: Optional[int] = None
 ) -> tuple[WeightVector, list[SearchLogEntry], dict[int, ThresholdSurface], ThresholdPair]:
-    """Fusion weights and ``(alpha, beta)`` fitted on ``data``: the weight
-    search, the threshold surface of every fold at those weights, and the
-    pair ``cfg.threshold_strategy`` selects from the surfaces."""
-    weights, log = optimize_weights(data, cfg)
+    """Fusion weights and ``(alpha, beta)`` fitted on the folds of ``data`` but the one
+    at position ``held_out``, if given: the weight search, the threshold surface of
+    every fitted fold at those weights, and the pair ``cfg.threshold_strategy`` selects."""
+    weights, log = optimize_weights(data, cfg, held_out)
     surfaces = fold_surfaces(data, data.fuse(weights.weights), cfg)
+    if held_out is not None:
+        del surfaces[data.fold_ids[held_out]]
     thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
     return weights, log, surfaces, thresholds
 

@@ -12,6 +12,7 @@ search surfaces into one final pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -131,18 +132,21 @@ def _outcome_codes(
     return set_code, np.where(salience == 100, set_code, blend).astype(np.uint8)
 
 
+@functools.cache
 def _pair_outcomes(neutral_index: Optional[int]) -> tuple[np.ndarray, ...]:
     """Set code and 50/50 and 70/30 salience codes of the outcome when both
     top-2 entries survive alpha, at ``6 * i1 + i2``: the blend, or the single
-    non-neutral entry when the other one is neutral."""
+    non-neutral entry when the other one is neutral.  Built once, read-only."""
     i1, i2 = np.divmod(np.arange(N_EMOTIONS**2), N_EMOTIONS)
     set_code, sal50 = _outcome_codes(i1, i2, np.full(i1.size, 50))
-    sal70 = _outcome_codes(i1, i2, np.full(i1.size, 70))[1]
-    if neutral_index is None:
-        return set_code, sal50, sal70
-    collapse = (i1 == neutral_index) | (i2 == neutral_index)
-    single = _BIT[np.where(i1 == neutral_index, i2, i1)]
-    return tuple(np.where(collapse, single, code) for code in (set_code, sal50, sal70))
+    codes = (set_code, sal50, _outcome_codes(i1, i2, np.full(i1.size, 70))[1])
+    if neutral_index is not None:
+        collapse = (i1 == neutral_index) | (i2 == neutral_index)
+        single = _BIT[np.where(i1 == neutral_index, i2, i1)]
+        codes = tuple(np.where(collapse, single, code) for code in codes)
+    for code in codes:
+        code.flags.writeable = False
+    return codes
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from blendfuse import core
+from blendfuse import core, evaluation
 from blendfuse.cli import EXIT_OK, main
 from blendfuse.evaluation import (
     CrossValConfig,
@@ -87,6 +87,12 @@ def inputs(tmp_path_factory):
     return root, data.records, folds, tables, preds
 
 
+def _other_folds(tables, records, folds, fold):
+    """The dataset of every fold but ``fold``, built from its records alone."""
+    rest = FoldAssignment({a: f for a, f in folds.folds.items() if f != fold}, folds.k)
+    return FusionDataset.build(tables, [r for r in records if r.actor_id in rest.folds], rest)
+
+
 def test_tables_match_average_clips(inputs):
     _, _, _, tables, preds = inputs
     for table, pset in zip(tables, preds):
@@ -134,13 +140,15 @@ def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):
     for position, fold in enumerate(data.fold_ids):
         rest = FoldAssignment({a: f for a, f in odd.folds.items() if f != fold}, odd.k)
         expected = FusionDataset.build(tables, [r for r in records if r.actor_id in rest.folds], rest)
-        train = data.without_fold(position)
-        assert (train.video_ids, train.fold_ids) == (expected.video_ids, expected.fold_ids)
+        keep = data.fold_position != position
+        video_ids = tuple(v for v, k in zip(data.video_ids, keep) if k)
+        fold_ids = tuple(f for f in data.fold_ids if f != fold)
+        assert (video_ids, fold_ids) == (expected.video_ids, expected.fold_ids)
         for a, b in (
-            (train.probs, expected.probs),
-            (train.fold_position, expected.fold_position),
-            (train.truth.set_code, expected.truth.set_code),
-            (train.truth.sal_code, expected.truth.sal_code),
+            (data.probs[:, keep], expected.probs),
+            (np.array(data.fold_ids)[data.fold_position[keep]], np.array(expected.fold_ids)[expected.fold_position]),
+            (data.truth.set_code[keep], expected.truth.set_code),
+            (data.truth.sal_code[keep], expected.truth.sal_code),
         ):
             assert np.array_equal(a, b)
 
@@ -289,7 +297,7 @@ def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(in
     assert [e["best_score"] for e in report["per_fold"]] == [s.best_score() for s in surfaces.values()]
     results = json.loads((run / "results.json").read_text())
     for fold in results["folds"]:
-        fold_weights, _, _, fold_thresholds = fit(data.without_fold(data.fold_ids.index(fold["fold"])), cfg)
+        fold_weights, _, _, fold_thresholds = fit(_other_folds(tables, records, folds, fold["fold"]), cfg)
         assert (fold["weights"], fold["alpha"], fold["beta"]) == (
             fold_weights.weights, fold_thresholds.alpha, fold_thresholds.beta
         )
@@ -321,3 +329,76 @@ def test_sensitivity_cli_matches_scalar_path(inputs, tmp_path):
         assert (entry["alpha"], entry["beta"], entry["best_score"]) == (
             pair.alpha, pair.beta, oracle.best_score()
         )
+
+
+MEMO_CASES = {
+    "coordinate_ascent": {},
+    "joint_exhaustive": dict(joint_threshold_search=True, fusion_strategy="exhaustive", exhaustive_step=0.2),
+    "neutral_renormalized": dict(neutral_index=NEUTRAL, renormalize_before_beta=True),
+}
+
+
+@pytest.mark.parametrize("settings", MEMO_CASES.values(), ids=list(MEMO_CASES))
+def test_fit_with_a_held_out_fold_matches_a_fit_on_the_other_folds(inputs, settings):
+    _, records, folds, tables, _ = inputs
+    cfg = CrossValConfig(**settings)
+    data = FusionDataset.build(tables, records, folds)
+    fit(data, cfg)  # fills the memo first, as fuse-evaluate does
+    for position, fold in enumerate(data.fold_ids):
+        weights, log, surfaces, thresholds = fit(data, cfg, position)
+        expected = fit(_other_folds(tables, records, folds, fold), cfg)
+        assert weights.weights == expected[0].weights
+        assert [(e.step, e.candidate_id, e.objective.hex()) for e in log] == [
+            (e.step, e.candidate_id, e.objective.hex()) for e in expected[1]
+        ]
+        assert {f: s.best_score() for f, s in surfaces.items()} == {
+            f: s.best_score() for f, s in expected[2].items()
+        }
+        assert thresholds == expected[3]
+
+
+def _fuse_evaluate(root, tmp_path, folds_path, **settings):
+    """Run fuse-evaluate on the fixture's inputs; its run_meta.json."""
+    config = {
+        "predictions_dir": str(root / "predictions"),
+        "labels_file": str(root / "labels.csv"),
+        "folds_file": str(folds_path),
+        "output_dir": str(tmp_path / "run"),
+        **settings,
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    with pytest.warns(UserWarning, match="renormalizing"):
+        assert main(["fuse-evaluate", "--config", str(tmp_path / "run.json")]) == EXIT_OK
+    return json.loads((tmp_path / "run" / "run_meta.json").read_text())
+
+
+def test_fuse_evaluate_scores_each_distinct_candidate_once(inputs, tmp_path, monkeypatch):
+    # Six searches over the same 21 grid points plus uniform; each fit adds
+    # the surfaces at its chosen weights.
+    root, records, _, _, _ = inputs
+    save_folds(split_actors(records, 5), tmp_path / "folds.csv")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return threshold_surface(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "threshold_surface", counted)
+    meta = _fuse_evaluate(
+        root, tmp_path, tmp_path / "folds.csv",
+        joint_threshold_search=True, fusion_strategy="exhaustive", exhaustive_step=0.2,
+    )
+    assert len(calls) == 22 + 6
+    assert meta["counters"] == {
+        "videos": len(records), "encoders": 3, "candidates_scored": 6 * 22, "distinct_candidates": 22,
+    }
+
+
+def test_run_meta_counts_the_candidates_of_all_six_searches(inputs, tmp_path):
+    root, records, folds, tables, _ = inputs
+    counters = _fuse_evaluate(root, tmp_path, root / "folds.csv")["counters"]
+    cfg = CrossValConfig()
+    logs = [fit(FusionDataset.build(tables, records, folds), cfg)[1]]
+    logs += [fit(_other_folds(tables, records, folds, f), cfg)[1] for f in folds.fold_indices()]
+    assert counters["candidates_scored"] == sum(map(len, logs))
+    assert 0 < counters["distinct_candidates"] < counters["candidates_scored"]

@@ -14,7 +14,7 @@ from fixtures_util import outputs_of, write_feature_dir
 
 from blendfuse import cli, core, features, fusion, mlp, synth
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate, load_folds
+from blendfuse.evaluation import CrossValConfig, FoldAssignment, FusionDataset, evaluate, load_folds, save_folds
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
@@ -231,6 +231,17 @@ class TestFuseEvaluate:
         monkeypatch.setattr(FusionDataset, "build", classmethod(counted))
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_OK
         assert len(calls) == 1
+
+    def test_single_fold_is_data_error_naming_the_fold_left_without_training_data(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        actors = {r.actor_id for r in core.load_labels(data / "labels.csv")}
+        folds_path = tmp_path / "folds.csv"
+        save_folds(FoldAssignment({a: 1 for a in actors}, 2), folds_path)  # fold 0 unused
+        cfg_path = self.make_config(tmp_path, data, folds_path)
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "fold 1 would leave no training data" in err
+        assert "Traceback" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         data = synth_dataset(tmp_path)
