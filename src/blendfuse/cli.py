@@ -436,6 +436,35 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _train_fold(
+    fold: int, rows: dict[int, np.ndarray], matrix: np.ndarray, targets: np.ndarray,
+    cfg: mlp.MlpConfig, videos: list[tuple[str, str]], out: Path,
+) -> tuple[list[tuple[str, str, list[float]]], int, int]:
+    """Train fold ``fold``'s head on the feature and target ``rows`` of the
+    other folds, write its checkpoint, log and held-out predictions (one row
+    per ``(video, actor)`` of ``videos``) and return those rows, the epochs
+    run and the best epoch.  The head dies on return: one is alive at a time."""
+    train_folds = [f for f in rows if f != fold]
+    # The lowest-index remaining fold gates early stopping; the rest train,
+    # or it does both when k == 2 leaves no other.
+    val = rows[train_folds[0]]
+    train = np.concatenate([rows[f] for f in train_folds[1:]] or [val])
+    result = mlp.train((matrix[train], targets[train]), (matrix[val], targets[val]), cfg)
+    mlp.save_model(result.model, out / f"mlp_fold{fold}.npz")
+    mlp.save_train_log(result.log, out / f"mlp_fold{fold}_log.csv")
+    probs = mlp.predict_proba(result.model, matrix[rows[fold]])
+    probs /= probs.sum(axis=1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise ValidationError(f"fold {fold}: non-finite probability in the held-out predictions")
+    fold_rows = [(vid, actor, row) for (vid, actor), row in zip(videos, probs.tolist())]
+    core.write_prediction_rows(out / f"mlp_fold{fold}.csv", fold_rows)
+    print(
+        f"fold {fold}: best epoch {result.best_epoch}, val KL {result.best_val_loss:.6f}, "
+        f"{len(videos)} held-out predictions"
+    )
+    return fold_rows, len(result.log), result.best_epoch
+
+
 def cmd_train_mlp(args: argparse.Namespace) -> int:
     agg_cfg, agg_resolved = _config(features.AggregationConfig, _AGGREGATION_FLAGS, args)
     mlp_cfg, mlp_resolved = _config(mlp.MlpConfig, _MLP_FLAGS, args)
@@ -460,39 +489,22 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     outputs: list[Path] = []
     oof: list[tuple[str, str, list[float]]] = []
-    for fold, held_out in rows.items():
-        train_folds = [f for f in rows if f != fold]
-        # The lowest-index remaining fold gates early stopping; the rest train,
-        # or it does both when k == 2 leaves no other.
-        val = rows[train_folds[0]]
-        train = np.concatenate([rows[f] for f in train_folds[1:]] or [val])
+    layout = mlp.param_layout(matrix.shape[1], mlp_cfg)
+    counters: dict[str, Any] = {"videos": len(video_ids), "feature_dim": matrix.shape[1], "epochs": [],
+                                "parameters": sum(map(math.prod, layout.values())), "best_epoch": []}
+    for fold in rows:
         cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
-        result = mlp.train((matrix[train], targets[train]), (matrix[val], targets[val]), cfg)
-
-        ckpt = out / f"mlp_fold{fold}.npz"
-        mlp.save_model(result.model, ckpt)
-        log_path = out / f"mlp_fold{fold}_log.csv"
-        mlp.save_train_log(result.log, log_path)
-
-        probs = mlp.predict_proba(result.model, matrix[held_out])
-        probs /= probs.sum(axis=1, keepdims=True)
-        if not np.isfinite(probs).all():
-            raise ValidationError(f"fold {fold}: non-finite probability in the held-out predictions")
-        vids = by_fold[fold]
-        fold_rows = list(zip(vids, map(actor_of.__getitem__, vids), probs.tolist()))
-        pred_path = out / f"mlp_fold{fold}.csv"
-        core.write_prediction_rows(pred_path, fold_rows)
+        videos = [(v, actor_of[v]) for v in by_fold[fold]]
+        fold_rows, epochs, best_epoch = _train_fold(fold, rows, matrix, targets, cfg, videos, out)
         oof += fold_rows
-        outputs += [ckpt, log_path, pred_path]
-        print(
-            f"fold {fold}: best epoch {result.best_epoch}, val KL {result.best_val_loss:.6f}, "
-            f"{len(vids)} held-out predictions"
-        )
+        counters["epochs"].append(epochs)
+        counters["best_epoch"].append(best_epoch)
+        outputs += [out / f"mlp_fold{fold}{suffix}" for suffix in (".npz", "_log.csv", ".csv")]
 
     oof_path = out / "mlp_oof.csv"
     core.write_prediction_rows(oof_path, sorted(oof))  # by video id, which is unique
     outputs.append(oof_path)
-    _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs)
+    _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs, counters=counters)
     print(f"wrote {oof_path}")
     return EXIT_OK
 

@@ -266,7 +266,9 @@ def train(
 
     Stops once mean validation KL has failed to improve for
     ``max(patience, 1)`` consecutive epochs and returns the snapshot from
-    the best validation epoch.
+    the best validation epoch.  A floating-point overflow, invalid
+    operation or division by zero is a :class:`NumericError` naming the
+    epoch.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_set)
     x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_set)
@@ -290,38 +292,45 @@ def train(
     log: list[TrainLogEntry] = []
     n = x_train.shape[0]
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for batch in _batches(n, cfg.batch_size, order):
-            xb, yb = x_train[batch], y_train[batch]
-            loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, weight_grads)
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite training loss at epoch {epoch}: {loss!r}")
-            epoch_loss += loss * batch.size
-            for name, arr in model.parameters():
-                g, v = grads[name], velocity[name]
-                g *= cfg.lr
-                v *= cfg.momentum
-                v -= g
-                arr += v
-        train_loss = epoch_loss / n
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(cfg.max_epochs):
+                order = rng.permutation(n)
+                epoch_loss = 0.0
+                for batch in _batches(n, cfg.batch_size, order):
+                    xb, yb = x_train[batch], y_train[batch]
+                    loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, weight_grads)
+                    if not math.isfinite(loss):
+                        raise NumericError(f"non-finite training loss at epoch {epoch}: {loss!r}")
+                    epoch_loss += loss * batch.size
+                    for name, arr in model.parameters():
+                        g, v = grads[name], velocity[name]
+                        g *= cfg.lr
+                        v *= cfg.momentum
+                        v -= g
+                        arr += v
+                train_loss = epoch_loss / n
 
-        val_probs = predict_proba(model, x_val)
-        val_loss = mean_kl(y_val, val_probs)
-        if not math.isfinite(val_loss):
-            raise NumericError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
-        log.append(TrainLogEntry(epoch, train_loss, val_loss))
+                val_probs = predict_proba(model, x_val)
+                val_loss = mean_kl(y_val, val_probs)
+                if not math.isfinite(val_loss):
+                    raise NumericError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
+                log.append(TrainLogEntry(epoch, train_loss, val_loss))
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best = model.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= max(cfg.patience, 1):
-                break
+                if val_loss < best_val:
+                    best_val = val_loss
+                    best_epoch = epoch
+                    # Drop the old snapshot first: four parameter-sized arrays, not five.
+                    # Refreshing a preallocated one with np.copyto measured slower.
+                    best = None
+                    best = model.copy()
+                    bad_epochs = 0
+                else:
+                    bad_epochs += 1
+                    if bad_epochs >= max(cfg.patience, 1):
+                        break
+    except FloatingPointError as exc:
+        raise NumericError(f"{exc} at epoch {epoch}") from None
 
     assert best is not None
     return TrainResult(best, tuple(log), best_epoch, best_val)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import shutil
@@ -703,6 +704,50 @@ class TestTrainMlp:
             )
         assert code == EXIT_NUMERIC
 
+
+    def test_diverging_training_ends_in_one_message(self, tmp_path, capsys):
+        # No np.errstate here: a numpy RuntimeWarning would be raised out of
+        # main (the test settings make it an error) or printed before the message.
+        inputs = feature_inputs(tmp_path)
+        code = run("train-mlp", *flags_of(inputs), "--hidden", 4, "--lr", 1e100, "--epochs", 5,
+                   "--out", tmp_path / "mlp")
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and " at epoch " in err
+        assert err.count("\n") == 1
+
+    def test_no_head_is_alive_when_a_fold_starts_training(self, tmp_path, monkeypatch):
+        inputs = three_fold_inputs(tmp_path)
+        train, alive = mlp.train, []
+
+        def counting_train(*args):
+            gc.collect()  # so that only reachable heads count
+            alive.append(sum(isinstance(o, mlp.MlpModel) for o in gc.get_objects()))
+            return train(*args)
+
+        monkeypatch.setattr(mlp, "train", counting_train)
+        assert run("train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2,
+                   "--out", tmp_path / "mlp") == EXIT_OK
+        assert alive == [0, 0, 0]
+
+    def test_run_meta_counters_agree_with_the_written_files(self, tmp_path):
+        inputs = three_fold_inputs(tmp_path)
+        out = tmp_path / "mlp"
+        assert run("train-mlp", *flags_of(inputs), "--hidden", "4,3", "--epochs", 8, "--patience", 2,
+                   "--batch-size", 4, "--out", out) == EXIT_OK
+        counters = json.loads((out / "run_meta.json").read_text())["counters"]
+        val_losses = [
+            [float(line.split(",")[2]) for line in (out / f"mlp_fold{k}_log.csv").read_text().splitlines()[1:]]
+            for k in range(3)
+        ]
+        assert counters["epochs"] == [len(v) for v in val_losses]
+        assert counters["best_epoch"] == [v.index(min(v)) for v in val_losses]
+        assert len((out / "mlp_oof.csv").read_text().splitlines()) == 1 + counters["videos"] == 13
+        for k in range(3):
+            with np.load(out / f"mlp_fold{k}.npz") as ckpt:
+                arrays = [ckpt[name] for name in ckpt.files if name != "__meta__"]
+            assert arrays[0].shape[0] == counters["feature_dim"]
+            assert sum(a.size for a in arrays) == counters["parameters"]
 
     @pytest.mark.parametrize("case,content,message", FEATURE_FAULTS, ids=[f[0] for f in FEATURE_FAULTS])
     def test_bad_feature_file_is_data_error(self, tmp_path, capsys, case, content, message):

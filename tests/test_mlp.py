@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,35 @@ class TestTrain:
         cfg = toy_config(lr=1e9, max_epochs=50, batch_size=16)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             train((x, y), (x, y), cfg)
+
+    def test_diverging_training_is_one_numeric_error_naming_the_epoch(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(16, 4)) * 100
+        y = random_soft_rows(rng, 16)
+        with pytest.raises(NumericError, match=r"^overflow encountered in \w+ at epoch 1$"):
+            train((x, y), (x, y), toy_config(lr=1e100, max_epochs=10, batch_size=16))
+
+    def test_peak_memory_is_four_parameter_sized_arrays(self):
+        # Parameters dominate activations here: 512 -> 512 -> 256 -> 6 on
+        # batches of 16.  Weights, velocity, weight gradients and the
+        # best-epoch snapshot are four copies; a fifth (a new snapshot taken
+        # while the old one lives) would pass 5x.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(64, 512))
+        y = softmax(2.0 * x[:, :6])
+        cfg = MlpConfig(hidden_dims=(512, 256), dropout=0.0, lr=1e-2, max_epochs=5, patience=5,
+                        batch_size=16, seed=0)
+        param_bytes = 8 * sum(math.prod(shape) for shape in param_layout(512, cfg).values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = train((x, y), (x, y), cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        val = [e.val_loss for e in result.log]
+        assert sum(v < min(val[:i]) for i, v in enumerate(val) if i) >= 2  # the snapshot is refreshed
+        assert peak < 4.5 * param_bytes
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValidationError):
