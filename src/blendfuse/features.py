@@ -19,9 +19,16 @@ from .core import ValidationError, located, read_csv_rows, write_csv_rows
 
 SEGMENT_STATS = ("segment_mean", "segment_std")
 GLOBAL_STATS = ("global_mean", "global_median")
-KNOWN_STATS = SEGMENT_STATS + GLOBAL_STATS
 
 DEFAULT_STATS = ("segment_mean", "segment_std", "global_mean")
+
+_REDUCERS = {
+    "segment_mean": np.mean,
+    # Population std, so a one-frame segment has std 0.
+    "segment_std": np.std,
+    "global_mean": np.mean,
+    "global_median": np.median,
+}
 
 
 @dataclass(frozen=True)
@@ -41,18 +48,6 @@ class FrameFeatureSequence:
             raise ValidationError(f"non-finite values in features for {self.video_id!r}")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def layers(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def dims(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class AggregationConfig:
@@ -60,7 +55,8 @@ class AggregationConfig:
 
     ``stats`` is an ordered list drawn from segment_mean, segment_std,
     global_mean and global_median; per-segment statistics are laid out
-    segment-major, followed by the global blocks.
+    segment-major, followed by the global blocks.  Segments are the pieces
+    of ``np.array_split``, so earlier segments take the remainder frames.
     """
 
     layer_lo: int = 6
@@ -79,7 +75,7 @@ class AggregationConfig:
         if not self.stats:
             raise ValidationError("stats list must not be empty")
         for stat in self.stats:
-            if stat not in KNOWN_STATS:
+            if stat not in _REDUCERS:
                 raise ValidationError(f"unknown statistic {stat!r}")
 
     @property
@@ -96,34 +92,10 @@ class AggregationConfig:
 
 def average_layers(seq: FrameFeatureSequence, lo: int, hi: int) -> np.ndarray:
     """Elementwise mean over the inclusive layer range, giving a T x D matrix."""
-    if lo < 0 or hi < lo or hi >= seq.layers:
-        raise ValidationError(
-            f"layer range [{lo}, {hi}] out of bounds for {seq.layers} layers"
-        )
+    layers = seq.data.shape[0]
+    if lo < 0 or hi < lo or hi >= layers:
+        raise ValidationError(f"layer range [{lo}, {hi}] out of bounds for {layers} layers")
     return seq.data[lo : hi + 1].mean(axis=0)
-
-
-def _segment_bounds(n_frames: int, segments: int) -> list[tuple[int, int]]:
-    # Even split; earlier segments absorb the remainder frames.
-    base, rem = divmod(n_frames, segments)
-    bounds = []
-    start = 0
-    for s in range(segments):
-        size = base + (1 if s < rem else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-def _stat_block(frames: np.ndarray, stat: str) -> np.ndarray:
-    if stat in ("segment_mean", "global_mean"):
-        return frames.mean(axis=0)
-    if stat == "segment_std":
-        # Population std; a length-1 segment has std 0 by definition.
-        return frames.std(axis=0)
-    if stat == "global_median":
-        return np.median(frames, axis=0)
-    raise ValidationError(f"unknown statistic {stat!r}")
 
 
 def aggregate_temporal(frames: np.ndarray, cfg: AggregationConfig) -> np.ndarray:
@@ -131,20 +103,16 @@ def aggregate_temporal(frames: np.ndarray, cfg: AggregationConfig) -> np.ndarray
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValidationError(f"frame matrix must be 2-d, got shape {frames.shape}")
-    n_frames = frames.shape[0]
-    if n_frames < cfg.segments:
+    if len(frames) < cfg.segments:
         raise ValidationError(
-            f"need at least {cfg.segments} frames for {cfg.segments} segments, got {n_frames}"
+            f"need at least {cfg.segments} frames for {cfg.segments} segments, got {len(frames)}"
         )
-    blocks: list[np.ndarray] = []
-    for start, stop in _segment_bounds(n_frames, cfg.segments):
-        segment = frames[start:stop]
-        for stat in cfg.stats:
-            if stat in SEGMENT_STATS:
-                blocks.append(_stat_block(segment, stat))
-    for stat in cfg.stats:
-        if stat in GLOBAL_STATS:
-            blocks.append(_stat_block(frames, stat))
+    blocks = [
+        _REDUCERS[stat](segment, axis=0)
+        for segment in np.array_split(frames, cfg.segments)
+        for stat in cfg.segment_stats
+    ]
+    blocks += [_REDUCERS[stat](frames, axis=0) for stat in cfg.global_stats]
     return np.concatenate(blocks)
 
 
@@ -164,8 +132,9 @@ def save_feature_file(seq: FrameFeatureSequence, directory: str | Path) -> Path:
     """Write one video's features as ``<video_id>.feat`` under a directory."""
     directory = Path(directory)
     path = directory / f"{seq.video_id}.feat"
-    lines = [f"layers={seq.layers} frames={seq.frames} dims={seq.dims}"]
-    flat = seq.data.reshape(seq.layers * seq.frames, seq.dims)
+    layers, frames, dims = seq.data.shape
+    lines = [f"layers={layers} frames={frames} dims={dims}"]
+    flat = seq.data.reshape(layers * frames, dims)
     for row in flat:
         lines.append(" ".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,6 +13,8 @@ import numpy as np
 
 from .postprocess import ThresholdPair, ThresholdSurface
 
+CELL = 10  # side of one heat-map cell, in pixels
+
 
 def _color(t: float) -> str:
     """Blue-to-red ramp for t in [0, 1]."""
@@ -23,15 +25,15 @@ def _color(t: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def surface_heatmap_svg(surface: ThresholdSurface, path: str | Path, cell: int = 10) -> None:
+def surface_heatmap_svg(surface: ThresholdSurface, path: str | Path) -> None:
     """Render the score surface as a colored grid, alpha down, beta across."""
     score = surface.score
     lo, hi = float(score.min()), float(score.max())
     span = hi - lo if hi > lo else 1.0
     a_n, b_n = score.shape
     margin = 60
-    width = margin + b_n * cell + 20
-    height = margin + a_n * cell + 20
+    width = margin + b_n * CELL + 20
+    height = margin + a_n * CELL + 20
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{margin}" y="20" font-size="12" font-family="monospace">'
@@ -41,22 +43,22 @@ def surface_heatmap_svg(surface: ThresholdSurface, path: str | Path, cell: int =
     for ai in range(a_n):
         for bi in range(b_n):
             t = (float(score[ai, bi]) - lo) / span
-            x = margin + bi * cell
-            y = margin + ai * cell
+            x = margin + bi * CELL
+            y = margin + ai * CELL
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{_color(t)}"/>'
+                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{_color(t)}"/>'
             )
     step_a = max(1, a_n // 5)
     step_b = max(1, b_n // 5)
     for ai in range(0, a_n, step_a):
-        y = margin + ai * cell + cell
+        y = margin + ai * CELL + CELL
         parts.append(
             f'<text x="5" y="{y}" font-size="9" font-family="monospace">{surface.alpha_grid[ai]:.2f}</text>'
         )
     for bi in range(0, b_n, step_b):
-        x = margin + bi * cell
+        x = margin + bi * CELL
         parts.append(
-            f'<text x="{x}" y="{margin + a_n * cell + 14}" font-size="9" '
+            f'<text x="{x}" y="{margin + a_n * CELL + 14}" font-size="9" '
             f'font-family="monospace">{surface.beta_grid[bi]:.2f}</text>'
         )
     parts.append("</svg>")

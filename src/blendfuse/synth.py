@@ -71,16 +71,9 @@ class SynthDataset:
     actor_gaps: Mapping[str, float] = field(default_factory=dict)
 
 
-def _truncated_normal(
-    rng: np.random.Generator,
-    size: int,
-    sigma: float,
-    bound_sigmas: float = NOISE_TRUNCATION_SIGMAS,
-) -> np.ndarray:
-    """Gaussian draws truncated to +/- ``bound_sigmas`` standard deviations."""
-    if sigma == 0.0:
-        return np.zeros(size)
-    bound = bound_sigmas * sigma
+def _truncated_normal(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
+    """Draws from N(0, sigma > 0) truncated to +/- NOISE_TRUNCATION_SIGMAS * sigma."""
+    bound = NOISE_TRUNCATION_SIGMAS * sigma
     out = rng.normal(0.0, sigma, size)
     bad = np.abs(out) > bound
     while np.any(bad):

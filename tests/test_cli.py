@@ -36,7 +36,25 @@ BAD_GRIDS = [
     '{"start": 0, "stop": 1, "step": true}',
     pytest.param("[0.1, 1" + "0" * 400 + "]", id="huge-int-value"),
     pytest.param('{"start": 0, "stop": 1' + "0" * 400 + ', "step": 0.5}', id="huge-int-stop"),
+    '{"start": 0, "stop": 1, "step": 0.5, "stride": 1}',
+    "0.5",
+    '"0,0.5"',
 ]
+# Grid flag values that are not JSON at all; only a flag can carry them.
+NON_JSON_GRIDS = ["[0.1,", "0.1 0.2"]
+
+# The full message of a case, for the config-error cases whose message no
+# other assertion pins; ``{name}`` is the grid's key.
+CONFIG_MESSAGES = {
+    '{"start": 0, "stop": 1, "step": 0.5, "stride": 1}': "unknown keys in {name}: ['stride']",
+    "0.5": "{name} must be a list or a start/stop/step object",
+    '"0,0.5"': "{name} must be a list or a start/stop/step object",
+    "[0.1,": "bad {name}: Expecting value: line 1 column 6 (char 5)",
+    "0.1 0.2": "bad {name}: Extra data: line 1 column 5 (char 4)",
+    "[0.1]": "initial_thresholds must be [alpha, beta]: [0.1]",
+    "0.1": "initial_thresholds must be [alpha, beta]: 0.1",
+    "[0.1, 0.2, 0.3]": "initial_thresholds must be [alpha, beta]: [0.1, 0.2, 0.3]",
+}
 
 GOOD_ROW = " ".join(["0.5"] * 6)
 # (case, .feat content or None for a missing file, expected message fragment)
@@ -159,6 +177,18 @@ class TestSynthAndSplit:
         code = run("split", "--manifest", data / "labels.csv", "--k", 1, "--out", tmp_path / "f")
         assert code == EXIT_CONFIG
 
+    def test_split_takes_a_feature_manifest_like_the_labels_file(self, tmp_path):
+        inputs = feature_inputs(tmp_path)
+        manifest = inputs["--features"] / "manifest.csv"
+        assert run("split", "--manifest", manifest, "--k", 2, "--out", tmp_path / "f") == EXIT_OK
+        assert (tmp_path / "f" / "folds.csv").read_bytes() == inputs["--folds"].read_bytes()
+
+    def test_split_manifest_of_another_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "other.csv"
+        path.write_text("video_id,actor\nv0,a0\n", encoding="utf-8")
+        assert run("split", "--manifest", path, "--k", 2, "--out", tmp_path / "f") == EXIT_DATA
+        assert f"{path}: unrecognized manifest header ['video_id', 'actor']" in capsys.readouterr().err
+
     def test_encode_labels(self, tmp_path):
         data = synth_dataset(tmp_path)
         out = tmp_path / "enc"
@@ -218,6 +248,36 @@ class TestFuseEvaluate:
         assert thresholds["config_hash"] == meta["config_hash"]
         # single informative encoder at high thresholds quality: mean score positive
         assert 0.0 < report["mean"]["score"] <= 1.0
+
+    def test_emit_plots_false_writes_no_svg(self, tmp_path):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        cfg_path = self.make_config(tmp_path, data, make_folds(tmp_path, data), emit_plots=False)
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_OK
+        out = tmp_path / "run"
+        assert not list(out.glob("*.svg"))
+        outputs = json.loads((out / "run_meta.json").read_text())["outputs"]
+        assert sorted(outputs) == [
+            "results.csv", "results.json", "thresholds.json", "weight_search_log.csv", "weights.csv",
+        ]
+
+    @pytest.mark.parametrize("case", ["not-an-object", "key-omitted", "no-prediction-files"])
+    def test_run_config_fault_exits_with_its_message(self, tmp_path, capsys, case):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        cfg_path = self.make_config(tmp_path, data, make_folds(tmp_path, data))
+        cfg = json.loads(cfg_path.read_text())
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        if case == "not-an-object":
+            cfg, code, message = list(cfg.items()), EXIT_CONFIG, "run config must be a JSON object"
+        elif case == "key-omitted":
+            del cfg["folds_file"]
+            code, message = EXIT_CONFIG, "missing required config key 'folds_file'"
+        else:
+            cfg["predictions_dir"] = str(empty)
+            code, message = EXIT_DATA, f"no prediction files under {empty}"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run("fuse-evaluate", "--config", cfg_path) == code
+        assert message in capsys.readouterr().err
 
     def test_dataset_is_built_once_per_run(self, tmp_path, monkeypatch):
         data = synth_dataset(tmp_path, actors=4, clips=6)
@@ -351,15 +411,22 @@ class TestFuseEvaluate:
         folds_path = make_folds(tmp_path, data)
         cfg_path = self.make_config(tmp_path, data, folds_path, **{key: json.loads(grid)})
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert CONFIG_MESSAGES.get(grid, "").format(name=key) in err
 
-    @pytest.mark.parametrize("init", ['["x", 0.1]', "[2, 0.1]", "[0.1, -0.5]", "[0.1, NaN]", "[true, 0.1]"])
+    @pytest.mark.parametrize(
+        "init",
+        ['["x", 0.1]', "[2, 0.1]", "[0.1, -0.5]", "[0.1, NaN]", "[true, 0.1]", "[0.1]", "0.1", "[0.1, 0.2, 0.3]"],
+    )
     def test_bad_initial_thresholds_is_config_error(self, tmp_path, capsys, init):
         data = synth_dataset(tmp_path, actors=4, clips=6)
         folds_path = make_folds(tmp_path, data)
         cfg_path = self.make_config(tmp_path, data, folds_path, initial_thresholds=json.loads(init))
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
-        assert "initial_thresholds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "initial_thresholds" in err
+        assert CONFIG_MESSAGES.get(init, "") in err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -1045,7 +1112,7 @@ class TestDeterminism:
 
 class TestSensitivity:
     @pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
-    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    @pytest.mark.parametrize("grid", BAD_GRIDS + NON_JSON_GRIDS)
     def test_bad_grid_flag_is_config_error(self, tmp_path, capsys, flag, grid):
         data = synth_dataset(tmp_path, actors=4, clips=6)
         folds_path = make_folds(tmp_path, data)
@@ -1054,7 +1121,10 @@ class TestSensitivity:
             "--folds", folds_path, flag, grid, "--out", tmp_path / "s",
         )
         assert code == EXIT_CONFIG
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert name in err
+        assert CONFIG_MESSAGES.get(grid, "").format(name=name) in err
 
     @pytest.mark.parametrize("flag", ["--predictions", "--labels", "--folds", "--weights"])
     def test_missing_input_is_config_error(self, tmp_path, capsys, flag):
@@ -1215,6 +1285,17 @@ class TestVerifyIdentities:
         bad = tmp_path / "bad.csv"
         bad.write_text("fold,acc_p,acc_s,score,n\n0,0.320,0.137,0.223,100\n", encoding="utf-8")
         assert run("verify-identities", "--results", bad) == EXIT_DATA
+
+    def test_results_of_fuse_evaluate_pass_with_the_summary_row_skipped(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        cfg_path = TestFuseEvaluate().make_config(tmp_path, data, make_folds(tmp_path, data))
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_OK
+        results = tmp_path / "run" / "results.csv"
+        assert "\nsummary," in results.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run("verify-identities", "--results", results) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines()] == ["PASS row 0", "PASS row 1"]
 
     def test_weights_simplex(self, tmp_path):
         w = tmp_path / "weights.csv"

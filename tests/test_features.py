@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blendfuse.core import ValidationError
 from blendfuse.features import (
@@ -125,6 +128,52 @@ class TestAggregateTemporal:
     def test_unknown_stat_rejected(self):
         with pytest.raises(ValidationError):
             AggregationConfig(stats=("segment_kurtosis",))
+
+
+def slicing_oracle(frames, cfg):
+    """The per-segment slicing loop: an even split whose earlier segments
+    absorb the remainder frames, each statistic computed by name."""
+    def stat_block(block, stat):
+        if stat in ("segment_mean", "global_mean"):
+            return block.mean(axis=0)
+        if stat == "segment_std":
+            return block.std(axis=0)
+        return np.median(block, axis=0)
+
+    base, rem = divmod(frames.shape[0], cfg.segments)
+    blocks, start = [], 0
+    for s in range(cfg.segments):
+        stop = start + base + (1 if s < rem else 0)
+        for stat in cfg.stats:
+            if stat.startswith("segment_"):
+                blocks.append(stat_block(frames[start:stop], stat))
+        start = stop
+    for stat in cfg.stats:
+        if stat.startswith("global_"):
+            blocks.append(stat_block(frames, stat))
+    return np.concatenate(blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_aggregate_temporal_matches_slicing_oracle_bit_for_bit(data):
+    n_frames = data.draw(st.integers(1, 19), label="frames")
+    segments = data.draw(st.integers(1, n_frames), label="segments")
+    stats = data.draw(
+        st.lists(
+            st.sampled_from(["segment_mean", "segment_std", "global_mean", "global_median"]),
+            min_size=1, max_size=4, unique=True,
+        ),
+        label="stats",
+    )
+    frames = data.draw(
+        arrays(np.float64, (n_frames, data.draw(st.integers(1, 4), label="dims")),
+               elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)),
+        label="values",
+    )
+    cfg = AggregationConfig(layer_lo=0, layer_hi=0, segments=segments, stats=tuple(stats))
+    out = aggregate_temporal(frames, cfg)
+    assert np.array_equal(out.view(np.int64), slicing_oracle(frames, cfg).view(np.int64))
 
 
 class TestFeatureFiles:

@@ -314,6 +314,19 @@ class TestSelectThresholds:
         pair = select_thresholds([fold1, fold2], "best_fold")
         assert pair == ThresholdPair(0.0, 0.0)
 
+    def test_best_fold_second_fold_wins(self):
+        grid = (0.0, 0.1)
+        fold1 = make_surface(grid, grid, [[0.25, 0.0], [0.0, 0.0]])
+        fold2 = make_surface(grid, grid, [[0.0, 0.0], [0.0, 0.30]])
+        assert select_thresholds([fold1, fold2], "best_fold") == ThresholdPair(0.1, 0.1)
+
+    def test_best_fold_tie_goes_to_earlier_fold(self):
+        grid = (0.0, 0.1)
+        fold1 = make_surface(grid, grid, [[0.0, 0.0], [0.30, 0.0]])
+        fold2 = make_surface(grid, grid, [[0.0, 0.30], [0.0, 0.0]])
+        assert select_thresholds([fold1, fold2], "best_fold") == ThresholdPair(0.1, 0.0)
+        assert select_thresholds([fold2, fold1], "best_fold") == ThresholdPair(0.0, 0.1)
+
     def test_decoupled_marginalization(self):
         grid_a, grid_b = (0.0, 0.1), (0.0, 0.1)
         # alpha row maxima: fold means favor alpha=0.1; at that alpha the
@@ -323,6 +336,28 @@ class TestSelectThresholds:
         fold1 = make_surface(grid_a, grid_b, acc_p1, acc_p1, acc_s1)
         pair = select_thresholds([fold1], "decoupled")
         assert pair == ThresholdPair(0.1, 0.0)
+
+    def test_decoupled_two_folds_pick_a_pair_neither_fold_picks(self):
+        grid = (0.0, 0.1, 0.2)
+        # Alone, fold 1 picks (0.0, 0.0) and fold 2 picks (0.2, 0.2).  The
+        # fold-mean alpha row maxima (0.5, 0.8, 0.5) pick alpha=0.1, where
+        # the fold-mean salience accuracies (0.45, 0.45, 0.5) pick beta=0.2.
+        acc_p1 = [[1.0, 0.2, 0.1], [0.8, 0.3, 0.2], [0.0, 0.0, 0.0]]
+        acc_s1 = [[0.5, 0.1, 0.0], [0.9, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        acc_p2 = [[0.0, 0.0, 0.0], [0.3, 0.8, 0.2], [0.1, 0.2, 1.0]]
+        acc_s2 = [[0.0, 0.0, 0.0], [0.0, 0.9, 0.5], [0.0, 0.1, 0.5]]
+        fold1 = make_surface(grid, grid, acc_p1, acc_p1, acc_s1)
+        fold2 = make_surface(grid, grid, acc_p2, acc_p2, acc_s2)
+        assert select_thresholds([fold1], "decoupled") == ThresholdPair(0.0, 0.0)
+        assert select_thresholds([fold2], "decoupled") == ThresholdPair(0.2, 0.2)
+        assert select_thresholds([fold1, fold2], "decoupled") == ThresholdPair(0.1, 0.2)
+
+    def test_decoupled_rejects_mismatched_grids(self):
+        fold1 = make_surface((0.0, 0.1), (0.0, 0.1), [[0.1, 0.2], [0.3, 0.4]])
+        for alpha_grid, beta_grid in (((0.0, 0.2), (0.0, 0.1)), ((0.0, 0.1), (0.0, 0.2))):
+            fold2 = make_surface(alpha_grid, beta_grid, [[0.1, 0.2], [0.3, 0.4]])
+            with pytest.raises(ValidationError, match="^decoupled selection requires identical grids$"):
+                select_thresholds([fold1, fold2], "decoupled")
 
     def test_unknown_strategy_rejected(self):
         surface = make_surface((0.0,), (0.0,), [[1.0]])
