@@ -470,6 +470,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     mlp_cfg, mlp_resolved = _config(mlp.MlpConfig, _MLP_FLAGS, args)
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
+    start = time.perf_counter()
     records = core.load_labels(Path(args.labels))
     assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
     video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg)
@@ -485,6 +486,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     actor_of = {r.video_id: r.actor_id for r in records}
     by_fold = assignment.videos_by_fold(records)
     rows = {f: np.array([row_of[v] for v in vids], dtype=np.intp) for f, vids in by_fold.items()}
+    timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start, "train_s": []}
 
     out = _out_dir(args.out)
     outputs: list[Path] = []
@@ -495,7 +497,9 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     for fold in rows:
         cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
         videos = [(v, actor_of[v]) for v in by_fold[fold]]
+        start = time.perf_counter()
         fold_rows, epochs, best_epoch = _train_fold(fold, rows, matrix, targets, cfg, videos, out)
+        timings["train_s"].append(time.perf_counter() - start)
         oof += fold_rows
         counters["epochs"].append(epochs)
         counters["best_epoch"].append(best_epoch)
@@ -504,7 +508,8 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     oof_path = out / "mlp_oof.csv"
     core.write_prediction_rows(oof_path, sorted(oof))  # by video id, which is unique
     outputs.append(oof_path)
-    _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs, counters=counters)
+    _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs,
+                    counters=counters, timings=timings)
     print(f"wrote {oof_path}")
     return EXIT_OK
 

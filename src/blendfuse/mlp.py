@@ -15,7 +15,7 @@ import zipfile
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # fraction of the batch statistic folded into the running stats
 DEFAULT_PATIENCE = 80
 CHECKPOINT_VERSION = 1
+PANEL_ROWS = 128  # weight rows per gemm of a training step (64 timed the same, 32 slower)
 
 
 class NumericError(RuntimeError):
@@ -96,8 +97,7 @@ def batchnorm_forward(
         return gamma * x_hat + beta, None
     if batch.shape[0] < 2:
         raise ValidationError("batchnorm needs at least 2 rows in train mode")
-    mean = batch.mean(axis=0)
-    var = batch.var(axis=0)
+    mean, var = batch.mean(axis=0), batch.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (batch - mean) * inv_std
     params[mean_key] = (1 - BN_MOMENTUM) * params[mean_key] + BN_MOMENTUM * mean
@@ -152,15 +152,12 @@ def _forward_batch(
         cache: dict = {"x": h}
         z = h @ params[f"w{i}"] + params[f"b{i}"]
         z_bn, cache["bn"] = batchnorm_forward(z, params, i, train)
-        relu_mask = z_bn > 0.0
+        cache["relu_mask"] = relu_mask = z_bn > 0.0
         h = z_bn * relu_mask
-        cache["relu_mask"] = relu_mask
         if train and rate > 0.0:
             assert dropout_rng is not None
-            keep = dropout_rng.random(h.shape) >= rate
-            drop_mask = keep / (1.0 - rate)  # inverted dropout
+            cache["drop_mask"] = drop_mask = (dropout_rng.random(h.shape) >= rate) / (1.0 - rate)
             h = h * drop_mask
-            cache["drop_mask"] = drop_mask
         caches.append(cache)
     caches.append({"x": h})
     logits = h @ params[f"w{n_hidden}"] + params[f"b{n_hidden}"]
@@ -172,44 +169,44 @@ def loss_and_gradients(
     x: np.ndarray,
     y: np.ndarray,
     dropout_rng: Optional[np.random.Generator] = None,
-    weight_grads: Optional[dict[str, np.ndarray]] = None,
+    weight_hook: Optional[Callable[[str, np.ndarray, np.ndarray], None]] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean KL loss over a batch plus gradients for every parameter.
 
     Uses train-mode forward (batch statistics); caller controls dropout by
-    passing a generator or a model with dropout 0.  ``weight_grads`` may map
-    weight names (``w0``, ``w1``, ...) to arrays of the weights' shapes,
-    which then receive those gradients and are returned in the dict.  The
-    gradient with respect to ``x`` is not computed.
+    passing a generator or a model with dropout 0.  With ``weight_hook``
+    the weight gradients are not formed: for each layer, top layer first,
+    ``weight_hook(name, inputs, dz)`` is called once backprop has read
+    weight ``name``, whose gradient is ``inputs.T @ dz``, and the returned
+    dict holds the other gradients.  A non-finite loss returns before any
+    hook call.  The gradient with respect to ``x`` is not computed.
     """
     logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
     probs = softmax(logits)
     loss = mean_kl(y, probs)
-    n = x.shape[0]
-    out = weight_grads or {}
     grads: dict[str, np.ndarray] = {}
-    params = model.params
-
-    dlogits = (probs - y) / n
-    head = len(model.config.hidden_dims)
-    grads[f"w{head}"] = np.matmul(caches[-1]["x"].T, dlogits, out=out.get(f"w{head}"))
-    grads[f"b{head}"] = dlogits.sum(axis=0)
-    dh = dlogits @ params[f"w{head}"].T
-
-    for i in range(head - 1, -1, -1):
+    if weight_hook is not None and not math.isfinite(loss):
+        return loss, grads
+    n, params = x.shape[0], model.params
+    dz = (probs - y) / n
+    for i in range(len(model.config.hidden_dims), -1, -1):
         cache = caches[i]
-        if "drop_mask" in cache:
-            dh = dh * cache["drop_mask"]
-        dz_bn = dh * cache["relu_mask"]
-        x_hat, inv_std = cache["bn"]["x_hat"], cache["bn"]["inv_std"]
-        grads[f"bn{i}_gamma"] = (dz_bn * x_hat).sum(axis=0)
-        grads[f"bn{i}_beta"] = dz_bn.sum(axis=0)
-        dxhat = dz_bn * params[f"bn{i}_gamma"]
-        dz = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
-        grads[f"w{i}"] = np.matmul(cache["x"].T, dz, out=out.get(f"w{i}"))
+        if "bn" in cache:
+            if "drop_mask" in cache:
+                dh = dh * cache["drop_mask"]
+            dz_bn = dh * cache["relu_mask"]
+            x_hat, inv_std = cache["bn"]["x_hat"], cache["bn"]["inv_std"]
+            grads[f"bn{i}_gamma"] = (dz_bn * x_hat).sum(axis=0)
+            grads[f"bn{i}_beta"] = dz_bn.sum(axis=0)
+            dxhat = dz_bn * params[f"bn{i}_gamma"]
+            dz = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
         grads[f"b{i}"] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ params[f"w{i}"].T
+        if weight_hook is None:
+            grads[f"w{i}"] = cache["x"].T @ dz
+        else:
+            weight_hook(f"w{i}", cache["x"], dz)
     return loss, grads
 
 
@@ -217,11 +214,8 @@ def predict_proba(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Eval-mode class probabilities for a batch of feature vectors."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"expected feature dim {model.input_dim}, got {x.shape[1]}"
-        )
-    logits, _ = _forward_batch(model, x, train=False)
-    return softmax(logits)
+        raise ValidationError(f"expected feature dim {model.input_dim}, got {x.shape[1]}")
+    return softmax(_forward_batch(model, x, train=False)[0])
 
 
 def forward(model: MlpModel, x: Sequence[float]) -> EmotionDistribution:
@@ -272,10 +266,13 @@ def train(
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_set)
     x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_set)
-    if x_train.ndim != 2 or x_train.shape[0] == 0 or x_val.shape[0] == 0:
+    if x_train.ndim != 2 or x_val.ndim != 2 or x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("train and validation sets must be non-empty 2-d arrays")
     if x_train.shape[1] != x_val.shape[1]:
         raise ValidationError("train and validation feature dims differ")
+    for name, x, y in (("train", x_train, y_train), ("validation", x_val, y_val)):
+        if y.shape != (x.shape[0], cfg.output_dim):
+            raise ValidationError(f"{name} targets are {y.shape}, expected {(x.shape[0], cfg.output_dim)}")
     if x_train.shape[0] < 2:
         raise ValidationError("training needs at least 2 samples for batchnorm")
 
@@ -283,13 +280,24 @@ def train(
     rng = np.random.default_rng(cfg.seed + 1)
     dropout_rng = np.random.default_rng(cfg.seed + 2)
     velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    weight_grads = {k: np.empty_like(a) for k, a in model.params.items() if k.startswith("w")}
+    # Row panels per weight: _batches folds a one-row tail (numpy would use gemv) into the one before.
+    panels = {k: [(r[0], r[-1] + 1) for r in _batches(len(a), PANEL_ROWS, np.arange(len(a)))]
+              for k, a in model.params.items() if k.startswith("w")}
+    scratch = np.empty((PANEL_ROWS + 1) * max(model.params[k].shape[1] for k in panels))
 
-    best: Optional[MlpModel] = None
-    best_val = math.inf
-    best_epoch = -1
-    bad_epochs = 0
-    log: list[TrainLogEntry] = []
+    def momentum_step(arr: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
+        g *= cfg.lr
+        v *= cfg.momentum
+        v -= g
+        arr += v
+
+    def step_weight(name: str, inputs: np.ndarray, dz: np.ndarray) -> None:
+        w, v = model.params[name], velocity[name]
+        for i, j in panels[name]:
+            panel = scratch[: (j - i) * w.shape[1]].reshape(j - i, -1)
+            momentum_step(w[i:j], v[i:j], np.matmul(inputs.T[i:j], dz, out=panel))
+
+    best, best_val, best_epoch, bad_epochs, log = None, math.inf, -1, 0, []
     n = x_train.shape[0]
 
     try:
@@ -299,28 +307,22 @@ def train(
                 epoch_loss = 0.0
                 for batch in _batches(n, cfg.batch_size, order):
                     xb, yb = x_train[batch], y_train[batch]
-                    loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, weight_grads)
+                    loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, step_weight)
                     if not math.isfinite(loss):
                         raise NumericError(f"non-finite training loss at epoch {epoch}: {loss!r}")
                     epoch_loss += loss * batch.size
-                    for name, arr in model.parameters():
-                        g, v = grads[name], velocity[name]
-                        g *= cfg.lr
-                        v *= cfg.momentum
-                        v -= g
-                        arr += v
+                    for name, g in grads.items():
+                        momentum_step(model.params[name], velocity[name], g)
                 train_loss = epoch_loss / n
 
-                val_probs = predict_proba(model, x_val)
-                val_loss = mean_kl(y_val, val_probs)
+                val_loss = mean_kl(y_val, predict_proba(model, x_val))
                 if not math.isfinite(val_loss):
                     raise NumericError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
                 log.append(TrainLogEntry(epoch, train_loss, val_loss))
 
                 if val_loss < best_val:
-                    best_val = val_loss
-                    best_epoch = epoch
-                    # Drop the old snapshot first: four parameter-sized arrays, not five.
+                    best_val, best_epoch = val_loss, epoch
+                    # Drop the old snapshot first: three parameter-sized arrays, not four.
                     # Refreshing a preallocated one with np.copyto measured slower.
                     best = None
                     best = model.copy()
@@ -378,7 +380,5 @@ def load_model(path: str | Path) -> MlpModel:
 
 
 def save_train_log(log: Sequence[TrainLogEntry], path: str | Path) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    for e in log:
-        lines.append(f"{e.epoch},{e.train_loss!r},{e.val_loss!r}")
+    lines = ["epoch,train_loss,val_loss", *(f"{e.epoch},{e.train_loss!r},{e.val_loss!r}" for e in log)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -816,6 +816,16 @@ class TestTrainMlp:
             assert arrays[0].shape[0] == counters["feature_dim"]
             assert sum(a.size for a in arrays) == counters["parameters"]
 
+    def test_run_meta_times_the_ingest_and_each_fold(self, tmp_path):
+        inputs = three_fold_inputs(tmp_path)
+        out = tmp_path / "mlp"
+        assert run("train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2, "--out", out) == EXIT_OK
+        timings = json.loads((out / "run_meta.json").read_text())["timings"]
+        assert timings.keys() == {"ingest_s", "train_s"}
+        assert type(timings["ingest_s"]) is float and timings["ingest_s"] >= 0
+        assert len(timings["train_s"]) == 3
+        assert all(type(t) is float and t > 0 for t in timings["train_s"])
+
     @pytest.mark.parametrize("case,content,message", FEATURE_FAULTS, ids=[f[0] for f in FEATURE_FAULTS])
     def test_bad_feature_file_is_data_error(self, tmp_path, capsys, case, content, message):
         inputs = feature_inputs(tmp_path)

@@ -262,11 +262,12 @@ class TestTrain:
         with pytest.raises(NumericError, match=r"^overflow encountered in \w+ at epoch 1$"):
             train((x, y), (x, y), toy_config(lr=1e100, max_epochs=10, batch_size=16))
 
-    def test_peak_memory_is_four_parameter_sized_arrays(self):
+    def test_peak_memory_is_three_parameter_sized_arrays(self):
         # Parameters dominate activations here: 512 -> 512 -> 256 -> 6 on
-        # batches of 16.  Weights, velocity, weight gradients and the
-        # best-epoch snapshot are four copies; a fifth (a new snapshot taken
-        # while the old one lives) would pass 5x.
+        # batches of 16.  Weights, velocity and the best-epoch snapshot are
+        # three copies, and each weight gradient is formed 128 rows at a
+        # time; a fourth copy (full weight gradients, or a new snapshot
+        # taken while the old one lives) would pass 4x.
         rng = np.random.default_rng(12)
         x = rng.normal(size=(64, 512))
         y = softmax(2.0 * x[:, :6])
@@ -282,7 +283,19 @@ class TestTrain:
             tracemalloc.stop()
         val = [e.val_loss for e in result.log]
         assert sum(v < min(val[:i]) for i, v in enumerate(val) if i) >= 2  # the snapshot is refreshed
-        assert peak < 4.5 * param_bytes
+        assert peak < 4 * param_bytes
+
+    @pytest.mark.parametrize("which", ["train", "validation"])
+    @pytest.mark.parametrize("shape", [(9, 6), (11, 6), (10, 5), (10,)],
+                             ids=["fewer-rows", "more-rows", "five-columns", "one-d"])
+    def test_targets_of_another_shape_are_rejected_naming_the_set(self, which, shape):
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(10, 4)), random_soft_rows(rng, 10)
+        sets = {"train": (x, y), "validation": (x, y)}
+        sets[which] = (x, np.full(shape, 1.0 / 6))
+        expected = rf"^{which} targets are \({', '.join(map(str, shape))},?\), expected \(10, 6\)$"
+        with pytest.raises(ValidationError, match=expected):
+            train(sets["train"], sets["validation"], toy_config(max_epochs=2, patience=2))
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValidationError):
@@ -525,23 +538,49 @@ class TestTrainMatchesReference:
         x = rng.normal(size=(9, 12))
         y = random_soft_rows(rng, 9)
         ref_loss, ref = reference_loss_and_gradients(model.copy(), x, y, np.random.default_rng(5))
-        buffers = {k: np.full_like(a, np.nan) for k, a in model.params.items() if k.startswith("w")}
-        for weight_grads in (None, buffers):
-            loss, grads = loss_and_gradients(model.copy(), x, y, np.random.default_rng(5), weight_grads)
-            assert loss == ref_loss
-            assert grads.keys() == ref.keys()
-            for name, g in ref.items():
-                assert np.array_equal(grads[name].view(np.int64), g.view(np.int64)), name
-        assert all(grads[name] is buf for name, buf in buffers.items())
+        loss, grads = loss_and_gradients(model.copy(), x, y, np.random.default_rng(5))
+        assert loss == ref_loss
+        assert grads.keys() == ref.keys()
+        for name, g in ref.items():
+            assert np.array_equal(grads[name].view(np.int64), g.view(np.int64)), name
+
+        # With a hook, each weight's gradient is inputs.T @ dz, handed over
+        # top layer first; backprop no longer reads a weight once its hook
+        # ran, so a hook that overwrites it changes no other gradient.
+        hooked, calls = model.copy(), []
+
+        def hook(name, inputs, dz):
+            calls.append((name, inputs.T @ dz))
+            hooked.params[name][:] = np.nan
+
+        loss, grads = loss_and_gradients(hooked, x, y, np.random.default_rng(5), hook)
+        assert loss == ref_loss
+        assert [name for name, _ in calls] == ["w2", "w1", "w0"]
+        assert grads.keys() == ref.keys() - {"w0", "w1", "w2"}
+        for name, g in [*grads.items(), *calls]:
+            assert np.array_equal(g.view(np.int64), ref[name].view(np.int64)), name
+
+        y[0, 0] = np.inf
+        calls.clear()
+        loss, grads = loss_and_gradients(model.copy(), x, y, np.random.default_rng(5), hook)
+        assert loss == np.inf and grads == {} and calls == []
 
     # 25 rows in batches of 8: _batches folds the trailing row into the third batch.
-    @pytest.mark.parametrize("dropout,patience", [(0.3, 8), (0.0, 8), (0.3, 1)])
-    def test_train_bit_identical_to_reference(self, dropout, patience):
+    # In the "panels" case w0 is updated in row panels of 128, 128 and 8 rows,
+    # and w1 in panels of 128 and 72; in "folded-row" w0's 257th row joins the
+    # second panel, as numpy would multiply a one-row panel by gemv.
+    @pytest.mark.parametrize(
+        "width,hidden,dropout,patience",
+        [(12, (16, 8), 0.3, 8), (12, (16, 8), 0.0, 8), (12, (16, 8), 0.3, 1), (264, (200, 8), 0.3, 8),
+         (257, (8,), 0.3, 8)],
+        ids=["0.3-8", "0.0-8", "0.3-1", "panels", "folded-row"],
+    )
+    def test_train_bit_identical_to_reference(self, width, hidden, dropout, patience):
         rng = np.random.default_rng(15)
-        x, y = rng.normal(size=(25, 12)), random_soft_rows(rng, 25)
-        x_val, y_val = rng.normal(size=(10, 12)), random_soft_rows(rng, 10)
+        x, y = rng.normal(size=(25, width)), random_soft_rows(rng, 25)
+        x_val, y_val = rng.normal(size=(10, width)), random_soft_rows(rng, 10)
         assert [b.size for b in _batches(25, 8, np.arange(25))] == [8, 8, 9]
-        cfg = MlpConfig(hidden_dims=(16, 8), dropout=dropout, lr=0.05, max_epochs=8,
+        cfg = MlpConfig(hidden_dims=hidden, dropout=dropout, lr=0.05, max_epochs=8,
                         patience=patience, batch_size=8, seed=4)
         result = train((x, y), (x_val, y_val), cfg)
         best, log, best_epoch, best_val = reference_train((x, y), (x_val, y_val), cfg)
