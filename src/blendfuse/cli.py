@@ -40,7 +40,7 @@ from .evaluation import (
     split_actors,
 )
 from .mlp import NumericError
-from .postprocess import ThresholdPair, ThresholdSurface, fold_beta_spread
+from .postprocess import ThresholdPair, ThresholdSurface
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -564,17 +564,23 @@ def _fold_report(
     and the paths of the mean-surface heatmap and fold-beta bars written
     under ``svg_dir`` (none when it is None)."""
     pairs = [s.argmax_pair() for s in surfaces.values()]
+    betas = [p.beta for p in pairs]
+    lo, hi = min(betas), max(betas)
     fields = {
         "per_fold": [
             {"fold": f, "alpha": p.alpha, "beta": p.beta, "best_score": s.best_score()}
             for (f, s), p in zip(surfaces.items(), pairs)
         ],
-        **fold_beta_spread(pairs),
+        "beta_min": lo,
+        "beta_max": hi,
+        "beta_ratio": (hi / lo) if lo > 0 else None,
     }
     if svg_dir is None:
         return fields, []
     heat_path = svg_dir / "score_surface.svg"
-    plots.surface_heatmap_svg(plots.surface_mean(list(surfaces.values())), heat_path)
+    first = next(iter(surfaces.values()))
+    mean_score = np.mean([s.score for s in surfaces.values()], axis=0)
+    plots.surface_heatmap_svg(mean_score, first.alpha_grid, first.beta_grid, heat_path)
     bars_path = svg_dir / "fold_beta.svg"
     plots.fold_beta_bars_svg(pairs, bars_path)
     return fields, [heat_path, bars_path]
@@ -654,7 +660,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     core.save_labels(dataset.records, labels_path)
     pred_dir = out / "predictions"
     pred_dir.mkdir(exist_ok=True)
-    pred_path = pred_dir / f"{cfg.encoder_name}.csv"
+    pred_path = pred_dir / f"{synth.ENCODER_NAME}.csv"
     core.save_predictions(dataset.predictions, pred_path)
     gap_lo, gap_hi = cfg.actor_gap_range
     resolved = _record(args, **cfg_resolved, gap_lo=gap_lo, gap_hi=gap_hi)

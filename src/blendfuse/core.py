@@ -115,14 +115,6 @@ class EmotionDistribution:
     def __getitem__(self, index: int) -> float:
         return self.values[index]
 
-    def argmax(self) -> Emotion:
-        """Index of the largest entry, ties resolved toward the lower index."""
-        best = 0
-        for i in range(1, N_EMOTIONS):
-            if self.values[i] > self.values[best]:
-                best = i
-        return Emotion(best)
-
 
 @dataclass(frozen=True)
 class BlendAnnotation:
@@ -463,19 +455,6 @@ class PredictionTable:
     encoder_name: str
     row_of: Mapping[str, int]  # video id -> row of probs, in first-appearance order
     probs: np.ndarray  # (videos, 6)
-
-    @classmethod
-    def from_prediction_set(
-        cls, preds: EncoderPredictionSet, video_ids: Iterable[str]
-    ) -> "PredictionTable":
-        """Clip means of those ``video_ids`` that ``preds`` covers, through
-        the scalar :func:`average_clips`."""
-        row_of: dict[str, int] = {}
-        for vid in video_ids:
-            if vid in preds.rows:
-                row_of[vid] = len(row_of)
-        probs = [preds.distribution_for(vid).values for vid in row_of]
-        return cls(preds.encoder_name, row_of, np.array(probs).reshape(len(row_of), N_EMOTIONS))
 
     def distribution_for(self, video_id: str) -> EmotionDistribution:
         """Clip-averaged distribution for one video, as

@@ -179,24 +179,18 @@ class FusionDataset:
     @classmethod
     def build(
         cls,
-        preds: Sequence[EncoderPredictionSet | PredictionTable],
+        tables: Sequence[PredictionTable],
         records: Sequence[SampleRecord],
         folds: FoldAssignment,
     ) -> "FusionDataset":
-        """Clip means of the labeled ``records`` from every encoder; an
-        :class:`EncoderPredictionSet` is averaged through the scalar
-        :meth:`EncoderPredictionSet.distribution_for`.  Every fold of
-        ``folds`` must hold a labeled video."""
-        if not preds:
+        """Clip means of the labeled ``records`` from every encoder's table.
+        Every fold of ``folds`` must hold a labeled video."""
+        if not tables:
             raise ValidationError("need at least one encoder prediction set")
         truth = annotations_by_video(records)
         video_ids = sorted(truth)
-        tables = [
-            p if isinstance(p, PredictionTable) else PredictionTable.from_prediction_set(p, video_ids)
-            for p in preds
-        ]
         by_name = {t.encoder_name: t for t in tables}
-        if len(by_name) != len(preds):
+        if len(by_name) != len(tables):
             raise ValidationError("duplicate encoder names in prediction sets")
         encoders = tuple(sorted(by_name))
         probs = np.empty((len(encoders), len(video_ids), N_EMOTIONS))

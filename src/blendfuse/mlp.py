@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import N_EMOTIONS, EmotionDistribution, ValidationError
+from .core import N_EMOTIONS, ValidationError
 from .labels import mean_kl, softmax
 
 BN_EPS = 1e-5
@@ -168,24 +168,25 @@ def loss_and_gradients(
     model: MlpModel,
     x: np.ndarray,
     y: np.ndarray,
-    dropout_rng: Optional[np.random.Generator] = None,
-    weight_hook: Optional[Callable[[str, np.ndarray, np.ndarray], None]] = None,
+    dropout_rng: Optional[np.random.Generator],
+    weight_hook: Callable[[str, np.ndarray, np.ndarray], None],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean KL loss over a batch plus gradients for every parameter.
+    """Mean KL loss over a batch, the gradients of the biases and batchnorm
+    parameters, and each weight gradient handed to ``weight_hook``.
 
     Uses train-mode forward (batch statistics); caller controls dropout by
-    passing a generator or a model with dropout 0.  With ``weight_hook``
-    the weight gradients are not formed: for each layer, top layer first,
+    passing a generator or a model with dropout 0.  The weight gradients
+    are not formed: for each layer, top layer first,
     ``weight_hook(name, inputs, dz)`` is called once backprop has read
-    weight ``name``, whose gradient is ``inputs.T @ dz``, and the returned
-    dict holds the other gradients.  A non-finite loss returns before any
-    hook call.  The gradient with respect to ``x`` is not computed.
+    weight ``name``, whose gradient is ``inputs.T @ dz``.  A non-finite
+    loss returns before any hook call.  The gradient with respect to ``x``
+    is not computed.
     """
     logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
     probs = softmax(logits)
     loss = mean_kl(y, probs)
     grads: dict[str, np.ndarray] = {}
-    if weight_hook is not None and not math.isfinite(loss):
+    if not math.isfinite(loss):
         return loss, grads
     n, params = x.shape[0], model.params
     dz = (probs - y) / n
@@ -203,10 +204,7 @@ def loss_and_gradients(
         grads[f"b{i}"] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ params[f"w{i}"].T
-        if weight_hook is None:
-            grads[f"w{i}"] = cache["x"].T @ dz
-        else:
-            weight_hook(f"w{i}", cache["x"], dz)
+        weight_hook(f"w{i}", cache["x"], dz)
     return loss, grads
 
 
@@ -216,14 +214,6 @@ def predict_proba(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != model.input_dim:
         raise ValidationError(f"expected feature dim {model.input_dim}, got {x.shape[1]}")
     return softmax(_forward_batch(model, x, train=False)[0])
-
-
-def forward(model: MlpModel, x: Sequence[float]) -> EmotionDistribution:
-    """Single-vector inference with the running batchnorm statistics."""
-    probs = predict_proba(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-    # Guard against float residue before constructing the distribution.
-    probs = probs / probs.sum()
-    return EmotionDistribution(tuple(float(v) for v in probs))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .postprocess import ThresholdPair, ThresholdSurface
+from .postprocess import ThresholdPair
 
 CELL = 10  # side of one heat-map cell, in pixels
 
@@ -25,9 +25,11 @@ def _color(t: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def surface_heatmap_svg(surface: ThresholdSurface, path: str | Path) -> None:
-    """Render the score surface as a colored grid, alpha down, beta across."""
-    score = surface.score
+def surface_heatmap_svg(
+    score: np.ndarray, alpha_grid: Sequence[float], beta_grid: Sequence[float], path: str | Path
+) -> None:
+    """Render a score surface over ``alpha_grid`` x ``beta_grid`` as a
+    colored grid, alpha down, beta across."""
     lo, hi = float(score.min()), float(score.max())
     span = hi - lo if hi > lo else 1.0
     a_n, b_n = score.shape
@@ -53,13 +55,13 @@ def surface_heatmap_svg(surface: ThresholdSurface, path: str | Path) -> None:
     for ai in range(0, a_n, step_a):
         y = margin + ai * CELL + CELL
         parts.append(
-            f'<text x="5" y="{y}" font-size="9" font-family="monospace">{surface.alpha_grid[ai]:.2f}</text>'
+            f'<text x="5" y="{y}" font-size="9" font-family="monospace">{alpha_grid[ai]:.2f}</text>'
         )
     for bi in range(0, b_n, step_b):
         x = margin + bi * CELL
         parts.append(
             f'<text x="{x}" y="{margin + a_n * CELL + 14}" font-size="9" '
-            f'font-family="monospace">{surface.beta_grid[bi]:.2f}</text>'
+            f'font-family="monospace">{beta_grid[bi]:.2f}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
@@ -89,14 +91,3 @@ def fold_beta_bars_svg(pairs: Sequence[ThresholdPair], path: str | Path) -> None
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
-
-
-def surface_mean(surfaces: Sequence[ThresholdSurface]) -> ThresholdSurface:
-    """Cell-wise mean of same-grid surfaces, for a combined heat map."""
-    first = surfaces[0]
-    acc_p = np.mean([s.acc_p for s in surfaces], axis=0)
-    acc_s = np.mean([s.acc_s for s in surfaces], axis=0)
-    score = np.mean([s.score for s in surfaces], axis=0)
-    return ThresholdSurface(
-        first.alpha_grid, first.beta_grid, acc_p, acc_s, score, sum(s.n for s in surfaces)
-    )

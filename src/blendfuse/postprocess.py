@@ -80,8 +80,8 @@ def discretize(p: EmotionDistribution, cfg: PostprocessConfig) -> DiscretePredic
 
     Steps, in order: top-2 masking, alpha suppression, neutral collapse,
     beta salience split.  A kept entry survives only if it is non-zero and
-    at least alpha; if nothing survives, the argmax is emitted as a single
-    emotion so a prediction always exists.
+    at least alpha; if nothing survives, the top entry (the lower index on
+    a tie) is emitted as a single emotion so a prediction always exists.
     """
     alpha, beta = cfg.thresholds.alpha, cfg.thresholds.beta
     i1, i2 = _top2_indices(p.values)
@@ -105,7 +105,7 @@ def discretize(p: EmotionDistribution, cfg: PostprocessConfig) -> DiscretePredic
     if len(survivors) == 1:
         only = next(iter(survivors))
         return BlendAnnotation(Emotion(only), None, 100)
-    return BlendAnnotation(p.argmax(), None, 100)
+    return BlendAnnotation(Emotion(i1), None, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,6 @@ class TruthArrays:
             )
         )
 
-    def take(self, idx: np.ndarray) -> "TruthArrays":
-        return TruthArrays(self.set_code[idx], self.sal_code[idx])
-
 
 def _pick(cond: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
     # np.where for bool arrays; several times faster on irregular conditions.
@@ -241,9 +238,6 @@ class ThresholdSurface:
 
     def best_score(self) -> float:
         return float(np.max(self.score))
-
-    def cell(self, ai: int, bi: int) -> tuple[float, float, float]:
-        return float(self.acc_p[ai, bi]), float(self.acc_s[ai, bi]), float(self.score[ai, bi])
 
 
 def _surface_counts(
@@ -401,20 +395,4 @@ def select_thresholds(
         bi = int(np.argmax(mean_s_at_alpha))
         return ThresholdPair(first.alpha_grid[ai], first.beta_grid[bi])
 
-    best_idx = 0
-    best_score = surfaces[0].best_score()
-    for i, s in enumerate(surfaces[1:], start=1):
-        if s.best_score() > best_score:
-            best_idx, best_score = i, s.best_score()
-    return surfaces[best_idx].argmax_pair()
-
-
-def fold_beta_spread(pairs: Sequence[ThresholdPair]) -> dict:
-    """Min/max/ratio summary of per-fold optimal betas for the sensitivity report."""
-    betas = [p.beta for p in pairs]
-    lo, hi = min(betas), max(betas)
-    return {
-        "beta_min": lo,
-        "beta_max": hi,
-        "beta_ratio": (hi / lo) if lo > 0 else None,
-    }
+    return max(surfaces, key=ThresholdSurface.best_score).argmax_pair()  # first maximum on ties

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     EMOTIONS,
-    BlendAnnotation,
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
@@ -36,6 +35,9 @@ LEFTOVER_MASS = 0.10
 # keeps per-fold optimal thresholds stable when all actors share one gap.
 NOISE_TRUNCATION_SIGMAS = 1.0
 
+# Name of the one encoder a synthetic dataset holds.
+ENCODER_NAME = "synth"
+
 _PAIRS = tuple(combinations(range(len(EMOTIONS)), 2))
 
 
@@ -47,7 +49,6 @@ class SynthConfig:
     actor_gap_range: tuple[float, float] = (0.05, 0.45)
     noise_sigma: float = 0.0
     seed: int = 0
-    encoder_name: str = "synth"
 
     def __post_init__(self) -> None:
         if self.n_actors < 1 or self.clips_per_actor < 1:
@@ -123,6 +124,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     actor_gaps: dict[str, float] = {}
 
     cum_mix = np.cumsum(cfg.label_mix)
+    salience_of = {"single": 100, "5050": 50, "7030": 70}
     for a in range(cfg.n_actors):
         actor_id = f"actor{a:03d}"
         gap = float(gaps[a])
@@ -152,16 +154,13 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             else:
                 vector = clean
 
-            if kind == "single":
-                annotation = BlendAnnotation(Emotion(primary), None, 100)
-            elif kind == "5050":
-                annotation = canonicalize_annotation(Emotion(primary), Emotion(secondary), 50)
-            else:
-                annotation = canonicalize_annotation(Emotion(primary), Emotion(secondary), 70)
+            annotation = canonicalize_annotation(
+                Emotion(primary), None if secondary is None else Emotion(secondary), salience_of[kind]
+            )
 
             records.append(SampleRecord(video_id, actor_id, annotation))
             rows[video_id] = (EmotionDistribution(tuple(float(v) for v in vector)),)
             actors[video_id] = actor_id
 
-    predictions = EncoderPredictionSet(cfg.encoder_name, rows, actors)
+    predictions = EncoderPredictionSet(ENCODER_NAME, rows, actors)
     return SynthDataset(tuple(records), predictions, actor_gaps)

@@ -17,7 +17,8 @@ from fixtures_util import (
     outputs_of,
     write_feature_dir,
 )
-from test_mlp import finite_difference_gradients, max_relative_error, random_soft_rows
+from oracles import prediction_tables
+from test_mlp import finite_difference_gradients, full_gradients, max_relative_error, random_soft_rows
 from test_postprocess import as_tuple, random_distribution, reference_discretize
 
 from blendfuse import core
@@ -26,7 +27,7 @@ from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate
 from blendfuse.features import AggregationConfig, aggregate_temporal
 from blendfuse.fusion import optimize_weights, validate_simplex
 from blendfuse.labels import kl_grad_logits, kl_loss, mean_kl, softmax
-from blendfuse.mlp import MlpConfig, MlpModel, loss_and_gradients, predict_proba, train
+from blendfuse.mlp import MlpConfig, MlpModel, predict_proba, train
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize, search_thresholds
 from blendfuse.synth import SynthConfig, generate
 
@@ -120,7 +121,8 @@ def test_criterion_04_threshold_surface_consistency():
         pp = PostprocessConfig(ThresholdPair(surface.alpha_grid[ai], surface.beta_grid[bi]))
         preds = {vid: discretize(p, pp) for vid, p in fused.items()}
         result = evaluate(preds, truth)
-        assert surface.cell(ai, bi) == (result.acc_p, result.acc_s, result.score)
+        cell = (surface.acc_p[ai, bi], surface.acc_s[ai, bi], surface.score[ai, bi])
+        assert cell == (result.acc_p, result.acc_s, result.score)
     print("\nACCEPTANCE 4 PASS: 10 random surface cells on a 500-clip synthetic "
           "set equal independent single-point evaluations exactly")
 
@@ -168,7 +170,7 @@ def test_criterion_06_gradient_suite():
         model = MlpModel.initialize(3, MlpConfig(hidden_dims=(2,), dropout=0.0, seed=case))
         x = rng.normal(size=(4, 3))
         y = random_soft_rows(rng, 4)
-        _, analytic = loss_and_gradients(model, x, y)
+        _, analytic = full_gradients(model, x, y)
         numeric = finite_difference_gradients(model, x, y, h=1e-4)
         assert max_relative_error(analytic, numeric) <= 1e-4
     print("\nACCEPTANCE 6 PASS: 100 KL logit gradients within 1e-5 and 100 "
@@ -207,11 +209,11 @@ def test_criterion_08_fusion_oracle_recovery():
     for n_uniform in (1, 2):
         records, preds, folds = ladder_fixture(n_uniform=n_uniform)
         ca_w, _ = optimize_weights(
-            FusionDataset.build(preds, records, folds),
+            FusionDataset.build(prediction_tables(preds, records), records, folds),
             CrossValConfig(fusion_strategy="coordinate_ascent", initial_thresholds=LADDER_THRESHOLDS),
         )
         ex_w, _ = optimize_weights(
-            FusionDataset.build(preds, records, folds),
+            FusionDataset.build(prediction_tables(preds, records), records, folds),
             CrossValConfig(
                 fusion_strategy="exhaustive", initial_thresholds=LADDER_THRESHOLDS,
                 exhaustive_step=0.05,

@@ -8,6 +8,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import prediction_tables
+
 from blendfuse import core, evaluation
 from blendfuse.cli import EXIT_OK, main
 from blendfuse.evaluation import (
@@ -110,7 +112,7 @@ def test_tables_match_average_clips(inputs):
 def test_dataset_matches_object_build(inputs):
     _, records, folds, tables, preds = inputs
     a = FusionDataset.build(tables, records, folds)
-    b = FusionDataset.build(preds, records, folds)
+    b = FusionDataset.build(prediction_tables(preds, records), records, folds)
     assert a.encoders == b.encoders == ("enc_a", "enc_b", "enc_c")
     assert a.video_ids == b.video_ids == tuple(sorted(r.video_id for r in records))
     assert np.array_equal(a.probs, b.probs)
@@ -195,7 +197,7 @@ def test_cross_validation_matches_scalar_path(inputs):
         renormalize_before_beta=True,
     )
     report = cross_validate(tables, records, FusionDataset.build(tables, records, folds), cfg)
-    assert report == cross_validate(preds, records, FusionDataset.build(preds, records, folds), cfg)
+    assert report == cross_validate(preds, records, FusionDataset.build(prediction_tables(preds, records), records, folds), cfg)
     for outcome in report.folds:
         oracle = _scalar_fold_result(
             preds, records, folds, outcome.fold, outcome.weights, outcome.thresholds
@@ -240,7 +242,7 @@ def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):
     with pytest.warns(UserWarning, match="renormalizing"):
         assert main(["fuse-evaluate", "--config", str(tmp_path / "run.json")]) == EXIT_OK
     weights, _ = optimize_weights(
-        FusionDataset.build(preds, records, folds),
+        FusionDataset.build(prediction_tables(preds, records), records, folds),
         CrossValConfig(
             initial_thresholds=ThresholdPair(0.1, 0.1), neutral_index=NEUTRAL,
             renormalize_before_beta=True,

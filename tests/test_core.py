@@ -83,10 +83,6 @@ class TestEmotionDistribution:
         with pytest.raises(ValidationError):
             EmotionDistribution.from_raw([0.21, 0.16, 0.16, 0.16, 0.16, 0.16])
 
-    def test_argmax_tie_prefers_lower_index(self):
-        d = dist(0.25, 0.25, 0.25, 0.25, 0, 0)
-        assert d.argmax() is Emotion.ANGER
-
 
 class TestCanonicalize:
     def test_flip_30_70(self):

@@ -12,6 +12,7 @@ from fixtures_util import (
     ladder_fixture,
     uniform_encoder,
 )
+from oracles import prediction_tables
 
 from blendfuse.core import (
     EmotionDistribution,
@@ -31,7 +32,7 @@ from blendfuse.fusion import (
     save_weights,
     validate_simplex,
 )
-from blendfuse.postprocess import ThresholdPair, point_counts, threshold_surface
+from blendfuse.postprocess import ThresholdPair, TruthArrays, point_counts, threshold_surface
 
 # Reported fusion weights of the two ensemble configurations, rounded to
 # three decimals (sums 0.999 and 1.000).
@@ -131,7 +132,7 @@ class TestOptimizeWeights:
         rng = np.random.default_rng(1)
         records, oracle, folds = exact_oracle_fixture(rng)
         w, log = optimize_weights(
-            FusionDataset.build([oracle], records, folds),
+            FusionDataset.build(prediction_tables([oracle], records), records, folds),
             CrossValConfig(initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert w.weights == {"oracle": 1.0}
@@ -146,7 +147,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.015, 0.37)
         w, _ = optimize_weights(
-            FusionDataset.build([oracle, uni], records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         assert w["oracle"] >= 0.9
@@ -162,7 +163,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.1, 0.2)
         w, log = optimize_weights(
-            FusionDataset.build([oracle, uni], records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         grid_objs = []
@@ -180,7 +181,7 @@ class TestOptimizeWeights:
         encs = [oracle] + [uniform_encoder(f"u{k}", records) for k in range(3)]
         with pytest.raises(ValidationError):
             optimize_weights(
-                data=FusionDataset.build(records=records, preds=encs, folds=folds),
+                data=FusionDataset.build(records=records, tables=prediction_tables(encs, records), folds=folds),
                 cfg=CrossValConfig(
                     fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)
                 ),
@@ -189,7 +190,7 @@ class TestOptimizeWeights:
     def test_coordinate_ascent_ladder_recovery(self):
         records, preds, folds = ladder_fixture(n_uniform=2)
         w, log = optimize_weights(
-            FusionDataset.build(preds, records, folds),
+            FusionDataset.build(prediction_tables(preds, records), records, folds),
             CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
         )
         assert w["oracle"] >= 0.9
@@ -211,7 +212,7 @@ class TestOptimizeWeights:
         )
         for strategy in ("coordinate_ascent", "exhaustive"):
             w, _ = optimize_weights(
-                FusionDataset.build(preds, records, folds),
+                FusionDataset.build(prediction_tables(preds, records), records, folds),
                 CrossValConfig(fusion_strategy=strategy, initial_thresholds=thresholds),
             )
             obj = independent_objective(preds, records, folds, w, thresholds)
@@ -224,7 +225,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=4, clips_per_actor=6)
         uni = uniform_encoder("uniform", records)
         w, log = optimize_weights(
-            FusionDataset.build([oracle, uni], records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
             CrossValConfig(
                 fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2),
                 joint_threshold_search=True,
@@ -236,7 +237,7 @@ class TestOptimizeWeights:
         # without re-optimization the same fixed thresholds are imperfect at
         # uniform weights, so the flag demonstrably changes the objective
         _, fixed_log = optimize_weights(
-            FusionDataset.build([oracle, uni], records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         fixed_uniform = next(e.objective for e in fixed_log if e.candidate_id == "uniform")
@@ -246,7 +247,7 @@ class TestOptimizeWeights:
     def test_returned_vector_is_simplex(self):
         records, preds, folds = ladder_fixture(n_uniform=1)
         w, _ = optimize_weights(
-            FusionDataset.build(preds, records, folds),
+            FusionDataset.build(prediction_tables(preds, records), records, folds),
             CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
         )
         validate_simplex(w.weights, tol=1e-9)
@@ -256,7 +257,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         with pytest.raises(ValidationError):
             optimize_weights(
-                FusionDataset.build([oracle], records, folds),
+                FusionDataset.build(prediction_tables([oracle], records), records, folds),
                 CrossValConfig(fusion_strategy="anneal", initial_thresholds=ThresholdPair(0.1, 0.2)),
             )
 
@@ -265,7 +266,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         uni = uniform_encoder("uniform", records)
         _, log = optimize_weights(
-            FusionDataset.build([oracle, uni], records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert len(log) == 22  # uniform + 21 grid points
@@ -281,7 +282,7 @@ def reference_search(data, cfg):
     one hand-written tie-break loop per strategy.  Returns the weights and
     the log as (step, candidate id, objective) triples."""
     fold_rows = [np.flatnonzero(data.fold_position == i) for i in range(len(data.fold_ids))]
-    fold_truths = [data.truth.take(idx) for idx in fold_rows]
+    fold_truths = [TruthArrays(data.truth.set_code[idx], data.truth.sal_code[idx]) for idx in fold_rows]
     pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
 
     def evaluate(weights):
@@ -363,7 +364,7 @@ def _oracle_and_uniform(n_actors=4, clips_per_actor=6, with_uniform=True):
         np.random.default_rng(11), n_actors=n_actors, clips_per_actor=clips_per_actor
     )
     preds = [oracle, uniform_encoder("uniform", records)] if with_uniform else [oracle]
-    return FusionDataset.build(preds, records, folds)
+    return FusionDataset.build(prediction_tables(preds, records), records, folds)
 
 
 JOINT_GRIDS = dict(
@@ -391,7 +392,7 @@ SEARCH_CASES = [
 
 def _ladder(n_uniform):
     records, preds, folds = ladder_fixture(n_uniform=n_uniform)
-    return preds, records, folds
+    return prediction_tables(preds, records), records, folds
 
 
 class TestSearchMatchesReference:

@@ -1,4 +1,4 @@
-"""Classifier head: forward, batchnorm, backprop gradients, training loop."""
+"""Classifier head: inference, batchnorm, backprop gradients, training loop."""
 
 import io
 import math
@@ -15,7 +15,6 @@ from blendfuse.mlp import (
     NumericError,
     TrainLogEntry,
     batchnorm_forward,
-    forward,
     load_model,
     loss_and_gradients,
     param_layout,
@@ -55,26 +54,26 @@ class TestForward:
         rng = np.random.default_rng(0)
         model = MlpModel.initialize(5, toy_config())
         for _ in range(20):
-            out = forward(model, rng.normal(size=5))
-            assert abs(sum(out.values) - 1.0) <= 1e-6
-            assert all(v > 0 for v in out.values)
+            out = predict_proba(model, rng.normal(size=5))[0]
+            assert abs(sum(out) - 1.0) <= 1e-6
+            assert all(v > 0 for v in out)
 
     def test_eval_forward_deterministic(self):
         model = MlpModel.initialize(4, toy_config(dropout=0.0))
         x = np.arange(4.0)
-        assert forward(model, x) == forward(model, x)
+        assert np.array_equal(predict_proba(model, x), predict_proba(model, x))
 
     def test_zero_final_layer_gives_uniform(self):
         model = MlpModel.initialize(4, toy_config())
         model.params["w1"][:] = 0.0
         model.params["b1"][:] = 0.0
-        out = forward(model, np.ones(4))
-        assert np.allclose(out.values, [1 / 6] * 6, atol=1e-12)
+        out = predict_proba(model, np.ones(4))[0]
+        assert np.allclose(out, [1 / 6] * 6, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = MlpModel.initialize(4, toy_config())
         with pytest.raises(ValidationError):
-            forward(model, np.ones(5))
+            predict_proba(model, np.ones(5))
 
 
 def fresh_batchnorm(dim):
@@ -145,6 +144,18 @@ def finite_difference_gradients(model, x, y, h=1e-4):
     return numeric
 
 
+def full_gradients(model, x, y, dropout_rng=None):
+    """:func:`loss_and_gradients` with every weight gradient in the dict too,
+    stored by the hook as ``inputs.T @ dz``."""
+    weight_grads = {}
+
+    def store(name, inputs, dz):
+        weight_grads[name] = inputs.T @ dz
+
+    loss, grads = loss_and_gradients(model, x, y, dropout_rng, store)
+    return loss, {**grads, **weight_grads}
+
+
 def max_relative_error(analytic, numeric):
     worst = 0.0
     for name, a in analytic.items():
@@ -161,7 +172,7 @@ class TestGradients:
             model = MlpModel.initialize(3, toy_config(seed=case))
             x = rng.normal(size=(4, 3))
             y = random_soft_rows(rng, 4)
-            _, analytic = loss_and_gradients(model, x, y)
+            _, analytic = full_gradients(model, x, y)
             numeric = finite_difference_gradients(model, x, y)
             assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -170,7 +181,7 @@ class TestGradients:
         model = MlpModel.initialize(4, toy_config(hidden_dims=(3, 2), seed=9))
         x = rng.normal(size=(6, 4))
         y = random_soft_rows(rng, 6)
-        _, analytic = loss_and_gradients(model, x, y)
+        _, analytic = full_gradients(model, x, y)
         numeric = finite_difference_gradients(model, x, y)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -538,7 +549,7 @@ class TestTrainMatchesReference:
         x = rng.normal(size=(9, 12))
         y = random_soft_rows(rng, 9)
         ref_loss, ref = reference_loss_and_gradients(model.copy(), x, y, np.random.default_rng(5))
-        loss, grads = loss_and_gradients(model.copy(), x, y, np.random.default_rng(5))
+        loss, grads = full_gradients(model.copy(), x, y, np.random.default_rng(5))
         assert loss == ref_loss
         assert grads.keys() == ref.keys()
         for name, g in ref.items():

@@ -121,6 +121,11 @@ class TestDiscretize:
         cfg = PostprocessConfig(ThresholdPair(0.9, 0.1))
         assert discretize(p, cfg) == BlendAnnotation(Emotion.ANGER, None, 100)
 
+    def test_zero_survivor_tie_prefers_lower_index(self):
+        p = dist(0.25, 0.25, 0.25, 0.25, 0, 0)
+        cfg = PostprocessConfig(ThresholdPair(0.3, 0.1))
+        assert discretize(p, cfg) == BlendAnnotation(Emotion.ANGER, None, 100)
+
     def test_matches_reference_on_random_tuples(self):
         rng = np.random.default_rng(42)
         for _ in range(2000):
@@ -246,7 +251,7 @@ class TestSearchThresholds:
             )
             preds = {vid: discretize(p, cfg) for vid, p in fused.items()}
             result = evaluate(preds, labels)
-            acc_p, acc_s, score = surface.cell(ai, bi)
+            acc_p, acc_s, score = surface.acc_p[ai, bi], surface.acc_s[ai, bi], surface.score[ai, bi]
             assert acc_p == result.acc_p
             assert acc_s == result.acc_s
             assert score == result.score
@@ -266,7 +271,8 @@ class TestSearchThresholds:
             )
             preds = {vid: discretize(p, cfg) for vid, p in fused.items()}
             result = evaluate(preds, labels)
-            assert surface.cell(ai, bi) == (result.acc_p, result.acc_s, result.score)
+            cell = (surface.acc_p[ai, bi], surface.acc_s[ai, bi], surface.score[ai, bi])
+            assert cell == (result.acc_p, result.acc_s, result.score)
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValidationError):

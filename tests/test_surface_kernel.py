@@ -90,7 +90,8 @@ def test_every_cell_matches_scalar_discretize(data):
                 renormalize_before_beta=renormalize,
             )
             result = evaluate({vid: discretize(p, point) for vid, p in dists.items()}, labels)
-            assert surface.cell(ai, bi) == (result.acc_p, result.acc_s, result.score)
+            cell = (surface.acc_p[ai, bi], surface.acc_s[ai, bi], surface.score[ai, bi])
+            assert cell == (result.acc_p, result.acc_s, result.score)
 
 
 def _unchecked(row):
@@ -180,7 +181,7 @@ def test_fold_surfaces_match_per_fold_threshold_surface(data):
     for f, surface in surfaces.items():
         idx = np.flatnonzero(np.array(fold) == f)
         (alone,) = threshold_surface(
-            rows[idx], truth.take(idx), cfg.alpha_grid, cfg.beta_grid, pp_cfg, np.zeros(idx.size, np.intp)
+            rows[idx], TruthArrays(truth.set_code[idx], truth.sal_code[idx]), cfg.alpha_grid, cfg.beta_grid, pp_cfg, np.zeros(idx.size, np.intp)
         )
         assert (surface.alpha_grid, surface.beta_grid, surface.n) == (alone.alpha_grid, alone.beta_grid, idx.size)
         for name in ("acc_p", "acc_s", "score"):
