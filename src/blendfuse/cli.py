@@ -97,8 +97,9 @@ def _out_dir(path_str: str, name: str = "--out") -> Path:
     out = Path(path_str)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{name} cannot be made a directory: {path_str!r}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{name} cannot be made a directory: {path_str!r}: {reason}") from None
     return out
 
 
@@ -519,11 +520,15 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(cfg["output_dir"], "output_dir" if args.out is None else "--out")
     chash = _config_hash(cfg)
 
+    start = time.perf_counter()
     tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
     records = core.load_labels(Path(cfg["labels_file"]))
     assignment = load_folds(Path(cfg["folds_file"]), (r.actor_id for r in records))
+    ingest_s = time.perf_counter() - start
     data = FusionDataset.build(tables, records, assignment)
+    start = time.perf_counter()
     weights, search_log, surfaces, chosen = fusion.fit(data, cv_cfg)
+    fit_s = time.perf_counter() - start
 
     weights_path = out / "weights.csv"
     fusion.save_weights(weights, weights_path)
@@ -540,7 +545,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     thresholds_path = out / "thresholds.json"
     _write_json(thresholds_path, report)
 
-    cv_report = cross_validate(tables, records, data, cv_cfg)
+    cv_report = cross_validate(records, data, cv_cfg)
     results_path = out / "results.csv"
     save_results(cv_report, results_path)
     results_json = out / "results.json"
@@ -549,7 +554,8 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     outputs = [weights_path, log_path, thresholds_path, results_path, results_json, *svgs]
     counters = {"videos": len(data.video_ids), "encoders": len(data.encoders),
                 "candidates_scored": sum(data.requests.values()), "distinct_candidates": len(data.scored)}
-    _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters)
+    timings = {"ingest_s": ingest_s, "fit_s": fit_s, "cv_fold_s": [o.seconds for o in cv_report.folds]}
+    _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters, timings=timings)
     print(
         f"weights={weights_path} thresholds=({chosen.alpha:.4f},{chosen.beta:.4f}) "
         f"mean score={cv_report.mean.score:.4f}"
@@ -627,7 +633,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     # Only the weighted encoders need to cover the labeled videos.
     used = [t for t in tables if t.encoder_name in weights.weights]
     data = FusionDataset.build(used, records, assignment)
-    surfaces = fold_surfaces(data, data.fuse(weights.weights), cfg)
+    surfaces = fold_surfaces(data, fusion.fuse(data, weights.weights), cfg)
     resolved = _record(args, **cfg_resolved)
     out = _out_dir(args.out)
     per_fold, svgs = _fold_report(surfaces, out)

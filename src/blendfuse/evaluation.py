@@ -10,6 +10,7 @@ actor appears in both a training and a validation fold.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,6 @@ from .core import (
     BlendAnnotation,
     DiscretePrediction,
     EmotionDistribution,
-    EncoderPredictionSet,
     PredictionTable,
     SampleRecord,
     ValidationError,
@@ -164,7 +164,8 @@ def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
     loaded once: clip-averaged encoder rows, ground truth and folds of the
-    labeled videos, and the fold scores of the candidates scored on them."""
+    labeled videos, and the fold scores of the candidates scored on them.
+    :func:`blendfuse.fusion.fuse` gives its fused rows at given weights."""
 
     encoders: tuple[str, ...]  # sorted
     video_ids: tuple[str, ...]  # sorted
@@ -240,17 +241,6 @@ class FusionDataset:
                 scores = tuple((0.5 * (cp / sizes + cs / sizes)).tolist())
             self.scored[key] = scores
         return self.scored[key]
-
-    def fuse(self, weights: Mapping[str, float]) -> np.ndarray:
-        """Fused rows of every video, accumulated from 0.0 in the order of
-        ``weights`` exactly as :func:`blendfuse.fusion.fuse` adds them."""
-        index = {name: e for e, name in enumerate(self.encoders)}
-        fused = np.zeros(self.probs.shape[1:])
-        for name, weight in weights.items():
-            if name not in index:
-                raise ValidationError(f"no prediction set for encoder {name!r}")
-            fused += weight * self.probs[index[name]]
-        return fused
 
 
 def fold_surfaces(
@@ -330,6 +320,7 @@ class FoldOutcome:
     result: EvalResult
     weights: Mapping[str, float]
     thresholds: ThresholdPair
+    seconds: float = field(default=0.0, compare=False)  # wall time to fit and score the fold
 
 
 @dataclass(frozen=True)
@@ -346,7 +337,6 @@ def _population_std(values: Sequence[float]) -> float:
 
 
 def cross_validate(
-    preds: Sequence[EncoderPredictionSet | PredictionTable],
     records: Sequence[SampleRecord],
     data: FusionDataset,
     cfg: CrossValConfig,
@@ -355,22 +345,28 @@ def cross_validate(
 
     Returns per-fold results, their mean and population std, and the pooled
     result over all held-out clips (a clip-weighted average of the folds).
-    ``data``, the :class:`FusionDataset` of ``preds`` and ``records``, is
-    fitted with each fold held out in turn, and the fits share its fold
-    scores.  Held-out clips are scored per video by ``fuse``, ``discretize``
-    and :func:`evaluate`.
+    ``data``, the :class:`FusionDataset` of ``records``, is fitted with each
+    fold held out in turn, and the fits share its fold scores.  Each
+    held-out video is scored by ``discretize`` on its row of ``fuse`` at the
+    fitted weights, and each fold by one :func:`evaluate`.
     """
     from .fusion import fit, fuse
 
     truth = annotations_by_video(records)
     outcomes = []
     for position, fold in enumerate(data.fold_ids):
+        start = time.perf_counter()
         weights, _, _, thresholds = fit(data, cfg, position)
         final_cfg = cfg.postprocess_config(thresholds)
-        test_ids = [data.video_ids[i] for i in np.flatnonzero(data.fold_position == position).tolist()]
-        test_preds = {vid: discretize(fuse(preds, weights, vid), final_cfg) for vid in test_ids}
+        rows = np.flatnonzero(data.fold_position == position)
+        test_ids = [data.video_ids[i] for i in rows.tolist()]
+        fused = fuse(data, weights.weights)[rows].tolist()
+        test_preds = {
+            vid: discretize(EmotionDistribution(tuple(row)), final_cfg) for vid, row in zip(test_ids, fused)
+        }
         result = evaluate(test_preds, {vid: truth[vid] for vid in test_ids})
-        outcomes.append(FoldOutcome(fold, result, dict(weights.weights), thresholds))
+        seconds = time.perf_counter() - start
+        outcomes.append(FoldOutcome(fold, result, dict(weights.weights), thresholds, seconds))
 
     accs_p = [o.result.acc_p for o in outcomes]
     accs_s = [o.result.acc_s for o in outcomes]

@@ -153,6 +153,8 @@ def load_feature_file(path: str | Path, video_id: str | None = None) -> FrameFea
         raise ValidationError(f"{path}: cannot read feature file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise ValidationError(f"{str(path)!r}: cannot read feature file: {exc}") from None
     # read_text translates "\r\n" and "\r"; split on "\n" only, as line
     # iteration does (str.splitlines also breaks on form feeds).
     lines = text.split("\n")

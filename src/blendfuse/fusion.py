@@ -18,15 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    EmotionDistribution,
-    EncoderPredictionSet,
-    PredictionTable,
-    ValidationError,
-    located,
-    read_csv_rows,
-    write_csv_rows,
-)
+from .core import ValidationError, located, read_csv_rows, write_csv_rows
 from .evaluation import CrossValConfig, FusionDataset, fold_surfaces, grid_units
 from .postprocess import ThresholdPair, ThresholdSurface, select_thresholds
 
@@ -80,21 +72,18 @@ class WeightVector:
         return self.weights[name]
 
 
-def fuse(
-    preds: Sequence[EncoderPredictionSet | PredictionTable],
-    w: WeightVector,
-    video_id: str,
-) -> EmotionDistribution:
-    """Convex combination of the encoders' clip-averaged rows for one video."""
-    by_name = {p.encoder_name: p for p in preds}
-    acc = [0.0] * 6
-    for name, weight in w.weights.items():
-        if name not in by_name:
+def fuse(data: FusionDataset, weights: Mapping[str, float]) -> np.ndarray:
+    """Fused rows ``(videos, 6)`` of every video of ``data``: the convex
+    combination of the encoders' clip-averaged rows, accumulated from 0.0 in
+    the order of ``weights``.  An encoder that ``data`` lacks is a
+    ValidationError."""
+    index = {name: e for e, name in enumerate(data.encoders)}
+    fused = np.zeros(data.probs.shape[1:])
+    for name, weight in weights.items():
+        if name not in index:
             raise ValidationError(f"no prediction set for encoder {name!r}")
-        dist = by_name[name].distribution_for(video_id)
-        for i, v in enumerate(dist.values):
-            acc[i] += weight * v
-    return EmotionDistribution(tuple(acc))
+        fused += weight * data.probs[index[name]]
+    return fused
 
 
 @dataclass(frozen=True)
@@ -201,7 +190,7 @@ def fit(
     at position ``held_out``, if given: the weight search, the threshold surface of
     every fitted fold at those weights, and the pair ``cfg.threshold_strategy`` selects."""
     weights, log = optimize_weights(data, cfg, held_out)
-    surfaces = fold_surfaces(data, data.fuse(weights.weights), cfg)
+    surfaces = fold_surfaces(data, fuse(data, weights.weights), cfg)
     if held_out is not None:
         del surfaces[data.fold_ids[held_out]]
     thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)

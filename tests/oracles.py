@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from blendfuse.core import N_EMOTIONS, PredictionTable
+from blendfuse.core import N_EMOTIONS, EmotionDistribution, PredictionTable
 
 
 def prediction_tables(preds, records):
@@ -17,3 +17,16 @@ def prediction_tables(preds, records):
         probs = np.array([p.distribution_for(vid).values for vid in covered]).reshape(len(covered), N_EMOTIONS)
         tables.append(PredictionTable(p.encoder_name, {vid: i for i, vid in enumerate(covered)}, probs))
     return tables
+
+
+def fuse_video(preds, weights, video_id):
+    """The fused distribution of one video, as ``blendfuse.fusion.fuse`` gives
+    its row: each encoder of ``preds`` (prediction sets or tables) adds its
+    clip-averaged row times its weight, from 0.0 and in the order of the
+    mapping ``weights``, one Python float at a time."""
+    by_name = {p.encoder_name: p for p in preds}
+    acc = [0.0] * N_EMOTIONS
+    for name, weight in weights.items():
+        for i, v in enumerate(by_name[name].distribution_for(video_id).values):
+            acc[i] += weight * v
+    return EmotionDistribution(tuple(acc))

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import prediction_tables
+from oracles import fuse_video, prediction_tables
 
 from blendfuse import core, evaluation
 from blendfuse.cli import EXIT_OK, main
@@ -23,7 +23,6 @@ from blendfuse.evaluation import (
     split_actors,
 )
 from blendfuse.fusion import (
-    WeightVector,
     fit,
     fuse,
     load_weights,
@@ -124,7 +123,7 @@ def test_array_dataclasses_compare_by_identity(inputs):
     # Generated field-wise == would compare ndarrays and raise ValueError.
     _, records, folds, tables, _ = inputs
     a, b = (FusionDataset.build(tables, records, folds) for _ in range(2))
-    fused = a.fuse({name: 1.0 / len(a.encoders) for name in a.encoders})
+    fused = fuse(a, {name: 1.0 / len(a.encoders) for name in a.encoders})
     fold = np.zeros(len(a.video_ids), dtype=np.intp)
     s, t = (
         threshold_surface(fused, a.truth, GRID, GRID, PostprocessConfig(), fold)[0] for _ in range(2)
@@ -160,9 +159,9 @@ def test_fused_rows_and_surfaces_match_scalar_path(inputs):
     data = FusionDataset.build(tables, records, folds)
     weights = load_weights(root / "weights.csv")
     assert list(weights.weights) == ["enc_c", "enc_a", "enc_b"]
-    fused = data.fuse(weights.weights)
+    fused = fuse(data, weights.weights)
     for v, vid in enumerate(data.video_ids):
-        assert tuple(fused[v].tolist()) == fuse(preds, weights, vid).values
+        assert tuple(fused[v].tolist()) == fuse_video(preds, weights.weights, vid).values
 
     cfg = PostprocessConfig(ThresholdPair(0.1, 0.1), NEUTRAL, renormalize_before_beta=True)
     surfaces = fold_surfaces(
@@ -176,7 +175,7 @@ def test_fused_rows_and_surfaces_match_scalar_path(inputs):
     by_fold = folds.videos_by_fold(records)
     assert list(surfaces) == sorted(by_fold)
     for f, surface in surfaces.items():
-        fold_fused = {vid: fuse(preds, weights, vid) for vid in by_fold[f]}
+        fold_fused = {vid: fuse_video(preds, weights.weights, vid) for vid in by_fold[f]}
         oracle = search_thresholds(fold_fused, {v: truth[v] for v in by_fold[f]}, GRID, GRID, cfg)
         assert np.array_equal(surface.acc_p, oracle.acc_p)
         assert np.array_equal(surface.acc_s, oracle.acc_s)
@@ -186,8 +185,7 @@ def test_fused_rows_and_surfaces_match_scalar_path(inputs):
 def _scalar_fold_result(preds, records, folds, fold, weights, thresholds):
     cfg = PostprocessConfig(thresholds, NEUTRAL, renormalize_before_beta=True)
     truth = {r.video_id: r.annotation for r in records if folds.fold_of(r.actor_id) == fold}
-    w = WeightVector(weights)
-    return evaluate({vid: discretize(fuse(preds, w, vid), cfg) for vid in truth}, truth)
+    return evaluate({vid: discretize(fuse_video(preds, weights, vid), cfg) for vid in truth}, truth)
 
 
 def test_cross_validation_matches_scalar_path(inputs):
@@ -196,8 +194,8 @@ def test_cross_validation_matches_scalar_path(inputs):
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    report = cross_validate(tables, records, FusionDataset.build(tables, records, folds), cfg)
-    assert report == cross_validate(preds, records, FusionDataset.build(prediction_tables(preds, records), records, folds), cfg)
+    report = cross_validate(records, FusionDataset.build(tables, records, folds), cfg)
+    assert report == cross_validate(records, FusionDataset.build(prediction_tables(preds, records), records, folds), cfg)
     for outcome in report.folds:
         oracle = _scalar_fold_result(
             preds, records, folds, outcome.fold, outcome.weights, outcome.thresholds
@@ -253,7 +251,7 @@ def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):
     report = json.loads((tmp_path / "run" / "thresholds.json").read_text())
     for entry in report["per_fold"]:
         vids = folds.videos_by_fold(records)[entry["fold"]]
-        fused = {vid: fuse(preds, weights, vid) for vid in vids}
+        fused = {vid: fuse_video(preds, weights.weights, vid) for vid in vids}
         oracle = search_thresholds(fused, {v: truth[v] for v in vids}, GRID, GRID, cfg)
         pair = oracle.argmax_pair()
         assert (entry["alpha"], entry["beta"], entry["best_score"]) == (
@@ -325,7 +323,7 @@ def test_sensitivity_cli_matches_scalar_path(inputs, tmp_path):
     assert [e["fold"] for e in report["per_fold"]] == sorted(by_fold)
     for entry in report["per_fold"]:
         vids = by_fold[entry["fold"]]
-        fused = {vid: fuse(preds, weights, vid) for vid in vids}
+        fused = {vid: fuse_video(preds, weights.weights, vid) for vid in vids}
         oracle = search_thresholds(fused, {v: truth[v] for v in vids}, GRID, GRID, cfg)
         pair = oracle.argmax_pair()
         assert (entry["alpha"], entry["beta"], entry["best_score"]) == (
@@ -404,3 +402,12 @@ def test_run_meta_counts_the_candidates_of_all_six_searches(inputs, tmp_path):
     logs += [fit(_other_folds(tables, records, folds, f), cfg)[1] for f in folds.fold_indices()]
     assert counters["candidates_scored"] == sum(map(len, logs))
     assert 0 < counters["distinct_candidates"] < counters["candidates_scored"]
+
+
+def test_run_meta_times_the_ingest_the_fit_and_each_held_out_fold(inputs, tmp_path):
+    root, _, folds, _, _ = inputs
+    timings = _fuse_evaluate(root, tmp_path, root / "folds.csv")["timings"]
+    assert timings.keys() == {"ingest_s", "fit_s", "cv_fold_s"}
+    assert len(timings["cv_fold_s"]) == len(folds.fold_indices())
+    for seconds in (timings["ingest_s"], timings["fit_s"], *timings["cv_fold_s"]):
+        assert type(seconds) is float and seconds >= 0

@@ -1446,6 +1446,28 @@ def test_out_that_names_a_file_is_config_error(tmp_path, capsys, command, under_
     assert f"{name} cannot be made a directory: {str(out)!r}" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_out_with_a_nul_byte_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "run\x00"
+    name = "output_dir" if command == "fuse-evaluate" else "--out"
+    assert run(command, *writing_argv(tmp_path, command, out)) == EXIT_CONFIG
+    assert f"{name} cannot be made a directory: {str(out)!r}: embedded null byte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["aggregate", "train-mlp"])
+def test_manifest_path_with_a_nul_byte_is_data_error(tmp_path, capsys, command):
+    inputs = feature_inputs(tmp_path)
+    manifest = inputs["--features"] / "manifest.csv"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("a1_v0.feat", "a1_v0\x00.feat"), encoding="utf-8")
+    flags = flags_of(inputs) if command == "train-mlp" else [
+        "--features", inputs["--features"], "--layer-lo", 0, "--layer-hi", 0
+    ]
+    assert run(command, *flags, "--out", tmp_path / "out") == EXIT_DATA
+    path = inputs["--features"] / "a1_v0\x00.feat"
+    assert f"{str(path)!r}: cannot read feature file: embedded null byte" in capsys.readouterr().err
+
 # The first path each writing command writes under its output directory.
 FIRST_OUTPUT = {
     "split": "folds.csv",

@@ -310,6 +310,25 @@ class TestFileFormats:
         assert loaded.distribution_for("v1") == dist(0.5, 0.5, 0, 0, 0, 0)
 
 
+def test_no_module_has_an_unused_import():
+    """Every name a module's top-level imports bind is read somewhere in it."""
+    unused = []
+    for module in sorted(Path(blendfuse.__file__).parent.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{module.name}:{node.lineno}: {bound}")
+    assert unused == []
+
+
 def test_only_core_imports_csv():
     """The CSV opener, field-count rule and writer live in core alone."""
     importers = set()

@@ -272,6 +272,11 @@ class TestFeatureFileParse:
         with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot read feature file")):
             load_feature_file(path)
 
+    def test_nul_byte_in_path_names_path(self, tmp_path):
+        path = tmp_path / "x\x00.feat"
+        with pytest.raises(ValidationError, match=re.escape(f"{str(path)!r}: cannot read feature file")):
+            load_feature_file(path)
+
     def test_non_utf8_names_path(self, tmp_path):
         path = tmp_path / "x.feat"
         path.write_bytes(b"layers=1 frames=1 dims=1\n\xff\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_util import (
     LADDER_THRESHOLDS,
@@ -12,14 +14,18 @@ from fixtures_util import (
     ladder_fixture,
     uniform_encoder,
 )
-from oracles import prediction_tables
+from oracles import fuse_video, prediction_tables
 
 from blendfuse.core import (
+    BlendAnnotation,
+    Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    PredictionTable,
+    SampleRecord,
     ValidationError,
 )
-from blendfuse.evaluation import CrossValConfig, FusionDataset
+from blendfuse.evaluation import CrossValConfig, FoldAssignment, FusionDataset
 from blendfuse.fusion import (
     COORDINATE_DELTAS,
     SIMPLEX_TOLERANCE,
@@ -48,12 +54,15 @@ WEIGHTS_12ENC = {
 }
 
 
-def dist(*values):
-    return EmotionDistribution(tuple(values))
-
-
-def one_video_encoder(name, values, vid="v0", actor="a0"):
-    return EncoderPredictionSet(name, {vid: (dist(*values),)}, {vid: actor})
+def two_video_dataset(rows_by_encoder):
+    """The FusionDataset of two labeled videos, v0 and v1, each its own
+    actor's and fold's, from ``{encoder: [row of v0, row of v1]}``."""
+    records = [SampleRecord(f"v{i}", f"a{i}", BlendAnnotation(Emotion.ANGER, None, 100)) for i in range(2)]
+    tables = [
+        PredictionTable(name, {"v0": 0, "v1": 1}, np.array(rows, dtype=float))
+        for name, rows in rows_by_encoder.items()
+    ]
+    return FusionDataset.build(tables, records, FoldAssignment({"a0": 0, "a1": 1}, 2))
 
 
 class TestWeightVector:
@@ -88,43 +97,55 @@ class TestWeightVector:
 
 class TestFuse:
     def test_single_encoder_identity(self):
-        enc = one_video_encoder("e", [0.4, 0.1, 0.2, 0.1, 0.1, 0.1])
-        w = WeightVector({"e": 1.0})
-        assert fuse([enc], w, "v0") == dist(0.4, 0.1, 0.2, 0.1, 0.1, 0.1)
+        rows = [[0.4, 0.1, 0.2, 0.1, 0.1, 0.1], [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]]
+        assert np.array_equal(fuse(two_video_dataset({"e": rows}), {"e": 1.0}), rows)
 
     def test_two_one_hots_blend(self):
-        a = one_video_encoder("a", [1, 0, 0, 0, 0, 0])
-        b = one_video_encoder("b", [0, 1, 0, 0, 0, 0])
-        w = WeightVector({"a": 0.5, "b": 0.5})
-        assert fuse([a, b], w, "v0") == dist(0.5, 0.5, 0, 0, 0, 0)
+        data = two_video_dataset({"a": [[1, 0, 0, 0, 0, 0]] * 2, "b": [[0, 1, 0, 0, 0, 0]] * 2})
+        assert np.array_equal(fuse(data, {"a": 0.5, "b": 0.5}), [[0.5, 0.5, 0, 0, 0, 0]] * 2)
 
     def test_convexity_fixed_point(self):
         values = [0.3, 0.2, 0.2, 0.1, 0.1, 0.1]
-        encs = [one_video_encoder(f"e{i}", values) for i in range(3)]
-        w = WeightVector({"e0": 0.6, "e1": 0.3, "e2": 0.1})
-        fused = fuse(encs, w, "v0")
-        assert np.allclose(fused.values, values, atol=1e-12)
+        data = two_video_dataset({f"e{i}": [values] * 2 for i in range(3)})
+        fused = fuse(data, {"e0": 0.6, "e1": 0.3, "e2": 0.1})
+        assert np.allclose(fused, [values] * 2, atol=1e-12)
 
     def test_order_invariant(self):
         rng = np.random.default_rng(5)
-        encs = []
-        for i in range(4):
-            raw = rng.dirichlet(np.ones(6))
-            encs.append(one_video_encoder(f"e{i}", raw / raw.sum()))
-        w = WeightVector({"e0": 0.1, "e1": 0.2, "e2": 0.3, "e3": 0.4})
-        fwd = fuse(encs, w, "v0")
-        rev = fuse(list(reversed(encs)), w, "v0")
-        assert fwd == rev
+        rows = {f"e{i}": rng.dirichlet(np.ones(6), size=2) for i in range(4)}
+        w = {"e0": 0.1, "e1": 0.2, "e2": 0.3, "e3": 0.4}
+        fwd = fuse(two_video_dataset(rows), w)
+        rev = fuse(two_video_dataset(dict(reversed(rows.items()))), w)
+        assert np.array_equal(fwd, rev)
 
     def test_missing_video_rejected(self):
-        enc = one_video_encoder("e", [1, 0, 0, 0, 0, 0])
-        with pytest.raises(ValidationError):
-            fuse([enc], WeightVector({"e": 1.0}), "ghost")
+        records = [SampleRecord(f"v{i}", f"a{i}", BlendAnnotation(Emotion.ANGER, None, 100)) for i in range(2)]
+        table = PredictionTable("e", {"v0": 0}, np.array([[1.0, 0, 0, 0, 0, 0]]))
+        with pytest.raises(ValidationError, match="^encoder 'e' has no prediction for video 'v1'$"):
+            FusionDataset.build([table], records, FoldAssignment({"a0": 0, "a1": 1}, 2))
 
     def test_missing_encoder_rejected(self):
-        enc = one_video_encoder("e", [1, 0, 0, 0, 0, 0])
-        with pytest.raises(ValidationError):
-            fuse([enc], WeightVector({"other": 1.0}), "v0")
+        data = two_video_dataset({"e": [[1, 0, 0, 0, 0, 0]] * 2})
+        with pytest.raises(ValidationError, match="^no prediction set for encoder 'other'$"):
+            fuse(data, {"other": 1.0})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fused_rows_match_the_scalar_oracle_bit_for_bit(data):
+    m = data.draw(st.integers(1, 5), label="encoders")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = {f"e{i}": rng.dirichlet(np.full(6, 0.5), size=2) for i in range(m)}
+    raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m), label="raw weights")
+    total = math.fsum(raw)
+    simplex = [w / total for w in raw] if total > 0 else [1.0 / m] * m
+    order = data.draw(st.permutations(range(m)), label="key order")
+    weights = {f"e{i}": simplex[i] for i in order}
+    dataset = two_video_dataset(rows)
+    tables = [PredictionTable(name, {"v0": 0, "v1": 1}, r) for name, r in rows.items()]
+    fused = fuse(dataset, weights)
+    for v, vid in enumerate(dataset.video_ids):
+        assert tuple(fused[v].tolist()) == fuse_video(tables, weights, vid).values
 
 
 class TestOptimizeWeights:
