@@ -12,12 +12,13 @@ from .core import (
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    FoldAssignment,
     SampleRecord,
     ValidationError,
     average_clips,
     canonicalize_annotation,
 )
-from .evaluation import EvalResult, FoldAssignment, cross_validate, evaluate, split_actors
+from .evaluation import EvalResult, cross_validate, evaluate, split_actors
 from .fusion import WeightVector, fuse, optimize_weights
 from .labels import SoftLabel, encode_soft_label, kl_grad_logits, kl_loss
 from .postprocess import (

@@ -27,18 +27,15 @@ import numpy as np
 from . import core, features, fusion, labels as labels_mod, mlp, plots, synth
 from .core import SampleRecord, ValidationError
 from .evaluation import (
-    MAX_GRID_VALUES,
     RESULTS_HEADER,
-    CrossValConfig,
     CrossValReport,
-    FusionDataset,
     cross_validate,
-    fold_surfaces,
     load_folds,
     save_folds,
     save_results,
     split_actors,
 )
+from .fusion import MAX_GRID_VALUES, CrossValConfig, FusionDataset, fold_surfaces
 from .mlp import NumericError
 from .postprocess import ThresholdPair, ThresholdSurface
 
@@ -260,7 +257,7 @@ def _comma_list(kind: Callable[[str], Any]) -> Callable[[str, _Flag], tuple[Any,
 def _grid(text: str, flag: _Flag) -> tuple[float, ...]:
     try:
         return _parse_grid(json.loads(text), flag.dest)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter when nested too deeply
         raise ConfigError(f"bad {flag.dest}: {exc}") from None
 
 
@@ -326,7 +323,7 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, An
     CrossValConfig field set that field; an omitted one keeps its default."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
@@ -527,7 +524,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     ingest_s = time.perf_counter() - start
     data = FusionDataset.build(tables, records, assignment)
     start = time.perf_counter()
-    weights, search_log, surfaces, chosen = fusion.fit(data, cv_cfg)
+    weights, search_log, surfaces, chosen, _ = fusion.fit(data, cv_cfg)
     fit_s = time.perf_counter() - start
 
     weights_path = out / "weights.csv"
@@ -545,7 +542,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     thresholds_path = out / "thresholds.json"
     _write_json(thresholds_path, report)
 
-    cv_report = cross_validate(records, data, cv_cfg)
+    cv_report = cross_validate(data, cv_cfg)
     results_path = out / "results.csv"
     save_results(cv_report, results_path)
     results_json = out / "results.json"

@@ -197,6 +197,40 @@ class SampleRecord:
 
 
 @dataclass(frozen=True)
+class FoldAssignment:
+    """Actor-to-fold mapping; actor disjointness is structural."""
+
+    folds: Mapping[str, int]
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise ValidationError(f"need at least 2 folds, got {self.k}")
+        bad = {a: f for a, f in self.folds.items() if not 0 <= f < self.k}
+        if bad:
+            raise ValidationError(f"fold indices out of range: {bad!r}")
+
+    def fold_of(self, actor_id: str) -> int:
+        try:
+            return self.folds[actor_id]
+        except KeyError:
+            raise ValidationError(f"actor {actor_id!r} has no fold assignment") from None
+
+    def fold_indices(self) -> list[int]:
+        return sorted(set(self.folds.values()))
+
+    def videos_by_fold(self, records: Sequence[SampleRecord]) -> dict[int, list[str]]:
+        """Video ids of ``records`` per fold; every fold must hold one."""
+        out: dict[int, list[str]] = {f: [] for f in self.fold_indices()}
+        for rec in records:
+            out[self.fold_of(rec.actor_id)].append(rec.video_id)
+        for f, vids in out.items():
+            if not vids:
+                raise ValidationError(f"fold {f} holds no labeled videos")
+        return out
+
+
+@dataclass(frozen=True)
 class EncoderPredictionSet:
     """Per-encoder table of probability rows keyed by video id.
 

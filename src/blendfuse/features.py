@@ -134,9 +134,7 @@ def save_feature_file(seq: FrameFeatureSequence, directory: str | Path) -> Path:
     path = directory / f"{seq.video_id}.feat"
     layers, frames, dims = seq.data.shape
     lines = [f"layers={layers} frames={frames} dims={dims}"]
-    flat = seq.data.reshape(layers * frames, dims)
-    for row in flat:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines += [" ".join(map(repr, row)) for row in seq.data.reshape(-1, dims).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

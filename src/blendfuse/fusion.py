@@ -1,8 +1,10 @@
-"""Weighted late fusion of encoder probabilities and weight optimization.
+"""Labeled fusion inputs and settings, weighted late fusion and weight search.
 
-Fused output is the convex combination p_fused = sum_m w_m * p_m over the
-encoders' clip-averaged probability vectors, with the weights constrained
-to the probability simplex.  Weights are searched to maximize the mean
+:class:`FusionDataset` holds the labeled videos' encoder rows, truth and
+folds, and :class:`CrossValConfig` every fusion setting.  Fused output is
+the convex combination p_fused = sum_m w_m * p_m over the encoders'
+clip-averaged probability vectors, with the weights constrained to the
+probability simplex.  Weights are searched to maximize the mean
 validation-fold score after full post-processing: a deterministic
 coordinate-ascent move schedule by default, or a true exhaustive simplex
 grid for up to three encoders.
@@ -12,15 +14,38 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ValidationError, located, read_csv_rows, write_csv_rows
-from .evaluation import CrossValConfig, FusionDataset, fold_surfaces, grid_units
-from .postprocess import ThresholdPair, ThresholdSurface, select_thresholds
+from .core import (
+    N_EMOTIONS,
+    SUM_TOLERANCE,
+    EmotionDistribution,
+    FoldAssignment,
+    PredictionTable,
+    SampleRecord,
+    ValidationError,
+    annotations_by_video,
+    located,
+    read_csv_rows,
+    write_csv_rows,
+)
+from .postprocess import (
+    DEFAULT_GRID,
+    DEFAULT_THRESHOLDS,
+    THRESHOLD_STRATEGIES,
+    PostprocessConfig,
+    ThresholdPair,
+    ThresholdSurface,
+    TruthArrays,
+    point_counts,
+    select_thresholds,
+    threshold_surface,
+)
 
 SIMPLEX_TOLERANCE = 1e-9
 # Published weight tables are rounded to 3 decimals; the loader accepts
@@ -28,6 +53,155 @@ SIMPLEX_TOLERANCE = 1e-9
 ROUNDING_TOLERANCE = 5e-3
 
 COORDINATE_DELTAS = (0.10, 0.05, 0.02, 0.01)
+
+FUSION_STRATEGIES = ("coordinate_ascent", "exhaustive")
+
+# Grids larger than this would make each fold surface hold millions of
+# cells, or the exhaustive weight search score as many candidates.
+MAX_GRID_VALUES = 10_001
+
+
+def grid_units(step: float) -> int:
+    """Steps from 0 to 1 of the exhaustive weight grid; ``step`` must divide 1
+    evenly, into a three-encoder grid of at most MAX_GRID_VALUES points."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"exhaustive_step {step!r} must be a positive number")
+    if (1.0 / step + 1) * (1.0 / step + 2) / 2 > MAX_GRID_VALUES:  # inf when step is tiny
+        raise ValidationError(
+            f"exhaustive_step {step!r} makes a three-encoder grid of more than {MAX_GRID_VALUES} points"
+        )
+    units = round(1.0 / step)
+    if abs(units * step - 1.0) > 1e-9:
+        raise ValidationError(f"exhaustive_step {step!r} must divide 1 evenly")
+    return units
+
+
+@dataclass(frozen=True)
+class CrossValConfig:
+    """Every fusion setting: of the weight search, the threshold selection
+    and the post-processing.  Checked on construction; a bad value is a
+    :class:`ValidationError` naming its run-config key."""
+
+    fusion_strategy: str = "coordinate_ascent"
+    threshold_strategy: str = "per_fold_average"
+    initial_thresholds: ThresholdPair = DEFAULT_THRESHOLDS
+    alpha_grid: tuple[float, ...] = DEFAULT_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_GRID
+    neutral_index: Optional[int] = None
+    renormalize_before_beta: bool = False
+    exhaustive_step: float = 0.05
+    joint_threshold_search: bool = False
+
+    def __post_init__(self) -> None:
+        if self.fusion_strategy not in FUSION_STRATEGIES:
+            raise ValidationError(f"unknown fusion_strategy {self.fusion_strategy!r}")
+        if self.threshold_strategy not in THRESHOLD_STRATEGIES:
+            raise ValidationError(f"unknown threshold_strategy {self.threshold_strategy!r}")
+        grid_units(self.exhaustive_step)
+        self.postprocess_config(self.initial_thresholds)  # checks neutral_index
+
+    def postprocess_config(self, thresholds: ThresholdPair) -> PostprocessConfig:
+        return PostprocessConfig(thresholds, self.neutral_index, self.renormalize_before_beta)
+
+
+# ---------------------------------------------------------------------------
+# Labeled fusion inputs as arrays
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
+class FusionDataset:
+    """Everything weight search, threshold search and cross-validation read,
+    loaded once: clip-averaged encoder rows, ground truth and folds of the
+    labeled videos, and the fold scores of the candidates scored on them.
+    :func:`fuse` gives its fused rows at given weights."""
+
+    encoders: tuple[str, ...]  # sorted
+    video_ids: tuple[str, ...]  # sorted
+    probs: np.ndarray  # (encoders, videos, 6)
+    truth: TruthArrays
+    fold_ids: tuple[int, ...]  # every fold, each holding at least one video
+    fold_position: np.ndarray  # position in fold_ids of each video's fold
+    # fold_scores by (cfg, weight bytes), and how often each was asked for.
+    scored: dict = field(default_factory=dict, init=False, repr=False)
+    requests: Counter = field(default_factory=Counter, init=False, repr=False)
+
+    @classmethod
+    def build(
+        cls,
+        tables: Sequence[PredictionTable],
+        records: Sequence[SampleRecord],
+        folds: FoldAssignment,
+    ) -> "FusionDataset":
+        """Clip means of the labeled ``records`` from every encoder's table.
+        Every fold of ``folds`` must hold a labeled video."""
+        if not tables:
+            raise ValidationError("need at least one encoder prediction set")
+        truth = annotations_by_video(records)
+        video_ids = sorted(truth)
+        by_name = {t.encoder_name: t for t in tables}
+        if len(by_name) != len(tables):
+            raise ValidationError("duplicate encoder names in prediction sets")
+        encoders = tuple(sorted(by_name))
+        probs = np.empty((len(encoders), len(video_ids), N_EMOTIONS))
+        for e, name in enumerate(encoders):
+            row_of = by_name[name].row_of
+            rows = [row_of.get(vid, -1) for vid in video_ids]
+            if -1 in rows:
+                missing = video_ids[rows.index(-1)]
+                raise ValidationError(f"encoder {name!r} has no prediction for video {missing!r}")
+            probs[e] = by_name[name].probs[rows]
+            # A mean of clip rows near the sum tolerance can drift past it,
+            # which average_clips rejects.
+            near_limit = np.abs(probs[e].sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
+            for v in np.flatnonzero(near_limit).tolist():
+                try:
+                    EmotionDistribution(tuple(probs[e, v].tolist()))
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"encoder {name!r}, video {video_ids[v]!r}: {exc}"
+                    ) from None
+        by_fold = folds.videos_by_fold(records)  # in ascending fold order
+        position_of = {vid: i for i, vids in enumerate(by_fold.values()) for vid in vids}
+        return cls(
+            encoders,
+            tuple(video_ids),
+            probs,
+            TruthArrays.from_annotations([truth[vid] for vid in video_ids]),
+            tuple(by_fold),
+            np.array([position_of[vid] for vid in video_ids], dtype=np.intp),
+        )
+
+    def fold_scores(self, weights: np.ndarray, cfg: CrossValConfig) -> tuple[float, ...]:
+        """Weight-search score of every fold (``fold_ids`` order) at fused
+        ``weights``: its best surface score with ``cfg.joint_threshold_search``,
+        else its score at ``cfg.initial_thresholds``.  A fold's score reads its
+        own rows only.  Kept per candidate, so each is scored once per dataset."""
+        key = (cfg, weights.tobytes())
+        self.requests[key] += 1
+        if key not in self.scored:
+            fused = np.tensordot(weights, self.probs, axes=(0, 0))
+            if cfg.joint_threshold_search:
+                scores = tuple(s.best_score() for s in fold_surfaces(self, fused, cfg).values())
+            else:
+                pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
+                cp, cs = point_counts(fused, self.truth, pp_cfg, self.fold_position)
+                sizes = np.bincount(self.fold_position)
+                scores = tuple((0.5 * (cp / sizes + cs / sizes)).tolist())
+            self.scored[key] = scores
+        return self.scored[key]
+
+
+def fold_surfaces(
+    data: FusionDataset, fused: np.ndarray, cfg: CrossValConfig
+) -> dict[int, ThresholdSurface]:
+    """Threshold surface over ``cfg``'s grids of every fold of ``data``, from
+    ``fused``, the fused row of each of its videos, in one sweep."""
+    pp_cfg = cfg.postprocess_config(cfg.initial_thresholds)
+    surfaces = threshold_surface(
+        fused, data.truth, cfg.alpha_grid, cfg.beta_grid, pp_cfg, data.fold_position
+    )
+    return dict(zip(data.fold_ids, surfaces))
 
 
 def _check_weight(name: str, w: float) -> float:
@@ -185,16 +359,18 @@ def _moves(current: np.ndarray, delta: float, names: Sequence[str]) -> Iterator[
 
 def fit(
     data: FusionDataset, cfg: CrossValConfig, held_out: Optional[int] = None
-) -> tuple[WeightVector, list[SearchLogEntry], dict[int, ThresholdSurface], ThresholdPair]:
+) -> tuple[WeightVector, list[SearchLogEntry], dict[int, ThresholdSurface], ThresholdPair, np.ndarray]:
     """Fusion weights and ``(alpha, beta)`` fitted on the folds of ``data`` but the one
     at position ``held_out``, if given: the weight search, the threshold surface of
-    every fitted fold at those weights, and the pair ``cfg.threshold_strategy`` selects."""
+    every fitted fold at those weights, the pair ``cfg.threshold_strategy`` selects,
+    and the fused rows of every video at those weights."""
     weights, log = optimize_weights(data, cfg, held_out)
-    surfaces = fold_surfaces(data, fuse(data, weights.weights), cfg)
+    fused = fuse(data, weights.weights)
+    surfaces = fold_surfaces(data, fused, cfg)
     if held_out is not None:
         del surfaces[data.fold_ids[held_out]]
     thresholds = select_thresholds(list(surfaces.values()), cfg.threshold_strategy)
-    return weights, log, surfaces, thresholds
+    return weights, log, surfaces, thresholds, fused
 
 
 # ---------------------------------------------------------------------------

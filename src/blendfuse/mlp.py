@@ -352,7 +352,7 @@ def load_model(path: str | Path) -> MlpModel:
             raise ValidationError(f"unsupported checkpoint version {meta['version']!r}")
         cfg = MlpConfig(**meta["config"])
         input_dim = int(meta["input_dim"])
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, EOFError, KeyError, TypeError, ValueError, RecursionError, zipfile.BadZipFile, zlib.error) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"{path}: not a readable checkpoint: {detail}") from None
     layout = param_layout(input_dim, cfg)

@@ -9,9 +9,10 @@ from blendfuse.core import (
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    FoldAssignment,
     SampleRecord,
 )
-from blendfuse.evaluation import FoldAssignment, evaluate
+from blendfuse.evaluation import evaluate
 from blendfuse.labels import encode_soft_label
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 

@@ -30,3 +30,15 @@ def fuse_video(preds, weights, video_id):
         for i, v in enumerate(by_name[name].distribution_for(video_id).values):
             acc[i] += weight * v
     return EmotionDistribution(tuple(acc))
+
+
+def feature_file_text(seq):
+    """The text of the ``.feat`` file of ``seq``, a ``FrameFeatureSequence``,
+    as ``blendfuse.features.save_feature_file`` writes it: a header line,
+    then one line per (layer, frame) row, each value formatted as a numpy
+    scalar converted to a Python float."""
+    layers, frames, dims = seq.data.shape
+    lines = [f"layers={layers} frames={frames} dims={dims}"]
+    for row in seq.data.reshape(layers * frames, dims):
+        lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

@@ -23,9 +23,9 @@ from test_postprocess import as_tuple, random_distribution, reference_discretize
 
 from blendfuse import core
 from blendfuse.cli import EXIT_OK, main as cli_main
-from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate
+from blendfuse.evaluation import evaluate
 from blendfuse.features import AggregationConfig, aggregate_temporal
-from blendfuse.fusion import optimize_weights, validate_simplex
+from blendfuse.fusion import CrossValConfig, FusionDataset, optimize_weights, validate_simplex
 from blendfuse.labels import kl_grad_logits, kl_loss, mean_kl, softmax
 from blendfuse.mlp import MlpConfig, MlpModel, predict_proba, train
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize, search_thresholds

@@ -10,20 +10,15 @@ import pytest
 
 from oracles import fuse_video, prediction_tables
 
-from blendfuse import core, evaluation
+from blendfuse import core, fusion
 from blendfuse.cli import EXIT_OK, main
-from blendfuse.evaluation import (
-    CrossValConfig,
-    FoldAssignment,
-    FusionDataset,
-    cross_validate,
-    evaluate,
-    fold_surfaces,
-    save_folds,
-    split_actors,
-)
+from blendfuse.core import FoldAssignment
+from blendfuse.evaluation import cross_validate, evaluate, save_folds, split_actors
 from blendfuse.fusion import (
+    CrossValConfig,
+    FusionDataset,
     fit,
+    fold_surfaces,
     fuse,
     load_weights,
     optimize_weights,
@@ -194,8 +189,8 @@ def test_cross_validation_matches_scalar_path(inputs):
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    report = cross_validate(records, FusionDataset.build(tables, records, folds), cfg)
-    assert report == cross_validate(records, FusionDataset.build(prediction_tables(preds, records), records, folds), cfg)
+    report = cross_validate(FusionDataset.build(tables, records, folds), cfg)
+    assert report == cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), cfg)
     for outcome in report.folds:
         oracle = _scalar_fold_result(
             preds, records, folds, outcome.fold, outcome.weights, outcome.thresholds
@@ -286,7 +281,7 @@ def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(in
         renormalize_before_beta=True,
     )
     data = FusionDataset.build(tables, records, folds)
-    weights, log, surfaces, chosen = fit(data, cfg)
+    weights, log, surfaces, chosen, _ = fit(data, cfg)
     save_weights(weights, tmp_path / "weights.csv")
     save_search_log(log, tmp_path / "log.csv")
     run = tmp_path / "run"
@@ -297,7 +292,7 @@ def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(in
     assert [e["best_score"] for e in report["per_fold"]] == [s.best_score() for s in surfaces.values()]
     results = json.loads((run / "results.json").read_text())
     for fold in results["folds"]:
-        fold_weights, _, _, fold_thresholds = fit(_other_folds(tables, records, folds, fold["fold"]), cfg)
+        fold_weights, _, _, fold_thresholds, _ = fit(_other_folds(tables, records, folds, fold["fold"]), cfg)
         assert (fold["weights"], fold["alpha"], fold["beta"]) == (
             fold_weights.weights, fold_thresholds.alpha, fold_thresholds.beta
         )
@@ -345,9 +340,10 @@ def test_fit_with_a_held_out_fold_matches_a_fit_on_the_other_folds(inputs, setti
     data = FusionDataset.build(tables, records, folds)
     fit(data, cfg)  # fills the memo first, as fuse-evaluate does
     for position, fold in enumerate(data.fold_ids):
-        weights, log, surfaces, thresholds = fit(data, cfg, position)
+        weights, log, surfaces, thresholds, fused = fit(data, cfg, position)
         expected = fit(_other_folds(tables, records, folds, fold), cfg)
         assert weights.weights == expected[0].weights
+        assert fused.tobytes() == fuse(data, weights.weights).tobytes()
         assert [(e.step, e.candidate_id, e.objective.hex()) for e in log] == [
             (e.step, e.candidate_id, e.objective.hex()) for e in expected[1]
         ]
@@ -383,7 +379,7 @@ def test_fuse_evaluate_scores_each_distinct_candidate_once(inputs, tmp_path, mon
         calls.append(args)
         return threshold_surface(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "threshold_surface", counted)
+    monkeypatch.setattr(fusion, "threshold_surface", counted)
     meta = _fuse_evaluate(
         root, tmp_path, tmp_path / "folds.csv",
         joint_threshold_search=True, fusion_strategy="exhaustive", exhaustive_step=0.2,

@@ -15,7 +15,9 @@ from fixtures_util import outputs_of, write_feature_dir
 
 from blendfuse import cli, core, features, fusion, mlp, synth
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from blendfuse.evaluation import CrossValConfig, FoldAssignment, FusionDataset, evaluate, load_folds, save_folds
+from blendfuse.core import FoldAssignment
+from blendfuse.evaluation import evaluate, load_folds, save_folds
+from blendfuse.fusion import CrossValConfig, FusionDataset
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
 
@@ -42,6 +44,9 @@ BAD_GRIDS = [
 ]
 # Grid flag values that are not JSON at all; only a flag can carry them.
 NON_JSON_GRIDS = ["[0.1,", "0.1 0.2"]
+
+# Valid JSON nested past the parser's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 # The full message of a case, for the config-error cases whose message no
 # other assertion pins; ``{name}`` is the grid's key.
@@ -278,6 +283,15 @@ class TestFuseEvaluate:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run("fuse-evaluate", "--config", cfg_path) == code
         assert message in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_config_error_naming_the_file(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        cfg_path = self.make_config(tmp_path, data, make_folds(tmp_path, data), alpha_grid=[])
+        cfg_path.write_text(cfg_path.read_text().replace("[]", DEEP_JSON), encoding="utf-8")
+        assert run("fuse-evaluate", "--config", cfg_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read config {cfg_path}: " in err
+        assert "Traceback" not in err
 
     def test_dataset_is_built_once_per_run(self, tmp_path, monkeypatch):
         data = synth_dataset(tmp_path, actors=4, clips=6)
@@ -1135,6 +1149,18 @@ class TestSensitivity:
         name = flag[2:].replace("-", "_")
         assert name in err
         assert CONFIG_MESSAGES.get(grid, "").format(name=name) in err
+
+    @pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
+    def test_deeply_nested_grid_flag_is_config_error_naming_it(self, tmp_path, capsys, flag):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        code = run(
+            "sensitivity", "--predictions", data / "predictions", "--labels", data / "labels.csv",
+            "--folds", make_folds(tmp_path, data), flag, DEEP_JSON, "--out", tmp_path / "s",
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad {flag[2:].replace('-', '_')}: " in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--predictions", "--labels", "--folds", "--weights"])
     def test_missing_input_is_config_error(self, tmp_path, capsys, flag):

@@ -1,6 +1,7 @@
 """Core domain types, canonicalization, clip averaging, file round-trips."""
 
 import ast
+import graphlib
 import math
 from pathlib import Path
 
@@ -327,6 +328,32 @@ def test_no_module_has_an_unused_import():
                     if bound not in read:
                         unused.append(f"{module.name}:{node.lineno}: {bound}")
     assert unused == []
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    """No module imports inside a function, and the modules' top-level
+    imports of each other form no cycle."""
+    nested, graph = [], {}
+    for module in sorted(Path(blendfuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    f"{module.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+        graph[module.stem] = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+    assert sorted(set(nested)) == []
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_only_core_imports_csv():

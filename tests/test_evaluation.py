@@ -10,22 +10,12 @@ from blendfuse.core import (
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    FoldAssignment,
     SampleRecord,
     ValidationError,
 )
-from blendfuse.evaluation import (
-    MAX_GRID_VALUES,
-    CrossValConfig,
-    EvalResult,
-    FoldAssignment,
-    FusionDataset,
-    cross_validate,
-    evaluate,
-    load_folds,
-    save_folds,
-    split_actors,
-)
-from blendfuse.fusion import _simplex_grid
+from blendfuse.evaluation import EvalResult, cross_validate, evaluate, load_folds, save_folds, split_actors
+from blendfuse.fusion import MAX_GRID_VALUES, CrossValConfig, FusionDataset, _simplex_grid
 from blendfuse.labels import encode_soft_label
 from blendfuse.postprocess import DEFAULT_GRID
 
@@ -172,7 +162,7 @@ class TestCrossValidate:
         records = blended_records(rng, actors)
         folds = split_actors(records, 3)
         preds = [oracle_predictions(records)]
-        report = cross_validate(records, FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+        report = cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
         for outcome in report.folds:
             assert outcome.result == EvalResult(1.0, 1.0, 1.0, outcome.result.n)
         assert report.std == (0.0, 0.0, 0.0)
@@ -188,7 +178,7 @@ class TestCrossValidate:
         folds = split_actors(records, 2)
         preds = [oracle_predictions(records)]
         # corrupt one encoder row so scores differ between folds
-        report = cross_validate(records, FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+        report = cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
         total = sum(o.result.n for o in report.folds)
         weighted = sum(o.result.score * o.result.n for o in report.folds) / total
         assert report.pooled.score == pytest.approx(weighted, abs=1e-12)
@@ -202,7 +192,7 @@ class TestCrossValidate:
             records.append(SampleRecord(f"{actor}_v2", actor, BlendAnnotation(ANGER, DISGUST, 50)))
         folds = FoldAssignment({"a0": 0, "a1": 1}, 2)
         preds = [oracle_predictions(records)]
-        report = cross_validate(records, FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+        report = cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
         assert report.folds[0].result == report.folds[1].result
 
     def test_empty_fold_rejected(self):
@@ -210,7 +200,7 @@ class TestCrossValidate:
         folds = FoldAssignment({"a0": 0, "a1": 1, "ghost": 2}, 3)
         preds = [oracle_predictions(records)]
         with pytest.raises(ValidationError):
-            cross_validate(records, FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+            cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
 
     def test_dataset_with_an_empty_fold_rejected(self):
         records = blended_records(np.random.default_rng(0), ["a0", "a1"], 4)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import feature_file_text
+
 from blendfuse.core import ValidationError
 from blendfuse.features import (
     AggregationConfig,
@@ -212,6 +214,25 @@ class TestFeatureFiles:
         manual = data[1:3].mean(axis=0)
         expected = np.concatenate([manual[:3].mean(axis=0), manual[3:].mean(axis=0)])
         assert np.allclose(out, expected, atol=1e-15)
+
+
+# Edge values of the float format: signed zeros, subnormals, the smallest
+# normals and values near the largest finite magnitude.
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_feature_file_bytes_match_the_per_scalar_writer(data, tmp_path_factory):
+    shape = tuple(data.draw(st.integers(1, n), label="shape") for n in (3, 4, 5))
+    elements = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(arrays(np.float64, shape, elements=elements), label="values")
+    s = seq(values, "v")
+    path = save_feature_file(s, tmp_path_factory.mktemp("feat"))
+    assert path.read_bytes() == feature_file_text(s).encode("utf-8")
 
 
 def float_oracle(path):

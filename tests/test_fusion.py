@@ -21,14 +21,16 @@ from blendfuse.core import (
     Emotion,
     EmotionDistribution,
     EncoderPredictionSet,
+    FoldAssignment,
     PredictionTable,
     SampleRecord,
     ValidationError,
 )
-from blendfuse.evaluation import CrossValConfig, FoldAssignment, FusionDataset
 from blendfuse.fusion import (
     COORDINATE_DELTAS,
     SIMPLEX_TOLERANCE,
+    CrossValConfig,
+    FusionDataset,
     WeightVector,
     _simplex_grid,
     fuse,

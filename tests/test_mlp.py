@@ -405,6 +405,10 @@ class TestLoadModelRejects:
             (dict(__meta__=None), "not a readable checkpoint: missing '__meta__'"),
             (dict(__meta__=meta_bytes("{not json")), "not a readable checkpoint: Expecting property name"),
             (dict(__meta__=meta_bytes("[1]")), "not a readable checkpoint: list indices must be integers"),
+            (
+                dict(__meta__=meta_bytes("[" * 100_000 + "]" * 100_000)),
+                "not a readable checkpoint: maximum recursion depth exceeded",
+            ),
             (dict(__meta__=meta_bytes('{"version": 2}')), "not a readable checkpoint: unsupported checkpoint version 2"),
             (dict(__meta__=meta_bytes('{"version": 1, "input_dim": 4}')), "not a readable checkpoint: missing 'config'"),
             (
@@ -426,7 +430,7 @@ class TestLoadModelRejects:
         ],
         ids=[
             "missing", "extra", "wrong-shape", "int-dtype", "no-meta", "meta-not-json", "meta-not-object",
-            "version", "no-config", "unknown-config-key", "bad-config-value", "input-dim-not-int",
+            "meta-nested-too-deeply", "version", "no-config", "unknown-config-key", "bad-config-value", "input-dim-not-int",
             "input-dim-differs",
         ],
     )

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blendfuse.core import BlendAnnotation, Emotion, EmotionDistribution, ValidationError
-from blendfuse.evaluation import CrossValConfig, FusionDataset, evaluate, fold_surfaces
+from blendfuse.evaluation import evaluate
+from blendfuse.fusion import CrossValConfig, FusionDataset, fold_surfaces
 from blendfuse.postprocess import (
     PostprocessConfig,
     ThresholdPair,
