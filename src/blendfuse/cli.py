@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -359,11 +360,11 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, An
     return cfg, cv_cfg
 
 
-def _load_prediction_tables(predictions_dir: Path) -> list[core.PredictionTable]:
+def _load_prediction_tables(predictions_dir: Path, cache_use: Counter[str]) -> list[core.PredictionTable]:
     files = sorted(predictions_dir.glob("*.csv"))
     if not files:
         raise ValidationError(f"no prediction files under {predictions_dir}")
-    return [core.load_prediction_table(f) for f in files]
+    return [core.load_prediction_table(f, cache_use) for f in files]
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +399,17 @@ def cmd_encode_labels(args: argparse.Namespace) -> int:
 
 
 def _aggregate_directory(
-    feature_dir: Path, cfg: features.AggregationConfig
+    feature_dir: Path, cfg: features.AggregationConfig, cache_use: Optional[Counter[str]] = None
 ) -> tuple[list[str], list[str], np.ndarray]:
     """Video ids, actor ids and the ``(videos, D)`` matrix of aggregated
-    vectors of a feature directory, in manifest order.  A file whose vector
-    is not as wide as the first file's is a ValidationError naming both."""
+    vectors of a feature directory, in manifest order, counting the input
+    cache's hits and misses in ``cache_use``.  A file whose vector is not as
+    wide as the first file's is a ValidationError naming both."""
     manifest = features.load_feature_manifest(feature_dir / "manifest.csv")
     matrix = np.empty((len(manifest), 0))
     for row, (video_id, _, rel_path) in enumerate(manifest):
         path = feature_dir / rel_path
-        sequence = features.load_feature_file(path, video_id)
+        sequence = features.load_feature_file(path, video_id, cache_use)
         with core.located(path):  # a shape that does not fit cfg
             vector = features.aggregate_sequence(sequence, cfg)
         if row == 0:
@@ -468,10 +470,10 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     mlp_cfg, mlp_resolved = _config(mlp.MlpConfig, _MLP_FLAGS, args)
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
-    start = time.perf_counter()
+    cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
     records = core.load_labels(Path(args.labels))
     assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
-    video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg)
+    video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg, cache_use)
 
     row_of = dict(zip(video_ids, range(len(video_ids))))
     missing = [r.video_id for r in records if r.video_id not in row_of]
@@ -507,7 +509,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     core.write_prediction_rows(oof_path, sorted(oof))  # by video id, which is unique
     outputs.append(oof_path)
     _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs,
-                    counters=counters, timings=timings)
+                    counters=counters, timings=timings, input_cache=cache_use)
     print(f"wrote {oof_path}")
     return EXIT_OK
 
@@ -517,8 +519,8 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(cfg["output_dir"], "output_dir" if args.out is None else "--out")
     chash = _config_hash(cfg)
 
-    start = time.perf_counter()
-    tables = _load_prediction_tables(Path(cfg["predictions_dir"]))
+    cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
+    tables = _load_prediction_tables(Path(cfg["predictions_dir"]), cache_use)
     records = core.load_labels(Path(cfg["labels_file"]))
     assignment = load_folds(Path(cfg["folds_file"]), (r.actor_id for r in records))
     ingest_s = time.perf_counter() - start
@@ -552,7 +554,8 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     counters = {"videos": len(data.video_ids), "encoders": len(data.encoders),
                 "candidates_scored": sum(data.requests.values()), "distinct_candidates": len(data.scored)}
     timings = {"ingest_s": ingest_s, "fit_s": fit_s, "cv_fold_s": [o.seconds for o in cv_report.folds]}
-    _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters, timings=timings)
+    _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters, timings=timings,
+                    input_cache=cache_use)
     print(
         f"weights={weights_path} thresholds=({chosen.alpha:.4f},{chosen.beta:.4f}) "
         f"mean score={cv_report.mean.score:.4f}"
@@ -611,11 +614,12 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         ("--weights", args.weights),
     )
     cfg, cfg_resolved = _config(CrossValConfig, _CROSS_VAL_FLAGS, args)
+    cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
     pred_path = Path(args.predictions)
     if pred_path.is_dir():
-        tables = _load_prediction_tables(pred_path)
+        tables = _load_prediction_tables(pred_path, cache_use)
     else:
-        tables = [core.load_prediction_table(pred_path)]
+        tables = [core.load_prediction_table(pred_path, cache_use)]
     records = core.load_labels(Path(args.labels))
     assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
     if args.weights:
@@ -627,10 +631,13 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
             )
     else:
         weights = fusion.WeightVector.uniform([t.encoder_name for t in tables])
+    timings = {"ingest_s": time.perf_counter() - start}
+    start = time.perf_counter()
     # Only the weighted encoders need to cover the labeled videos.
     used = [t for t in tables if t.encoder_name in weights.weights]
     data = FusionDataset.build(used, records, assignment)
     surfaces = fold_surfaces(data, fusion.fuse(data, weights.weights), cfg)
+    timings["surfaces_s"] = time.perf_counter() - start
     resolved = _record(args, **cfg_resolved)
     out = _out_dir(args.out)
     per_fold, svgs = _fold_report(surfaces, out)
@@ -643,7 +650,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     }
     report_path = out / "sensitivity.json"
     _write_json(report_path, report)
-    _write_run_meta(out, "sensitivity", resolved, [report_path, *svgs])
+    _write_run_meta(out, "sensitivity", resolved, [report_path, *svgs], timings=timings,
+                    input_cache=cache_use)
     ratio = per_fold["beta_ratio"]
     print(
         f"beta spread: min={per_fold['beta_min']:.2f} max={per_fold['beta_max']:.2f} "

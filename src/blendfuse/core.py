@@ -11,14 +11,22 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
+import io
+import json
 import math
+import os
 import warnings
-from contextlib import contextmanager
+import zipfile
+import zlib
+from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -275,6 +283,80 @@ def average_clips(rows: Sequence[EmotionDistribution]) -> EmotionDistribution:
 
 
 # ---------------------------------------------------------------------------
+# Input cache
+# ---------------------------------------------------------------------------
+
+# What reading an ``.npz`` file can raise besides its contents being wrong.
+NPZ_FAULTS = (OSError, EOFError, KeyError, TypeError, ValueError, RecursionError, zipfile.BadZipFile, zlib.error)
+
+# The directory, next to each cached input file, that holds its entry.
+CACHE_DIR = ".blendfuse-cache"
+
+# Numbers the temporary files this process writes entries through.
+_TEMPORARY_IDS = count()
+
+_T = TypeVar("_T")
+
+
+@functools.cache
+def _code_digest() -> bytes:
+    """SHA-256 of numpy's version and of this package's source files, so an
+    entry written by other parsing code never matches."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(source.name.encode() + b"\0" + hashlib.sha256(source.read_bytes()).digest())
+    return digest.digest()
+
+
+def cached_parse(
+    path: Path,
+    data: bytes,
+    parse: Callable[[], tuple[_T, Optional[dict[str, np.ndarray]]]],
+    restore: Callable[[Mapping[str, np.ndarray]], _T],
+    cache_use: Optional[Counter[str]] = None,
+) -> _T:
+    """What ``parse()`` makes of ``data``, the bytes of the input file ``path``.
+
+    ``parse`` returns the value and the arrays to store for it, or None to
+    store nothing.  They are stored in ``<dir>/.blendfuse-cache/<name>.npz``
+    under a key, the SHA-256 of ``data`` and :func:`_code_digest`.  While the
+    key matches, ``restore`` rebuilds the value from the stored arrays
+    instead, raising a ValueError if they do not fit.  Every fault of the
+    cache, such as a directory that cannot be written, is a miss.  Each call
+    adds one to ``cache_use["hits"]`` or ``cache_use["misses"]``.
+    """
+    cache_use = Counter() if cache_use is None else cache_use
+    entry = path.parent / CACHE_DIR / f"{path.name}.npz"
+    digest = hashlib.sha256(_code_digest())
+    digest.update(data)
+    key = np.frombuffer(digest.digest(), np.uint8)
+    try:
+        # np.load leaves a file it opened open when it is not a whole .npz.
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        if np.array_equal(arrays.pop("key"), key):
+            value = restore(arrays)
+            cache_use["hits"] += 1
+            return value
+    except NPZ_FAULTS:
+        pass
+    cache_use["misses"] += 1
+    value, arrays = parse()
+    if arrays is not None:
+        # Named by process and call, so concurrent writers never share one.
+        tmp = entry.with_name(f"{entry.name}.{os.getpid()}.{next(_TEMPORARY_IDS)}.tmp")
+        with suppress(OSError):
+            entry.parent.mkdir(exist_ok=True)
+            try:
+                with open(tmp, "xb") as fh:
+                    np.savez(fh, key=key, **arrays)
+                os.replace(tmp, entry)  # atomic, so a concurrent reader sees a whole entry
+            finally:
+                tmp.unlink(missing_ok=True)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
 
@@ -308,13 +390,22 @@ def located(where: object) -> Iterator[None]:
         raise ValidationError(f"{where}: {exc}") from None
 
 
+def _text(path: str | Path, data: Optional[bytes]) -> io.TextIOWrapper:
+    """``path`` opened as UTF-8 with its line ends kept, or ``data``, the
+    bytes read from it, decoded the same way."""
+    if data is None:
+        return open(path, encoding="utf-8", newline="")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
 @contextmanager
-def csv_reader(path: str | Path) -> Iterator[Any]:
-    """A ``csv.reader`` over ``path`` as UTF-8.  An unreadable path (such as a
-    directory), bytes that are not UTF-8 or a field over
-    ``csv.field_size_limit()`` are a :class:`ValidationError` naming ``path``."""
+def csv_reader(path: str | Path, data: Optional[bytes] = None) -> Iterator[Any]:
+    """A ``csv.reader`` over ``path`` (or over ``data``, its bytes) as UTF-8.
+    An unreadable path (such as a directory), bytes that are not UTF-8 or a
+    field over ``csv.field_size_limit()`` are a :class:`ValidationError`
+    naming ``path``."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with _text(path, data) as fh:
             reader = csv.reader(fh)
             yield reader
     except OSError as exc:
@@ -325,12 +416,14 @@ def csv_reader(path: str | Path) -> Iterator[Any]:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_csv_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+def read_csv_rows(
+    path: str | Path, expected_header: list[str], data: Optional[bytes] = None
+) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows after ``expected_header``, read one at a time, each
     with the number of the file line it ends on.  An empty file, another
     header or a row not as wide as the header is a :class:`ValidationError`
     naming ``path``, as are the faults of :func:`csv_reader`."""
-    with csv_reader(path) as reader:
+    with csv_reader(path, data) as reader:
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
@@ -361,15 +454,16 @@ class _Doubt(Exception):
     """The block reader cannot vouch for a file; the per-row reader reads it."""
 
 
-def _field_blocks(path: Path, header: list[str]) -> Iterator[list[str]]:
-    """The fields of the non-blank rows after ``header``, flattened, a block
-    of whole lines at a time.  Raises :class:`_Doubt` unless every line is
-    one that ``csv.reader`` splits at each comma: no quote or NUL (rejected
-    before Python 3.11), ``len(header) - 1`` commas and at most
-    ``csv.field_size_limit()`` characters."""
+def _field_blocks(path: Path, header: list[str], data: Optional[bytes] = None) -> Iterator[list[str]]:
+    """The fields of the non-blank rows after ``header`` in ``path`` (or in
+    ``data``, its bytes), flattened, a block of whole lines at a time.
+    Raises :class:`_Doubt` unless every line is one that ``csv.reader``
+    splits at each comma: no quote or NUL (rejected before Python 3.11),
+    ``len(header) - 1`` commas and at most ``csv.field_size_limit()``
+    characters."""
     commas, limit = len(header) - 1, csv.field_size_limit()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with _text(path, data) as fh:
             if fh.readline().rstrip("\r\n") != ",".join(header):
                 raise _Doubt
             while lines := fh.readlines(_BLOCK_CHARS):
@@ -398,27 +492,32 @@ def _doubtful_rows(matrix: np.ndarray) -> np.ndarray:
     return doubtful
 
 
-def _parse_predictions(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Video id, actor id and probability row of every line of a predictions file.
+def _parse_predictions(
+    path: Path, data: Optional[bytes] = None
+) -> tuple[tuple[list[str], list[str], np.ndarray], bool]:
+    """Video id, actor id and probability row of every line of a predictions
+    file (or of ``data``, its bytes), and whether the block reader vouched
+    for the file rather than the per-row reader reading it.
 
     Each line passes the checks of :meth:`EmotionDistribution.from_raw`,
     whose renormalized values it keeps, and a video may not be listed under
     two actors.  The first faulty line is reported as ``path:line``.
     """
     try:
-        return _parse_prediction_blocks(path)
+        return _parse_prediction_blocks(path, data), True
     except _Doubt:
-        return _parse_prediction_rows(path)
+        return _parse_prediction_rows(path, data), False
 
 
-def _parse_prediction_blocks(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """:func:`_parse_predictions` of a file of rows valid as they stand, each
-    block's numbers parsed by one ``np.array`` call (``float()``'s parser)."""
+def _parse_prediction_blocks(path: Path, data: Optional[bytes] = None) -> tuple[list[str], list[str], np.ndarray]:
+    """The rows :func:`_parse_predictions` reads from a file of rows valid as
+    they stand, each block's numbers parsed by one ``np.array`` call
+    (``float()``'s parser)."""
     width = len(PREDICTIONS_HEADER)
     video_ids: list[str] = []
     actor_ids: list[str] = []
     blocks = [np.empty(0)]
-    for fields in _field_blocks(path, PREDICTIONS_HEADER):
+    for fields in _field_blocks(path, PREDICTIONS_HEADER, data):
         video_ids += fields[0::width]
         actor_ids += fields[1::width]
         del fields[0::width], fields[0::width - 1]  # leaves the probabilities
@@ -433,8 +532,8 @@ def _parse_prediction_blocks(path: Path) -> tuple[list[str], list[str], np.ndarr
     return video_ids, actor_ids, matrix
 
 
-def _parse_prediction_rows(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """:func:`_parse_predictions` one row at a time, for any file."""
+def _parse_prediction_rows(path: Path, data: Optional[bytes] = None) -> tuple[list[str], list[str], np.ndarray]:
+    """The rows :func:`_parse_predictions` reads, one row at a time, for any file."""
     video_ids: list[str] = []
     actor_ids: list[str] = []
     values: list[list[float]] = []
@@ -442,7 +541,7 @@ def _parse_prediction_rows(path: Path) -> tuple[list[str], list[str], np.ndarray
     actors: dict[str, str] = {}
     line_error: Optional[ValidationError] = None
     try:
-        for lineno, row in read_csv_rows(path, PREDICTIONS_HEADER):
+        for lineno, row in read_csv_rows(path, PREDICTIONS_HEADER, data):
             # The row's values are checked before its actor, as in a per-line read.
             try:
                 values.append(list(map(float, row[2:])))
@@ -471,7 +570,7 @@ def load_predictions(path: str | Path, encoder_name: Optional[str] = None) -> En
     Repeated video ids are collected as multi-clip rows in file order.
     """
     path = Path(path)
-    video_ids, actor_ids, matrix = _parse_predictions(path)
+    (video_ids, actor_ids, matrix), _ = _parse_predictions(path)
     rows: dict[str, list[EmotionDistribution]] = {}
     for video_id, values in zip(video_ids, matrix.tolist()):
         rows.setdefault(video_id, []).append(EmotionDistribution(tuple(values)))
@@ -501,24 +600,56 @@ class PredictionTable:
         return EmotionDistribution(tuple(self.probs[row].tolist()))
 
 
-def load_prediction_table(path: str | Path) -> PredictionTable:
+def load_prediction_table(path: str | Path, cache_use: Optional[Counter[str]] = None) -> PredictionTable:
     """Read one encoder's predictions file with the checks of
     :func:`load_predictions`, averaging each video's clip rows.
 
     Rows are summed in file order and then divided by the clip count, the
     arithmetic of :func:`average_clips`.  Like an
     :class:`EncoderPredictionSet`, the table leaves the sum check of a
-    multi-clip mean to the videos that are used.
+    multi-clip mean to the videos that are used.  A file the block reader
+    reads is served from the input cache (:func:`cached_parse`, which counts
+    the load in ``cache_use``) while its bytes are unchanged.
     """
     path = Path(path)
-    row_videos, _, matrix = _parse_predictions(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+
+    def parse() -> tuple[PredictionTable, Optional[dict[str, np.ndarray]]]:
+        parsed, vouched = _parse_predictions(path, data)
+        table = _clip_means(path.stem, parsed)
+        if not vouched:  # never stored: the per-row reader may warn, and must on every load
+            return table, None
+        ids = json.dumps(list(table.row_of)).encode()
+        return table, {"probs": table.probs, "ids": np.frombuffer(ids, np.uint8)}
+
+    return cached_parse(path, data, parse, functools.partial(_table_of_entry, path.stem), cache_use)
+
+
+def _clip_means(encoder_name: str, parsed: tuple[list[str], list[str], np.ndarray]) -> PredictionTable:
+    """The table of :func:`_parse_predictions`' rows, each video's clip rows averaged."""
+    row_videos, _, matrix = parsed
     videos = dict.fromkeys(row_videos)  # in first-appearance order
     row_of = dict(zip(videos, range(len(videos))))
     video_of_row = np.fromiter(map(row_of.__getitem__, row_videos), np.int64, len(row_videos))
     clips = np.bincount(video_of_row, minlength=len(row_of))
     sums = np.zeros((len(row_of), N_EMOTIONS))
     np.add.at(sums, video_of_row, matrix)  # accumulates repeated videos in row order
-    return PredictionTable(path.stem, row_of, sums / clips[:, None])
+    return PredictionTable(encoder_name, row_of, sums / clips[:, None])
+
+
+def _table_of_entry(encoder_name: str, arrays: Mapping[str, np.ndarray]) -> PredictionTable:
+    """The table that :func:`load_prediction_table` stored as ``arrays``."""
+    ids = json.loads(arrays["ids"].tobytes())
+    if not (isinstance(ids, list) and all(map(isinstance, ids, repeat(str)))):
+        raise ValueError("video ids are not a list of strings")
+    row_of = dict(zip(ids, range(len(ids))))
+    probs = arrays["probs"]
+    if probs.dtype != np.float64 or probs.shape != (len(ids), N_EMOTIONS) or len(row_of) != len(ids):
+        raise ValueError(f"probabilities {probs.dtype} {probs.shape} do not fit {len(ids)} video ids")
+    return PredictionTable(encoder_name, row_of, probs)
 
 
 def write_prediction_rows(path: str | Path, rows: Iterable[tuple[str, str, Sequence[float]]]) -> None:

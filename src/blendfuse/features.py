@@ -9,13 +9,16 @@ one global mean) maps D=1024 inputs to 7 * 1024 = 7168 dimensions.
 
 from __future__ import annotations
 
+import io
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ValidationError, located, read_csv_rows, write_csv_rows
+from .core import ValidationError, cached_parse, located, read_csv_rows, write_csv_rows
 
 SEGMENT_STATS = ("segment_mean", "segment_std")
 GLOBAL_STATS = ("global_mean", "global_median")
@@ -139,22 +142,47 @@ def save_feature_file(seq: FrameFeatureSequence, directory: str | Path) -> Path:
     return path
 
 
-def load_feature_file(path: str | Path, video_id: str | None = None) -> FrameFeatureSequence:
+def load_feature_file(
+    path: str | Path, video_id: str | None = None, cache_use: Optional[Counter[str]] = None
+) -> FrameFeatureSequence:
     """Read a ``.feat`` file: a ``layers= frames= dims=`` header line, then one
     line of ``dims`` numbers per (layer, frame), layer-major.  Blank lines are
-    skipped.  Every fault is a ``ValidationError`` naming the path."""
+    skipped.  Every fault is a ``ValidationError`` naming the path.  A valid
+    file is served from the input cache (``core.cached_parse``, which counts
+    the load in ``cache_use``) while its bytes are unchanged."""
     path = Path(path)
     vid = video_id if video_id is not None else path.stem
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read feature file: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except ValueError as exc:  # a NUL byte in the path
         raise ValidationError(f"{str(path)!r}: cannot read feature file: {exc}") from None
-    # read_text translates "\r\n" and "\r"; split on "\n" only, as line
-    # iteration does (str.splitlines also breaks on form feeds).
+
+    def parse() -> tuple[FrameFeatureSequence, dict[str, np.ndarray]]:
+        seq = _parse_feature_text(path, vid, data)
+        return seq, {"tensor": seq.data}
+
+    return cached_parse(path, data, parse, partial(_sequence_of_entry, vid), cache_use)
+
+
+def _sequence_of_entry(video_id: str, arrays: Mapping[str, np.ndarray]) -> FrameFeatureSequence:
+    """The sequence that :func:`load_feature_file` stored as ``arrays``."""
+    tensor = arrays["tensor"]
+    if tensor.dtype != np.float64:
+        raise ValueError(f"feature tensor of dtype {tensor.dtype}")
+    return FrameFeatureSequence(video_id, tensor)  # checks the shape and finiteness
+
+
+def _parse_feature_text(path: Path, video_id: str, data: bytes) -> FrameFeatureSequence:
+    """The sequence in ``data``, the bytes of the ``.feat`` file ``path``."""
+    try:
+        # Decoded as path.read_text() decodes, with "\r\n" and "\r" made "\n".
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    # Split on "\n" only, as line iteration does (str.splitlines also breaks
+    # on form feeds).
     lines = text.split("\n")
     header = lines[0].strip()
     try:
@@ -190,7 +218,7 @@ def load_feature_file(path: str | Path, video_id: str | None = None) -> FrameFea
                 raise ValidationError(f"{path}:{lineno}: not a number: {token!r}") from None
         raise
     with located(path):
-        return FrameFeatureSequence(vid, values.reshape(layers, frames, dims))
+        return FrameFeatureSequence(video_id, values.reshape(layers, frames, dims))
 
 
 def save_feature_manifest(

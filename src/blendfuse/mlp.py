@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import N_EMOTIONS, ValidationError
+from .core import N_EMOTIONS, NPZ_FAULTS, ValidationError
 from .labels import mean_kl, softmax
 
 BN_EPS = 1e-5
@@ -352,7 +350,7 @@ def load_model(path: str | Path) -> MlpModel:
             raise ValidationError(f"unsupported checkpoint version {meta['version']!r}")
         cfg = MlpConfig(**meta["config"])
         input_dim = int(meta["input_dim"])
-    except (OSError, EOFError, KeyError, TypeError, ValueError, RecursionError, zipfile.BadZipFile, zlib.error) as exc:
+    except NPZ_FAULTS as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"{path}: not a readable checkpoint: {detail}") from None
     layout = param_layout(input_dim, cfg)

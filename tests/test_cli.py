@@ -1310,6 +1310,96 @@ class TestSensitivity:
         assert f"{weights}{where}: {message}" in capsys.readouterr().err
 
 
+    def test_run_meta_times_the_ingest_and_the_surfaces(self, tmp_path):
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        out = tmp_path / "s"
+        assert self.sensitivity(data, data / "labels.csv", make_folds(tmp_path, data), out) == EXIT_OK
+        timings = json.loads((out / "run_meta.json").read_text())["timings"]
+        assert timings.keys() == {"ingest_s", "surfaces_s"}
+        for seconds in timings.values():
+            assert type(seconds) is float and seconds >= 0
+
+
+# The commands that read their inputs through the input cache.
+CACHED_COMMANDS = ("fuse-evaluate", "sensitivity", "train-mlp")
+
+
+def cached_command_inputs(tmp_path, command):
+    """The argv of ``command`` but ``--out``, and the input files it caches:
+    two prediction files (the synth one and its rows reversed) or six
+    feature files."""
+    if command == "train-mlp":
+        inputs = feature_inputs(tmp_path)
+        argv = ["train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2]
+        return argv, sorted(inputs["--features"].glob("*.feat"))
+    data = synth_dataset(tmp_path, actors=4, clips=6)
+    folds = make_folds(tmp_path, data)
+    preds = data / "predictions"
+    lines = (preds / "synth.csv").read_bytes().splitlines(keepends=True)
+    (preds / "reversed.csv").write_bytes(lines[0] + b"".join(lines[:0:-1]))
+    if command == "sensitivity":
+        argv = ["sensitivity", "--predictions", preds, "--labels", data / "labels.csv", "--folds", folds]
+    else:
+        config = {"predictions_dir": str(preds), "labels_file": str(data / "labels.csv"), "folds_file": str(folds)}
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["fuse-evaluate", "--config", tmp_path / "run.json"]
+    return argv, sorted(preds.glob("*.csv"))
+
+
+def rewrite_with_other_valid_bytes(path):
+    if path.suffix == ".feat":
+        seq = features.load_feature_file(path)
+        features.save_feature_file(features.FrameFeatureSequence(seq.video_id, seq.data + 1e-3), path.parent)
+    else:  # the data rows reversed
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"".join(lines[:0:-1]))
+
+
+class TestInputCache:
+    @staticmethod
+    def cache_use(argv, out):
+        assert run(*argv, "--out", out) == EXIT_OK
+        return json.loads((out / "run_meta.json").read_text())["input_cache"]
+
+    @pytest.mark.parametrize("command", CACHED_COMMANDS)
+    def test_run_meta_counts_the_inputs_the_cache_served(self, tmp_path, command):
+        argv, files = cached_command_inputs(tmp_path, command)
+        n = len(files)
+        assert self.cache_use(argv, tmp_path / "r1") == {"hits": 0, "misses": n}
+        assert self.cache_use(argv, tmp_path / "r2") == {"hits": n, "misses": 0}
+        assert outputs_of(tmp_path / "r1") == outputs_of(tmp_path / "r2")
+        rewrite_with_other_valid_bytes(files[-1])
+        assert self.cache_use(argv, tmp_path / "r3") == {"hits": n - 1, "misses": 1}
+
+    @pytest.mark.parametrize("command", CACHED_COMMANDS)
+    def test_a_file_in_place_of_the_cache_directory_changes_no_output(self, tmp_path, command):
+        # Permissions do not stop root, so a file is how an unwritable cache is made here.
+        argv, files = cached_command_inputs(tmp_path, command)
+        blocker = files[0].parent / core.CACHE_DIR
+        blocker.write_text("", encoding="utf-8")
+        for name in ("blocked", "blocked-again"):
+            assert self.cache_use(argv, tmp_path / name) == {"hits": 0, "misses": len(files)}
+        blocker.unlink()
+        assert self.cache_use(argv, tmp_path / "cold") == {"hits": 0, "misses": len(files)}
+        assert self.cache_use(argv, tmp_path / "warm") == {"hits": len(files), "misses": 0}
+        runs = [outputs_of(tmp_path / name) for name in ("blocked", "blocked-again", "cold", "warm")]
+        assert all(outputs == runs[0] for outputs in runs)
+
+    @pytest.mark.parametrize("command", CACHED_COMMANDS)
+    def test_no_entry_is_written_under_the_output_directory(self, tmp_path, monkeypatch, command):
+        argv, files = cached_command_inputs(tmp_path, command)
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        for _ in range(2):
+            assert run(*argv, "--out", out) == EXIT_OK
+        assert not list(out.rglob(f"*{core.CACHE_DIR}*"))
+        assert not [name for name in json.loads((out / "run_meta.json").read_text())["outputs"]
+                    if core.CACHE_DIR in name]
+        entries = sorted(p.name for p in (files[0].parent / core.CACHE_DIR).iterdir())
+        assert entries == sorted(f"{f.name}.npz" for f in files)
+
+
 class TestVerifyIdentities:
     def test_results_identity_pass_and_fail(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

@@ -206,6 +206,11 @@ def _outcome(read, path):
     return result, [str(w.message) for w in caught]
 
 
+def _parsed_rows(path):
+    """The rows ``core._parse_predictions`` reads, whichever reader read them."""
+    return core._parse_predictions(path)[0]
+
+
 def _read_both(data, header, rows, fast, slow, header_quirks=False):
     """Write ``rows`` and read them with ``fast`` and with ``slow``, in
     blocks drawn as small as one line."""
@@ -247,7 +252,7 @@ def test_predictions_file_reads_as_the_per_row_reader_reads_it(fault, data):
         data,
         PREDICTIONS_HEADER,
         rows,
-        core._parse_predictions,
+        _parsed_rows,
         core._parse_prediction_rows,
         header_quirks=True,
     )
@@ -287,7 +292,8 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "_parse_prediction_rows", per_row)
     monkeypatch.setattr(core, "_label_rows", per_row)
-    assert _outcome(core._parse_predictions, preds_path) == expected
+    assert _outcome(_parsed_rows, preds_path) == expected
+    assert core._parse_predictions(preds_path)[1]  # vouched for by the block reader
     assert core.load_predictions(preds_path).rows == preds.rows
     assert list(core.load_prediction_table(preds_path).row_of) == list(rows)
     assert core.load_labels(labels_path) == list(data.records)
