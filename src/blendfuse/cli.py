@@ -376,8 +376,10 @@ def cmd_split(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError(f"need at least 2 folds, got k={args.k}")
     _require_paths(("--manifest", args.manifest))
-    records = _load_manifest_records(Path(args.manifest))
-    assignment = split_actors(records, args.k)
+    manifest = Path(args.manifest)
+    records = _load_manifest_records(manifest)
+    with core.located(manifest):  # too few actors for k folds
+        assignment = split_actors(records, args.k)
     out = _out_dir(args.out)
     folds_path = out / "folds.csv"
     save_folds(assignment, folds_path)

@@ -666,54 +666,26 @@ def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> list[SampleRecord]:
-    """Read a ground-truth labels file into canonical annotated records.
+    """Read a ground-truth labels file into canonical annotated records,
+    canonicalizing each distinct ``(emotion_a, emotion_b, salience_a)`` once.
 
     The first faulty line is reported as ``path:line``."""
     path = Path(path)
-    try:
-        return _label_blocks(path)
-    except _Doubt:
-        return _label_rows(path)
-
-
-def _annotation(emotion_a: str, emotion_b: str, salience_a: str) -> BlendAnnotation:
-    primary = Emotion.from_name(emotion_a)
-    secondary = Emotion.from_name(emotion_b) if emotion_b.strip() else None
-    return canonicalize_annotation(primary, secondary, int(salience_a))
-
-
-def _label_blocks(path: Path) -> list[SampleRecord]:
-    """:func:`load_labels` of a file of valid rows, canonicalizing each
-    distinct ``(emotion_a, emotion_b, salience_a)`` once."""
-    records: list[SampleRecord] = []
-    annotation_of: dict[tuple[str, str, str], BlendAnnotation] = {}
-    for fields in _field_blocks(path, LABELS_HEADER):
-        columns = [fields[i :: len(LABELS_HEADER)] for i in range(len(LABELS_HEADER))]
-        raw = list(zip(*columns[2:]))
-        for triple in set(raw).difference(annotation_of):
-            try:
-                annotation_of[triple] = _annotation(*triple)
-            except ValueError:
-                raise _Doubt from None
-        records += map(SampleRecord, columns[0], columns[1], map(annotation_of.__getitem__, raw))
-    if len({rec.video_id for rec in records}) != len(records):
-        raise _Doubt  # a repeated video id
-    return records
-
-
-def _label_rows(path: Path) -> list[SampleRecord]:
-    """:func:`load_labels` one row at a time, for any file."""
     records: list[SampleRecord] = []
     seen: set[str] = set()
-    for lineno, row in read_csv_rows(path, LABELS_HEADER):
-        video_id, actor_id, emo_a, emo_b, salience = row
+    annotation_of: dict[tuple[str, str, str], BlendAnnotation] = {}
+    for lineno, (video_id, actor_id, emo_a, emo_b, salience) in read_csv_rows(path, LABELS_HEADER):
         if video_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
         seen.add(video_id)
         try:
-            annotation = _annotation(emo_a, emo_b, salience)
-        except ValueError as exc:  # ValidationError is one
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            annotation = annotation_of[emo_a, emo_b, salience]
+        except KeyError:  # a faulty triple is never stored: it fails on every line
+            with located(f"{path}:{lineno}"):
+                primary = Emotion.from_name(emo_a)
+                secondary = Emotion.from_name(emo_b) if emo_b.strip() else None
+                annotation = canonicalize_annotation(primary, secondary, int(salience))
+                annotation_of[emo_a, emo_b, salience] = annotation
         records.append(SampleRecord(video_id, actor_id, annotation))
     return records
 

@@ -343,7 +343,8 @@ def load_model(path: str | Path) -> MlpModel:
     readable ``.npz``, a bad ``__meta__`` and a missing, extra or misshapen
     array are a :class:`ValidationError` naming ``path`` and the array."""
     try:
-        with np.load(path) as data:
+        # np.load leaves a file it opened open when it is not a whole .npz.
+        with open(path, "rb") as fh, np.load(fh) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(bytes(arrays.pop("__meta__")).decode())
         if meta["version"] != CHECKPOINT_VERSION:

@@ -1,8 +1,20 @@
-"""Scalar references that the array data path is tested against."""
+"""Scalar references that the array data path and the readers are tested against."""
+
+from pathlib import Path
 
 import numpy as np
 
-from blendfuse.core import N_EMOTIONS, EmotionDistribution, PredictionTable
+from blendfuse.core import (
+    LABELS_HEADER,
+    N_EMOTIONS,
+    Emotion,
+    EmotionDistribution,
+    PredictionTable,
+    SampleRecord,
+    ValidationError,
+    canonicalize_annotation,
+    read_csv_rows,
+)
 
 
 def prediction_tables(preds, records):
@@ -42,3 +54,25 @@ def feature_file_text(seq):
     for row in seq.data.reshape(layers * frames, dims):
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def label_rows(path):
+    """The records of the labels file ``path``, as ``blendfuse.core.load_labels``
+    reads them: one row at a time, each annotation canonicalized on its own
+    line, the first faulty line reported as ``path:line``."""
+    path = Path(path)
+    records = []
+    seen = set()
+    for lineno, row in read_csv_rows(path, LABELS_HEADER):
+        video_id, actor_id, emo_a, emo_b, salience = row
+        if video_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
+        seen.add(video_id)
+        try:
+            primary = Emotion.from_name(emo_a)
+            secondary = Emotion.from_name(emo_b) if emo_b.strip() else None
+            annotation = canonicalize_annotation(primary, secondary, int(salience))
+        except ValueError as exc:  # ValidationError is one
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        records.append(SampleRecord(video_id, actor_id, annotation))
+    return records

@@ -1,15 +1,21 @@
 """Command-line surface: flows, exit codes, determinism, config handling."""
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_util import outputs_of, write_feature_dir
 
@@ -193,6 +199,12 @@ class TestSynthAndSplit:
         path.write_text("video_id,actor\nv0,a0\n", encoding="utf-8")
         assert run("split", "--manifest", path, "--k", 2, "--out", tmp_path / "f") == EXIT_DATA
         assert f"{path}: unrecognized manifest header ['video_id', 'actor']" in capsys.readouterr().err
+
+    def test_split_into_more_folds_than_actors_is_data_error_naming_the_manifest(self, tmp_path, capsys):
+        path = synth_dataset(tmp_path, actors=3, clips=2) / "labels.csv"
+        capsys.readouterr()
+        assert run("split", "--manifest", path, "--k", 5, "--out", tmp_path / "f") == EXIT_DATA
+        assert capsys.readouterr().err == f"validation error: {path}: cannot make 5 folds from 3 actors\n"
 
     def test_encode_labels(self, tmp_path):
         data = synth_dataset(tmp_path)
@@ -685,6 +697,63 @@ def test_repeated_key_is_data_error_naming_its_line(tmp_path, capsys, case):
     key = lines[1].split(",")[0]
     assert f"{path}:{len(lines) + 1}: " in captured.err + captured.out
     assert f"{key!r} is listed twice" in captured.err + captured.out
+
+
+@functools.cache
+def _valid_labels_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        core.save_labels(synth.generate(synth.SynthConfig(n_actors=6, clips_per_actor=3, seed=1)).records, path)
+        return path.read_bytes()
+
+
+@st.composite
+def _mutated_labels(draw):
+    """The bytes of a valid labels file after one mutation, or None for a
+    directory in place of the file."""
+    raw = _valid_labels_bytes()
+    kind = draw(st.sampled_from(["truncate", "flip", "drop field", "not utf-8", "empty", "header", "dir"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw)))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(raw) - 1))
+        return raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1 :]
+    if kind == "drop field":
+        lines = raw.split(b"\r\n")
+        i = draw(st.integers(0, len(lines) - 2))  # the last "line" is the empty tail
+        fields = lines[i].split(b",")
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[i] = b",".join(fields)
+        return b"\r\n".join(lines)
+    if kind == "not utf-8":
+        i = draw(st.integers(0, len(raw)))
+        return raw[:i] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[i:]
+    if kind == "empty":
+        return b""
+    if kind == "header":
+        return raw.split(b"\r\n")[0] + b"\r\n"
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(raw=_mutated_labels())
+def test_mutated_labels_file_exits_cleanly_naming_it(raw):
+    # Every outcome is a success or a one-line error: no traceback, no other
+    # exit code, and a data error leads with the file it is about.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        if raw is None:
+            path.mkdir()
+        else:
+            path.write_bytes(raw)
+        for command, flag in [("split", "--manifest"), ("encode-labels", "--labels")]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(command, flag, path, "--out", Path(tmp) / "out")
+            assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG)
+            assert "Traceback" not in err.getvalue()
+            if code == EXIT_DATA:
+                assert err.getvalue().startswith(f"validation error: {path}")
 
 
 class TestGridSizeBound:

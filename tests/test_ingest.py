@@ -1,5 +1,6 @@
-"""The block reader of predictions and labels files against the per-row
-reader: the same rows, the same first faulty line and the same warnings."""
+"""The block reader of predictions files against the per-row reader, and
+the labels reader against the per-row oracle: the same rows, the same
+first faulty line and the same warnings."""
 
 import csv
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from blendfuse import core
 from blendfuse.core import LABELS_HEADER, PREDICTIONS_HEADER, ValidationError
 from blendfuse.synth import SynthConfig, generate
+from oracles import label_rows
 
 # Characters csv.reader keeps in an unquoted field.  str.splitlines() would
 # split a line at \x0c, \x85 and \u2028; csv.reader does not.
@@ -159,10 +161,15 @@ def _same_emotions(data, rows):
     row[3] = row[2]
 
 
+def _two_unknown_emotions(data, rows):
+    _pick(data, rows)[2:4] = ["joy", "glee"]  # the primary is reported
+
+
 LABEL_FAULTS = {
     **COMMON_FAULTS,
     "duplicate id": _duplicate_id,
     "unknown emotion": _set_column(2, ["joy", ""]),
+    "two unknown emotions": _two_unknown_emotions,
     "bad salience": _set_column(4, ["60", "x", "70.0", ""]),
     "secondary at 100": _secondary_at_100,
     "same emotions": _same_emotions,
@@ -234,9 +241,9 @@ def test_block_reader_reads_valid_predictions_as_the_per_row_reader(data):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
-def test_block_reader_reads_valid_labels_as_the_per_row_reader(data):
+def test_load_labels_reads_valid_labels_as_the_per_row_reader(data):
     rows = data.draw(_valid_label_rows(), label="rows")
-    fast, slow = _read_both(data, LABELS_HEADER, rows, core._label_blocks, core._label_rows)
+    fast, slow = _read_both(data, LABELS_HEADER, rows, core.load_labels, label_rows)
     assert fast == slow
 
 
@@ -265,9 +272,7 @@ def test_predictions_file_reads_as_the_per_row_reader_reads_it(fault, data):
 def test_labels_file_reads_as_the_per_row_reader_reads_it(fault, data):
     rows = data.draw(_valid_label_rows(min_rows=1), label="rows")
     LABEL_FAULTS[fault](data, rows)
-    fast, slow = _read_both(
-        data, LABELS_HEADER, rows, core.load_labels, core._label_rows, header_quirks=True
-    )
+    fast, slow = _read_both(data, LABELS_HEADER, rows, core.load_labels, label_rows, header_quirks=True)
     assert fast == slow
 
 
@@ -280,10 +285,9 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
     for video, (clip,) in data.predictions.rows.items():
         shifted = np.array(clip.values)[None, :] + rng.uniform(0, 0.2, (int(rng.integers(1, 4)), 6))
         rows[video] = tuple(core.EmotionDistribution(tuple(r / r.sum())) for r in shifted)
-    preds_path, labels_path = tmp_path / "enc.csv", tmp_path / "labels.csv"
+    preds_path = tmp_path / "enc.csv"
     preds = core.EncoderPredictionSet("enc", rows, dict(data.predictions.actors))
     core.save_predictions(preds, preds_path)
-    core.save_labels(data.records, labels_path)
     assert any(len(clips) > 1 for clips in rows.values())
     expected = _outcome(core._parse_prediction_rows, preds_path)
 
@@ -291,9 +295,7 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
         raise AssertionError(f"{path} was read by the per-row reader")
 
     monkeypatch.setattr(core, "_parse_prediction_rows", per_row)
-    monkeypatch.setattr(core, "_label_rows", per_row)
     assert _outcome(_parsed_rows, preds_path) == expected
     assert core._parse_predictions(preds_path)[1]  # vouched for by the block reader
     assert core.load_predictions(preds_path).rows == preds.rows
     assert list(core.load_prediction_table(preds_path).row_of) == list(rows)
-    assert core.load_labels(labels_path) == list(data.records)

@@ -1,8 +1,10 @@
 """Classifier head: inference, batchnorm, backprop gradients, training loop."""
 
+import gc
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +460,19 @@ class TestLoadModelRejects:
         with pytest.raises(ValidationError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: not a readable checkpoint: ")
+
+    def test_truncated_file_is_closed(self, tmp_path):
+        # np.load given a path leaves the file open when it is not a whole .npz.
+        path = tmp_path / "bad.npz"
+        path.write_bytes(rewritten_checkpoint(tmp_path).read_bytes()[:200])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                load_model(path)
+            except ValidationError:
+                pass
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_train_log_file(self, tmp_path):
         rng = np.random.default_rng(13)
