@@ -360,11 +360,22 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, An
     return cfg, cv_cfg
 
 
-def _load_prediction_tables(predictions_dir: Path, cache_use: Counter[str]) -> list[core.PredictionTable]:
+def _load_prediction_tables(predictions_dir: Path, cache_use: Counter[str]) -> dict[Path, core.PredictionTable]:
     files = sorted(predictions_dir.glob("*.csv"))
     if not files:
         raise ValidationError(f"no prediction files under {predictions_dir}")
-    return [core.load_prediction_table(f, cache_use) for f in files]
+    return {f: core.load_prediction_table(f, cache_use) for f in files}
+
+
+def _build_dataset(
+    tables: Mapping[Path, core.PredictionTable], labels: core.LabelTable, assignment: core.FoldAssignment
+) -> FusionDataset:
+    """The dataset of ``tables``, by file; a fault in an encoder's rows is led by its file."""
+    try:
+        return FusionDataset.build(list(tables.values()), labels, assignment)
+    except fusion.EncoderError as exc:
+        path = next(f for f, t in tables.items() if t.encoder_name == exc.encoder)
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +496,11 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     targets = np.zeros((len(video_ids), core.N_EMOTIONS))
     for rec in records:
         targets[row_of[rec.video_id]] = labels_mod.encode_soft_label(rec.annotation).values
-    actor_of = {r.video_id: r.actor_id for r in records}
-    by_fold = assignment.videos_by_fold(records)
-    rows = {f: np.array([row_of[v] for v in vids], dtype=np.intp) for f, vids in by_fold.items()}
+    positions = assignment.fold_positions(r.actor_id for r in records)
+    by_fold = {  # the records of each fold, in ascending fold order
+        f: [r for r, p in zip(records, positions) if p == i] for i, f in enumerate(assignment.fold_indices())
+    }
+    rows = {f: np.array([row_of[r.video_id] for r in recs], dtype=np.intp) for f, recs in by_fold.items()}
     timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start, "train_s": []}
 
     out = _out_dir(args.out)
@@ -498,7 +511,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
                                 "parameters": sum(map(math.prod, layout.values())), "best_epoch": []}
     for fold in rows:
         cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
-        videos = [(v, actor_of[v]) for v in by_fold[fold]]
+        videos = [(r.video_id, r.actor_id) for r in by_fold[fold]]
         start = time.perf_counter()
         fold_rows, epochs, best_epoch = _train_fold(fold, rows, matrix, targets, cfg, videos, out)
         timings["train_s"].append(time.perf_counter() - start)
@@ -523,13 +536,15 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
 
     cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
     tables = _load_prediction_tables(Path(cfg["predictions_dir"]), cache_use)
-    records = core.load_labels(Path(cfg["labels_file"]))
-    assignment = load_folds(Path(cfg["folds_file"]), (r.actor_id for r in records))
-    ingest_s = time.perf_counter() - start
-    data = FusionDataset.build(tables, records, assignment)
+    labels = core.load_label_table(Path(cfg["labels_file"]), cache_use)
+    assignment = load_folds(Path(cfg["folds_file"]), labels.actor_ids)
+    timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start}
+    start = time.perf_counter()
+    data = _build_dataset(tables, labels, assignment)
+    timings["build_s"] = time.perf_counter() - start
     start = time.perf_counter()
     weights, search_log, surfaces, chosen, _ = fusion.fit(data, cv_cfg)
-    fit_s = time.perf_counter() - start
+    timings["fit_s"] = time.perf_counter() - start
 
     weights_path = out / "weights.csv"
     fusion.save_weights(weights, weights_path)
@@ -555,7 +570,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     outputs = [weights_path, log_path, thresholds_path, results_path, results_json, *svgs]
     counters = {"videos": len(data.video_ids), "encoders": len(data.encoders),
                 "candidates_scored": sum(data.requests.values()), "distinct_candidates": len(data.scored)}
-    timings = {"ingest_s": ingest_s, "fit_s": fit_s, "cv_fold_s": [o.seconds for o in cv_report.folds]}
+    timings["cv_fold_s"] = [o.seconds for o in cv_report.folds]
     _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters, timings=timings,
                     input_cache=cache_use)
     print(
@@ -621,23 +636,26 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     if pred_path.is_dir():
         tables = _load_prediction_tables(pred_path, cache_use)
     else:
-        tables = [core.load_prediction_table(pred_path, cache_use)]
-    records = core.load_labels(Path(args.labels))
-    assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
+        tables = {pred_path: core.load_prediction_table(pred_path, cache_use)}
+    labels = core.load_label_table(Path(args.labels), cache_use)
+    assignment = load_folds(Path(args.folds), labels.actor_ids)
+    names = [t.encoder_name for t in tables.values()]
     if args.weights:
         weights = fusion.load_weights(Path(args.weights))
-        unknown = sorted(weights.weights.keys() - {t.encoder_name for t in tables})
+        unknown = sorted(weights.weights.keys() - set(names))
         if unknown:
             raise ValidationError(
                 f"{args.weights}: encoder {unknown[0]!r} has no predictions in {args.predictions}"
             )
     else:
-        weights = fusion.WeightVector.uniform([t.encoder_name for t in tables])
-    timings = {"ingest_s": time.perf_counter() - start}
-    start = time.perf_counter()
+        weights = fusion.WeightVector.uniform(names)
+    timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start}
     # Only the weighted encoders need to cover the labeled videos.
-    used = [t for t in tables if t.encoder_name in weights.weights]
-    data = FusionDataset.build(used, records, assignment)
+    used = {f: t for f, t in tables.items() if t.encoder_name in weights.weights}
+    start = time.perf_counter()
+    data = _build_dataset(used, labels, assignment)
+    timings["build_s"] = time.perf_counter() - start
+    start = time.perf_counter()
     surfaces = fold_surfaces(data, fusion.fuse(data, weights.weights), cfg)
     timings["surfaces_s"] = time.perf_counter() - start
     resolved = _record(args, **cfg_resolved)
@@ -801,7 +819,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Input reads raise ValidationError, so this came from writing an output.
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -227,15 +227,16 @@ class FoldAssignment:
     def fold_indices(self) -> list[int]:
         return sorted(set(self.folds.values()))
 
-    def videos_by_fold(self, records: Sequence[SampleRecord]) -> dict[int, list[str]]:
-        """Video ids of ``records`` per fold; every fold must hold one."""
-        out: dict[int, list[str]] = {f: [] for f in self.fold_indices()}
-        for rec in records:
-            out[self.fold_of(rec.actor_id)].append(rec.video_id)
-        for f, vids in out.items():
-            if not vids:
-                raise ValidationError(f"fold {f} holds no labeled videos")
-        return out
+    def fold_positions(self, actors: Iterable[str]) -> list[int]:
+        """Position in :meth:`fold_indices` of the fold of each of ``actors``;
+        every fold must hold one of them."""
+        folds = self.fold_indices()
+        position_of = dict(zip(folds, range(len(folds))))
+        positions = [position_of[self.fold_of(actor)] for actor in actors]
+        empty = sorted(set(position_of.values()) - set(positions))
+        if empty:
+            raise ValidationError(f"fold {folds[empty[0]]} holds no labeled videos")
+        return positions
 
 
 @dataclass(frozen=True)
@@ -612,20 +613,37 @@ def load_prediction_table(path: str | Path, cache_use: Optional[Counter[str]] = 
     the load in ``cache_use``) while its bytes are unchanged.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    data = _input_bytes(path)
 
     def parse() -> tuple[PredictionTable, Optional[dict[str, np.ndarray]]]:
         parsed, vouched = _parse_predictions(path, data)
         table = _clip_means(path.stem, parsed)
         if not vouched:  # never stored: the per-row reader may warn, and must on every load
             return table, None
-        ids = json.dumps(list(table.row_of)).encode()
-        return table, {"probs": table.probs, "ids": np.frombuffer(ids, np.uint8)}
+        return table, {"probs": table.probs, "ids": _id_array(table.row_of)}
 
     return cached_parse(path, data, parse, functools.partial(_table_of_entry, path.stem), cache_use)
+
+
+def _input_bytes(path: Path) -> bytes:
+    """The bytes of the input file ``path``; one that cannot be read is a ValidationError naming it."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+
+
+def _id_array(ids: Iterable[str]) -> np.ndarray:
+    """``ids`` as the bytes of a JSON list, the form the input cache stores them in."""
+    return np.frombuffer(json.dumps(list(ids)).encode(), np.uint8)
+
+
+def _id_list(array: np.ndarray) -> list[str]:
+    """The ids that :func:`_id_array` stored as ``array``."""
+    ids = json.loads(array.tobytes())
+    if not (isinstance(ids, list) and all(map(isinstance, ids, repeat(str)))):
+        raise ValueError("ids are not a list of strings")
+    return ids
 
 
 def _clip_means(encoder_name: str, parsed: tuple[list[str], list[str], np.ndarray]) -> PredictionTable:
@@ -642,9 +660,7 @@ def _clip_means(encoder_name: str, parsed: tuple[list[str], list[str], np.ndarra
 
 def _table_of_entry(encoder_name: str, arrays: Mapping[str, np.ndarray]) -> PredictionTable:
     """The table that :func:`load_prediction_table` stored as ``arrays``."""
-    ids = json.loads(arrays["ids"].tobytes())
-    if not (isinstance(ids, list) and all(map(isinstance, ids, repeat(str)))):
-        raise ValueError("video ids are not a list of strings")
+    ids = _id_list(arrays["ids"])
     row_of = dict(zip(ids, range(len(ids))))
     probs = arrays["probs"]
     if probs.dtype != np.float64 or probs.shape != (len(ids), N_EMOTIONS) or len(row_of) != len(ids):
@@ -665,16 +681,17 @@ def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
     )
 
 
-def load_labels(path: str | Path) -> list[SampleRecord]:
-    """Read a ground-truth labels file into canonical annotated records,
-    canonicalizing each distinct ``(emotion_a, emotion_b, salience_a)`` once.
+def load_labels(path: str | Path, data: Optional[bytes] = None) -> list[SampleRecord]:
+    """Read a ground-truth labels file (or ``data``, its bytes) into canonical
+    annotated records, canonicalizing each distinct ``(emotion_a, emotion_b,
+    salience_a)`` once.
 
     The first faulty line is reported as ``path:line``."""
     path = Path(path)
     records: list[SampleRecord] = []
     seen: set[str] = set()
     annotation_of: dict[tuple[str, str, str], BlendAnnotation] = {}
-    for lineno, (video_id, actor_id, emo_a, emo_b, salience) in read_csv_rows(path, LABELS_HEADER):
+    for lineno, (video_id, actor_id, emo_a, emo_b, salience) in read_csv_rows(path, LABELS_HEADER, data):
         if video_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
         seen.add(video_id)
@@ -707,10 +724,56 @@ def _label_row(rec: SampleRecord) -> list[str]:
     ]
 
 
-def annotations_by_video(records: Iterable[SampleRecord]) -> dict[str, BlendAnnotation]:
-    out: dict[str, BlendAnnotation] = {}
-    for rec in records:
-        if rec.annotation is None:
-            raise ValidationError(f"record {rec.video_id!r} is unlabeled")
-        out[rec.video_id] = rec.annotation
-    return out
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
+class LabelTable:
+    """Labeled videos as arrays, one entry per video in file order: its id,
+    its actor's id and the codes of its canonical annotation."""
+
+    video_ids: tuple[str, ...]
+    actor_ids: tuple[str, ...]
+    primary: np.ndarray  # int8 emotion index
+    secondary: np.ndarray  # int8 emotion index, -1 for a single emotion
+    salience: np.ndarray  # int8 salience of the primary: 100, 70 or 50
+
+    @classmethod
+    def from_records(cls, records: Sequence[SampleRecord]) -> "LabelTable":
+        """The table of ``records``: each must be labeled, and each video listed once."""
+        unlabeled = next((r.video_id for r in records if r.annotation is None), None)
+        if unlabeled is not None:
+            raise ValidationError(f"record {unlabeled!r} is unlabeled")
+        video_ids = tuple(r.video_id for r in records)
+        repeated = next((vid for vid, count in Counter(video_ids).items() if count > 1), None)
+        if repeated is not None:
+            raise ValidationError(f"video {repeated!r} is listed twice")
+        annotations, n = [r.annotation for r in records], len(records)
+        return cls(
+            video_ids,
+            tuple(r.actor_id for r in records),
+            np.fromiter((a.primary for a in annotations), np.int8, n),
+            np.fromiter((-1 if a.secondary is None else a.secondary for a in annotations), np.int8, n),
+            np.fromiter((a.salience_primary for a in annotations), np.int8, n),
+        )
+
+
+def load_label_table(path: str | Path, cache_use: Optional[Counter[str]] = None) -> LabelTable:
+    """Read a labels file with the checks and messages of :func:`load_labels`,
+    into a :class:`LabelTable`.  A file that passes them is served from the
+    input cache (:func:`cached_parse`, which counts the load in
+    ``cache_use``) while its bytes are unchanged."""
+    path = Path(path)
+    data = _input_bytes(path)
+
+    def parse() -> tuple[LabelTable, dict[str, np.ndarray]]:
+        table = LabelTable.from_records(load_labels(path, data))
+        codes = np.stack([table.primary, table.secondary, table.salience])
+        return table, {"ids": _id_array(table.video_ids), "actors": _id_array(table.actor_ids), "codes": codes}
+
+    return cached_parse(path, data, parse, _label_table_of_entry, cache_use)
+
+
+def _label_table_of_entry(arrays: Mapping[str, np.ndarray]) -> LabelTable:
+    """The table that :func:`load_label_table` stored as ``arrays``."""
+    video_ids, actor_ids, codes = _id_list(arrays["ids"]), _id_list(arrays["actors"]), arrays["codes"]
+    if codes.dtype != np.int8 or codes.shape != (3, len(video_ids)) or len(actor_ids) != len(video_ids):
+        raise ValueError(f"codes {codes.dtype} {codes.shape} do not fit {len(video_ids)} videos")
+    return LabelTable(tuple(video_ids), tuple(actor_ids), *codes)

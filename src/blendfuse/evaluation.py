@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -186,9 +186,10 @@ def save_folds(assignment: FoldAssignment, path: str | Path) -> None:
     write_csv_rows(path, FOLDS_HEADER, sorted(assignment.folds.items()))  # by actor, which is unique
 
 
-def load_folds(path: str | Path, actors: Iterable[str] = ()) -> FoldAssignment:
-    """The folds file at ``path``.  The first of ``actors`` (those of a labels
-    file, say) that it does not list is a ValidationError naming both."""
+def load_folds(path: str | Path, actors: Optional[Iterable[str]] = None) -> FoldAssignment:
+    """The folds file at ``path``.  Given ``actors`` (those of a labels file,
+    say), the first of them that it does not list, or a fold that holds none
+    of them, is a ValidationError naming the file."""
     folds = {}
     for lineno, row in read_csv_rows(path, FOLDS_HEADER):
         with located(f"{path}:{lineno}"):
@@ -200,9 +201,8 @@ def load_folds(path: str | Path, actors: Iterable[str] = ()) -> FoldAssignment:
         folds[actor] = fold
     with located(path):
         assignment = FoldAssignment(folds, max(folds.values(), default=-1) + 1)
-    unlisted = next((a for a in actors if a not in folds), None)
-    if unlisted is not None:
-        raise ValidationError(f"{path}: actor {unlisted!r} has no fold assignment")
+        if actors is not None:
+            assignment.fold_positions(dict.fromkeys(actors))
     return assignment
 
 

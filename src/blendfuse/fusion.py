@@ -26,10 +26,9 @@ from .core import (
     SUM_TOLERANCE,
     EmotionDistribution,
     FoldAssignment,
+    LabelTable,
     PredictionTable,
-    SampleRecord,
     ValidationError,
-    annotations_by_video,
     located,
     read_csv_rows,
     write_csv_rows,
@@ -109,6 +108,14 @@ class CrossValConfig:
 # ---------------------------------------------------------------------------
 
 
+class EncoderError(ValidationError):
+    """A fault in the rows of one encoder, ``encoder``."""
+
+    def __init__(self, encoder: str, message: str) -> None:
+        super().__init__(message)
+        self.encoder = encoder
+
+
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
@@ -130,26 +137,26 @@ class FusionDataset:
     def build(
         cls,
         tables: Sequence[PredictionTable],
-        records: Sequence[SampleRecord],
+        labels: LabelTable,
         folds: FoldAssignment,
     ) -> "FusionDataset":
-        """Clip means of the labeled ``records`` from every encoder's table.
+        """Clip means of the videos of ``labels`` from every encoder's table.
         Every fold of ``folds`` must hold a labeled video."""
         if not tables:
             raise ValidationError("need at least one encoder prediction set")
-        truth = annotations_by_video(records)
-        video_ids = sorted(truth)
+        n = len(labels.video_ids)
+        order = np.array(sorted(range(n), key=labels.video_ids.__getitem__), dtype=np.intp)  # by video id
+        video_ids = tuple(map(labels.video_ids.__getitem__, order.tolist()))
         by_name = {t.encoder_name: t for t in tables}
         if len(by_name) != len(tables):
             raise ValidationError("duplicate encoder names in prediction sets")
         encoders = tuple(sorted(by_name))
-        probs = np.empty((len(encoders), len(video_ids), N_EMOTIONS))
+        probs = np.empty((len(encoders), n, N_EMOTIONS))
         for e, name in enumerate(encoders):
-            row_of = by_name[name].row_of
-            rows = [row_of.get(vid, -1) for vid in video_ids]
-            if -1 in rows:
-                missing = video_ids[rows.index(-1)]
-                raise ValidationError(f"encoder {name!r} has no prediction for video {missing!r}")
+            rows = np.fromiter(map(by_name[name].row_of.get, video_ids, itertools.repeat(-1)), np.intp, n)
+            if (rows < 0).any():
+                missing = video_ids[int(np.argmax(rows < 0))]
+                raise EncoderError(name, f"encoder {name!r} has no prediction for video {missing!r}")
             probs[e] = by_name[name].probs[rows]
             # A mean of clip rows near the sum tolerance can drift past it,
             # which average_clips rejects.
@@ -158,18 +165,18 @@ class FusionDataset:
                 try:
                     EmotionDistribution(tuple(probs[e, v].tolist()))
                 except ValidationError as exc:
-                    raise ValidationError(
-                        f"encoder {name!r}, video {video_ids[v]!r}: {exc}"
-                    ) from None
-        by_fold = folds.videos_by_fold(records)  # in ascending fold order
-        position_of = {vid: i for i, vids in enumerate(by_fold.values()) for vid in vids}
+                    raise EncoderError(name, f"encoder {name!r}, video {video_ids[v]!r}: {exc}") from None
+        actors = dict.fromkeys(labels.actor_ids)  # each once, so each actor's fold is looked up once
+        position_of = dict(zip(actors, folds.fold_positions(actors)))
+        fold_position = np.fromiter(map(position_of.__getitem__, labels.actor_ids), np.intp, n)
+        codes = (labels.primary, labels.secondary, labels.salience)
         return cls(
             encoders,
-            tuple(video_ids),
+            video_ids,
             probs,
-            TruthArrays.from_annotations([truth[vid] for vid in video_ids]),
-            tuple(by_fold),
-            np.array([position_of[vid] for vid in video_ids], dtype=np.intp),
+            TruthArrays.from_codes(*(c[order] for c in codes)),
+            tuple(folds.fold_indices()),
+            fold_position[order],
         )
 
     def fold_scores(self, weights: np.ndarray, cfg: CrossValConfig) -> tuple[float, ...]:

@@ -198,13 +198,16 @@ class TruthArrays:
     sal_code: np.ndarray
 
     @classmethod
+    def from_codes(cls, first: Sequence[int], second: Sequence[int], salience: Sequence[int]) -> "TruthArrays":
+        """The truth of outcomes ``(first, second, salience)``, ``second`` -1 for a single emotion."""
+        return cls(*_outcome_codes(*(np.asarray(a, dtype=np.int64) for a in (first, second, salience))))
+
+    @classmethod
     def from_annotations(cls, truths: Sequence[BlendAnnotation]) -> "TruthArrays":
-        return cls(
-            *_outcome_codes(
-                np.array([t.primary for t in truths], dtype=np.int64),
-                np.array([-1 if t.secondary is None else int(t.secondary) for t in truths], dtype=np.int64),
-                np.array([t.salience_primary for t in truths], dtype=np.int64),
-            )
+        return cls.from_codes(
+            [t.primary for t in truths],
+            [-1 if t.secondary is None else int(t.secondary) for t in truths],
+            [t.salience_primary for t in truths],
         )
 
 

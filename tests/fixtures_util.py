@@ -4,6 +4,8 @@ import functools
 
 import numpy as np
 
+from oracles import videos_by_fold
+
 from blendfuse.core import (
     BlendAnnotation,
     Emotion,
@@ -134,7 +136,6 @@ def outputs_of(directory):
 def beta_instability_run(gap_lo: float, gap_hi: float, k: int = 5):
     """Per-fold optimal (alpha, beta) for a gap-sorted-actor partition of a
     fixed synthetic population; shared by the synth and acceptance suites."""
-    from blendfuse.core import annotations_by_video
     from blendfuse.postprocess import search_thresholds
     from blendfuse.synth import SynthConfig, generate
 
@@ -148,7 +149,7 @@ def beta_instability_run(gap_lo: float, gap_hi: float, k: int = 5):
     dataset = generate(cfg)
     actors_sorted = sorted(dataset.actor_gaps, key=lambda a: dataset.actor_gaps[a])
     chunk = len(actors_sorted) // k
-    truth = annotations_by_video(dataset.records)
+    truth = {r.video_id: r.annotation for r in dataset.records}
     alphas, betas = [], []
     for f in range(k):
         hi = (f + 1) * chunk if f < k - 1 else None
@@ -167,7 +168,7 @@ def independent_objective(preds, records, folds, weights, thresholds, neutral_in
     independent of the optimizer's vectorized objective."""
     cfg = PostprocessConfig(thresholds, neutral_index)
     by_name = {p.encoder_name: p for p in preds}
-    by_fold = folds.videos_by_fold(records)
+    by_fold = videos_by_fold(folds, records)
     truth = {r.video_id: r.annotation for r in records}
     scores = []
     for f in sorted(by_fold):

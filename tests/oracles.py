@@ -7,6 +7,7 @@ import numpy as np
 from blendfuse.core import (
     LABELS_HEADER,
     N_EMOTIONS,
+    SUM_TOLERANCE,
     Emotion,
     EmotionDistribution,
     PredictionTable,
@@ -15,6 +16,8 @@ from blendfuse.core import (
     canonicalize_annotation,
     read_csv_rows,
 )
+from blendfuse.fusion import FusionDataset
+from blendfuse.postprocess import TruthArrays
 
 
 def prediction_tables(preds, records):
@@ -76,3 +79,57 @@ def label_rows(path):
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         records.append(SampleRecord(video_id, actor_id, annotation))
     return records
+
+
+def videos_by_fold(folds, records):
+    """Video ids of ``records`` per fold of the ``FoldAssignment`` ``folds``,
+    in ascending fold order; every fold must hold one."""
+    out = {f: [] for f in folds.fold_indices()}
+    for rec in records:
+        out[folds.fold_of(rec.actor_id)].append(rec.video_id)
+    for f, vids in out.items():
+        if not vids:
+            raise ValidationError(f"fold {f} holds no labeled videos")
+    return out
+
+
+def records_dataset(tables, records, folds):
+    """The ``FusionDataset`` of the labeled ``records`` and the prediction
+    ``tables``, built one record and one video at a time: the records-based
+    ``FusionDataset.build`` that ``build`` over a ``LabelTable`` replaced."""
+    if not tables:
+        raise ValidationError("need at least one encoder prediction set")
+    truth = {}
+    for rec in records:
+        if rec.annotation is None:
+            raise ValidationError(f"record {rec.video_id!r} is unlabeled")
+        truth[rec.video_id] = rec.annotation
+    video_ids = sorted(truth)
+    by_name = {t.encoder_name: t for t in tables}
+    if len(by_name) != len(tables):
+        raise ValidationError("duplicate encoder names in prediction sets")
+    encoders = tuple(sorted(by_name))
+    probs = np.empty((len(encoders), len(video_ids), N_EMOTIONS))
+    for e, name in enumerate(encoders):
+        row_of = by_name[name].row_of
+        rows = [row_of.get(vid, -1) for vid in video_ids]
+        if -1 in rows:
+            missing = video_ids[rows.index(-1)]
+            raise ValidationError(f"encoder {name!r} has no prediction for video {missing!r}")
+        probs[e] = by_name[name].probs[rows]
+        near_limit = np.abs(probs[e].sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
+        for v in np.flatnonzero(near_limit).tolist():
+            try:
+                EmotionDistribution(tuple(probs[e, v].tolist()))
+            except ValidationError as exc:
+                raise ValidationError(f"encoder {name!r}, video {video_ids[v]!r}: {exc}") from None
+    by_fold = videos_by_fold(folds, records)
+    position_of = {vid: i for i, vids in enumerate(by_fold.values()) for vid in vids}
+    return FusionDataset(
+        encoders,
+        tuple(video_ids),
+        probs,
+        TruthArrays.from_annotations([truth[vid] for vid in video_ids]),
+        tuple(by_fold),
+        np.array([position_of[vid] for vid in video_ids], dtype=np.intp),
+    )

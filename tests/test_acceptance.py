@@ -111,7 +111,7 @@ def test_criterion_04_threshold_surface_consistency():
     cfg = SynthConfig(n_actors=10, clips_per_actor=50, noise_sigma=0.4, seed=11)
     dataset = generate(cfg)
     assert len(dataset.records) == 500
-    truth = core.annotations_by_video(dataset.records)
+    truth = {r.video_id: r.annotation for r in dataset.records}
     fused = {v: dataset.predictions.distribution_for(v) for v in truth}
     surface = search_thresholds(fused, truth)
     rng = np.random.default_rng(12)
@@ -209,11 +209,11 @@ def test_criterion_08_fusion_oracle_recovery():
     for n_uniform in (1, 2):
         records, preds, folds = ladder_fixture(n_uniform=n_uniform)
         ca_w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), records, folds),
+            FusionDataset.build(prediction_tables(preds, records), core.LabelTable.from_records(records), folds),
             CrossValConfig(fusion_strategy="coordinate_ascent", initial_thresholds=LADDER_THRESHOLDS),
         )
         ex_w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), records, folds),
+            FusionDataset.build(prediction_tables(preds, records), core.LabelTable.from_records(records), folds),
             CrossValConfig(
                 fusion_strategy="exhaustive", initial_thresholds=LADDER_THRESHOLDS,
                 exhaustive_step=0.05,

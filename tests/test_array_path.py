@@ -4,15 +4,21 @@ search_thresholds and evaluate."""
 
 import csv
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fuse_video, prediction_tables
+from oracles import fuse_video, prediction_tables, records_dataset, videos_by_fold
+from test_input_cache import label_table_bits
 
 from blendfuse import core, fusion
 from blendfuse.cli import EXIT_OK, main
-from blendfuse.core import FoldAssignment
+from blendfuse.core import FoldAssignment, LabelTable
 from blendfuse.evaluation import cross_validate, evaluate, save_folds, split_actors
 from blendfuse.fusion import (
     CrossValConfig,
@@ -86,7 +92,7 @@ def inputs(tmp_path_factory):
 def _other_folds(tables, records, folds, fold):
     """The dataset of every fold but ``fold``, built from its records alone."""
     rest = FoldAssignment({a: f for a, f in folds.folds.items() if f != fold}, folds.k)
-    return FusionDataset.build(tables, [r for r in records if r.actor_id in rest.folds], rest)
+    return FusionDataset.build(tables, LabelTable.from_records([r for r in records if r.actor_id in rest.folds]), rest)
 
 
 def test_tables_match_average_clips(inputs):
@@ -105,8 +111,8 @@ def test_tables_match_average_clips(inputs):
 
 def test_dataset_matches_object_build(inputs):
     _, records, folds, tables, preds = inputs
-    a = FusionDataset.build(tables, records, folds)
-    b = FusionDataset.build(prediction_tables(preds, records), records, folds)
+    a = FusionDataset.build(tables, LabelTable.from_records(records), folds)
+    b = FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds)
     assert a.encoders == b.encoders == ("enc_a", "enc_b", "enc_c")
     assert a.video_ids == b.video_ids == tuple(sorted(r.video_id for r in records))
     assert np.array_equal(a.probs, b.probs)
@@ -114,10 +120,77 @@ def test_dataset_matches_object_build(inputs):
     assert np.array_equal(a.fold_position, b.fold_position)
 
 
+EMOTION_NAMES = [e.label for e in core.EMOTIONS]
+
+
+@st.composite
+def fusion_files(draw):
+    """Rows of a labels file in no particular order (raw annotations, some
+    30/70 or capitalized), the rows of one to three predictions files, and a
+    folds mapping.  A predictions file lists each video over one to three
+    clips, in shuffled order, with videos no label lists, and may lack one
+    labeled video.  The folds mapping lists the labeled actors, and
+    sometimes one more in a fold of its own, which holds no labeled video."""
+    videos = draw(st.lists(st.text("ab1_é", min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+    actor_of = {v: draw(st.sampled_from(["a0", "a1", "a2", "a3"])) for v in videos}
+    labels = []
+    for video in draw(st.permutations(videos)):
+        primary = draw(st.sampled_from(EMOTION_NAMES))
+        salience = draw(st.sampled_from(["100", "70", "50", "30"]))
+        secondary = "" if salience == "100" else draw(st.sampled_from([e for e in EMOTION_NAMES if e != primary]))
+        if draw(st.booleans()):
+            primary = primary.capitalize()
+        labels.append([video, actor_of[video], primary, secondary, salience])
+    encoders = []
+    for _ in range(draw(st.integers(1, 3))):
+        covered = videos + draw(st.lists(st.sampled_from(["x0", "x1"]), unique=True))
+        if draw(st.integers(0, 19)) == 0:
+            covered.remove(draw(st.sampled_from(videos)))
+        rows = []
+        for video in covered:
+            for _ in range(draw(st.integers(1, 3))):
+                weights = draw(st.lists(st.integers(0, 9), min_size=6, max_size=6).filter(any))
+                rows.append((video, actor_of.get(video, "ax"), [w / sum(weights) for w in weights]))
+        encoders.append(draw(st.permutations(rows)))
+    folds = {a: draw(st.integers(0, 3)) for a in sorted(set(actor_of.values()))}
+    if draw(st.integers(0, 7)) == 0:
+        folds["ghost"] = 4
+    return labels, encoders, FoldAssignment(folds, max(2, max(folds.values()) + 1))
+
+
+def dataset_bits(build, *args):
+    """Every field of the dataset ``build(*args)`` as bytes, or its error message."""
+    try:
+        data = build(*args)
+    except core.ValidationError as exc:
+        return str(exc)
+    arrays = (data.probs, data.truth.set_code, data.truth.sal_code, data.fold_position)
+    return data.encoders, data.video_ids, data.fold_ids, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(files=fusion_files())
+def test_build_from_a_label_table_equals_the_records_build(files):
+    labels, encoders, folds = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        core.write_csv_rows(path, core.LABELS_HEADER, labels)
+        for e, rows in enumerate(encoders):
+            core.write_prediction_rows(Path(tmp) / f"enc{e}.csv", rows)
+        tables = [core.load_prediction_table(Path(tmp) / f"enc{e}.csv") for e in range(len(encoders))]
+        cache_use = Counter()
+        parsed, served = (core.load_label_table(path, cache_use) for _ in range(2))
+        assert cache_use == {"misses": 1, "hits": 1}
+        expected = dataset_bits(records_dataset, tables, core.load_labels(path), folds)
+    assert label_table_bits(served) == label_table_bits(parsed)
+    assert dataset_bits(FusionDataset.build, tables, parsed, folds) == expected
+    assert dataset_bits(FusionDataset.build, tables, served, folds) == expected
+
+
 def test_array_dataclasses_compare_by_identity(inputs):
     # Generated field-wise == would compare ndarrays and raise ValueError.
     _, records, folds, tables, _ = inputs
-    a, b = (FusionDataset.build(tables, records, folds) for _ in range(2))
+    a, b = (FusionDataset.build(tables, LabelTable.from_records(records), folds) for _ in range(2))
     fused = fuse(a, {name: 1.0 / len(a.encoders) for name in a.encoders})
     fold = np.zeros(len(a.video_ids), dtype=np.intp)
     s, t = (
@@ -131,11 +204,12 @@ def test_array_dataclasses_compare_by_identity(inputs):
 def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):
     _, records, folds, tables, _ = inputs
     odd = FoldAssignment({actor: 2 * f + 1 for actor, f in folds.folds.items()}, 2 * folds.k)
-    data = FusionDataset.build(tables, records, odd)
+    data = FusionDataset.build(tables, LabelTable.from_records(records), odd)
     assert data.fold_ids == (1, 3, 5)  # so positions and fold ids differ
     for position, fold in enumerate(data.fold_ids):
         rest = FoldAssignment({a: f for a, f in odd.folds.items() if f != fold}, odd.k)
-        expected = FusionDataset.build(tables, [r for r in records if r.actor_id in rest.folds], rest)
+        labels = LabelTable.from_records([r for r in records if r.actor_id in rest.folds])
+        expected = FusionDataset.build(tables, labels, rest)
         keep = data.fold_position != position
         video_ids = tuple(v for v, k in zip(data.video_ids, keep) if k)
         fold_ids = tuple(f for f in data.fold_ids if f != fold)
@@ -151,7 +225,7 @@ def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):
 
 def test_fused_rows_and_surfaces_match_scalar_path(inputs):
     root, records, folds, tables, preds = inputs
-    data = FusionDataset.build(tables, records, folds)
+    data = FusionDataset.build(tables, LabelTable.from_records(records), folds)
     weights = load_weights(root / "weights.csv")
     assert list(weights.weights) == ["enc_c", "enc_a", "enc_b"]
     fused = fuse(data, weights.weights)
@@ -166,8 +240,8 @@ def test_fused_rows_and_surfaces_match_scalar_path(inputs):
             alpha_grid=GRID, beta_grid=GRID, neutral_index=NEUTRAL, renormalize_before_beta=True
         ),
     )
-    truth = core.annotations_by_video(records)
-    by_fold = folds.videos_by_fold(records)
+    truth = {r.video_id: r.annotation for r in records}
+    by_fold = videos_by_fold(folds, records)
     assert list(surfaces) == sorted(by_fold)
     for f, surface in surfaces.items():
         fold_fused = {vid: fuse_video(preds, weights.weights, vid) for vid in by_fold[f]}
@@ -189,8 +263,9 @@ def test_cross_validation_matches_scalar_path(inputs):
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    report = cross_validate(FusionDataset.build(tables, records, folds), cfg)
-    assert report == cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), cfg)
+    labels = LabelTable.from_records(records)
+    report = cross_validate(FusionDataset.build(tables, labels, folds), cfg)
+    assert report == cross_validate(FusionDataset.build(prediction_tables(preds, records), labels, folds), cfg)
     for outcome in report.folds:
         oracle = _scalar_fold_result(
             preds, records, folds, outcome.fold, outcome.weights, outcome.thresholds
@@ -200,6 +275,15 @@ def test_cross_validation_matches_scalar_path(inputs):
 
 def _table(name, rows):
     return core.PredictionTable(name, {vid: i for i, vid in enumerate(rows)}, np.array(list(rows.values())))
+
+
+def test_label_table_rejects_unlabeled_and_repeated_records():
+    anger = core.BlendAnnotation(core.Emotion.ANGER, None, 100)
+    records = [core.SampleRecord("v0", "a0", anger), core.SampleRecord("v1", "a0", anger)]
+    with pytest.raises(core.ValidationError, match="^record 'v2' is unlabeled$"):
+        LabelTable.from_records([*records, core.SampleRecord("v2", "a1")])
+    with pytest.raises(core.ValidationError, match="^video 'v1' is listed twice$"):
+        LabelTable.from_records([*records, core.SampleRecord("v1", "a1", anger)])
 
 
 def test_dataset_checks_clip_means_of_labeled_videos_only():
@@ -212,10 +296,11 @@ def test_dataset_checks_clip_means_of_labeled_videos_only():
     folds = split_actors(records, 2)
     good = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     drifted = [0.5, 0.5 + 3e-6, 0.0, 0.0, 0.0, 0.0]
-    data = FusionDataset.build([_table("enc", {"v0": good, "v1": good, "extra": drifted})], records, folds)
+    labels = LabelTable.from_records(records)
+    data = FusionDataset.build([_table("enc", {"v0": good, "v1": good, "extra": drifted})], labels, folds)
     assert data.video_ids == ("v0", "v1")
     with pytest.raises(core.ValidationError) as exc:
-        FusionDataset.build([_table("enc", {"v0": good, "v1": drifted})], records, folds)
+        FusionDataset.build([_table("enc", {"v0": good, "v1": drifted})], labels, folds)
     assert str(exc.value).startswith("encoder 'enc', video 'v1': probabilities sum to ")
 
 
@@ -235,17 +320,17 @@ def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):
     with pytest.warns(UserWarning, match="renormalizing"):
         assert main(["fuse-evaluate", "--config", str(tmp_path / "run.json")]) == EXIT_OK
     weights, _ = optimize_weights(
-        FusionDataset.build(prediction_tables(preds, records), records, folds),
+        FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
         CrossValConfig(
             initial_thresholds=ThresholdPair(0.1, 0.1), neutral_index=NEUTRAL,
             renormalize_before_beta=True,
         ),
     )
     cfg = PostprocessConfig(ThresholdPair(0.1, 0.1), NEUTRAL, renormalize_before_beta=True)
-    truth = core.annotations_by_video(records)
+    truth = {r.video_id: r.annotation for r in records}
     report = json.loads((tmp_path / "run" / "thresholds.json").read_text())
     for entry in report["per_fold"]:
-        vids = folds.videos_by_fold(records)[entry["fold"]]
+        vids = videos_by_fold(folds, records)[entry["fold"]]
         fused = {vid: fuse_video(preds, weights.weights, vid) for vid in vids}
         oracle = search_thresholds(fused, {v: truth[v] for v in vids}, GRID, GRID, cfg)
         pair = oracle.argmax_pair()
@@ -280,7 +365,7 @@ def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(in
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    data = FusionDataset.build(tables, records, folds)
+    data = FusionDataset.build(tables, LabelTable.from_records(records), folds)
     weights, log, surfaces, chosen, _ = fit(data, cfg)
     save_weights(weights, tmp_path / "weights.csv")
     save_search_log(log, tmp_path / "log.csv")
@@ -312,8 +397,8 @@ def test_sensitivity_cli_matches_scalar_path(inputs, tmp_path):
     assert code == EXIT_OK
     weights = load_weights(root / "weights.csv")
     cfg = PostprocessConfig(ThresholdPair(0.0, 0.0), NEUTRAL)
-    truth = core.annotations_by_video(records)
-    by_fold = folds.videos_by_fold(records)
+    truth = {r.video_id: r.annotation for r in records}
+    by_fold = videos_by_fold(folds, records)
     report = json.loads((out / "sensitivity.json").read_text())
     assert [e["fold"] for e in report["per_fold"]] == sorted(by_fold)
     for entry in report["per_fold"]:
@@ -337,7 +422,7 @@ MEMO_CASES = {
 def test_fit_with_a_held_out_fold_matches_a_fit_on_the_other_folds(inputs, settings):
     _, records, folds, tables, _ = inputs
     cfg = CrossValConfig(**settings)
-    data = FusionDataset.build(tables, records, folds)
+    data = FusionDataset.build(tables, LabelTable.from_records(records), folds)
     fit(data, cfg)  # fills the memo first, as fuse-evaluate does
     for position, fold in enumerate(data.fold_ids):
         weights, log, surfaces, thresholds, fused = fit(data, cfg, position)
@@ -394,7 +479,7 @@ def test_run_meta_counts_the_candidates_of_all_six_searches(inputs, tmp_path):
     root, records, folds, tables, _ = inputs
     counters = _fuse_evaluate(root, tmp_path, root / "folds.csv")["counters"]
     cfg = CrossValConfig()
-    logs = [fit(FusionDataset.build(tables, records, folds), cfg)[1]]
+    logs = [fit(FusionDataset.build(tables, LabelTable.from_records(records), folds), cfg)[1]]
     logs += [fit(_other_folds(tables, records, folds, f), cfg)[1] for f in folds.fold_indices()]
     assert counters["candidates_scored"] == sum(map(len, logs))
     assert 0 < counters["distinct_candidates"] < counters["candidates_scored"]
@@ -403,7 +488,7 @@ def test_run_meta_counts_the_candidates_of_all_six_searches(inputs, tmp_path):
 def test_run_meta_times_the_ingest_the_fit_and_each_held_out_fold(inputs, tmp_path):
     root, _, folds, _, _ = inputs
     timings = _fuse_evaluate(root, tmp_path, root / "folds.csv")["timings"]
-    assert timings.keys() == {"ingest_s", "fit_s", "cv_fold_s"}
+    assert timings.keys() == {"ingest_s", "build_s", "fit_s", "cv_fold_s"}
     assert len(timings["cv_fold_s"]) == len(folds.fold_indices())
-    for seconds in (timings["ingest_s"], timings["fit_s"], *timings["cv_fold_s"]):
+    for seconds in (timings["ingest_s"], timings["build_s"], timings["fit_s"], *timings["cv_fold_s"]):
         assert type(seconds) is float and seconds >= 0

@@ -8,7 +8,10 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from fixtures_util import outputs_of, write_feature_dir
 from blendfuse import cli, core, features, fusion, mlp, synth
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from blendfuse.core import FoldAssignment
-from blendfuse.evaluation import evaluate, load_folds, save_folds
+from blendfuse.evaluation import evaluate, load_folds, save_folds, split_actors
 from blendfuse.fusion import CrossValConfig, FusionDataset
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
@@ -711,7 +714,12 @@ def _valid_labels_bytes():
 def _mutated_labels(draw):
     """The bytes of a valid labels file after one mutation, or None for a
     directory in place of the file."""
-    raw = _valid_labels_bytes()
+    return _mutated(draw, _valid_labels_bytes())
+
+
+def _mutated(draw, raw):
+    """``raw``, the bytes of a valid CSV file, after one mutation drawn with
+    ``draw``, or None for a directory in place of the file."""
     kind = draw(st.sampled_from(["truncate", "flip", "drop field", "not utf-8", "empty", "header", "dir"]))
     if kind == "truncate":
         return raw[: draw(st.integers(0, len(raw)))]
@@ -754,6 +762,69 @@ def test_mutated_labels_file_exits_cleanly_naming_it(raw):
             assert "Traceback" not in err.getvalue()
             if code == EXIT_DATA:
                 assert err.getvalue().startswith(f"validation error: {path}")
+
+
+@functools.cache
+def _fusion_input_bytes():
+    """The bytes of a small labels file, its predictions file and a 3-fold folds file."""
+    data = synth.generate(synth.SynthConfig(n_actors=6, clips_per_actor=3, seed=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        core.save_labels(data.records, root / "labels.csv")
+        core.save_predictions(data.predictions, root / "synth.csv")
+        save_folds(split_actors(data.records, 3), root / "folds.csv")
+        return {name: (root / name).read_bytes() for name in ("labels.csv", "synth.csv", "folds.csv")}
+
+
+@st.composite
+def _mutated_labels_or_folds(draw):
+    name = draw(st.sampled_from(["labels.csv", "folds.csv"]))
+    return name, _mutated(draw, _fusion_input_bytes()[name])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_mutated_labels_or_folds())
+def test_mutated_labels_or_folds_file_exits_cleanly_and_alike_cold_and_warm(case):
+    # As for the labels file through split and encode-labels, and a second
+    # run, served from the input cache where the first one stored entries,
+    # ends exactly as the first.
+    name, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file, data in _fusion_input_bytes().items():
+            path = root / ("predictions" if file == "synth.csv" else "") / file
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+        mutated = root / name
+        if raw is None:
+            mutated.unlink()
+            mutated.mkdir()
+        else:
+            mutated.write_bytes(raw)
+        grid = [0.0, 0.1, 0.2]
+        inputs = {"predictions_dir": str(root / "predictions"), "labels_file": str(root / "labels.csv"),
+                  "folds_file": str(root / "folds.csv")}
+        (root / "run.json").write_text(json.dumps({**inputs, "alpha_grid": grid, "beta_grid": grid}), encoding="utf-8")
+        commands = [
+            ["fuse-evaluate", "--config", root / "run.json"],
+            ["sensitivity", "--predictions", root / "predictions", "--labels", root / "labels.csv",
+             "--folds", root / "folds.csv", "--alpha-grid", json.dumps(grid), "--beta-grid", json.dumps(grid)],
+        ]
+        for argv in commands:
+            for cache in (root / core.CACHE_DIR, root / "predictions" / core.CACHE_DIR):
+                shutil.rmtree(cache, ignore_errors=True)
+            outcomes = []
+            for _ in ("cold", "warm"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run(*argv, "--out", root / "out")
+                outcomes.append((code, err.getvalue()))
+            assert outcomes[1] == outcomes[0]
+            code, message = outcomes[0]
+            assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG)
+            assert "Traceback" not in message
+            if code == EXIT_DATA:
+                assert any(message.startswith(f"validation error: {path}") for path in root.rglob("*.csv")), message
 
 
 class TestGridSizeBound:
@@ -806,7 +877,7 @@ class TestTrainMlp:
         oof = core.load_predictions(out / "mlp_oof.csv", "mlp")
         cfg = PostprocessConfig(ThresholdPair(0.1, 0.1))
         preds = {vid: discretize(oof.distribution_for(vid), cfg) for vid in oof.rows}
-        truth = core.annotations_by_video(records)
+        truth = {r.video_id: r.annotation for r in records}
         result = evaluate(preds, truth)
         assert result.acc_p >= 0.9
         for fold in range(3):
@@ -1384,7 +1455,7 @@ class TestSensitivity:
         out = tmp_path / "s"
         assert self.sensitivity(data, data / "labels.csv", make_folds(tmp_path, data), out) == EXIT_OK
         timings = json.loads((out / "run_meta.json").read_text())["timings"]
-        assert timings.keys() == {"ingest_s", "surfaces_s"}
+        assert timings.keys() == {"ingest_s", "build_s", "surfaces_s"}
         for seconds in timings.values():
             assert type(seconds) is float and seconds >= 0
 
@@ -1395,8 +1466,8 @@ CACHED_COMMANDS = ("fuse-evaluate", "sensitivity", "train-mlp")
 
 def cached_command_inputs(tmp_path, command):
     """The argv of ``command`` but ``--out``, and the input files it caches:
-    two prediction files (the synth one and its rows reversed) or six
-    feature files."""
+    two prediction files (the synth one and its rows reversed) and the
+    labels file, or six feature files."""
     if command == "train-mlp":
         inputs = feature_inputs(tmp_path)
         argv = ["train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2]
@@ -1412,7 +1483,7 @@ def cached_command_inputs(tmp_path, command):
         config = {"predictions_dir": str(preds), "labels_file": str(data / "labels.csv"), "folds_file": str(folds)}
         (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
         argv = ["fuse-evaluate", "--config", tmp_path / "run.json"]
-    return argv, sorted(preds.glob("*.csv"))
+    return argv, [*sorted(preds.glob("*.csv")), data / "labels.csv"]
 
 
 def rewrite_with_other_valid_bytes(path):
@@ -1444,11 +1515,13 @@ class TestInputCache:
     def test_a_file_in_place_of_the_cache_directory_changes_no_output(self, tmp_path, command):
         # Permissions do not stop root, so a file is how an unwritable cache is made here.
         argv, files = cached_command_inputs(tmp_path, command)
-        blocker = files[0].parent / core.CACHE_DIR
-        blocker.write_text("", encoding="utf-8")
+        blockers = {f.parent / core.CACHE_DIR for f in files}
+        for blocker in blockers:
+            blocker.write_text("", encoding="utf-8")
         for name in ("blocked", "blocked-again"):
             assert self.cache_use(argv, tmp_path / name) == {"hits": 0, "misses": len(files)}
-        blocker.unlink()
+        for blocker in blockers:
+            blocker.unlink()
         assert self.cache_use(argv, tmp_path / "cold") == {"hits": 0, "misses": len(files)}
         assert self.cache_use(argv, tmp_path / "warm") == {"hits": len(files), "misses": 0}
         runs = [outputs_of(tmp_path / name) for name in ("blocked", "blocked-again", "cold", "warm")]
@@ -1465,8 +1538,8 @@ class TestInputCache:
         assert not list(out.rglob(f"*{core.CACHE_DIR}*"))
         assert not [name for name in json.loads((out / "run_meta.json").read_text())["outputs"]
                     if core.CACHE_DIR in name]
-        entries = sorted(p.name for p in (files[0].parent / core.CACHE_DIR).iterdir())
-        assert entries == sorted(f"{f.name}.npz" for f in files)
+        entries = sorted(p for cache in {f.parent / core.CACHE_DIR for f in files} for p in cache.iterdir())
+        assert entries == sorted(f.parent / core.CACHE_DIR / f"{f.name}.npz" for f in files)
 
 
 class TestVerifyIdentities:
@@ -1593,6 +1666,46 @@ def test_labeled_actor_missing_from_folds_file_is_data_error_naming_both(tmp_pat
     assert f"{folds}: actor {actor!r} has no fold assignment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sensitivity", "fuse-evaluate", "train-mlp"])
+def test_fold_without_labeled_videos_is_data_error_led_by_the_folds_file(tmp_path, capsys, command):
+    folds = tmp_path / "ghost_folds.csv"
+    if command == "train-mlp":
+        inputs = three_fold_inputs(tmp_path)  # actors a0, a1 and a2
+        folds.write_text("actor_id,fold\na0,0\na1,1\na2,2\nghost,5\n", encoding="utf-8")
+        argv = [*flags_of({**inputs, "--folds": folds}), "--hidden", 4, "--epochs", 2, "--out", tmp_path / "out"]
+    else:
+        data = synth_dataset(tmp_path, actors=4, clips=6)
+        folds.write_text("actor_id,fold\nactor000,0\nactor001,1\nactor002,0\nactor003,1\nghost,5\n", encoding="utf-8")
+        if command == "fuse-evaluate":
+            argv = ["--config", TestFuseEvaluate().make_config(tmp_path, data, folds, output_dir=str(tmp_path / "out"))]
+        else:
+            argv = ["--predictions", data / "predictions", "--labels", data / "labels.csv", "--folds", folds,
+                    "--out", tmp_path / "out"]
+    assert run(command, *argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"validation error: {folds}: fold 5 holds no labeled videos\n"
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "fuse-evaluate"])
+def test_labeled_video_an_encoder_lacks_is_data_error_led_by_its_predictions_file(tmp_path, capsys, command):
+    data = synth_dataset(tmp_path, actors=4, clips=6)
+    folds = make_folds(tmp_path, data)
+    with open(data / "labels.csv", "a", encoding="utf-8", newline="") as fh:
+        fh.write("nov,actor000,anger,,100\r\n")
+    # "other" sorts first and covers the new video; "synth" lacks it.
+    synth_rows = (data / "predictions" / "synth.csv").read_text(encoding="utf-8")
+    (data / "predictions" / "other.csv").write_text(synth_rows + "nov,actor000,1,0,0,0,0,0\r\n", encoding="utf-8")
+    if command == "fuse-evaluate":
+        argv = ["--config", TestFuseEvaluate().make_config(tmp_path, data, folds, output_dir=str(tmp_path / "out"))]
+    else:
+        argv = ["--predictions", data / "predictions", "--labels", data / "labels.csv", "--folds", folds,
+                "--out", tmp_path / "out"]
+    assert run(command, *argv) == EXIT_DATA
+    path = data / "predictions" / "synth.csv"
+    assert capsys.readouterr().err == (
+        f"validation error: {path}: encoder 'synth' has no prediction for video 'nov'\n"
+    )
+
+
 WRITING_COMMANDS = ["split", "encode-labels", "aggregate", "train-mlp", "fuse-evaluate", "sensitivity", "synth"]
 
 
@@ -1681,6 +1794,15 @@ def test_output_path_of_the_wrong_kind_is_config_error_naming_it(tmp_path, capsy
 
 # Flags that set no config field, and so declare their own default.
 OWN_DEFAULT_FLAGS = {("split", "--k"), ("verify-identities", "--tol"), ("verify-identities", "--tol-simplex")}
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    # An uninstalled checkout has no blendfuse script, only `python -m blendfuse`.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "blendfuse", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: blendfuse ")
 
 
 def test_config_flags_default_to_none():

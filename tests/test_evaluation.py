@@ -11,6 +11,7 @@ from blendfuse.core import (
     EmotionDistribution,
     EncoderPredictionSet,
     FoldAssignment,
+    LabelTable,
     SampleRecord,
     ValidationError,
 )
@@ -155,6 +156,11 @@ def blended_records(rng, actors, clips_per_actor=12):
     return records
 
 
+def dataset(preds, records, folds):
+    """The FusionDataset of the prediction sets ``preds`` over the labeled ``records``."""
+    return FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds)
+
+
 class TestCrossValidate:
     def test_perfect_oracle_scores_one_everywhere(self):
         rng = np.random.default_rng(31)
@@ -162,7 +168,7 @@ class TestCrossValidate:
         records = blended_records(rng, actors)
         folds = split_actors(records, 3)
         preds = [oracle_predictions(records)]
-        report = cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+        report = cross_validate(dataset(preds, records, folds), CrossValConfig())
         for outcome in report.folds:
             assert outcome.result == EvalResult(1.0, 1.0, 1.0, outcome.result.n)
         assert report.std == (0.0, 0.0, 0.0)
@@ -178,7 +184,7 @@ class TestCrossValidate:
         folds = split_actors(records, 2)
         preds = [oracle_predictions(records)]
         # corrupt one encoder row so scores differ between folds
-        report = cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+        report = cross_validate(dataset(preds, records, folds), CrossValConfig())
         total = sum(o.result.n for o in report.folds)
         weighted = sum(o.result.score * o.result.n for o in report.folds) / total
         assert report.pooled.score == pytest.approx(weighted, abs=1e-12)
@@ -192,7 +198,7 @@ class TestCrossValidate:
             records.append(SampleRecord(f"{actor}_v2", actor, BlendAnnotation(ANGER, DISGUST, 50)))
         folds = FoldAssignment({"a0": 0, "a1": 1}, 2)
         preds = [oracle_predictions(records)]
-        report = cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+        report = cross_validate(dataset(preds, records, folds), CrossValConfig())
         assert report.folds[0].result == report.folds[1].result
 
     def test_empty_fold_rejected(self):
@@ -200,23 +206,21 @@ class TestCrossValidate:
         folds = FoldAssignment({"a0": 0, "a1": 1, "ghost": 2}, 3)
         preds = [oracle_predictions(records)]
         with pytest.raises(ValidationError):
-            cross_validate(FusionDataset.build(prediction_tables(preds, records), records, folds), CrossValConfig())
+            cross_validate(dataset(preds, records, folds), CrossValConfig())
 
     def test_dataset_with_an_empty_fold_rejected(self):
         records = blended_records(np.random.default_rng(0), ["a0", "a1"], 4)
         folds = FoldAssignment({"a0": 0, "ghost": 1, "a1": 2}, 3)
         with pytest.raises(ValidationError, match="^fold 1 holds no labeled videos$"):
-            FusionDataset.build(prediction_tables([oracle_predictions(records)], records), records, folds)
+            dataset([oracle_predictions(records)], records, folds)
 
-    def test_videos_by_fold_rejects_an_empty_fold(self):
-        records = blended_records(np.random.default_rng(0), ["a0", "a1"], 4)
-        folds = FoldAssignment({"a0": 0, "a1": 1, "ghost": 2}, 3)
+    def test_fold_positions_reject_an_empty_fold(self):
+        folds = FoldAssignment({"a0": 0, "a1": 3, "ghost": 2}, 4)
         with pytest.raises(ValidationError, match="^fold 2 holds no labeled videos$"):
-            folds.videos_by_fold(records)
-        assert FoldAssignment({"a0": 0, "a1": 1}, 2).videos_by_fold(records) == {
-            0: [r.video_id for r in records if r.actor_id == "a0"],
-            1: [r.video_id for r in records if r.actor_id == "a1"],
-        }
+            folds.fold_positions(["a1", "a0"])
+        with pytest.raises(ValidationError, match="^actor 'a2' has no fold assignment$"):
+            folds.fold_positions(["a0", "a2", "a1", "ghost"])
+        assert FoldAssignment({"a0": 0, "a1": 3}, 4).fold_positions(["a1", "a0", "a1"]) == [1, 0, 1]
 
 
 class TestCrossValConfig:

@@ -22,6 +22,7 @@ from blendfuse.core import (
     EmotionDistribution,
     EncoderPredictionSet,
     FoldAssignment,
+    LabelTable,
     PredictionTable,
     SampleRecord,
     ValidationError,
@@ -64,7 +65,7 @@ def two_video_dataset(rows_by_encoder):
         PredictionTable(name, {"v0": 0, "v1": 1}, np.array(rows, dtype=float))
         for name, rows in rows_by_encoder.items()
     ]
-    return FusionDataset.build(tables, records, FoldAssignment({"a0": 0, "a1": 1}, 2))
+    return FusionDataset.build(tables, LabelTable.from_records(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
 
 
 class TestWeightVector:
@@ -124,7 +125,7 @@ class TestFuse:
         records = [SampleRecord(f"v{i}", f"a{i}", BlendAnnotation(Emotion.ANGER, None, 100)) for i in range(2)]
         table = PredictionTable("e", {"v0": 0}, np.array([[1.0, 0, 0, 0, 0, 0]]))
         with pytest.raises(ValidationError, match="^encoder 'e' has no prediction for video 'v1'$"):
-            FusionDataset.build([table], records, FoldAssignment({"a0": 0, "a1": 1}, 2))
+            FusionDataset.build([table], LabelTable.from_records(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
 
     def test_missing_encoder_rejected(self):
         data = two_video_dataset({"e": [[1, 0, 0, 0, 0, 0]] * 2})
@@ -155,7 +156,7 @@ class TestOptimizeWeights:
         rng = np.random.default_rng(1)
         records, oracle, folds = exact_oracle_fixture(rng)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle], records), records, folds),
+            FusionDataset.build(prediction_tables([oracle], records), LabelTable.from_records(records), folds),
             CrossValConfig(initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert w.weights == {"oracle": 1.0}
@@ -170,7 +171,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.015, 0.37)
         w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         assert w["oracle"] >= 0.9
@@ -186,7 +187,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.1, 0.2)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         grid_objs = []
@@ -204,7 +205,9 @@ class TestOptimizeWeights:
         encs = [oracle] + [uniform_encoder(f"u{k}", records) for k in range(3)]
         with pytest.raises(ValidationError):
             optimize_weights(
-                data=FusionDataset.build(records=records, tables=prediction_tables(encs, records), folds=folds),
+                data=FusionDataset.build(
+                    labels=LabelTable.from_records(records), tables=prediction_tables(encs, records), folds=folds
+                ),
                 cfg=CrossValConfig(
                     fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)
                 ),
@@ -213,7 +216,7 @@ class TestOptimizeWeights:
     def test_coordinate_ascent_ladder_recovery(self):
         records, preds, folds = ladder_fixture(n_uniform=2)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), records, folds),
+            FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
             CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
         )
         assert w["oracle"] >= 0.9
@@ -235,7 +238,7 @@ class TestOptimizeWeights:
         )
         for strategy in ("coordinate_ascent", "exhaustive"):
             w, _ = optimize_weights(
-                FusionDataset.build(prediction_tables(preds, records), records, folds),
+                FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
                 CrossValConfig(fusion_strategy=strategy, initial_thresholds=thresholds),
             )
             obj = independent_objective(preds, records, folds, w, thresholds)
@@ -248,7 +251,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=4, clips_per_actor=6)
         uni = uniform_encoder("uniform", records)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
             CrossValConfig(
                 fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2),
                 joint_threshold_search=True,
@@ -260,7 +263,7 @@ class TestOptimizeWeights:
         # without re-optimization the same fixed thresholds are imperfect at
         # uniform weights, so the flag demonstrably changes the objective
         _, fixed_log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         fixed_uniform = next(e.objective for e in fixed_log if e.candidate_id == "uniform")
@@ -270,7 +273,7 @@ class TestOptimizeWeights:
     def test_returned_vector_is_simplex(self):
         records, preds, folds = ladder_fixture(n_uniform=1)
         w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), records, folds),
+            FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
             CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
         )
         validate_simplex(w.weights, tol=1e-9)
@@ -280,7 +283,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         with pytest.raises(ValidationError):
             optimize_weights(
-                FusionDataset.build(prediction_tables([oracle], records), records, folds),
+                FusionDataset.build(prediction_tables([oracle], records), LabelTable.from_records(records), folds),
                 CrossValConfig(fusion_strategy="anneal", initial_thresholds=ThresholdPair(0.1, 0.2)),
             )
 
@@ -289,7 +292,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         uni = uniform_encoder("uniform", records)
         _, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), records, folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert len(log) == 22  # uniform + 21 grid points
@@ -387,7 +390,7 @@ def _oracle_and_uniform(n_actors=4, clips_per_actor=6, with_uniform=True):
         np.random.default_rng(11), n_actors=n_actors, clips_per_actor=clips_per_actor
     )
     preds = [oracle, uniform_encoder("uniform", records)] if with_uniform else [oracle]
-    return FusionDataset.build(prediction_tables(preds, records), records, folds)
+    return FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds)
 
 
 JOINT_GRIDS = dict(
@@ -415,7 +418,7 @@ SEARCH_CASES = [
 
 def _ladder(n_uniform):
     records, preds, folds = ladder_fixture(n_uniform=n_uniform)
-    return prediction_tables(preds, records), records, folds
+    return prediction_tables(preds, records), LabelTable.from_records(records), folds
 
 
 class TestSearchMatchesReference:

@@ -1,6 +1,6 @@
-"""The input cache: a parsed predictions table or ``.feat`` tensor is served
-from ``<dir>/.blendfuse-cache/<name>.npz`` while the file's bytes are
-unchanged, and equals a fresh parse bit for bit."""
+"""The input cache: a parsed predictions table, labels table or ``.feat``
+tensor is served from ``<dir>/.blendfuse-cache/<name>.npz`` while the
+file's bytes are unchanged, and equals a fresh parse bit for bit."""
 
 import tempfile
 from collections import Counter
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blendfuse import core
-from blendfuse.core import CACHE_DIR, PREDICTIONS_HEADER, ValidationError
+from blendfuse.core import CACHE_DIR, LABELS_HEADER, PREDICTIONS_HEADER, ValidationError
 from blendfuse.features import FrameFeatureSequence, load_feature_file, save_feature_file
 
 # Characters an unquoted CSV field keeps, ASCII and not.
@@ -48,6 +48,11 @@ def sequence_bits(seq):
     return seq.video_id, seq.data.dtype, seq.data.shape, seq.data.tobytes()
 
 
+def label_table_bits(table):
+    arrays = (table.primary, table.secondary, table.salience)
+    return table.video_ids, table.actor_ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
 @st.composite
 def prediction_rows(draw):
     """Valid rows of non-ASCII video ids, some over several clips."""
@@ -71,6 +76,34 @@ def test_a_hit_equals_the_parse_before_it_for_prediction_tables(rows):
         served, hit = load_counted(core.load_prediction_table, path)
         assert hit
         assert table_bits(served) == table_bits(parsed)
+
+
+@st.composite
+def label_rows(draw):
+    """Valid rows of non-ASCII video and actor ids, single and blended."""
+    videos = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=4), max_size=6, unique=True))
+    names = [e.label for e in core.EMOTIONS]
+    rows = []
+    for video in videos:
+        primary, secondary = draw(st.permutations(names))[:2]
+        salience = draw(st.sampled_from(["100", "70", "50", "30"]))
+        actor = draw(st.text(ID_CHARS, max_size=3))
+        rows.append([video, actor, primary, "" if salience == "100" else secondary, salience])
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(rows=label_rows())
+def test_a_hit_equals_the_parse_before_it_for_label_tables(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        core.write_csv_rows(path, LABELS_HEADER, rows)
+        parsed, hit = load_counted(core.load_label_table, path)
+        assert not hit and entry_of(path).is_file()
+        served, hit = load_counted(core.load_label_table, path)
+        assert hit
+        assert label_table_bits(served) == label_table_bits(parsed)
+        assert label_table_bits(parsed) == label_table_bits(core.LabelTable.from_records(core.load_labels(path)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -112,6 +145,9 @@ def test_a_renormalized_file_warns_on_every_load_and_is_never_stored(tmp_path):
 INVALID = {
     "predictions": ("enc.csv", ",".join(PREDICTIONS_HEADER) + "\nv1,a1,0.5,0.5,0,0,0,x\n", core.load_prediction_table),
     "feature": ("v.feat", "layers=1 frames=2 dims=2\n0.5 0.5\n0.5 zero\n", load_feature_file),
+    "labels": (
+        "labels.csv", ",".join(LABELS_HEADER) + "\nv1,a1,anger,,100\nv2,a1,anger,anger,50\n", core.load_label_table
+    ),
 }
 
 
@@ -157,6 +193,14 @@ MISFIT = {
         "repeated-id": lambda a: a | {"ids": np.frombuffer(b'["v1", "v1"]', np.uint8)},
         "no-ids": lambda a: {k: v for k, v in a.items() if k != "ids"},
     },
+    "labels": {
+        "int16-codes": lambda a: a | {"codes": a["codes"].astype(np.int16)},
+        "one-video-short": lambda a: a | {"codes": a["codes"][:, :-1]},
+        "codes-by-row": lambda a: a | {"codes": a["codes"].T.copy()},
+        "one-actor-short": lambda a: a | {"actors": np.frombuffer(b'["a1"]', np.uint8)},
+        "ids-not-strings": lambda a: a | {"ids": np.frombuffer(b"[1, 2]", np.uint8)},
+        "no-actors": lambda a: {k: v for k, v in a.items() if k != "actors"},
+    },
     "feature": {
         "float32-tensor": lambda a: a | {"tensor": a["tensor"].astype(np.float32)},
         "2-d-tensor": lambda a: a | {"tensor": a["tensor"][0]},
@@ -177,6 +221,11 @@ def valid_input(tmp_path, kind):
         path = tmp_path / "enc.csv"
         core.write_prediction_rows(path, [("v1", "a1", GOOD), ("v2", "a1", [0.5, 0.5, 0, 0, 0, 0])])
         return path, core.load_prediction_table, table_bits
+    if kind == "labels":
+        path = tmp_path / "labels.csv"
+        rows = [["v1", "a1", "anger", "", "100"], ["v2", "a2", "fear", "sadness", "30"]]
+        core.write_csv_rows(path, LABELS_HEADER, rows)
+        return path, core.load_label_table, label_table_bits
     values = np.arange(6.0).reshape(1, 2, 3) / 7
     return save_feature_file(FrameFeatureSequence("v", values), tmp_path), load_feature_file, sequence_bits
 
