@@ -327,7 +327,7 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, An
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("run config must be a JSON object")
+        raise ConfigError(f"{path}: run config must be a JSON object")
     unknown = set(raw) - set(_RUN_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -542,6 +542,8 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     data = _build_dataset(tables, labels, assignment)
     timings["build_s"] = time.perf_counter() - start
+    if len(data.fold_ids) < 2:  # cross-validation holds out each fold in turn
+        raise ValidationError(f"{cfg['folds_file']}: fold {data.fold_ids[0]} would leave no training data")
     start = time.perf_counter()
     weights, search_log, surfaces, chosen, _ = fusion.fit(data, cv_cfg)
     timings["fit_s"] = time.perf_counter() - start

@@ -81,18 +81,21 @@ class EmotionDistribution:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) != N_EMOTIONS:
             raise ValidationError(f"expected {N_EMOTIONS} probabilities, got {len(vals)}")
+        # One pass accepts a valid row.  A NaN can slip past min and max, but
+        # then the sum is NaN; any row that fails is faulty, and the loop
+        # names its first faulty value.
+        if 0.0 <= min(vals) and max(vals) <= 1.0 and abs(math.fsum(vals) - 1.0) <= SUM_TOLERANCE:
+            return
         for v in vals:
             if not math.isfinite(v):
                 raise ValidationError(f"non-finite probability: {v!r}")
             if v < 0.0 or v > 1.0:
                 raise ValidationError(f"probability out of [0, 1]: {v!r}")
-        total = math.fsum(vals)
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        raise ValidationError(f"probabilities sum to {math.fsum(vals)!r}, not 1")
 
     @classmethod
     def from_raw(cls, values: Sequence[float]) -> "EmotionDistribution":

@@ -152,7 +152,7 @@ def cross_validate(data: FusionDataset, cfg: CrossValConfig) -> CrossValReport:
         final_cfg = cfg.postprocess_config(thresholds)
         rows = np.flatnonzero(data.fold_position == position)
         preds = TruthArrays.from_annotations(
-            [discretize(EmotionDistribution(tuple(row)), final_cfg) for row in fused[rows].tolist()]
+            [discretize(EmotionDistribution(row), final_cfg) for row in fused[rows].tolist()]
         )
         hits_p = int(np.count_nonzero(preds.set_code == data.truth.set_code[rows]))
         hits_s = int(np.count_nonzero(preds.sal_code == data.truth.sal_code[rows]))

@@ -63,8 +63,9 @@ MAX_GRID_VALUES = 10_001
 def grid_units(step: float) -> int:
     """Steps from 0 to 1 of the exhaustive weight grid; ``step`` must divide 1
     evenly, into a three-encoder grid of at most MAX_GRID_VALUES points."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"exhaustive_step {step!r} must be a positive number")
+    # Compared before conversion: an int too large for a float is out of range, too.
+    if not 0 < step <= 1:  # also false for NaN
+        raise ValidationError(f"exhaustive_step {step!r} must be a number in (0, 1]")
     if (1.0 / step + 1) * (1.0 / step + 2) / 2 > MAX_GRID_VALUES:  # inf when step is tiny
         raise ValidationError(
             f"exhaustive_step {step!r} makes a three-encoder grid of more than {MAX_GRID_VALUES} points"

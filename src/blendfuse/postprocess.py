@@ -19,10 +19,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
+    EMOTIONS,
     N_EMOTIONS,
     BlendAnnotation,
     DiscretePrediction,
-    Emotion,
     EmotionDistribution,
     ValidationError,
 )
@@ -69,10 +69,13 @@ class PostprocessConfig:
             raise ValidationError(f"neutral_index out of range: {self.neutral_index!r}")
 
 
-def _top2_indices(values: Sequence[float]) -> tuple[int, int]:
-    # Two largest entries, ties resolved toward the lower index.
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return order[0], order[1]
+# The 51 canonical outcomes, each built (and so checked) once: 6 single
+# emotions, and the 15 50/50 and 30 70/30 blends of top-2 entries i1, i2 at
+# ``6 * i1 + i2`` as in _pair_outcomes (None where i1 == i2).
+_SINGLES = tuple(BlendAnnotation(e, None, 100) for e in EMOTIONS)
+_HALVES = {(a, b): BlendAnnotation(a, b, 50) for a in EMOTIONS for b in EMOTIONS if a < b}
+_BLENDS_50 = tuple(_HALVES.get((min(a, b), max(a, b))) for a in EMOTIONS for b in EMOTIONS)
+_BLENDS_70 = tuple(BlendAnnotation(a, b, 70) if a != b else None for a in EMOTIONS for b in EMOTIONS)
 
 
 def discretize(p: EmotionDistribution, cfg: PostprocessConfig) -> DiscretePrediction:
@@ -82,30 +85,24 @@ def discretize(p: EmotionDistribution, cfg: PostprocessConfig) -> DiscretePredic
     beta salience split.  A kept entry survives only if it is non-zero and
     at least alpha; if nothing survives, the top entry (the lower index on
     a tie) is emitted as a single emotion so a prediction always exists.
+    The result is one shared instance per outcome.
     """
     alpha, beta = cfg.thresholds.alpha, cfg.thresholds.beta
-    i1, i2 = _top2_indices(p.values)
-    kept = {i1: p.values[i1], i2: p.values[i2]}
+    values = p.values
+    # The sort is stable, so ties (-0.0 with 0.0, too) go to the lower index.
+    i1, i2 = sorted(range(N_EMOTIONS), key=values.__getitem__, reverse=True)[:2]
+    survivors = [i for i in (i1, i2) if values[i] > 0.0 and values[i] >= alpha]
 
-    survivors = {i: v for i, v in kept.items() if v > 0.0 and v >= alpha}
-
-    if cfg.neutral_index is not None and cfg.neutral_index in survivors:
+    if cfg.neutral_index in survivors:
         others = [i for i in survivors if i != cfg.neutral_index]
-        if others:
-            return BlendAnnotation(Emotion(others[0]), None, 100)
-        return BlendAnnotation(Emotion(cfg.neutral_index), None, 100)
+        return _SINGLES[others[0] if others else cfg.neutral_index]
 
     if len(survivors) == 2:
-        p1, p2 = p.values[i1], p.values[i2]
+        p1, p2 = values[i1], values[i2]
         gap = (p1 - p2) / (p1 + p2) if cfg.renormalize_before_beta else p1 - p2
-        if gap <= beta:
-            lo, hi = min(i1, i2), max(i1, i2)
-            return BlendAnnotation(Emotion(lo), Emotion(hi), 50)
-        return BlendAnnotation(Emotion(i1), Emotion(i2), 70)
-    if len(survivors) == 1:
-        only = next(iter(survivors))
-        return BlendAnnotation(Emotion(only), None, 100)
-    return BlendAnnotation(Emotion(i1), None, 100)
+        return (_BLENDS_50 if gap <= beta else _BLENDS_70)[N_EMOTIONS * i1 + i2]
+    # i2 survives only along with i1, so a lone survivor is i1.
+    return _SINGLES[i1]
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,7 @@ class TestFuseEvaluate:
         empty = tmp_path / "empty"
         empty.mkdir()
         if case == "not-an-object":
-            cfg, code, message = list(cfg.items()), EXIT_CONFIG, "run config must be a JSON object"
+            cfg, code, message = list(cfg.items()), EXIT_CONFIG, f"{cfg_path}: run config must be a JSON object"
         elif case == "key-omitted":
             del cfg["folds_file"]
             code, message = EXIT_CONFIG, "missing required config key 'folds_file'"
@@ -330,6 +330,7 @@ class TestFuseEvaluate:
         cfg_path = self.make_config(tmp_path, data, folds_path)
         assert run("fuse-evaluate", "--config", cfg_path) == EXIT_DATA
         err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {folds_path}: ")
         assert "fold 1 would leave no training data" in err
         assert "Traceback" not in err
 
@@ -392,7 +393,7 @@ class TestFuseEvaluate:
         err = capsys.readouterr().err
         assert f"{bad}:3: " in err and message in err
 
-    @pytest.mark.parametrize("step", [0, -0.1, 0.3, "0.5"])
+    @pytest.mark.parametrize("step", [0, -0.1, 0.3, "0.5", pytest.param(10**400, id="huge-int")])
     def test_exhaustive_step_must_divide_one(self, tmp_path, step):
         data = synth_dataset(tmp_path, actors=4, clips=6)
         shutil.copy(data / "predictions" / "synth.csv", data / "predictions" / "copy.csv")
@@ -825,6 +826,91 @@ def test_mutated_labels_or_folds_file_exits_cleanly_and_alike_cold_and_warm(case
             assert "Traceback" not in message
             if code == EXIT_DATA:
                 assert any(message.startswith(f"validation error: {path}") for path in root.rglob("*.csv")), message
+
+
+_VALID_RUN_CONFIG = {
+    "predictions_dir": "predictions", "labels_file": "labels.csv", "folds_file": "folds.csv",
+    "output_dir": "out", "seed": 0, "alpha_grid": [0.0, 0.1, 0.2], "beta_grid": [0.0, 0.1, 0.2],
+    "fusion_strategy": "coordinate_ascent", "threshold_strategy": "per_fold_average",
+    "neutral_index": None, "renormalize_before_beta": False, "joint_threshold_search": False,
+    "initial_thresholds": [0.1, 0.1], "exhaustive_step": 0.5, "emit_plots": False,
+}
+# Values of every JSON type, some of a key's type but out of its range.
+_JSON_VALUES = [1, -1, 10**400, 0.5, "x", True, None, [], {}, [0.1, "x"], {"start": 0}]
+
+
+def _assert_run_config_exits_cleanly(raw, key, *flags):
+    """Run fuse-evaluate with ``flags`` on small valid inputs with the run
+    config ``raw`` (None: a directory in its place), its paths relative to
+    the inputs: a success, or a one-line error that names the config file or
+    ``key``."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        root = Path(tmp)
+        for file, data in _fusion_input_bytes().items():
+            path = root / ("predictions" if file == "synth.csv" else "") / file
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+        cfg_path = root / "run.json"
+        if raw is None:
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("fuse-evaluate", "--config", cfg_path, *flags)
+        message = err.getvalue()
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG)
+        assert "Traceback" not in message
+        if code != EXIT_OK:
+            named = str(cfg_path) in message or key is not None and (key in message or repr(key) in message)
+            assert named, message
+
+
+@pytest.mark.parametrize("key", sorted(cli._RUN_CONFIG_KEYS))
+def test_run_config_value_of_any_type_exits_cleanly_naming_its_key(key):
+    for value in _JSON_VALUES:
+        _assert_run_config_exits_cleanly(json.dumps({**_VALID_RUN_CONFIG, key: value}).encode(), key)
+
+
+@st.composite
+def _mutated_run_config(draw):
+    """The bytes of a valid run config after one mutation, or None for a
+    directory in place of the file; and the key the mutation puts at fault,
+    if it is one key."""
+    raw = json.dumps(_VALID_RUN_CONFIG).encode()
+    kind = draw(st.sampled_from(["truncate", "flip", "not utf-8", "empty", "dir", "unknown", "deep"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))], None
+    if kind == "flip":
+        i = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1 :]
+        try:
+            cfg = json.loads(raw)
+        except ValueError:
+            return raw, None
+        if not isinstance(cfg, dict):
+            return raw, None
+        # Still an object: the key the flip renamed or gave another value, if any.
+        changed = (k for k in cfg if k not in _VALID_RUN_CONFIG or cfg[k] != _VALID_RUN_CONFIG[k])
+        return raw, next(changed, None)
+    if kind == "not utf-8":
+        i = draw(st.integers(0, len(raw)))
+        return raw[:i] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[i:], None
+    if kind in ("empty", "dir"):
+        return (b"" if kind == "empty" else None), None
+    key = draw(st.sampled_from(sorted(cli._RUN_CONFIG_KEYS)))
+    if kind == "unknown":
+        return json.dumps({**_VALID_RUN_CONFIG, key + "_": 1}).encode(), key + "_"
+    depth = draw(st.sampled_from([2, 50, 500, 100_000]))
+    raw = json.dumps({**_VALID_RUN_CONFIG, key: "@"}).encode()
+    return raw.replace(b'"@"', b"[" * depth + b"]" * depth), key
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_mutated_run_config())
+def test_mutated_run_config_exits_cleanly_naming_the_file_or_key(case):
+    # A flipped output_dir could name any directory; --out keeps outputs in place.
+    _assert_run_config_exits_cleanly(*case, "--out", "out")
 
 
 class TestGridSizeBound:

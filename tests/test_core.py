@@ -35,6 +35,16 @@ def dist(*values):
 
 UNIFORM = dist(*([1 / 6] * 6))
 
+VALID_ROW = (0.25, 0.25, 0.125, 0.125, 0.125, 0.125)
+# Each faulty value with the full message that rejects it.
+FAULTS = {
+    float("nan"): "non-finite probability: nan",
+    float("inf"): "non-finite probability: inf",
+    float("-inf"): "non-finite probability: -inf",
+    -0.25: "probability out of [0, 1]: -0.25",
+    1.5: "probability out of [0, 1]: 1.5",
+}
+
 
 class TestEmotion:
     def test_fixed_alphabetical_order(self):
@@ -74,6 +84,45 @@ class TestEmotionDistribution:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
             EmotionDistribution((0.5, 0.5))
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_first_faulty_value_is_named_at_every_position(self, fault):
+        # Alone, and after an earlier fault of each kind, which is the one named.
+        for position in range(6):
+            row = list(VALID_ROW)
+            row[position] = fault
+            with pytest.raises(ValidationError) as exc:
+                EmotionDistribution(tuple(row))
+            assert str(exc.value) == FAULTS[fault]
+            for earlier in FAULTS:
+                for before in range(position):
+                    row = list(VALID_ROW)
+                    row[before], row[position] = earlier, fault
+                    with pytest.raises(ValidationError) as exc:
+                        EmotionDistribution(tuple(row))
+                    assert str(exc.value) == FAULTS[earlier]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.5, 0.5), "expected 6 probabilities, got 2"),
+            ((float("nan"),) * 7, "expected 6 probabilities, got 7"),
+            ((), "expected 6 probabilities, got 0"),
+            ((0.5, 0.4, 0.0, 0.0, 0.0, 0.0), "probabilities sum to 0.9, not 1"),
+            ((0.5, 0.5, 0.0, 0.0, 0.0, 0.001), "probabilities sum to 1.001, not 1"),
+            ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "probabilities sum to 6.0, not 1"),
+            ((0.0, -0.0, 0.0, 0.0, 0.0, 0.0), "probabilities sum to 0.0, not 1"),
+        ],
+    )
+    def test_length_and_sum_messages(self, row, message):
+        with pytest.raises(ValidationError) as exc:
+            EmotionDistribution(row)
+        assert str(exc.value) == message
+
+    def test_signed_zero_and_bounds_are_accepted(self):
+        d = EmotionDistribution([1.0, -0.0, 0.0, -0.0, 0.0, 0.0])
+        assert d.values == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert math.copysign(1.0, d.values[1]) == -1.0
 
     def test_from_raw_renormalizes_small_drift(self):
         with pytest.warns(UserWarning):

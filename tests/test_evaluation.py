@@ -237,6 +237,7 @@ class TestCrossValConfig:
             ({"exhaustive_step": 0.0}, "exhaustive_step"),
             ({"exhaustive_step": 1e-6}, "exhaustive_step"),  # divides 1, too many grid points
             ({"exhaustive_step": 5e-324}, "exhaustive_step"),  # 1 / step overflows
+            ({"exhaustive_step": 10**400}, "exhaustive_step"),  # too large for a float
             ({"neutral_index": 6}, "neutral_index"),
             ({"neutral_index": -1}, "neutral_index"),
         ],

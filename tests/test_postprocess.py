@@ -7,6 +7,8 @@ implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendfuse.core import BlendAnnotation, Emotion, EmotionDistribution, ValidationError
 from blendfuse.evaluation import evaluate
@@ -83,6 +85,26 @@ def random_distribution(rng):
     return EmotionDistribution(tuple(float(v) for v in raw))
 
 
+@st.composite
+def edge_cases(draw):
+    """A row in sixteenths (so sums and gaps are exact) with ties, signed
+    zeros and, often, an alpha equal to one of its entries and a beta equal
+    to the raw or renormalized gap of two of them."""
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=5, max_size=5)))
+    units = [b - a for a, b in zip([0, *cuts], [*cuts, 16])]
+    values = [u / 16 if u or not draw(st.booleans()) else -0.0 for u in units]
+    renormalize = draw(st.booleans())
+    i, j = draw(st.permutations(range(6)))[:2]
+    hi, lo = max(values[i], values[j]), min(values[i], values[j])
+    gap = hi - lo
+    if renormalize and hi > 0.0:
+        gap /= hi + lo
+    alpha = draw(st.sampled_from([values[i], values[j], 0.0, 1 / 16, 0.25, 0.5]))
+    beta = draw(st.sampled_from([gap, hi - lo, 0.0, 0.125, 0.5, 1.0]))
+    neutral = draw(st.none() | st.integers(0, 5))
+    return values, alpha, beta, neutral, renormalize
+
+
 class TestDiscretize:
     def test_handtrace_5050(self):
         p = dist(0.40, 0.05, 0.35, 0.10, 0.05, 0.05)
@@ -138,6 +160,22 @@ class TestDiscretize:
             got = as_tuple(discretize(p, cfg))
             want = reference_discretize(p.values, alpha, beta, neutral, renorm)
             assert got == want, (p.values, alpha, beta, neutral, renorm)
+
+    @settings(derandomize=True, deadline=None, max_examples=250)
+    @given(case=edge_cases())
+    def test_matches_reference_at_ties_zeros_and_threshold_edges(self, case):
+        values, alpha, beta, neutral, renormalize = case
+        cfg = PostprocessConfig(ThresholdPair(alpha, beta), neutral, renormalize)
+        got = discretize(EmotionDistribution(values), cfg)
+        first, second, salience = reference_discretize(values, alpha, beta, neutral, renormalize)
+        assert got == BlendAnnotation(Emotion(first), None if second is None else Emotion(second), salience)
+
+    def test_equal_outcomes_share_one_instance(self):
+        cfg = PostprocessConfig(ThresholdPair(0.2, 0.1))
+        a = discretize(dist(0.40, 0.05, 0.35, 0.10, 0.05, 0.05), cfg)
+        b = discretize(dist(0.35, 0.05, 0.40, 0.10, 0.05, 0.05), cfg)
+        assert a == BlendAnnotation(Emotion.ANGER, Emotion.FEAR, 50)
+        assert a is b
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(17)
