@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import core, features, fusion, labels as labels_mod, mlp, plots, synth
-from .core import SampleRecord, ValidationError
+from .core import ValidationError
 from .evaluation import (
     RESULTS_HEADER,
     CrossValReport,
@@ -101,17 +101,14 @@ def _out_dir(path_str: str, name: str = "--out") -> Path:
     return out
 
 
-def _load_manifest_records(path: Path) -> list[SampleRecord]:
-    """Accept either a labels file or a feature manifest as the clip list."""
+def _manifest_actors(path: Path) -> Sequence[str]:
+    """The actor of each clip of a labels file or a feature manifest."""
     with core.csv_reader(path) as reader:
         header = next(reader, None)
     if header == core.LABELS_HEADER:
-        return core.load_labels(path)
+        return core.load_labels(path).actor_ids
     if header == features.MANIFEST_HEADER:
-        return [
-            SampleRecord(video_id, actor_id, None)
-            for video_id, actor_id, _ in features.load_feature_manifest(path)
-        ]
+        return [actor_id for _, actor_id, _ in features.load_feature_manifest(path)]
     raise ValidationError(f"{path}: unrecognized manifest header {header!r}")
 
 
@@ -388,9 +385,9 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise ConfigError(f"need at least 2 folds, got k={args.k}")
     _require_paths(("--manifest", args.manifest))
     manifest = Path(args.manifest)
-    records = _load_manifest_records(manifest)
+    actor_ids = _manifest_actors(manifest)
     with core.located(manifest):  # too few actors for k folds
-        assignment = split_actors(records, args.k)
+        assignment = split_actors(actor_ids, args.k)
     out = _out_dir(args.out)
     folds_path = out / "folds.csv"
     save_folds(assignment, folds_path)
@@ -401,13 +398,14 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_encode_labels(args: argparse.Namespace) -> int:
     _require_paths(("--labels", args.labels))
-    records = core.load_labels(Path(args.labels))
+    labels = core.load_labels(Path(args.labels))
     out = _out_dir(args.out)
     path = out / "soft_labels.csv"
-    rows = ([r.video_id, *map(repr, labels_mod.encode_soft_label(r.annotation).values)] for r in records)
+    targets = labels_mod.soft_label_rows(labels.primary, labels.secondary, labels.salience)
+    rows = ([vid, *map(repr, row)] for vid, row in zip(labels.video_ids, targets.tolist()))
     core.write_csv_rows(path, ["video_id"] + [f"y_{e.label}" for e in core.EMOTIONS], rows)
     _write_run_meta(out, "encode-labels", _record(args), [path])
-    print(f"wrote {path} ({len(records)} rows)")
+    print(f"wrote {path} ({len(labels.video_ids)} rows)")
     return EXIT_OK
 
 
@@ -484,23 +482,22 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
     cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
-    records = core.load_labels(Path(args.labels))
-    assignment = load_folds(Path(args.folds), (r.actor_id for r in records))
+    labels = core.load_label_table(Path(args.labels), cache_use)
+    assignment = load_folds(Path(args.folds), labels.actor_ids)
     video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg, cache_use)
 
     row_of = dict(zip(video_ids, range(len(video_ids))))
-    missing = [r.video_id for r in records if r.video_id not in row_of]
+    missing = [vid for vid in labels.video_ids if vid not in row_of]
     if missing:
-        raise ValidationError(f"missing features for labeled videos: {missing}")
-    # Each labeled video's soft-label target, on its feature row.
+        raise ValidationError(f"{feature_dir / 'manifest.csv'}: missing features for labeled videos: {missing}")
+    # Each labeled video's feature row, and its soft-label target on that row.
+    feature_row = np.array([row_of[vid] for vid in labels.video_ids], dtype=np.intp)
     targets = np.zeros((len(video_ids), core.N_EMOTIONS))
-    for rec in records:
-        targets[row_of[rec.video_id]] = labels_mod.encode_soft_label(rec.annotation).values
-    positions = assignment.fold_positions(r.actor_id for r in records)
-    by_fold = {  # the records of each fold, in ascending fold order
-        f: [r for r, p in zip(records, positions) if p == i] for i, f in enumerate(assignment.fold_indices())
-    }
-    rows = {f: np.array([row_of[r.video_id] for r in recs], dtype=np.intp) for f, recs in by_fold.items()}
+    targets[feature_row] = labels_mod.soft_label_rows(labels.primary, labels.secondary, labels.salience)
+    positions = assignment.fold_positions(labels.actor_ids)
+    # The labeled videos of each fold, in file order, in ascending fold order.
+    by_fold = {f: np.flatnonzero(positions == i) for i, f in enumerate(assignment.fold_indices())}
+    rows = {f: feature_row[held_out] for f, held_out in by_fold.items()}
     timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start, "train_s": []}
 
     out = _out_dir(args.out)
@@ -511,7 +508,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
                                 "parameters": sum(map(math.prod, layout.values())), "best_epoch": []}
     for fold in rows:
         cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
-        videos = [(r.video_id, r.actor_id) for r in by_fold[fold]]
+        videos = [(labels.video_ids[i], labels.actor_ids[i]) for i in by_fold[fold].tolist()]
         start = time.perf_counter()
         fold_rows, epochs, best_epoch = _train_fold(fold, rows, matrix, targets, cfg, videos, out)
         timings["train_s"].append(time.perf_counter() - start)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import count, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -230,16 +230,16 @@ class FoldAssignment:
     def fold_indices(self) -> list[int]:
         return sorted(set(self.folds.values()))
 
-    def fold_positions(self, actors: Iterable[str]) -> list[int]:
-        """Position in :meth:`fold_indices` of the fold of each of ``actors``;
-        every fold must hold one of them."""
+    def fold_positions(self, actors: Collection[str]) -> np.ndarray:
+        """Position in :meth:`fold_indices` of the fold of each of ``actors``,
+        looking each distinct actor up once; every fold must hold one of them."""
         folds = self.fold_indices()
         position_of = dict(zip(folds, range(len(folds))))
-        positions = [position_of[self.fold_of(actor)] for actor in actors]
-        empty = sorted(set(position_of.values()) - set(positions))
+        distinct = {actor: position_of[self.fold_of(actor)] for actor in dict.fromkeys(actors)}
+        empty = sorted(set(position_of.values()) - set(distinct.values()))
         if empty:
             raise ValidationError(f"fold {folds[empty[0]]} holds no labeled videos")
-        return positions
+        return np.fromiter(map(distinct.__getitem__, actors), np.intp, len(actors))
 
 
 @dataclass(frozen=True)
@@ -263,15 +263,6 @@ class EncoderPredictionSet:
 
     def video_ids(self) -> list[str]:
         return list(self.rows.keys())
-
-    def distribution_for(self, video_id: str) -> EmotionDistribution:
-        """Clip-averaged distribution for one video."""
-        clips = self.rows.get(video_id)
-        if clips is None:
-            raise ValidationError(
-                f"encoder {self.encoder_name!r} has no prediction for video {video_id!r}"
-            )
-        return average_clips(clips)
 
 
 def average_clips(rows: Sequence[EmotionDistribution]) -> EmotionDistribution:
@@ -593,16 +584,6 @@ class PredictionTable:
     row_of: Mapping[str, int]  # video id -> row of probs, in first-appearance order
     probs: np.ndarray  # (videos, 6)
 
-    def distribution_for(self, video_id: str) -> EmotionDistribution:
-        """Clip-averaged distribution for one video, as
-        :meth:`EncoderPredictionSet.distribution_for` gives it."""
-        row = self.row_of.get(video_id)
-        if row is None:
-            raise ValidationError(
-                f"encoder {self.encoder_name!r} has no prediction for video {video_id!r}"
-            )
-        return EmotionDistribution(tuple(self.probs[row].tolist()))
-
 
 def load_prediction_table(path: str | Path, cache_use: Optional[Counter[str]] = None) -> PredictionTable:
     """Read one encoder's predictions file with the checks of
@@ -684,32 +665,6 @@ def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:
     )
 
 
-def load_labels(path: str | Path, data: Optional[bytes] = None) -> list[SampleRecord]:
-    """Read a ground-truth labels file (or ``data``, its bytes) into canonical
-    annotated records, canonicalizing each distinct ``(emotion_a, emotion_b,
-    salience_a)`` once.
-
-    The first faulty line is reported as ``path:line``."""
-    path = Path(path)
-    records: list[SampleRecord] = []
-    seen: set[str] = set()
-    annotation_of: dict[tuple[str, str, str], BlendAnnotation] = {}
-    for lineno, (video_id, actor_id, emo_a, emo_b, salience) in read_csv_rows(path, LABELS_HEADER, data):
-        if video_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
-        seen.add(video_id)
-        try:
-            annotation = annotation_of[emo_a, emo_b, salience]
-        except KeyError:  # a faulty triple is never stored: it fails on every line
-            with located(f"{path}:{lineno}"):
-                primary = Emotion.from_name(emo_a)
-                secondary = Emotion.from_name(emo_b) if emo_b.strip() else None
-                annotation = canonicalize_annotation(primary, secondary, int(salience))
-                annotation_of[emo_a, emo_b, salience] = annotation
-        records.append(SampleRecord(video_id, actor_id, annotation))
-    return records
-
-
 def save_labels(records: Sequence[SampleRecord], path: str | Path) -> None:
     write_csv_rows(path, LABELS_HEADER, map(_label_row, records))
 
@@ -738,36 +693,49 @@ class LabelTable:
     secondary: np.ndarray  # int8 emotion index, -1 for a single emotion
     salience: np.ndarray  # int8 salience of the primary: 100, 70 or 50
 
-    @classmethod
-    def from_records(cls, records: Sequence[SampleRecord]) -> "LabelTable":
-        """The table of ``records``: each must be labeled, and each video listed once."""
-        unlabeled = next((r.video_id for r in records if r.annotation is None), None)
-        if unlabeled is not None:
-            raise ValidationError(f"record {unlabeled!r} is unlabeled")
-        video_ids = tuple(r.video_id for r in records)
-        repeated = next((vid for vid, count in Counter(video_ids).items() if count > 1), None)
-        if repeated is not None:
-            raise ValidationError(f"video {repeated!r} is listed twice")
-        annotations, n = [r.annotation for r in records], len(records)
-        return cls(
-            video_ids,
-            tuple(r.actor_id for r in records),
-            np.fromiter((a.primary for a in annotations), np.int8, n),
-            np.fromiter((-1 if a.secondary is None else a.secondary for a in annotations), np.int8, n),
-            np.fromiter((a.salience_primary for a in annotations), np.int8, n),
-        )
+
+def load_labels(path: str | Path, data: Optional[bytes] = None) -> LabelTable:
+    """Read a ground-truth labels file (or ``data``, its bytes) into a
+    :class:`LabelTable`, canonicalizing each distinct ``(emotion_a,
+    emotion_b, salience_a)`` once.
+
+    The first faulty line is reported as ``path:line``, a repeated video id
+    before its annotation."""
+    path = Path(path)
+    video_ids: list[str] = []
+    actor_ids: list[str] = []
+    codes: list[tuple[int, int, int]] = []
+    code_of: dict[tuple[str, str, str], tuple[int, int, int]] = {}
+    seen: set[str] = set()
+    for lineno, (video_id, actor_id, emo_a, emo_b, salience) in read_csv_rows(path, LABELS_HEADER, data):
+        if video_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
+        seen.add(video_id)
+        try:
+            code = code_of[emo_a, emo_b, salience]
+        except KeyError:  # a faulty triple is never stored: it fails on every line
+            with located(f"{path}:{lineno}"):
+                primary = Emotion.from_name(emo_a)
+                secondary = Emotion.from_name(emo_b) if emo_b.strip() else None
+                ann = canonicalize_annotation(primary, secondary, int(salience))
+            code = (ann.primary, -1 if ann.secondary is None else ann.secondary, ann.salience_primary)
+            code_of[emo_a, emo_b, salience] = code
+        video_ids.append(video_id)
+        actor_ids.append(actor_id)
+        codes.append(code)
+    primary, secondary, salience = np.array(codes, np.int8).reshape(len(codes), 3).T.copy()
+    return LabelTable(tuple(video_ids), tuple(actor_ids), primary, secondary, salience)
 
 
 def load_label_table(path: str | Path, cache_use: Optional[Counter[str]] = None) -> LabelTable:
-    """Read a labels file with the checks and messages of :func:`load_labels`,
-    into a :class:`LabelTable`.  A file that passes them is served from the
-    input cache (:func:`cached_parse`, which counts the load in
-    ``cache_use``) while its bytes are unchanged."""
+    """Read a labels file with :func:`load_labels`.  A file that passes its
+    checks is served from the input cache (:func:`cached_parse`, which counts
+    the load in ``cache_use``) while its bytes are unchanged."""
     path = Path(path)
     data = _input_bytes(path)
 
     def parse() -> tuple[LabelTable, dict[str, np.ndarray]]:
-        table = LabelTable.from_records(load_labels(path, data))
+        table = load_labels(path, data)
         codes = np.stack([table.primary, table.secondary, table.salience])
         return table, {"ids": _id_array(table.video_ids), "actors": _id_array(table.actor_ids), "codes": codes}
 

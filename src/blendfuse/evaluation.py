@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,7 +24,6 @@ from .core import (
     DiscretePrediction,
     EmotionDistribution,
     FoldAssignment,
-    SampleRecord,
     ValidationError,
     located,
     read_csv_rows,
@@ -84,16 +84,14 @@ def evaluate(
     return EvalResult.from_accuracies(count_p / n, count_s / n, n)
 
 
-def split_actors(records: Sequence[SampleRecord], k: int) -> FoldAssignment:
-    """Greedy balanced actor-disjoint split.
+def split_actors(actor_ids: Iterable[str], k: int) -> FoldAssignment:
+    """Greedy balanced actor-disjoint split of clips, given by the actor of each.
 
     Actors are sorted by descending clip count (ties by actor id) and each
     is assigned to the currently lightest fold (ties by fold index).  The
     procedure is fully deterministic.
     """
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.actor_id] = counts.get(rec.actor_id, 0) + 1
+    counts = Counter(actor_ids)
     if k < 2:
         raise ValidationError(f"need at least 2 folds, got {k}")
     if k > len(counts):

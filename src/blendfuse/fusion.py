@@ -167,9 +167,6 @@ class FusionDataset:
                     EmotionDistribution(tuple(probs[e, v].tolist()))
                 except ValidationError as exc:
                     raise EncoderError(name, f"encoder {name!r}, video {video_ids[v]!r}: {exc}") from None
-        actors = dict.fromkeys(labels.actor_ids)  # each once, so each actor's fold is looked up once
-        position_of = dict(zip(actors, folds.fold_positions(actors)))
-        fold_position = np.fromiter(map(position_of.__getitem__, labels.actor_ids), np.intp, n)
         codes = (labels.primary, labels.secondary, labels.salience)
         return cls(
             encoders,
@@ -177,7 +174,7 @@ class FusionDataset:
             probs,
             TruthArrays.from_codes(*(c[order] for c in codes)),
             tuple(folds.fold_indices()),
-            fold_position[order],
+            folds.fold_positions(labels.actor_ids)[order],
         )
 
     def fold_scores(self, weights: np.ndarray, cfg: CrossValConfig) -> tuple[float, ...]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import N_EMOTIONS, BlendAnnotation, EmotionDistribution, ValidationError
 
@@ -46,18 +47,23 @@ class SoftLabel:
         return np.array(self.values, dtype=np.float64)
 
 
+def soft_label_rows(primary: ArrayLike, secondary: ArrayLike, salience: ArrayLike) -> np.ndarray:
+    """The ``(n, 6)`` soft-label targets of n canonical annotations given as
+    the codes of a :class:`~blendfuse.core.LabelTable`: ``salience / 100`` on
+    the primary and ``(100 - salience) / 100`` on the secondary, if any (-1)."""
+    primary, secondary, salience = (np.asarray(c, dtype=np.intp) for c in (primary, secondary, salience))
+    rows = np.zeros((primary.size, N_EMOTIONS))
+    rows[np.arange(primary.size), primary] = salience / 100
+    blend = np.flatnonzero(secondary >= 0)
+    rows[blend, secondary[blend]] = (100 - salience[blend]) / 100
+    return rows
+
+
 def encode_soft_label(annotation: BlendAnnotation) -> SoftLabel:
     """Turn a canonical annotation into its soft-label target."""
-    values = [0.0] * N_EMOTIONS
-    if annotation.secondary is None:
-        values[annotation.primary] = 1.0
-    elif annotation.salience_primary == 70:
-        values[annotation.primary] = 0.7
-        values[annotation.secondary] = 0.3
-    else:
-        values[annotation.primary] = 0.5
-        values[annotation.secondary] = 0.5
-    return SoftLabel(tuple(values))
+    secondary = -1 if annotation.secondary is None else annotation.secondary
+    (row,) = soft_label_rows([annotation.primary], [secondary], [annotation.salience_primary])
+    return SoftLabel(tuple(row.tolist()))
 
 
 VectorLike = Union[SoftLabel, EmotionDistribution, Sequence[float], np.ndarray]

@@ -38,6 +38,10 @@ NOISE_TRUNCATION_SIGMAS = 1.0
 # Name of the one encoder a synthetic dataset holds.
 ENCODER_NAME = "synth"
 
+# The most videos a dataset may hold: 50 times the largest benchmark input.
+# generate() keeps about 1 KB per video in memory, so this caps it near 1 GB.
+MAX_VIDEOS = 10**6
+
 _PAIRS = tuple(combinations(range(len(EMOTIONS)), 2))
 
 
@@ -53,6 +57,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_actors < 1 or self.clips_per_actor < 1:
             raise ValidationError("need at least one actor and one clip per actor")
+        if self.n_actors * self.clips_per_actor > MAX_VIDEOS:
+            raise ValidationError(
+                f"n_actors * clips_per_actor must be at most {MAX_VIDEOS}, "
+                f"got {self.n_actors} * {self.clips_per_actor}"
+            )
         mix = self.label_mix
         if len(mix) != 3 or not all(0.0 <= m < math.inf for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ValidationError(f"label_mix must be three finite non-negative shares summing to 1: {mix!r}")

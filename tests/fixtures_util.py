@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 
-from oracles import videos_by_fold
+from oracles import distribution_for, videos_by_fold
 
 from blendfuse.core import (
     BlendAnnotation,
@@ -155,7 +155,7 @@ def beta_instability_run(gap_lo: float, gap_hi: float, k: int = 5):
         hi = (f + 1) * chunk if f < k - 1 else None
         fold_actors = set(actors_sorted[f * chunk : hi])
         vids = [r.video_id for r in dataset.records if r.actor_id in fold_actors]
-        fused = {v: dataset.predictions.distribution_for(v) for v in vids}
+        fused = {v: distribution_for(dataset.predictions, v) for v in vids}
         surface = search_thresholds(fused, {v: truth[v] for v in vids})
         pair = surface.argmax_pair()
         alphas.append(pair.alpha)
@@ -179,7 +179,7 @@ def independent_objective(preds, records, folds, weights, thresholds, neutral_in
         for vid in vids:
             acc = np.zeros(6)
             for name, w in weights.weights.items():
-                acc += w * np.asarray(by_name[name].distribution_for(vid).values)
+                acc += w * np.asarray(distribution_for(by_name[name], vid).values)
             fold_preds[vid] = discretize(EmotionDistribution(tuple(acc)), cfg)
         result = evaluate(fold_preds, {v: truth[v] for v in vids})
         scores.append(result.score)

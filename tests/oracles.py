@@ -1,5 +1,6 @@
 """Scalar references that the array data path and the readers are tested against."""
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,25 @@ from blendfuse.core import (
     SUM_TOLERANCE,
     Emotion,
     EmotionDistribution,
+    LabelTable,
     PredictionTable,
     SampleRecord,
     ValidationError,
+    average_clips,
     canonicalize_annotation,
     read_csv_rows,
 )
 from blendfuse.fusion import FusionDataset
 from blendfuse.postprocess import TruthArrays
+
+
+def distribution_for(preds, video_id):
+    """The clip-averaged distribution of ``video_id`` in ``preds``, an
+    :class:`~blendfuse.core.EncoderPredictionSet` (through the scalar
+    ``average_clips``) or a :class:`PredictionTable` (its row)."""
+    if isinstance(preds, PredictionTable):
+        return EmotionDistribution(tuple(preds.probs[preds.row_of[video_id]].tolist()))
+    return average_clips(preds.rows[video_id])
 
 
 def prediction_tables(preds, records):
@@ -29,7 +41,7 @@ def prediction_tables(preds, records):
     tables = []
     for p in preds:
         covered = [vid for vid in video_ids if vid in p.rows]
-        probs = np.array([p.distribution_for(vid).values for vid in covered]).reshape(len(covered), N_EMOTIONS)
+        probs = np.array([average_clips(p.rows[vid]).values for vid in covered]).reshape(len(covered), N_EMOTIONS)
         tables.append(PredictionTable(p.encoder_name, {vid: i for i, vid in enumerate(covered)}, probs))
     return tables
 
@@ -42,7 +54,7 @@ def fuse_video(preds, weights, video_id):
     by_name = {p.encoder_name: p for p in preds}
     acc = [0.0] * N_EMOTIONS
     for name, weight in weights.items():
-        for i, v in enumerate(by_name[name].distribution_for(video_id).values):
+        for i, v in enumerate(distribution_for(by_name[name], video_id).values):
             acc[i] += weight * v
     return EmotionDistribution(tuple(acc))
 
@@ -59,10 +71,37 @@ def feature_file_text(seq):
     return "\n".join(lines) + "\n"
 
 
+def label_table(records):
+    """The :class:`LabelTable` of ``records``, one entry per record in their
+    order: each must be labeled, and each video listed once."""
+    unlabeled = next((r.video_id for r in records if r.annotation is None), None)
+    if unlabeled is not None:
+        raise ValidationError(f"record {unlabeled!r} is unlabeled")
+    video_ids = tuple(r.video_id for r in records)
+    repeated = next((vid for vid, count in Counter(video_ids).items() if count > 1), None)
+    if repeated is not None:
+        raise ValidationError(f"video {repeated!r} is listed twice")
+    annotations, n = [r.annotation for r in records], len(records)
+    return LabelTable(
+        video_ids,
+        tuple(r.actor_id for r in records),
+        np.fromiter((a.primary for a in annotations), np.int8, n),
+        np.fromiter((-1 if a.secondary is None else a.secondary for a in annotations), np.int8, n),
+        np.fromiter((a.salience_primary for a in annotations), np.int8, n),
+    )
+
+
+def label_table_bits(table):
+    """Every field of the :class:`LabelTable` ``table``, its arrays as bytes."""
+    arrays = (table.primary, table.secondary, table.salience)
+    return table.video_ids, table.actor_ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
 def label_rows(path):
-    """The records of the labels file ``path``, as ``blendfuse.core.load_labels``
-    reads them: one row at a time, each annotation canonicalized on its own
-    line, the first faulty line reported as ``path:line``."""
+    """The records of the labels file ``path``, one row at a time, each
+    annotation canonicalized on its own line, the first faulty line reported
+    as ``path:line``: what ``blendfuse.core.load_labels`` reads into a
+    table, as records."""
     path = Path(path)
     records = []
     seen = set()

@@ -17,7 +17,7 @@ from fixtures_util import (
     outputs_of,
     write_feature_dir,
 )
-from oracles import prediction_tables
+from oracles import distribution_for, label_rows, label_table, prediction_tables
 from test_mlp import finite_difference_gradients, full_gradients, max_relative_error, random_soft_rows
 from test_postprocess import as_tuple, random_distribution, reference_discretize
 
@@ -112,7 +112,7 @@ def test_criterion_04_threshold_surface_consistency():
     dataset = generate(cfg)
     assert len(dataset.records) == 500
     truth = {r.video_id: r.annotation for r in dataset.records}
-    fused = {v: dataset.predictions.distribution_for(v) for v in truth}
+    fused = {v: distribution_for(dataset.predictions, v) for v in truth}
     surface = search_thresholds(fused, truth)
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -209,11 +209,11 @@ def test_criterion_08_fusion_oracle_recovery():
     for n_uniform in (1, 2):
         records, preds, folds = ladder_fixture(n_uniform=n_uniform)
         ca_w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), core.LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables(preds, records), label_table(records), folds),
             CrossValConfig(fusion_strategy="coordinate_ascent", initial_thresholds=LADDER_THRESHOLDS),
         )
         ex_w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), core.LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables(preds, records), label_table(records), folds),
             CrossValConfig(
                 fusion_strategy="exhaustive", initial_thresholds=LADDER_THRESHOLDS,
                 exhaustive_step=0.05,
@@ -273,7 +273,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     twice("enc", "encode-labels", "--labels", data / "labels.csv")
 
-    records = core.load_labels(data / "labels.csv")
+    records = label_rows(data / "labels.csv")
     feat_dir = write_feature_dir(tmp_path, records, np.random.default_rng(1))
     twice("agg", "aggregate", "--features", feat_dir, "--layer-lo", 0, "--layer-hi", 0)
 

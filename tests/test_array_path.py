@@ -13,12 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fuse_video, prediction_tables, records_dataset, videos_by_fold
-from test_input_cache import label_table_bits
+from oracles import (
+    distribution_for,
+    fuse_video,
+    label_rows,
+    label_table,
+    label_table_bits,
+    prediction_tables,
+    records_dataset,
+    videos_by_fold,
+)
 
 from blendfuse import core, fusion
 from blendfuse.cli import EXIT_OK, main
-from blendfuse.core import FoldAssignment, LabelTable
+from blendfuse.core import FoldAssignment
 from blendfuse.evaluation import cross_validate, evaluate, save_folds, split_actors
 from blendfuse.fusion import (
     CrossValConfig,
@@ -80,7 +88,7 @@ def inputs(tmp_path_factory):
         csv.writer(fh).writerow([vid, data.predictions.actors[vid], *drifted])
     labels = root / "labels.csv"
     core.save_labels(data.records, labels)
-    folds = split_actors(data.records, 3)
+    folds = split_actors([r.actor_id for r in data.records], 3)
     save_folds(folds, root / "folds.csv")
     (root / "weights.csv").write_text(WEIGHTS_CSV, encoding="utf-8")
     with pytest.warns(UserWarning, match="renormalizing"):
@@ -92,7 +100,7 @@ def inputs(tmp_path_factory):
 def _other_folds(tables, records, folds, fold):
     """The dataset of every fold but ``fold``, built from its records alone."""
     rest = FoldAssignment({a: f for a, f in folds.folds.items() if f != fold}, folds.k)
-    return FusionDataset.build(tables, LabelTable.from_records([r for r in records if r.actor_id in rest.folds]), rest)
+    return FusionDataset.build(tables, label_table([r for r in records if r.actor_id in rest.folds]), rest)
 
 
 def test_tables_match_average_clips(inputs):
@@ -100,19 +108,17 @@ def test_tables_match_average_clips(inputs):
     for table, pset in zip(tables, preds):
         assert list(table.row_of) == list(pset.rows)
         assert list(table.row_of.values()) == list(range(len(pset.rows)))
-        expected = np.array([pset.distribution_for(v).values for v in table.row_of])
+        expected = np.array([distribution_for(pset, v).values for v in table.row_of])
         assert np.array_equal(table.probs, expected)
         for vid in table.row_of:
-            assert table.distribution_for(vid) == pset.distribution_for(vid)
+            assert distribution_for(table, vid) == distribution_for(pset, vid)
     assert len(preds[1].rows[next(iter(tables[1].row_of))]) == 4
-    with pytest.raises(core.ValidationError, match="encoder 'enc_a' has no prediction for video 'nope'"):
-        tables[0].distribution_for("nope")
 
 
 def test_dataset_matches_object_build(inputs):
     _, records, folds, tables, preds = inputs
-    a = FusionDataset.build(tables, LabelTable.from_records(records), folds)
-    b = FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds)
+    a = FusionDataset.build(tables, label_table(records), folds)
+    b = FusionDataset.build(prediction_tables(preds, records), label_table(records), folds)
     assert a.encoders == b.encoders == ("enc_a", "enc_b", "enc_c")
     assert a.video_ids == b.video_ids == tuple(sorted(r.video_id for r in records))
     assert np.array_equal(a.probs, b.probs)
@@ -181,7 +187,7 @@ def test_build_from_a_label_table_equals_the_records_build(files):
         cache_use = Counter()
         parsed, served = (core.load_label_table(path, cache_use) for _ in range(2))
         assert cache_use == {"misses": 1, "hits": 1}
-        expected = dataset_bits(records_dataset, tables, core.load_labels(path), folds)
+        expected = dataset_bits(records_dataset, tables, label_rows(path), folds)
     assert label_table_bits(served) == label_table_bits(parsed)
     assert dataset_bits(FusionDataset.build, tables, parsed, folds) == expected
     assert dataset_bits(FusionDataset.build, tables, served, folds) == expected
@@ -190,7 +196,7 @@ def test_build_from_a_label_table_equals_the_records_build(files):
 def test_array_dataclasses_compare_by_identity(inputs):
     # Generated field-wise == would compare ndarrays and raise ValueError.
     _, records, folds, tables, _ = inputs
-    a, b = (FusionDataset.build(tables, LabelTable.from_records(records), folds) for _ in range(2))
+    a, b = (FusionDataset.build(tables, label_table(records), folds) for _ in range(2))
     fused = fuse(a, {name: 1.0 / len(a.encoders) for name in a.encoders})
     fold = np.zeros(len(a.video_ids), dtype=np.intp)
     s, t = (
@@ -204,11 +210,11 @@ def test_array_dataclasses_compare_by_identity(inputs):
 def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):
     _, records, folds, tables, _ = inputs
     odd = FoldAssignment({actor: 2 * f + 1 for actor, f in folds.folds.items()}, 2 * folds.k)
-    data = FusionDataset.build(tables, LabelTable.from_records(records), odd)
+    data = FusionDataset.build(tables, label_table(records), odd)
     assert data.fold_ids == (1, 3, 5)  # so positions and fold ids differ
     for position, fold in enumerate(data.fold_ids):
         rest = FoldAssignment({a: f for a, f in odd.folds.items() if f != fold}, odd.k)
-        labels = LabelTable.from_records([r for r in records if r.actor_id in rest.folds])
+        labels = label_table([r for r in records if r.actor_id in rest.folds])
         expected = FusionDataset.build(tables, labels, rest)
         keep = data.fold_position != position
         video_ids = tuple(v for v, k in zip(data.video_ids, keep) if k)
@@ -225,7 +231,7 @@ def test_without_fold_matches_the_dataset_of_the_other_folds(inputs):
 
 def test_fused_rows_and_surfaces_match_scalar_path(inputs):
     root, records, folds, tables, preds = inputs
-    data = FusionDataset.build(tables, LabelTable.from_records(records), folds)
+    data = FusionDataset.build(tables, label_table(records), folds)
     weights = load_weights(root / "weights.csv")
     assert list(weights.weights) == ["enc_c", "enc_a", "enc_b"]
     fused = fuse(data, weights.weights)
@@ -263,7 +269,7 @@ def test_cross_validation_matches_scalar_path(inputs):
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    labels = LabelTable.from_records(records)
+    labels = label_table(records)
     report = cross_validate(FusionDataset.build(tables, labels, folds), cfg)
     assert report == cross_validate(FusionDataset.build(prediction_tables(preds, records), labels, folds), cfg)
     for outcome in report.folds:
@@ -281,9 +287,9 @@ def test_label_table_rejects_unlabeled_and_repeated_records():
     anger = core.BlendAnnotation(core.Emotion.ANGER, None, 100)
     records = [core.SampleRecord("v0", "a0", anger), core.SampleRecord("v1", "a0", anger)]
     with pytest.raises(core.ValidationError, match="^record 'v2' is unlabeled$"):
-        LabelTable.from_records([*records, core.SampleRecord("v2", "a1")])
+        label_table([*records, core.SampleRecord("v2", "a1")])
     with pytest.raises(core.ValidationError, match="^video 'v1' is listed twice$"):
-        LabelTable.from_records([*records, core.SampleRecord("v1", "a1", anger)])
+        label_table([*records, core.SampleRecord("v1", "a1", anger)])
 
 
 def test_dataset_checks_clip_means_of_labeled_videos_only():
@@ -293,10 +299,10 @@ def test_dataset_checks_clip_means_of_labeled_videos_only():
         core.SampleRecord(f"v{i}", f"a{i}", core.BlendAnnotation(core.Emotion.ANGER, None, 100))
         for i in range(2)
     ]
-    folds = split_actors(records, 2)
+    folds = split_actors([r.actor_id for r in records], 2)
     good = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     drifted = [0.5, 0.5 + 3e-6, 0.0, 0.0, 0.0, 0.0]
-    labels = LabelTable.from_records(records)
+    labels = label_table(records)
     data = FusionDataset.build([_table("enc", {"v0": good, "v1": good, "extra": drifted})], labels, folds)
     assert data.video_ids == ("v0", "v1")
     with pytest.raises(core.ValidationError) as exc:
@@ -320,7 +326,7 @@ def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):
     with pytest.warns(UserWarning, match="renormalizing"):
         assert main(["fuse-evaluate", "--config", str(tmp_path / "run.json")]) == EXIT_OK
     weights, _ = optimize_weights(
-        FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
+        FusionDataset.build(prediction_tables(preds, records), label_table(records), folds),
         CrossValConfig(
             initial_thresholds=ThresholdPair(0.1, 0.1), neutral_index=NEUTRAL,
             renormalize_before_beta=True,
@@ -365,7 +371,7 @@ def test_fuse_evaluate_reports_one_fit_of_all_data_and_of_each_training_split(in
         alpha_grid=tuple(GRID), beta_grid=tuple(GRID), neutral_index=NEUTRAL,
         renormalize_before_beta=True,
     )
-    data = FusionDataset.build(tables, LabelTable.from_records(records), folds)
+    data = FusionDataset.build(tables, label_table(records), folds)
     weights, log, surfaces, chosen, _ = fit(data, cfg)
     save_weights(weights, tmp_path / "weights.csv")
     save_search_log(log, tmp_path / "log.csv")
@@ -422,7 +428,7 @@ MEMO_CASES = {
 def test_fit_with_a_held_out_fold_matches_a_fit_on_the_other_folds(inputs, settings):
     _, records, folds, tables, _ = inputs
     cfg = CrossValConfig(**settings)
-    data = FusionDataset.build(tables, LabelTable.from_records(records), folds)
+    data = FusionDataset.build(tables, label_table(records), folds)
     fit(data, cfg)  # fills the memo first, as fuse-evaluate does
     for position, fold in enumerate(data.fold_ids):
         weights, log, surfaces, thresholds, fused = fit(data, cfg, position)
@@ -457,7 +463,7 @@ def test_fuse_evaluate_scores_each_distinct_candidate_once(inputs, tmp_path, mon
     # Six searches over the same 21 grid points plus uniform; each fit adds
     # the surfaces at its chosen weights.
     root, records, _, _, _ = inputs
-    save_folds(split_actors(records, 5), tmp_path / "folds.csv")
+    save_folds(split_actors([r.actor_id for r in records], 5), tmp_path / "folds.csv")
     calls = []
 
     def counted(*args, **kwargs):
@@ -479,7 +485,7 @@ def test_run_meta_counts_the_candidates_of_all_six_searches(inputs, tmp_path):
     root, records, folds, tables, _ = inputs
     counters = _fuse_evaluate(root, tmp_path, root / "folds.csv")["counters"]
     cfg = CrossValConfig()
-    logs = [fit(FusionDataset.build(tables, LabelTable.from_records(records), folds), cfg)[1]]
+    logs = [fit(FusionDataset.build(tables, label_table(records), folds), cfg)[1]]
     logs += [fit(_other_folds(tables, records, folds, f), cfg)[1] for f in folds.fold_indices()]
     assert counters["candidates_scored"] == sum(map(len, logs))
     assert 0 < counters["distinct_candidates"] < counters["candidates_scored"]

@@ -156,18 +156,17 @@ def make_folds(tmp_path, data_dir, k=2):
 class TestSynthAndSplit:
     def test_synth_writes_core_formats(self, tmp_path):
         data = synth_dataset(tmp_path)
-        records = core.load_labels(data / "labels.csv")
+        labels = core.load_labels(data / "labels.csv")
         preds = core.load_predictions(data / "predictions" / "synth.csv")
-        assert len(records) == 8 * 18
-        assert set(preds.rows) == {r.video_id for r in records}
+        assert len(labels.video_ids) == 8 * 18
+        assert set(preds.rows) == set(labels.video_ids)
 
     def test_split_is_actor_disjoint(self, tmp_path):
         data = synth_dataset(tmp_path)
         folds_path = make_folds(tmp_path, data, k=3)
         assignment = load_folds(folds_path)
         assert assignment.k == 3
-        records = core.load_labels(data / "labels.csv")
-        assert {r.actor_id for r in records} == set(assignment.folds)
+        assert set(core.load_labels(data / "labels.csv").actor_ids) == set(assignment.folds)
 
     @pytest.mark.parametrize(
         "flags",
@@ -184,6 +183,14 @@ class TestSynthAndSplit:
     )
     def test_bad_synth_flag_is_config_error(self, tmp_path, flags):
         assert run("synth", *flags, "--out", tmp_path / "data") == EXIT_CONFIG
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("actors, clips", [(10**20, 2), (2, 10**20)])
+    def test_synth_of_too_many_videos_is_config_error_naming_the_fields(self, tmp_path, capsys, actors, clips):
+        assert run("synth", "--actors", actors, "--clips", clips, "--out", tmp_path / "data") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: n_actors * clips_per_actor must be at most {synth.MAX_VIDEOS}, got {actors} * {clips}\n"
+        )
         assert not (tmp_path / "data").exists()
 
     def test_split_k1_is_config_error(self, tmp_path):
@@ -324,7 +331,7 @@ class TestFuseEvaluate:
 
     def test_single_fold_is_data_error_naming_the_fold_left_without_training_data(self, tmp_path, capsys):
         data = synth_dataset(tmp_path, actors=4, clips=6)
-        actors = {r.actor_id for r in core.load_labels(data / "labels.csv")}
+        actors = set(core.load_labels(data / "labels.csv").actor_ids)
         folds_path = tmp_path / "folds.csv"
         save_folds(FoldAssignment({a: 1 for a in actors}, 2), folds_path)  # fold 0 unused
         cfg_path = self.make_config(tmp_path, data, folds_path)
@@ -773,8 +780,19 @@ def _fusion_input_bytes():
         root = Path(tmp)
         core.save_labels(data.records, root / "labels.csv")
         core.save_predictions(data.predictions, root / "synth.csv")
-        save_folds(split_actors(data.records, 3), root / "folds.csv")
+        save_folds(split_actors([r.actor_id for r in data.records], 3), root / "folds.csv")
         return {name: (root / name).read_bytes() for name in ("labels.csv", "synth.csv", "folds.csv")}
+
+
+@functools.cache
+def _feature_input_bytes():
+    """The bytes of a feature directory for the videos of ``_fusion_input_bytes``,
+    by path relative to the inputs: one 1 x 4 x 6 ``.feat`` file per video and
+    ``features/manifest.csv``."""
+    data = synth.generate(synth.SynthConfig(n_actors=6, clips_per_actor=3, seed=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        feat_dir = write_feature_dir(Path(tmp), data.records, np.random.default_rng(0))
+        return {f"features/{p.name}": p.read_bytes() for p in sorted(feat_dir.iterdir())}
 
 
 @st.composite
@@ -796,6 +814,9 @@ def test_mutated_labels_or_folds_file_exits_cleanly_and_alike_cold_and_warm(case
             path = root / ("predictions" if file == "synth.csv" else "") / file
             path.parent.mkdir(exist_ok=True)
             path.write_bytes(data)
+        (root / "features").mkdir()
+        for file, data in _feature_input_bytes().items():
+            (root / file).write_bytes(data)
         mutated = root / name
         if raw is None:
             mutated.unlink()
@@ -810,9 +831,11 @@ def test_mutated_labels_or_folds_file_exits_cleanly_and_alike_cold_and_warm(case
             ["fuse-evaluate", "--config", root / "run.json"],
             ["sensitivity", "--predictions", root / "predictions", "--labels", root / "labels.csv",
              "--folds", root / "folds.csv", "--alpha-grid", json.dumps(grid), "--beta-grid", json.dumps(grid)],
+            ["train-mlp", "--features", root / "features", "--labels", root / "labels.csv",
+             "--folds", root / "folds.csv", "--layer-lo", 0, "--layer-hi", 0, "--hidden", 4, "--epochs", 2],
         ]
         for argv in commands:
-            for cache in (root / core.CACHE_DIR, root / "predictions" / core.CACHE_DIR):
+            for cache in (root / core.CACHE_DIR, root / "predictions" / core.CACHE_DIR, root / "features" / core.CACHE_DIR):
                 shutil.rmtree(cache, ignore_errors=True)
             outcomes = []
             for _ in ("cold", "warm"):
@@ -962,7 +985,7 @@ class TestTrainMlp:
         assert code == EXIT_OK
         oof = core.load_predictions(out / "mlp_oof.csv", "mlp")
         cfg = PostprocessConfig(ThresholdPair(0.1, 0.1))
-        preds = {vid: discretize(oof.distribution_for(vid), cfg) for vid in oof.rows}
+        preds = {vid: discretize(core.average_clips(clips), cfg) for vid, clips in oof.rows.items()}
         truth = {r.video_id: r.annotation for r in records}
         result = evaluate(preds, truth)
         assert result.acc_p >= 0.9
@@ -989,6 +1012,9 @@ class TestTrainMlp:
             "--out", tmp_path / "mlp",
         )
         assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"validation error: {feat_dir / 'manifest.csv'}: missing features for labeled videos: ['a1_v1']\n"
+        )
 
     def test_diverging_training_is_numeric_error(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -1552,12 +1578,12 @@ CACHED_COMMANDS = ("fuse-evaluate", "sensitivity", "train-mlp")
 
 def cached_command_inputs(tmp_path, command):
     """The argv of ``command`` but ``--out``, and the input files it caches:
-    two prediction files (the synth one and its rows reversed) and the
-    labels file, or six feature files."""
+    two prediction files (the synth one and its rows reversed) or six
+    feature files, and the labels file."""
     if command == "train-mlp":
         inputs = feature_inputs(tmp_path)
         argv = ["train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2]
-        return argv, sorted(inputs["--features"].glob("*.feat"))
+        return argv, [*sorted(inputs["--features"].glob("*.feat")), inputs["--labels"]]
     data = synth_dataset(tmp_path, actors=4, clips=6)
     folds = make_folds(tmp_path, data)
     preds = data / "predictions"
@@ -1967,7 +1993,7 @@ class TestOmittedFlagsTakeLibraryDefaults:
             "command": "synth", "actors": 3, "clips": 2, "mix": [1.0, 0.0, 0.0],
             "gap_lo": 0.1, "gap_hi": 0.2, "noise_sigma": 0.1, "seed": 5,
         }
-        assert len(core.load_labels(out / "labels.csv")) == 6
+        assert len(core.load_labels(out / "labels.csv").video_ids) == 6
 
     def test_synth_one_gap_end_keeps_the_other_default(self, tmp_path):
         out = tmp_path / "data"
@@ -2098,10 +2124,11 @@ def run_pinned_commands(base):
                 rng = np.random.default_rng(0)
                 Path("features").mkdir()
                 entries = []
-                for rec in core.load_labels(Path("data/labels.csv")):
-                    seq = features.FrameFeatureSequence(rec.video_id, rng.normal(size=(13, 4, 3)))
+                labels = core.load_labels(Path("data/labels.csv"))
+                for video_id, actor_id in zip(labels.video_ids, labels.actor_ids):
+                    seq = features.FrameFeatureSequence(video_id, rng.normal(size=(13, 4, 3)))
                     features.save_feature_file(seq, Path("features"))
-                    entries.append((rec.video_id, rec.actor_id, f"{rec.video_id}.feat"))
+                    entries.append((video_id, actor_id, f"{video_id}.feat"))
                 features.save_feature_manifest(entries, Path("features/manifest.csv"))
                 Path("weights.csv").write_text("encoder,weight\nsynth,1.0\n", encoding="utf-8")
     return metas

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import prediction_tables
+from oracles import label_table, prediction_tables
 
 from blendfuse.core import (
     BlendAnnotation,
@@ -11,7 +11,6 @@ from blendfuse.core import (
     EmotionDistribution,
     EncoderPredictionSet,
     FoldAssignment,
-    LabelTable,
     SampleRecord,
     ValidationError,
 )
@@ -71,23 +70,16 @@ class TestEvaluate:
             assert 0.0 <= result.acc_s <= result.acc_p <= 1.0
 
 
-def make_records(counts):
-    """counts: actor -> clip count."""
-    records = []
-    for actor, n in counts.items():
-        for c in range(n):
-            records.append(
-                SampleRecord(f"{actor}_v{c}", actor, BlendAnnotation(ANGER, None, 100))
-            )
-    return records
+def clip_actors(counts):
+    """The actor of each clip; counts: actor -> clip count."""
+    return [actor for actor, n in counts.items() for _ in range(n)]
 
 
 class TestSplitActors:
     def test_actor_disjoint_and_balanced(self):
         rng = np.random.default_rng(1)
         counts = {f"a{i:02d}": int(rng.integers(20, 90)) for i in range(43)}
-        records = make_records(counts)
-        assignment = split_actors(records, 5)
+        assignment = split_actors(clip_actors(counts), 5)
         assert assignment.k == 5
         assert set(assignment.folds) == set(counts)
         loads = [0] * 5
@@ -97,30 +89,30 @@ class TestSplitActors:
 
     def test_one_actor_per_fold_when_k_equals_actors(self):
         counts = {f"a{i}": 3 for i in range(4)}
-        assignment = split_actors(make_records(counts), 4)
+        assignment = split_actors(clip_actors(counts), 4)
         assert sorted(assignment.folds.values()) == [0, 1, 2, 3]
 
     def test_deterministic(self):
         counts = {f"a{i}": 5 + i % 3 for i in range(12)}
-        records = make_records(counts)
-        a = split_actors(records, 3)
-        b = split_actors(records, 3)
+        actors = clip_actors(counts)
+        a = split_actors(actors, 3)
+        b = split_actors(actors, 3)
         assert a == b
 
     def test_k_larger_than_actor_count_rejected(self):
         with pytest.raises(ValidationError):
-            split_actors(make_records({"a": 2, "b": 2}), 3)
+            split_actors(clip_actors({"a": 2, "b": 2}), 3)
 
     def test_never_splits_an_actor(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             counts = {f"a{i}": int(rng.integers(1, 30)) for i in range(int(rng.integers(4, 20)))}
             k = int(rng.integers(2, len(counts) + 1))
-            assignment = split_actors(make_records(counts), k)
+            assignment = split_actors(clip_actors(counts), k)
             assert len(assignment.folds) == len(counts)  # one entry per actor
 
     def test_folds_file_roundtrip(self, tmp_path):
-        assignment = split_actors(make_records({f"a{i}": 4 for i in range(6)}), 3)
+        assignment = split_actors(clip_actors({f"a{i}": 4 for i in range(6)}), 3)
         path = tmp_path / "folds.csv"
         save_folds(assignment, path)
         assert load_folds(path) == assignment
@@ -158,7 +150,7 @@ def blended_records(rng, actors, clips_per_actor=12):
 
 def dataset(preds, records, folds):
     """The FusionDataset of the prediction sets ``preds`` over the labeled ``records``."""
-    return FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds)
+    return FusionDataset.build(prediction_tables(preds, records), label_table(records), folds)
 
 
 class TestCrossValidate:
@@ -166,7 +158,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(31)
         actors = [f"a{i}" for i in range(6)]
         records = blended_records(rng, actors)
-        folds = split_actors(records, 3)
+        folds = split_actors([r.actor_id for r in records], 3)
         preds = [oracle_predictions(records)]
         report = cross_validate(dataset(preds, records, folds), CrossValConfig())
         for outcome in report.folds:
@@ -181,7 +173,7 @@ class TestCrossValidate:
         records = []
         for i, actor in enumerate(actors):
             records.extend(blended_records(rng, [actor], clips_per_actor=6 + 4 * i))
-        folds = split_actors(records, 2)
+        folds = split_actors([r.actor_id for r in records], 2)
         preds = [oracle_predictions(records)]
         # corrupt one encoder row so scores differ between folds
         report = cross_validate(dataset(preds, records, folds), CrossValConfig())
@@ -220,7 +212,7 @@ class TestCrossValidate:
             folds.fold_positions(["a1", "a0"])
         with pytest.raises(ValidationError, match="^actor 'a2' has no fold assignment$"):
             folds.fold_positions(["a0", "a2", "a1", "ghost"])
-        assert FoldAssignment({"a0": 0, "a1": 3}, 4).fold_positions(["a1", "a0", "a1"]) == [1, 0, 1]
+        assert FoldAssignment({"a0": 0, "a1": 3}, 4).fold_positions(["a1", "a0", "a1"]).tolist() == [1, 0, 1]
 
 
 class TestCrossValConfig:

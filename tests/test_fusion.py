@@ -14,7 +14,7 @@ from fixtures_util import (
     ladder_fixture,
     uniform_encoder,
 )
-from oracles import fuse_video, prediction_tables
+from oracles import fuse_video, label_table, prediction_tables
 
 from blendfuse.core import (
     BlendAnnotation,
@@ -22,7 +22,6 @@ from blendfuse.core import (
     EmotionDistribution,
     EncoderPredictionSet,
     FoldAssignment,
-    LabelTable,
     PredictionTable,
     SampleRecord,
     ValidationError,
@@ -65,7 +64,7 @@ def two_video_dataset(rows_by_encoder):
         PredictionTable(name, {"v0": 0, "v1": 1}, np.array(rows, dtype=float))
         for name, rows in rows_by_encoder.items()
     ]
-    return FusionDataset.build(tables, LabelTable.from_records(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
+    return FusionDataset.build(tables, label_table(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
 
 
 class TestWeightVector:
@@ -125,7 +124,7 @@ class TestFuse:
         records = [SampleRecord(f"v{i}", f"a{i}", BlendAnnotation(Emotion.ANGER, None, 100)) for i in range(2)]
         table = PredictionTable("e", {"v0": 0}, np.array([[1.0, 0, 0, 0, 0, 0]]))
         with pytest.raises(ValidationError, match="^encoder 'e' has no prediction for video 'v1'$"):
-            FusionDataset.build([table], LabelTable.from_records(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
+            FusionDataset.build([table], label_table(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
 
     def test_missing_encoder_rejected(self):
         data = two_video_dataset({"e": [[1, 0, 0, 0, 0, 0]] * 2})
@@ -156,7 +155,7 @@ class TestOptimizeWeights:
         rng = np.random.default_rng(1)
         records, oracle, folds = exact_oracle_fixture(rng)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle], records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables([oracle], records), label_table(records), folds),
             CrossValConfig(initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert w.weights == {"oracle": 1.0}
@@ -171,7 +170,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.015, 0.37)
         w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), label_table(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         assert w["oracle"] >= 0.9
@@ -187,7 +186,7 @@ class TestOptimizeWeights:
         uni = uniform_encoder("uniform", records)
         thresholds = ThresholdPair(0.1, 0.2)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), label_table(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=thresholds),
         )
         grid_objs = []
@@ -206,7 +205,7 @@ class TestOptimizeWeights:
         with pytest.raises(ValidationError):
             optimize_weights(
                 data=FusionDataset.build(
-                    labels=LabelTable.from_records(records), tables=prediction_tables(encs, records), folds=folds
+                    labels=label_table(records), tables=prediction_tables(encs, records), folds=folds
                 ),
                 cfg=CrossValConfig(
                     fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)
@@ -216,7 +215,7 @@ class TestOptimizeWeights:
     def test_coordinate_ascent_ladder_recovery(self):
         records, preds, folds = ladder_fixture(n_uniform=2)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables(preds, records), label_table(records), folds),
             CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
         )
         assert w["oracle"] >= 0.9
@@ -238,7 +237,7 @@ class TestOptimizeWeights:
         )
         for strategy in ("coordinate_ascent", "exhaustive"):
             w, _ = optimize_weights(
-                FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
+                FusionDataset.build(prediction_tables(preds, records), label_table(records), folds),
                 CrossValConfig(fusion_strategy=strategy, initial_thresholds=thresholds),
             )
             obj = independent_objective(preds, records, folds, w, thresholds)
@@ -251,7 +250,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=4, clips_per_actor=6)
         uni = uniform_encoder("uniform", records)
         w, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), label_table(records), folds),
             CrossValConfig(
                 fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2),
                 joint_threshold_search=True,
@@ -263,7 +262,7 @@ class TestOptimizeWeights:
         # without re-optimization the same fixed thresholds are imperfect at
         # uniform weights, so the flag demonstrably changes the objective
         _, fixed_log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), label_table(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         fixed_uniform = next(e.objective for e in fixed_log if e.candidate_id == "uniform")
@@ -273,7 +272,7 @@ class TestOptimizeWeights:
     def test_returned_vector_is_simplex(self):
         records, preds, folds = ladder_fixture(n_uniform=1)
         w, _ = optimize_weights(
-            FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables(preds, records), label_table(records), folds),
             CrossValConfig(initial_thresholds=LADDER_THRESHOLDS),
         )
         validate_simplex(w.weights, tol=1e-9)
@@ -283,7 +282,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         with pytest.raises(ValidationError):
             optimize_weights(
-                FusionDataset.build(prediction_tables([oracle], records), LabelTable.from_records(records), folds),
+                FusionDataset.build(prediction_tables([oracle], records), label_table(records), folds),
                 CrossValConfig(fusion_strategy="anneal", initial_thresholds=ThresholdPair(0.1, 0.2)),
             )
 
@@ -292,7 +291,7 @@ class TestOptimizeWeights:
         records, oracle, folds = exact_oracle_fixture(rng, n_actors=2, clips_per_actor=3)
         uni = uniform_encoder("uniform", records)
         _, log = optimize_weights(
-            FusionDataset.build(prediction_tables([oracle, uni], records), LabelTable.from_records(records), folds),
+            FusionDataset.build(prediction_tables([oracle, uni], records), label_table(records), folds),
             CrossValConfig(fusion_strategy="exhaustive", initial_thresholds=ThresholdPair(0.1, 0.2)),
         )
         assert len(log) == 22  # uniform + 21 grid points
@@ -390,7 +389,7 @@ def _oracle_and_uniform(n_actors=4, clips_per_actor=6, with_uniform=True):
         np.random.default_rng(11), n_actors=n_actors, clips_per_actor=clips_per_actor
     )
     preds = [oracle, uniform_encoder("uniform", records)] if with_uniform else [oracle]
-    return FusionDataset.build(prediction_tables(preds, records), LabelTable.from_records(records), folds)
+    return FusionDataset.build(prediction_tables(preds, records), label_table(records), folds)
 
 
 JOINT_GRIDS = dict(
@@ -418,7 +417,7 @@ SEARCH_CASES = [
 
 def _ladder(n_uniform):
     records, preds, folds = ladder_fixture(n_uniform=n_uniform)
-    return prediction_tables(preds, records), LabelTable.from_records(records), folds
+    return prediction_tables(preds, records), label_table(records), folds
 
 
 class TestSearchMatchesReference:

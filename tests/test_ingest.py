@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from blendfuse import core
 from blendfuse.core import LABELS_HEADER, PREDICTIONS_HEADER, ValidationError
 from blendfuse.synth import SynthConfig, generate
-from oracles import label_rows
+from oracles import label_rows, label_table, label_table_bits
 
 # Characters csv.reader keeps in an unquoted field.  str.splitlines() would
 # split a line at \x0c, \x85 and \u2028; csv.reader does not.
@@ -207,10 +207,17 @@ def _outcome(read, path):
             result = read(path)
         except ValidationError as exc:
             result = str(exc)
-    if isinstance(result, tuple):  # a parsed predictions file
+    if isinstance(result, core.LabelTable):
+        result = label_table_bits(result)
+    elif isinstance(result, tuple):  # a parsed predictions file
         video_ids, actor_ids, matrix = result
         result = (video_ids, actor_ids, matrix.shape, matrix.tobytes())
     return result, [str(w.message) for w in caught]
+
+
+def _label_table_of_rows(path):
+    """The table of the records that the per-row oracle reads."""
+    return label_table(label_rows(path))
 
 
 def _parsed_rows(path):
@@ -243,7 +250,7 @@ def test_block_reader_reads_valid_predictions_as_the_per_row_reader(data):
 @given(data=st.data())
 def test_load_labels_reads_valid_labels_as_the_per_row_reader(data):
     rows = data.draw(_valid_label_rows(), label="rows")
-    fast, slow = _read_both(data, LABELS_HEADER, rows, core.load_labels, label_rows)
+    fast, slow = _read_both(data, LABELS_HEADER, rows, core.load_labels, _label_table_of_rows)
     assert fast == slow
 
 
@@ -272,7 +279,7 @@ def test_predictions_file_reads_as_the_per_row_reader_reads_it(fault, data):
 def test_labels_file_reads_as_the_per_row_reader_reads_it(fault, data):
     rows = data.draw(_valid_label_rows(min_rows=1), label="rows")
     LABEL_FAULTS[fault](data, rows)
-    fast, slow = _read_both(data, LABELS_HEADER, rows, core.load_labels, label_rows, header_quirks=True)
+    fast, slow = _read_both(data, LABELS_HEADER, rows, core.load_labels, _label_table_of_rows, header_quirks=True)
     assert fast == slow
 
 

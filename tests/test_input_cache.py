@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
+from oracles import label_table_bits
+
 from blendfuse import core
 from blendfuse.core import CACHE_DIR, LABELS_HEADER, PREDICTIONS_HEADER, ValidationError
 from blendfuse.features import FrameFeatureSequence, load_feature_file, save_feature_file
@@ -46,11 +49,6 @@ def table_bits(table):
 
 def sequence_bits(seq):
     return seq.video_id, seq.data.dtype, seq.data.shape, seq.data.tobytes()
-
-
-def label_table_bits(table):
-    arrays = (table.primary, table.secondary, table.salience)
-    return table.video_ids, table.actor_ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 @st.composite
@@ -103,7 +101,7 @@ def test_a_hit_equals_the_parse_before_it_for_label_tables(rows):
         served, hit = load_counted(core.load_label_table, path)
         assert hit
         assert label_table_bits(served) == label_table_bits(parsed)
-        assert label_table_bits(parsed) == label_table_bits(core.LabelTable.from_records(core.load_labels(path)))
+        assert label_table_bits(parsed) == label_table_bits(oracles.label_table(oracles.label_rows(path)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -1,5 +1,6 @@
 """Soft-label encoding and KL loss/gradient against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from blendfuse.labels import (
     kl_grad_logits,
     kl_loss,
     mean_kl,
+    soft_label_rows,
     softmax,
 )
 
@@ -74,6 +76,28 @@ def _annotation_of(soft: SoftLabel) -> BlendAnnotation:
         return BlendAnnotation(Emotion(nz[0][1]), Emotion(nz[1][1]), 70)
     lo, hi = sorted(i for _, i in nz)
     return BlendAnnotation(Emotion(lo), Emotion(hi), 50)
+
+
+def test_soft_label_rows_match_encode_soft_label_on_every_outcome():
+    # The 51 canonical outcomes: 6 singles, 15 blends at 50/50 and 30 at 70/30.
+    annotations = [
+        *(BlendAnnotation(e) for e in Emotion),
+        *(BlendAnnotation(a, b, 50) for a, b in itertools.combinations(Emotion, 2)),
+        *(BlendAnnotation(a, b, 70) for a, b in itertools.permutations(Emotion, 2)),
+    ]
+    assert len(annotations) == 51
+    codes = [(a.primary, -1 if a.secondary is None else a.secondary, a.salience_primary) for a in annotations]
+    rows = soft_label_rows(*(np.array(c, dtype=np.int8) for c in zip(*codes)))
+    assert rows.dtype == np.float64 and rows.shape == (51, 6)
+    assert rows.tobytes() == np.array([encode_soft_label(a).values for a in annotations]).tobytes()
+    # Each share is the float literal of its ratio, bit for bit: 1 - 0.7 would not be 0.3.
+    shares = {100: (1.0, None), 70: (0.7, 0.3), 50: (0.5, 0.5)}
+    for row, a in zip(rows, annotations):
+        expected = [0.0] * 6
+        expected[a.primary], second = shares[a.salience_primary]
+        if a.secondary is not None:
+            expected[a.secondary] = second
+        assert row.tobytes() == np.array(expected).tobytes()
 
 
 class TestKlLoss:
