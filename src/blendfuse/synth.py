@@ -38,9 +38,9 @@ NOISE_TRUNCATION_SIGMAS = 1.0
 # Name of the one encoder a synthetic dataset holds.
 ENCODER_NAME = "synth"
 
-# The most videos a dataset may hold: 50 times the largest benchmark input.
-# generate() keeps about 1 KB per video in memory, so this caps it near 1 GB.
-MAX_VIDEOS = 10**6
+# The most videos a dataset may hold: 500 times the largest benchmark input.
+# generate() keeps about 1 KB per video in memory, so this caps it near 10 GB.
+MAX_VIDEOS = 10**7
 
 _PAIRS = tuple(combinations(range(len(EMOTIONS)), 2))
 

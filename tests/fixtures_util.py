@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 
-from oracles import distribution_for, videos_by_fold
+from oracles import videos_by_fold
 
 from blendfuse.core import (
     BlendAnnotation,
@@ -13,6 +13,7 @@ from blendfuse.core import (
     EncoderPredictionSet,
     FoldAssignment,
     SampleRecord,
+    average_clips,
 )
 from blendfuse.evaluation import evaluate
 from blendfuse.labels import encode_soft_label
@@ -155,7 +156,7 @@ def beta_instability_run(gap_lo: float, gap_hi: float, k: int = 5):
         hi = (f + 1) * chunk if f < k - 1 else None
         fold_actors = set(actors_sorted[f * chunk : hi])
         vids = [r.video_id for r in dataset.records if r.actor_id in fold_actors]
-        fused = {v: distribution_for(dataset.predictions, v) for v in vids}
+        fused = {v: average_clips(dataset.predictions.rows[v]) for v in vids}
         surface = search_thresholds(fused, {v: truth[v] for v in vids})
         pair = surface.argmax_pair()
         alphas.append(pair.alpha)
@@ -179,7 +180,7 @@ def independent_objective(preds, records, folds, weights, thresholds, neutral_in
         for vid in vids:
             acc = np.zeros(6)
             for name, w in weights.weights.items():
-                acc += w * np.asarray(distribution_for(by_name[name], vid).values)
+                acc += w * np.asarray(average_clips(by_name[name].rows[vid]).values)
             fold_preds[vid] = discretize(EmotionDistribution(tuple(acc)), cfg)
         result = evaluate(fold_preds, {v: truth[v] for v in vids})
         scores.append(result.score)

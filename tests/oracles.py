@@ -23,15 +23,6 @@ from blendfuse.fusion import FusionDataset
 from blendfuse.postprocess import TruthArrays
 
 
-def distribution_for(preds, video_id):
-    """The clip-averaged distribution of ``video_id`` in ``preds``, an
-    :class:`~blendfuse.core.EncoderPredictionSet` (through the scalar
-    ``average_clips``) or a :class:`PredictionTable` (its row)."""
-    if isinstance(preds, PredictionTable):
-        return EmotionDistribution(tuple(preds.probs[preds.row_of[video_id]].tolist()))
-    return average_clips(preds.rows[video_id])
-
-
 def prediction_tables(preds, records):
     """Each :class:`~blendfuse.core.EncoderPredictionSet` of ``preds`` as the
     :class:`PredictionTable` that ``FusionDataset.build`` reads: the clip
@@ -48,13 +39,13 @@ def prediction_tables(preds, records):
 
 def fuse_video(preds, weights, video_id):
     """The fused distribution of one video, as ``blendfuse.fusion.fuse`` gives
-    its row: each encoder of ``preds`` (prediction sets or tables) adds its
+    its row: each encoder of ``preds`` (prediction sets) adds its
     clip-averaged row times its weight, from 0.0 and in the order of the
     mapping ``weights``, one Python float at a time."""
     by_name = {p.encoder_name: p for p in preds}
     acc = [0.0] * N_EMOTIONS
     for name, weight in weights.items():
-        for i, v in enumerate(distribution_for(by_name[name], video_id).values):
+        for i, v in enumerate(average_clips(by_name[name].rows[video_id]).values):
             acc[i] += weight * v
     return EmotionDistribution(tuple(acc))
 

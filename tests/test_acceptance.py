@@ -17,7 +17,7 @@ from fixtures_util import (
     outputs_of,
     write_feature_dir,
 )
-from oracles import distribution_for, label_rows, label_table, prediction_tables
+from oracles import label_rows, label_table, prediction_tables
 from test_mlp import finite_difference_gradients, full_gradients, max_relative_error, random_soft_rows
 from test_postprocess import as_tuple, random_distribution, reference_discretize
 
@@ -112,7 +112,7 @@ def test_criterion_04_threshold_surface_consistency():
     dataset = generate(cfg)
     assert len(dataset.records) == 500
     truth = {r.video_id: r.annotation for r in dataset.records}
-    fused = {v: distribution_for(dataset.predictions, v) for v in truth}
+    fused = {v: core.average_clips(dataset.predictions.rows[v]) for v in truth}
     surface = search_thresholds(fused, truth)
     rng = np.random.default_rng(12)
     for _ in range(10):

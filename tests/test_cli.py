@@ -773,9 +773,15 @@ def test_mutated_labels_file_exits_cleanly_naming_it(raw):
 
 
 @functools.cache
+def _small_synth():
+    """A synthetic dataset of 6 actors with 3 clips each."""
+    return synth.generate(synth.SynthConfig(n_actors=6, clips_per_actor=3, seed=1))
+
+
+@functools.cache
 def _fusion_input_bytes():
     """The bytes of a small labels file, its predictions file and a 3-fold folds file."""
-    data = synth.generate(synth.SynthConfig(n_actors=6, clips_per_actor=3, seed=1))
+    data = _small_synth()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         core.save_labels(data.records, root / "labels.csv")
@@ -789,9 +795,8 @@ def _feature_input_bytes():
     """The bytes of a feature directory for the videos of ``_fusion_input_bytes``,
     by path relative to the inputs: one 1 x 4 x 6 ``.feat`` file per video and
     ``features/manifest.csv``."""
-    data = synth.generate(synth.SynthConfig(n_actors=6, clips_per_actor=3, seed=1))
     with tempfile.TemporaryDirectory() as tmp:
-        feat_dir = write_feature_dir(Path(tmp), data.records, np.random.default_rng(0))
+        feat_dir = write_feature_dir(Path(tmp), _small_synth().records, np.random.default_rng(0))
         return {f"features/{p.name}": p.read_bytes() for p in sorted(feat_dir.iterdir())}
 
 
@@ -1578,12 +1583,12 @@ CACHED_COMMANDS = ("fuse-evaluate", "sensitivity", "train-mlp")
 
 def cached_command_inputs(tmp_path, command):
     """The argv of ``command`` but ``--out``, and the input files it caches:
-    two prediction files (the synth one and its rows reversed) or six
-    feature files, and the labels file."""
+    two prediction files (the synth one and its rows reversed) and the labels
+    file, or the labels file and six feature files."""
     if command == "train-mlp":
         inputs = feature_inputs(tmp_path)
         argv = ["train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2]
-        return argv, [*sorted(inputs["--features"].glob("*.feat")), inputs["--labels"]]
+        return argv, [inputs["--labels"], *sorted(inputs["--features"].glob("*.feat"))]
     data = synth_dataset(tmp_path, actors=4, clips=6)
     folds = make_folds(tmp_path, data)
     preds = data / "predictions"
@@ -1620,8 +1625,9 @@ class TestInputCache:
         assert self.cache_use(argv, tmp_path / "r1") == {"hits": 0, "misses": n}
         assert self.cache_use(argv, tmp_path / "r2") == {"hits": n, "misses": 0}
         assert outputs_of(tmp_path / "r1") == outputs_of(tmp_path / "r2")
+        rewrite_with_other_valid_bytes(files[0])
         rewrite_with_other_valid_bytes(files[-1])
-        assert self.cache_use(argv, tmp_path / "r3") == {"hits": n - 1, "misses": 1}
+        assert self.cache_use(argv, tmp_path / "r3") == {"hits": n - 2, "misses": 2}
 
     @pytest.mark.parametrize("command", CACHED_COMMANDS)
     def test_a_file_in_place_of_the_cache_directory_changes_no_output(self, tmp_path, command):

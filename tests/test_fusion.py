@@ -144,10 +144,13 @@ def test_fused_rows_match_the_scalar_oracle_bit_for_bit(data):
     order = data.draw(st.permutations(range(m)), label="key order")
     weights = {f"e{i}": simplex[i] for i in order}
     dataset = two_video_dataset(rows)
-    tables = [PredictionTable(name, {"v0": 0, "v1": 1}, r) for name, r in rows.items()]
+    sets = [
+        EncoderPredictionSet(name, {vid: (EmotionDistribution(tuple(r[v].tolist())),) for v, vid in enumerate(("v0", "v1"))})
+        for name, r in rows.items()
+    ]
     fused = fuse(dataset, weights)
     for v, vid in enumerate(dataset.video_ids):
-        assert tuple(fused[v].tolist()) == fuse_video(tables, weights, vid).values
+        assert tuple(fused[v].tolist()) == fuse_video(sets, weights, vid).values
 
 
 class TestOptimizeWeights:
