@@ -357,22 +357,11 @@ def load_run_config(path: Path, overrides: dict[str, Any]) -> tuple[dict[str, An
     return cfg, cv_cfg
 
 
-def _load_prediction_tables(predictions_dir: Path, cache_use: Counter[str]) -> dict[Path, core.PredictionTable]:
+def _load_prediction_tables(predictions_dir: Path, cache_use: Counter[str]) -> list[core.PredictionTable]:
     files = sorted(predictions_dir.glob("*.csv"))
     if not files:
         raise ValidationError(f"no prediction files under {predictions_dir}")
-    return {f: core.load_prediction_table(f, cache_use) for f in files}
-
-
-def _build_dataset(
-    tables: Mapping[Path, core.PredictionTable], labels: core.LabelTable, assignment: core.FoldAssignment
-) -> FusionDataset:
-    """The dataset of ``tables``, by file; a fault in an encoder's rows is led by its file."""
-    try:
-        return FusionDataset.build(list(tables.values()), labels, assignment)
-    except fusion.EncoderError as exc:
-        path = next(f for f, t in tables.items() if t.encoder_name == exc.encoder)
-        raise ValidationError(f"{path}: {exc}") from None
+    return [core.load_prediction_table(f, cache_use) for f in files]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +526,7 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     assignment = load_folds(Path(cfg["folds_file"]), labels.actor_ids)
     timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start}
     start = time.perf_counter()
-    data = _build_dataset(tables, labels, assignment)
+    data = FusionDataset.build(tables, labels, assignment)
     timings["build_s"] = time.perf_counter() - start
     if len(data.fold_ids) < 2:  # cross-validation holds out each fold in turn
         raise ValidationError(f"{cfg['folds_file']}: fold {data.fold_ids[0]} would leave no training data")
@@ -635,10 +624,10 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     if pred_path.is_dir():
         tables = _load_prediction_tables(pred_path, cache_use)
     else:
-        tables = {pred_path: core.load_prediction_table(pred_path, cache_use)}
+        tables = [core.load_prediction_table(pred_path, cache_use)]
     labels = core.load_label_table(Path(args.labels), cache_use)
     assignment = load_folds(Path(args.folds), labels.actor_ids)
-    names = [t.encoder_name for t in tables.values()]
+    names = [t.encoder_name for t in tables]
     if args.weights:
         weights = fusion.load_weights(Path(args.weights))
         unknown = sorted(weights.weights.keys() - set(names))
@@ -650,9 +639,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         weights = fusion.WeightVector.uniform(names)
     timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start}
     # Only the weighted encoders need to cover the labeled videos.
-    used = {f: t for f, t in tables.items() if t.encoder_name in weights.weights}
+    used = [t for t in tables if t.encoder_name in weights.weights]
     start = time.perf_counter()
-    data = _build_dataset(used, labels, assignment)
+    data = FusionDataset.build(used, labels, assignment)
     timings["build_s"] = time.perf_counter() - start
     start = time.perf_counter()
     surfaces = fold_surfaces(data, fusion.fuse(data, weights.weights), cfg)

@@ -305,21 +305,28 @@ def _code_digest() -> bytes:
 
 def cached_parse(
     path: Path,
-    data: bytes,
-    parse: Callable[[], tuple[_T, Optional[dict[str, np.ndarray]]]],
+    parse: Callable[[bytes], tuple[_T, Optional[dict[str, np.ndarray]]]],
     restore: Callable[[Mapping[str, np.ndarray]], _T],
     cache_use: Optional[Counter[str]] = None,
 ) -> _T:
-    """What ``parse()`` makes of ``data``, the bytes of the input file ``path``.
+    """What ``parse(data)`` makes of ``data``, the bytes of the input file ``path``.
 
-    ``parse`` returns the value and the arrays to store for it, or None to
-    store nothing.  They are stored in ``<dir>/.blendfuse-cache/<name>.npz``
-    under a key, the SHA-256 of ``data`` and :func:`_code_digest`.  While the
-    key matches, ``restore`` rebuilds the value from the stored arrays
-    instead, raising a ValueError if they do not fit.  Every fault of the
-    cache, such as a directory that cannot be written, is a miss.  Each call
-    adds one to ``cache_use["hits"]`` or ``cache_use["misses"]``.
+    A file that cannot be read is a :class:`ValidationError` led by ``path``
+    (by its ``repr`` if the path holds a NUL byte).  ``parse`` returns the
+    value and the arrays to store for it, or None to store nothing.  They are
+    stored in ``<dir>/.blendfuse-cache/<name>.npz`` under a key, the SHA-256
+    of ``data`` and :func:`_code_digest`.  While the key matches, ``restore``
+    rebuilds the value from the stored arrays instead, raising a ValueError
+    if they do not fit.  Every fault of the cache, such as a directory that
+    cannot be written, is a miss.  Each call adds one to
+    ``cache_use["hits"]`` or ``cache_use["misses"]``.
     """
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise ValidationError(f"{str(path)!r}: cannot read file: {exc}") from None
     cache_use = Counter() if cache_use is None else cache_use
     entry = path.parent / CACHE_DIR / f"{path.name}.npz"
     digest = hashlib.sha256(_code_digest())
@@ -336,7 +343,7 @@ def cached_parse(
     except NPZ_FAULTS:
         pass
     cache_use["misses"] += 1
-    value, arrays = parse()
+    value, arrays = parse(data)
     if arrays is not None:
         # Named by process and call, so concurrent writers never share one.
         tmp = entry.with_name(f"{entry.name}.{os.getpid()}.{next(_TEMPORARY_IDS)}.tmp")
@@ -449,33 +456,6 @@ class _Doubt(Exception):
     """The block reader cannot vouch for a file; the per-row reader reads it."""
 
 
-def _field_blocks(path: Path, header: list[str], data: Optional[bytes] = None) -> Iterator[list[str]]:
-    """The fields of the non-blank rows after ``header`` in ``path`` (or in
-    ``data``, its bytes), flattened, a block of whole lines at a time.
-    Raises :class:`_Doubt` unless every line is one that ``csv.reader``
-    splits at each comma: no quote or NUL (rejected before Python 3.11),
-    ``len(header) - 1`` commas and at most ``csv.field_size_limit()``
-    characters."""
-    commas, limit = len(header) - 1, csv.field_size_limit()
-    try:
-        with _text(path, data) as fh:
-            if fh.readline().rstrip("\r\n") != ",".join(header):
-                raise _Doubt
-            while lines := fh.readlines(_BLOCK_CHARS):
-                # Lines end in "\n", "\r\n" or a lone "\r", as csv.reader splits them.
-                rows = list(filter(None, map(str.rstrip, lines, repeat("\r\n"))))
-                if not rows:
-                    continue
-                text = ",".join(rows)
-                if '"' in text or "\0" in text or max(map(len, rows)) > limit:
-                    raise _Doubt
-                if set(map(str.count, rows, repeat(","))) != {commas}:
-                    raise _Doubt
-                yield text.split(",")
-    except (OSError, UnicodeDecodeError):
-        raise _Doubt from None
-
-
 def _doubtful_rows(matrix: np.ndarray) -> np.ndarray:
     """Rows that may fail or need :meth:`EmotionDistribution.from_raw`: all
     but those finite, within [0, 1] and summing to 1 well inside
@@ -506,20 +486,36 @@ def _parse_predictions(
 
 def _parse_prediction_blocks(path: Path, data: Optional[bytes] = None) -> tuple[list[str], list[str], np.ndarray]:
     """The rows :func:`_parse_predictions` reads from a file of rows valid as
-    they stand, each block's numbers parsed by one ``np.array`` call
-    (``float()``'s parser)."""
-    width = len(PREDICTIONS_HEADER)
+    they stand, a block of whole lines at a time, each block's numbers parsed
+    by one ``np.array`` call (``float()``'s parser).  Raises :class:`_Doubt`
+    unless every line is one that ``csv.reader`` splits at each comma: no
+    quote or NUL (rejected before Python 3.11), seven commas and at most
+    ``csv.field_size_limit()`` characters."""
+    width, limit = len(PREDICTIONS_HEADER), csv.field_size_limit()
     video_ids: list[str] = []
     actor_ids: list[str] = []
     blocks = [np.empty(0)]
-    for fields in _field_blocks(path, PREDICTIONS_HEADER, data):
-        video_ids += fields[0::width]
-        actor_ids += fields[1::width]
-        del fields[0::width], fields[0::width - 1]  # leaves the probabilities
-        try:
-            blocks.append(np.array(fields, dtype=np.float64))
-        except ValueError:
-            raise _Doubt from None
+    try:
+        with _text(path, data) as fh:
+            if fh.readline().rstrip("\r\n") != ",".join(PREDICTIONS_HEADER):
+                raise _Doubt
+            while lines := fh.readlines(_BLOCK_CHARS):
+                # Lines end in "\n", "\r\n" or a lone "\r", as csv.reader splits them.
+                rows = list(filter(None, map(str.rstrip, lines, repeat("\r\n"))))
+                if not rows:
+                    continue
+                text = ",".join(rows)
+                if '"' in text or "\0" in text or max(map(len, rows)) > limit:
+                    raise _Doubt
+                if set(map(str.count, rows, repeat(","))) != {width - 1}:
+                    raise _Doubt
+                fields = text.split(",")
+                video_ids += fields[0::width]
+                actor_ids += fields[1::width]
+                del fields[0::width], fields[0::width - 1]  # leaves the probabilities
+                blocks.append(np.array(fields, dtype=np.float64))
+    except (OSError, ValueError):  # unreadable, not UTF-8 or not a number
+        raise _Doubt from None
     matrix = np.concatenate(blocks).reshape(-1, N_EMOTIONS)
     actor_of = dict(zip(video_ids, actor_ids))
     if _doubtful_rows(matrix).any() or list(map(actor_of.__getitem__, video_ids)) != actor_ids:
@@ -578,11 +574,16 @@ def load_predictions(path: str | Path, encoder_name: Optional[str] = None) -> En
 
 @dataclass(frozen=True)
 class PredictionTable:
-    """One encoder's predictions file as an array of clip-averaged rows."""
+    """One encoder's predictions file, ``path``, as an array of clip-averaged rows."""
 
-    encoder_name: str
+    path: Path
     row_of: Mapping[str, int]  # video id -> row of probs, in first-appearance order
     probs: np.ndarray  # (videos, 6)
+
+    @property
+    def encoder_name(self) -> str:
+        """The file's name without its suffix."""
+        return self.path.stem
 
 
 def load_prediction_table(path: str | Path, cache_use: Optional[Counter[str]] = None) -> PredictionTable:
@@ -597,24 +598,15 @@ def load_prediction_table(path: str | Path, cache_use: Optional[Counter[str]] = 
     the load in ``cache_use``) while its bytes are unchanged.
     """
     path = Path(path)
-    data = _input_bytes(path)
 
-    def parse() -> tuple[PredictionTable, Optional[dict[str, np.ndarray]]]:
+    def parse(data: bytes) -> tuple[PredictionTable, Optional[dict[str, np.ndarray]]]:
         parsed, vouched = _parse_predictions(path, data)
-        table = _clip_means(path.stem, parsed)
+        table = _clip_means(path, parsed)
         if not vouched:  # never stored: the per-row reader may warn, and must on every load
             return table, None
         return table, {"probs": table.probs, "ids": _id_array(table.row_of)}
 
-    return cached_parse(path, data, parse, functools.partial(_table_of_entry, path.stem), cache_use)
-
-
-def _input_bytes(path: Path) -> bytes:
-    """The bytes of the input file ``path``; one that cannot be read is a ValidationError naming it."""
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    return cached_parse(path, parse, functools.partial(_table_of_entry, path), cache_use)
 
 
 def _id_array(ids: Iterable[str]) -> np.ndarray:
@@ -630,8 +622,8 @@ def _id_list(array: np.ndarray) -> list[str]:
     return ids
 
 
-def _clip_means(encoder_name: str, parsed: tuple[list[str], list[str], np.ndarray]) -> PredictionTable:
-    """The table of :func:`_parse_predictions`' rows, each video's clip rows averaged."""
+def _clip_means(path: Path, parsed: tuple[list[str], list[str], np.ndarray]) -> PredictionTable:
+    """The table of ``path`` from its rows as :func:`_parse_predictions` reads them, each video's clip rows averaged."""
     row_videos, _, matrix = parsed
     videos = dict.fromkeys(row_videos)  # in first-appearance order
     row_of = dict(zip(videos, range(len(videos))))
@@ -639,17 +631,17 @@ def _clip_means(encoder_name: str, parsed: tuple[list[str], list[str], np.ndarra
     clips = np.bincount(video_of_row, minlength=len(row_of))
     sums = np.zeros((len(row_of), N_EMOTIONS))
     np.add.at(sums, video_of_row, matrix)  # accumulates repeated videos in row order
-    return PredictionTable(encoder_name, row_of, sums / clips[:, None])
+    return PredictionTable(path, row_of, sums / clips[:, None])
 
 
-def _table_of_entry(encoder_name: str, arrays: Mapping[str, np.ndarray]) -> PredictionTable:
+def _table_of_entry(path: Path, arrays: Mapping[str, np.ndarray]) -> PredictionTable:
     """The table that :func:`load_prediction_table` stored as ``arrays``."""
     ids = _id_list(arrays["ids"])
     row_of = dict(zip(ids, range(len(ids))))
     probs = arrays["probs"]
     if probs.dtype != np.float64 or probs.shape != (len(ids), N_EMOTIONS) or len(row_of) != len(ids):
         raise ValueError(f"probabilities {probs.dtype} {probs.shape} do not fit {len(ids)} video ids")
-    return PredictionTable(encoder_name, row_of, probs)
+    return PredictionTable(path, row_of, probs)
 
 
 def write_prediction_rows(path: str | Path, rows: Iterable[tuple[str, str, Sequence[float]]]) -> None:
@@ -732,14 +724,13 @@ def load_label_table(path: str | Path, cache_use: Optional[Counter[str]] = None)
     checks is served from the input cache (:func:`cached_parse`, which counts
     the load in ``cache_use``) while its bytes are unchanged."""
     path = Path(path)
-    data = _input_bytes(path)
 
-    def parse() -> tuple[LabelTable, dict[str, np.ndarray]]:
+    def parse(data: bytes) -> tuple[LabelTable, dict[str, np.ndarray]]:
         table = load_labels(path, data)
         codes = np.stack([table.primary, table.secondary, table.salience])
         return table, {"ids": _id_array(table.video_ids), "actors": _id_array(table.actor_ids), "codes": codes}
 
-    return cached_parse(path, data, parse, _label_table_of_entry, cache_use)
+    return cached_parse(path, parse, _label_table_of_entry, cache_use)
 
 
 def _label_table_of_entry(arrays: Mapping[str, np.ndarray]) -> LabelTable:

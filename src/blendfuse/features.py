@@ -152,18 +152,12 @@ def load_feature_file(
     the load in ``cache_use``) while its bytes are unchanged."""
     path = Path(path)
     vid = video_id if video_id is not None else path.stem
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read feature file: {exc.strerror or exc}") from None
-    except ValueError as exc:  # a NUL byte in the path
-        raise ValidationError(f"{str(path)!r}: cannot read feature file: {exc}") from None
 
-    def parse() -> tuple[FrameFeatureSequence, dict[str, np.ndarray]]:
+    def parse(data: bytes) -> tuple[FrameFeatureSequence, dict[str, np.ndarray]]:
         seq = _parse_feature_text(path, vid, data)
         return seq, {"tensor": seq.data}
 
-    return cached_parse(path, data, parse, partial(_sequence_of_entry, vid), cache_use)
+    return cached_parse(path, parse, partial(_sequence_of_entry, vid), cache_use)
 
 
 def _sequence_of_entry(video_id: str, arrays: Mapping[str, np.ndarray]) -> FrameFeatureSequence:

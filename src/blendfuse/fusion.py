@@ -109,14 +109,6 @@ class CrossValConfig:
 # ---------------------------------------------------------------------------
 
 
-class EncoderError(ValidationError):
-    """A fault in the rows of one encoder, ``encoder``."""
-
-    def __init__(self, encoder: str, message: str) -> None:
-        super().__init__(message)
-        self.encoder = encoder
-
-
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class FusionDataset:
     """Everything weight search, threshold search and cross-validation read,
@@ -142,7 +134,8 @@ class FusionDataset:
         folds: FoldAssignment,
     ) -> "FusionDataset":
         """Clip means of the videos of ``labels`` from every encoder's table.
-        Every fold of ``folds`` must hold a labeled video."""
+        Every fold of ``folds`` must hold a labeled video.  A fault in an
+        encoder's rows is led by its table's path."""
         if not tables:
             raise ValidationError("need at least one encoder prediction set")
         n = len(labels.video_ids)
@@ -154,19 +147,18 @@ class FusionDataset:
         encoders = tuple(sorted(by_name))
         probs = np.empty((len(encoders), n, N_EMOTIONS))
         for e, name in enumerate(encoders):
-            rows = np.fromiter(map(by_name[name].row_of.get, video_ids, itertools.repeat(-1)), np.intp, n)
+            table = by_name[name]
+            rows = np.fromiter(map(table.row_of.get, video_ids, itertools.repeat(-1)), np.intp, n)
             if (rows < 0).any():
                 missing = video_ids[int(np.argmax(rows < 0))]
-                raise EncoderError(name, f"encoder {name!r} has no prediction for video {missing!r}")
-            probs[e] = by_name[name].probs[rows]
+                raise ValidationError(f"{table.path}: encoder {name!r} has no prediction for video {missing!r}")
+            probs[e] = table.probs[rows]
             # A mean of clip rows near the sum tolerance can drift past it,
             # which average_clips rejects.
             near_limit = np.abs(probs[e].sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
             for v in np.flatnonzero(near_limit).tolist():
-                try:
+                with located(f"{table.path}: encoder {name!r}, video {video_ids[v]!r}"):
                     EmotionDistribution(tuple(probs[e, v].tolist()))
-                except ValidationError as exc:
-                    raise EncoderError(name, f"encoder {name!r}, video {video_ids[v]!r}: {exc}") from None
         codes = (labels.primary, labels.secondary, labels.salience)
         return cls(
             encoders,

@@ -33,7 +33,7 @@ def prediction_tables(preds, records):
     for p in preds:
         covered = [vid for vid in video_ids if vid in p.rows]
         probs = np.array([average_clips(p.rows[vid]).values for vid in covered]).reshape(len(covered), N_EMOTIONS)
-        tables.append(PredictionTable(p.encoder_name, {vid: i for i, vid in enumerate(covered)}, probs))
+        tables.append(PredictionTable(Path(f"{p.encoder_name}.csv"), {vid: i for i, vid in enumerate(covered)}, probs))
     return tables
 
 
@@ -141,18 +141,18 @@ def records_dataset(tables, records, folds):
     encoders = tuple(sorted(by_name))
     probs = np.empty((len(encoders), len(video_ids), N_EMOTIONS))
     for e, name in enumerate(encoders):
-        row_of = by_name[name].row_of
-        rows = [row_of.get(vid, -1) for vid in video_ids]
+        table = by_name[name]
+        rows = [table.row_of.get(vid, -1) for vid in video_ids]
         if -1 in rows:
             missing = video_ids[rows.index(-1)]
-            raise ValidationError(f"encoder {name!r} has no prediction for video {missing!r}")
-        probs[e] = by_name[name].probs[rows]
+            raise ValidationError(f"{table.path}: encoder {name!r} has no prediction for video {missing!r}")
+        probs[e] = table.probs[rows]
         near_limit = np.abs(probs[e].sum(axis=1) - 1.0) > SUM_TOLERANCE / 2
         for v in np.flatnonzero(near_limit).tolist():
             try:
                 EmotionDistribution(tuple(probs[e, v].tolist()))
             except ValidationError as exc:
-                raise ValidationError(f"encoder {name!r}, video {video_ids[v]!r}: {exc}") from None
+                raise ValidationError(f"{table.path}: encoder {name!r}, video {video_ids[v]!r}: {exc}") from None
     by_fold = videos_by_fold(folds, records)
     position_of = {vid: i for i, vids in enumerate(by_fold.values()) for vid in vids}
     return FusionDataset(

@@ -277,7 +277,7 @@ def test_cross_validation_matches_scalar_path(inputs):
 
 
 def _table(name, rows):
-    return core.PredictionTable(name, {vid: i for i, vid in enumerate(rows)}, np.array(list(rows.values())))
+    return core.PredictionTable(Path(f"{name}.csv"), {vid: i for i, vid in enumerate(rows)}, np.array(list(rows.values())))
 
 
 def test_label_table_rejects_unlabeled_and_repeated_records():
@@ -304,7 +304,7 @@ def test_dataset_checks_clip_means_of_labeled_videos_only():
     assert data.video_ids == ("v0", "v1")
     with pytest.raises(core.ValidationError) as exc:
         FusionDataset.build([_table("enc", {"v0": good, "v1": drifted})], labels, folds)
-    assert str(exc.value).startswith("encoder 'enc', video 'v1': probabilities sum to ")
+    assert str(exc.value).startswith("enc.csv: encoder 'enc', video 'v1': probabilities sum to ")
 
 
 def test_fuse_evaluate_cli_matches_scalar_path(inputs, tmp_path):

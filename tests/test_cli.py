@@ -75,7 +75,7 @@ GOOD_ROW = " ".join(["0.5"] * 6)
 FEATURE_FAULTS = [
     ("bad-token", f"layers=1 frames=3 dims=6\n{GOOD_ROW}\n0.5 0.5 zero 0.5 0.5 0.5\n{GOOD_ROW}\n",
      "{path}:3: not a number: 'zero'"),
-    ("missing", None, "{path}: cannot read feature file"),
+    ("missing", None, "{path}: cannot read file"),
     ("not-utf8", b"layers=1 frames=1 dims=6\n\xff\n", "{path}: not UTF-8"),
     ("negative-frames", "layers=1 frames=-1 dims=6\n", "{path}: bad feature header"),
     ("zero-dims", "layers=1 frames=3 dims=0\n", "{path}: bad feature header"),
@@ -725,30 +725,54 @@ def _mutated_labels(draw):
     return _mutated(draw, _valid_labels_bytes())
 
 
-def _mutated(draw, raw):
-    """``raw``, the bytes of a valid CSV file, after one mutation drawn with
-    ``draw``, or None for a directory in place of the file."""
-    kind = draw(st.sampled_from(["truncate", "flip", "drop field", "not utf-8", "empty", "header", "dir"]))
+# Values a field of a valid input may take, by file and column.
+_VALID_VALUES = {
+    "labels.csv": {2: [e.label for e in core.EMOTIONS], 3: [e.label for e in core.EMOTIONS],
+                   4: ["100", "70", "50", "30"]},
+    "folds.csv": {1: ["0", "1", "2"]},
+}
+
+
+def _mutated(draw, raw, name="labels.csv"):
+    """``raw``, the bytes of the valid input file ``name`` (a CSV file, or a
+    ``.feat`` file of space-separated rows), after one mutation drawn with
+    ``draw``, or None for a directory in place of the file.  Two rows
+    swapped, or a field of ``_VALID_VALUES`` set to another of its values,
+    may leave the file valid."""
+    newline, sep = (b"\n", b" ") if name.endswith(".feat") else (b"\r\n", b",")
+    lines = raw.split(newline)  # the last "line" is the empty tail
+    kinds = ["truncate", "flip", "drop field", "not utf-8", "empty", "header", "dir", "swap rows"]
+    kind = draw(st.sampled_from(kinds + ["valid value"] * (name in _VALID_VALUES)))
     if kind == "truncate":
         return raw[: draw(st.integers(0, len(raw)))]
     if kind == "flip":
         i = draw(st.integers(0, len(raw) - 1))
         return raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1 :]
     if kind == "drop field":
-        lines = raw.split(b"\r\n")
-        i = draw(st.integers(0, len(lines) - 2))  # the last "line" is the empty tail
-        fields = lines[i].split(b",")
+        i = draw(st.integers(0, len(lines) - 2))
+        fields = lines[i].split(sep)
         del fields[draw(st.integers(0, len(fields) - 1))]
-        lines[i] = b",".join(fields)
-        return b"\r\n".join(lines)
+        lines[i] = sep.join(fields)
+        return newline.join(lines)
     if kind == "not utf-8":
         i = draw(st.integers(0, len(raw)))
         return raw[:i] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[i:]
     if kind == "empty":
         return b""
     if kind == "header":
-        return raw.split(b"\r\n")[0] + b"\r\n"
-    return None
+        return lines[0] + newline
+    if kind == "dir":
+        return None
+    if kind == "swap rows":
+        i, j = draw(st.lists(st.integers(1, len(lines) - 2), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+        return newline.join(lines)
+    i = draw(st.integers(1, len(lines) - 2))
+    column, values = draw(st.sampled_from(sorted(_VALID_VALUES[name].items())))
+    fields = lines[i].split(sep)
+    fields[column] = draw(st.sampled_from([v.encode() for v in values if v.encode() != fields[column]]))
+    lines[i] = sep.join(fields)
+    return newline.join(lines)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -780,14 +804,17 @@ def _small_synth():
 
 @functools.cache
 def _fusion_input_bytes():
-    """The bytes of a small labels file, its predictions file and a 3-fold folds file."""
+    """The bytes of a small labels file, its predictions file and a 3-fold
+    folds file, by path relative to the inputs."""
     data = _small_synth()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         core.save_labels(data.records, root / "labels.csv")
         core.save_predictions(data.predictions, root / "synth.csv")
         save_folds(split_actors([r.actor_id for r in data.records], 3), root / "folds.csv")
-        return {name: (root / name).read_bytes() for name in ("labels.csv", "synth.csv", "folds.csv")}
+        return {"labels.csv": (root / "labels.csv").read_bytes(),
+                "predictions/synth.csv": (root / "synth.csv").read_bytes(),
+                "folds.csv": (root / "folds.csv").read_bytes()}
 
 
 @functools.cache
@@ -801,26 +828,25 @@ def _feature_input_bytes():
 
 
 @st.composite
-def _mutated_labels_or_folds(draw):
-    name = draw(st.sampled_from(["labels.csv", "folds.csv"]))
-    return name, _mutated(draw, _fusion_input_bytes()[name])
+def _mutated_input(draw):
+    """The relative path of an input of ``_fusion_input_bytes`` or of the
+    first ``.feat`` file of ``_feature_input_bytes``, and its mutated bytes."""
+    inputs = {**_fusion_input_bytes(), **_feature_input_bytes()}
+    name = draw(st.sampled_from([*_fusion_input_bytes(), min(n for n in inputs if n.endswith(".feat"))]))
+    return name, _mutated(draw, inputs[name], Path(name).name)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(case=_mutated_labels_or_folds())
-def test_mutated_labels_or_folds_file_exits_cleanly_and_alike_cold_and_warm(case):
+@given(case=_mutated_input())
+def test_mutated_input_file_exits_cleanly_and_alike_cold_and_warm(case):
     # As for the labels file through split and encode-labels, and a second
     # run, served from the input cache where the first one stored entries,
-    # ends exactly as the first.
+    # ends exactly as the first, with the same data outputs.
     name, raw = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for file, data in _fusion_input_bytes().items():
-            path = root / ("predictions" if file == "synth.csv" else "") / file
-            path.parent.mkdir(exist_ok=True)
-            path.write_bytes(data)
-        (root / "features").mkdir()
-        for file, data in _feature_input_bytes().items():
+        for file, data in {**_fusion_input_bytes(), **_feature_input_bytes()}.items():
+            (root / file).parent.mkdir(exist_ok=True)
             (root / file).write_bytes(data)
         mutated = root / name
         if raw is None:
@@ -844,16 +870,22 @@ def test_mutated_labels_or_folds_file_exits_cleanly_and_alike_cold_and_warm(case
                 shutil.rmtree(cache, ignore_errors=True)
             outcomes = []
             for _ in ("cold", "warm"):
+                shutil.rmtree(root / "out", ignore_errors=True)
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                     code = run(*argv, "--out", root / "out")
-                outcomes.append((code, err.getvalue()))
+                outputs = {p.relative_to(root): p.read_bytes() for p in sorted((root / "out").rglob("*"))
+                           if p.is_file() and p.name != "run_meta.json"}
+                outcomes.append((code, err.getvalue(), outputs))
             assert outcomes[1] == outcomes[0]
-            code, message = outcomes[0]
+            code, message, outputs = outcomes[0]
             assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG)
             assert "Traceback" not in message
+            if code == EXIT_OK:
+                assert outputs
             if code == EXIT_DATA:
-                assert any(message.startswith(f"validation error: {path}") for path in root.rglob("*.csv")), message
+                named = [path for path in root.rglob("*") if path.suffix in (".csv", ".feat")]
+                assert any(message.startswith(f"validation error: {path}") for path in named), message
 
 
 _VALID_RUN_CONFIG = {
@@ -875,9 +907,8 @@ def _assert_run_config_exits_cleanly(raw, key, *flags):
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         root = Path(tmp)
         for file, data in _fusion_input_bytes().items():
-            path = root / ("predictions" if file == "synth.csv" else "") / file
-            path.parent.mkdir(exist_ok=True)
-            path.write_bytes(data)
+            (root / file).parent.mkdir(exist_ok=True)
+            (root / file).write_bytes(data)
         cfg_path = root / "run.json"
         if raw is None:
             cfg_path.mkdir()
@@ -1882,7 +1913,7 @@ def test_manifest_path_with_a_nul_byte_is_data_error(tmp_path, capsys, command):
     ]
     assert run(command, *flags, "--out", tmp_path / "out") == EXIT_DATA
     path = inputs["--features"] / "a1_v0\x00.feat"
-    assert f"{str(path)!r}: cannot read feature file: embedded null byte" in capsys.readouterr().err
+    assert f"{str(path)!r}: cannot read file: embedded null byte" in capsys.readouterr().err
 
 # The first path each writing command writes under its output directory.
 FIRST_OUTPUT = {

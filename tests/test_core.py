@@ -23,12 +23,14 @@ from blendfuse.core import (
     ValidationError,
     average_clips,
     canonicalize_annotation,
+    load_label_table,
     load_labels,
     load_prediction_table,
     load_predictions,
     save_labels,
     save_predictions,
 )
+from blendfuse.features import load_feature_file
 
 
 def dist(*values):
@@ -421,3 +423,39 @@ def test_only_core_imports_csv():
             if any(name.split(".")[0] == "csv" for name in names):
                 importers.add(module.name)
     assert importers == {"core.py"}
+
+
+def test_only_the_input_cache_reads_input_bytes():
+    """Every input file's bytes are read by ``core.cached_parse``; the other
+    ``.read_bytes()`` calls hash the package's source and the outputs."""
+    callers = set()
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, scope):
+            self.scope = [scope]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "read_bytes":
+                callers.add(".".join(self.scope))
+            self.generic_visit(node)
+
+    for module in sorted(Path(blendfuse.__file__).parent.glob("*.py")):
+        Calls(module.stem).visit(ast.parse(module.read_text(encoding="utf-8")))
+    assert callers == {"core.cached_parse", "core._code_digest", "cli._sha256_file"}
+
+
+@pytest.mark.parametrize("loader", [load_prediction_table, load_label_table, load_feature_file])
+@pytest.mark.parametrize(
+    "name, lead, reason",
+    [("absent.csv", "{path}", "No such file or directory"), ("x\x00.csv", "{path!r}", "embedded null byte")],
+)
+def test_an_unreadable_input_is_led_by_its_path(tmp_path, loader, name, lead, reason):
+    path = tmp_path / name
+    with pytest.raises(ValidationError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{lead.format(path=str(path))}: cannot read file: {reason}"

@@ -290,12 +290,12 @@ class TestFeatureFileParse:
 
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "absent.feat"
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot read feature file")):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot read file")):
             load_feature_file(path)
 
     def test_nul_byte_in_path_names_path(self, tmp_path):
         path = tmp_path / "x\x00.feat"
-        with pytest.raises(ValidationError, match=re.escape(f"{str(path)!r}: cannot read feature file")):
+        with pytest.raises(ValidationError, match=re.escape(f"{str(path)!r}: cannot read file")):
             load_feature_file(path)
 
     def test_non_utf8_names_path(self, tmp_path):

@@ -1,6 +1,7 @@
 """Late fusion, simplex weights, and the weight search strategies."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def two_video_dataset(rows_by_encoder):
     actor's and fold's, from ``{encoder: [row of v0, row of v1]}``."""
     records = [SampleRecord(f"v{i}", f"a{i}", BlendAnnotation(Emotion.ANGER, None, 100)) for i in range(2)]
     tables = [
-        PredictionTable(name, {"v0": 0, "v1": 1}, np.array(rows, dtype=float))
+        PredictionTable(Path(f"{name}.csv"), {"v0": 0, "v1": 1}, np.array(rows, dtype=float))
         for name, rows in rows_by_encoder.items()
     ]
     return FusionDataset.build(tables, label_table(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
@@ -122,8 +123,8 @@ class TestFuse:
 
     def test_missing_video_rejected(self):
         records = [SampleRecord(f"v{i}", f"a{i}", BlendAnnotation(Emotion.ANGER, None, 100)) for i in range(2)]
-        table = PredictionTable("e", {"v0": 0}, np.array([[1.0, 0, 0, 0, 0, 0]]))
-        with pytest.raises(ValidationError, match="^encoder 'e' has no prediction for video 'v1'$"):
+        table = PredictionTable(Path("e.csv"), {"v0": 0}, np.array([[1.0, 0, 0, 0, 0, 0]]))
+        with pytest.raises(ValidationError, match="^e.csv: encoder 'e' has no prediction for video 'v1'$"):
             FusionDataset.build([table], label_table(records), FoldAssignment({"a0": 0, "a1": 1}, 2))
 
     def test_missing_encoder_rejected(self):
