@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 from collections import Counter
@@ -470,6 +471,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     mlp_cfg, mlp_resolved = _config(mlp.MlpConfig, _MLP_FLAGS, args)
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
     labels = core.load_label_table(Path(args.labels), cache_use)
     assignment = load_folds(Path(args.folds), labels.actor_ids)
@@ -509,6 +511,7 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     oof_path = out / "mlp_oof.csv"
     core.write_prediction_rows(oof_path, sorted(oof))  # by video id, which is unique
     outputs.append(oof_path)
+    counters["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs,
                     counters=counters, timings=timings, input_cache=cache_use)
     print(f"wrote {oof_path}")

@@ -303,6 +303,14 @@ def _code_digest() -> bytes:
     return digest.digest()
 
 
+def _unreadable(path: str | Path, exc: OSError | ValueError) -> ValidationError:
+    """The fault of an input file that cannot be opened or read, led by
+    ``path``; by its ``repr`` for the ``ValueError`` of a NUL byte in it."""
+    if isinstance(exc, OSError):
+        return ValidationError(f"{path}: cannot read file: {exc.strerror or exc}")
+    return ValidationError(f"{str(path)!r}: cannot read file: {exc}")
+
+
 def cached_parse(
     path: Path,
     parse: Callable[[bytes], tuple[_T, Optional[dict[str, np.ndarray]]]],
@@ -323,10 +331,8 @@ def cached_parse(
     """
     try:
         data = path.read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
-    except ValueError as exc:  # a NUL byte in the path
-        raise ValidationError(f"{str(path)!r}: cannot read file: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise _unreadable(path, exc) from None
     cache_use = Counter() if cache_use is None else cache_use
     entry = path.parent / CACHE_DIR / f"{path.name}.npz"
     digest = hashlib.sha256(_code_digest())
@@ -403,15 +409,21 @@ def _text(path: str | Path, data: Optional[bytes]) -> io.TextIOWrapper:
 @contextmanager
 def csv_reader(path: str | Path, data: Optional[bytes] = None) -> Iterator[Any]:
     """A ``csv.reader`` over ``path`` (or over ``data``, its bytes) as UTF-8.
-    An unreadable path (such as a directory), bytes that are not UTF-8 or a
-    field over ``csv.field_size_limit()`` are a :class:`ValidationError`
-    naming ``path``."""
+    An unreadable path (such as a directory, or one holding a NUL byte),
+    bytes that are not UTF-8 or a field over ``csv.field_size_limit()`` are a
+    :class:`ValidationError` naming ``path``."""
+    # Only the open may turn a ValueError into this fault: the body below
+    # also sees the callers' own ValidationErrors, which are ValueErrors.
     try:
-        with _text(path, data) as fh:
+        fh = _text(path, data)
+    except (OSError, ValueError) as exc:
+        raise _unreadable(path, exc) from None
+    try:
+        with fh:
             reader = csv.reader(fh)
             yield reader
     except OSError as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+        raise _unreadable(path, exc) from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:

@@ -9,11 +9,16 @@ best-validation snapshot.  Everything is seeded and deterministic.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +29,14 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # fraction of the batch statistic folded into the running stats
 DEFAULT_PATIENCE = 80
 CHECKPOINT_VERSION = 1
-PANEL_ROWS = 128  # weight rows per gemm of a training step (64 timed the same, 32 slower)
+# Weight rows per gemm of a training step.  On two threads 128, 64 and 32 timed
+# the same; 128 peaked 1 MB higher (a panel buffer for each thread).
+PANEL_ROWS = 64
+# Multiply-adds below which a training gemm, or a weight's panel updates, stay
+# on one thread: splits of 4.2M measured no faster than the whole.  It also
+# keeps each half of a split gemm over OpenBLAS's small-matrix bound (10**6
+# multiply-adds), whose kernel sums in another order than the whole gemm's.
+SPLIT_MIN_MACS = 1 << 23
 
 
 class NumericError(RuntimeError):
@@ -134,13 +146,91 @@ class MlpModel:
         return [(k, a) for k, a in self.params.items() if not k.endswith(("_mean", "_var"))]
 
 
+@functools.cache
+def _openblas_thread_count() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The getter and setter of the thread count of the OpenBLAS bundled with
+    numpy, or None where numpy bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        getter = getattr(dll, "scipy_openblas_get_num_threads64_", None)
+        setter = getattr(dll, "scipy_openblas_set_num_threads64_", None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with numpy's OpenBLAS on one thread, then restore its
+    count.  A gemm's bits can depend on how OpenBLAS splits it between its
+    threads; on one, they do not."""
+    controls = _openblas_thread_count()
+    if controls is None:
+        yield
+        return
+    getter, setter = controls
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+def _step_pool() -> AbstractContextManager[Optional[Executor]]:
+    """A one-worker pool for the training steps where this process may run
+    on two CPUs or more, else None: on one CPU, splitting a step only adds
+    work (each row half of a gemm packs the whole weight)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(1) if cpus > 1 else nullcontext(None)
+
+
+def _on_two_threads(pool: Executor, first: Callable[[], object], second: Callable[[], object]) -> None:
+    """Run ``first()`` on ``pool``'s worker, under this thread's
+    floating-point error state, and ``second()`` here.  Returns or raises
+    only once both have ended; an exception of ``first`` wins, as it would
+    have come first in a serial run."""
+    errors = np.geterr()
+
+    def task() -> None:
+        with np.errstate(**errors):
+            first()
+
+    future = pool.submit(task)
+    try:
+        second()
+    finally:
+        future.result()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, pool: Optional[Executor]) -> np.ndarray:
+    """``a @ b``, with its two row halves on two threads when there is a
+    ``pool`` and the gemm is large enough to gain.  On one BLAS thread each
+    row comes out bit for bit as it does from the whole gemm."""
+    n = a.shape[0]
+    if pool is None or n < 4 or n * a.shape[1] * b.shape[1] < SPLIT_MIN_MACS:
+        return a @ b
+    out, half = np.empty((n, b.shape[1])), n // 2
+    _on_two_threads(
+        pool,
+        lambda: np.matmul(a[:half], b, out=out[:half]),
+        lambda: np.matmul(a[half:], b, out=out[half:]),
+    )
+    return out
+
+
 def _forward_batch(
     model: MlpModel,
     x: np.ndarray,
     train: bool,
     dropout_rng: Optional[np.random.Generator] = None,
+    pool: Optional[Executor] = None,
 ) -> tuple[np.ndarray, list[dict]]:
-    """Run the stack up to the logits, recording caches when training."""
+    """Run the stack up to the logits, recording caches when training.  With
+    a ``pool``, large gemms run half on its worker."""
     caches: list[dict] = []
     h = x
     params = model.params
@@ -148,7 +238,7 @@ def _forward_batch(
     rate = model.config.dropout
     for i in range(n_hidden):
         cache: dict = {"x": h}
-        z = h @ params[f"w{i}"] + params[f"b{i}"]
+        z = _matmul(h, params[f"w{i}"], pool) + params[f"b{i}"]
         z_bn, cache["bn"] = batchnorm_forward(z, params, i, train)
         cache["relu_mask"] = relu_mask = z_bn > 0.0
         h = z_bn * relu_mask
@@ -158,7 +248,7 @@ def _forward_batch(
             h = h * drop_mask
         caches.append(cache)
     caches.append({"x": h})
-    logits = h @ params[f"w{n_hidden}"] + params[f"b{n_hidden}"]
+    logits = _matmul(h, params[f"w{n_hidden}"], pool) + params[f"b{n_hidden}"]
     return logits, caches
 
 
@@ -168,6 +258,7 @@ def loss_and_gradients(
     y: np.ndarray,
     dropout_rng: Optional[np.random.Generator],
     weight_hook: Callable[[str, np.ndarray, np.ndarray], None],
+    pool: Optional[Executor] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean KL loss over a batch, the gradients of the biases and batchnorm
     parameters, and each weight gradient handed to ``weight_hook``.
@@ -178,9 +269,9 @@ def loss_and_gradients(
     ``weight_hook(name, inputs, dz)`` is called once backprop has read
     weight ``name``, whose gradient is ``inputs.T @ dz``.  A non-finite
     loss returns before any hook call.  The gradient with respect to ``x``
-    is not computed.
+    is not computed.  With a ``pool``, large gemms run half on its worker.
     """
-    logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng)
+    logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng, pool=pool)
     probs = softmax(logits)
     loss = mean_kl(y, probs)
     grads: dict[str, np.ndarray] = {}
@@ -201,17 +292,19 @@ def loss_and_gradients(
             dz = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
         grads[f"b{i}"] = dz.sum(axis=0)
         if i > 0:
-            dh = dz @ params[f"w{i}"].T
+            dh = _matmul(dz, params[f"w{i}"].T, pool)
         weight_hook(f"w{i}", cache["x"], dz)
     return loss, grads
 
 
-def predict_proba(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Eval-mode class probabilities for a batch of feature vectors."""
+def predict_proba(model: MlpModel, x: np.ndarray, pool: Optional[Executor] = None) -> np.ndarray:
+    """Eval-mode class probabilities for a batch of feature vectors, on one
+    BLAS thread.  With a ``pool``, large gemms run half on its worker."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise ValidationError(f"expected feature dim {model.input_dim}, got {x.shape[1]}")
-    return softmax(_forward_batch(model, x, train=False)[0])
+    with _one_blas_thread():
+        return softmax(_forward_batch(model, x, train=False, pool=pool)[0])
 
 
 @dataclass(frozen=True)
@@ -246,8 +339,10 @@ def train(
 ) -> TrainResult:
     """Fit a head on (features, soft-label) arrays with early stopping.
 
-    Stops once mean validation KL has failed to improve for
-    ``max(patience, 1)`` consecutive epochs and returns the snapshot from
+    Each step runs on two threads where the process may use two CPUs: this
+    one and a worker that lives as long as the call.  numpy's OpenBLAS is
+    held at one thread, so the head's bits depend on neither count.  Stops once mean validation KL has failed to improve
+    for ``max(patience, 1)`` consecutive epochs and returns the snapshot from
     the best validation epoch.  A floating-point overflow, invalid
     operation or division by zero is a :class:`NumericError` naming the
     epoch.
@@ -271,7 +366,8 @@ def train(
     # Row panels per weight: _batches folds a one-row tail (numpy would use gemv) into the one before.
     panels = {k: [(r[0], r[-1] + 1) for r in _batches(len(a), PANEL_ROWS, np.arange(len(a)))]
               for k, a in model.params.items() if k.startswith("w")}
-    scratch = np.empty((PANEL_ROWS + 1) * max(model.params[k].shape[1] for k in panels))
+    # One panel buffer for each thread.
+    scratch = np.empty((2, (PANEL_ROWS + 1) * max(model.params[k].shape[1] for k in panels)))
 
     def momentum_step(arr: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
         g *= cfg.lr
@@ -280,22 +376,34 @@ def train(
         arr += v
 
     def step_weight(name: str, inputs: np.ndarray, dz: np.ndarray) -> None:
-        w, v = model.params[name], velocity[name]
-        for i, j in panels[name]:
-            panel = scratch[: (j - i) * w.shape[1]].reshape(j - i, -1)
-            momentum_step(w[i:j], v[i:j], np.matmul(inputs.T[i:j], dz, out=panel))
+        w, v, rows = model.params[name], velocity[name], panels[name]
+
+        def step_panels(rows: list[tuple[int, int]], buffer: np.ndarray) -> None:
+            for i, j in rows:
+                panel = buffer[: (j - i) * w.shape[1]].reshape(j - i, -1)
+                momentum_step(w[i:j], v[i:j], np.matmul(inputs.T[i:j], dz, out=panel))
+
+        if pool is None or len(rows) < 2 or w.size * dz.shape[0] < SPLIT_MIN_MACS:
+            step_panels(rows, scratch[0])
+        else:
+            half = len(rows) // 2
+            _on_two_threads(pool, lambda: step_panels(rows[:half], scratch[1]),
+                            lambda: step_panels(rows[half:], scratch[0]))
 
     best, best_val, best_epoch, bad_epochs, log = None, math.inf, -1, 0, []
     n = x_train.shape[0]
 
+    # The worker runs numpy and the closures above, never a public function of
+    # this module: perfbench's tracer wraps those and keeps one span stack.
+    errors = np.errstate(over="raise", invalid="raise", divide="raise")
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with _one_blas_thread(), _step_pool() as pool, errors:
             for epoch in range(cfg.max_epochs):
                 order = rng.permutation(n)
                 epoch_loss = 0.0
                 for batch in _batches(n, cfg.batch_size, order):
                     xb, yb = x_train[batch], y_train[batch]
-                    loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, step_weight)
+                    loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, step_weight, pool)
                     if not math.isfinite(loss):
                         raise NumericError(f"non-finite training loss at epoch {epoch}: {loss!r}")
                     epoch_loss += loss * batch.size
@@ -303,7 +411,7 @@ def train(
                         momentum_step(model.params[name], velocity[name], g)
                 train_loss = epoch_loss / n
 
-                val_loss = mean_kl(y_val, predict_proba(model, x_val))
+                val_loss = mean_kl(y_val, predict_proba(model, x_val, pool))
                 if not math.isfinite(val_loss):
                     raise NumericError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
                 log.append(TrainLogEntry(epoch, train_loss, val_loss))

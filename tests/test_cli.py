@@ -1111,6 +1111,7 @@ class TestTrainMlp:
         ]
         assert counters["epochs"] == [len(v) for v in val_losses]
         assert counters["best_epoch"] == [v.index(min(v)) for v in val_losses]
+        assert type(counters["minor_faults"]) is int and counters["minor_faults"] >= 0  # 0 once the heap is warm
         assert len((out / "mlp_oof.csv").read_text().splitlines()) == 1 + counters["videos"] == 13
         for k in range(3):
             with np.load(out / f"mlp_fold{k}.npz") as ckpt:
@@ -1250,8 +1251,8 @@ class TestTrainMlp:
             trained.append(result.model)
             return result
 
-        def nan_for_the_second_held_out_fold(model, x):
-            probs = predict_proba(model, x)
+        def nan_for_the_second_held_out_fold(model, x, *pool):
+            probs = predict_proba(model, x, *pool)
             if trained and model is trained[-1]:  # the best snapshot, predicting its held-out fold
                 held_out_calls.append(len(x))
                 if len(held_out_calls) == 2:
@@ -1308,6 +1309,35 @@ def test_train_mlp_and_aggregate_outputs_are_pinned(tmp_path, case):
                "--out", out) == EXIT_OK
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs_of(out).items()}
     assert digests == PINNED_FEATURE_OUTPUTS[case]
+
+
+def test_train_mlp_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 288 features (48 dims x 3 segments x 2 statistics) into 130 hidden units,
+    # trained on 40 videos a fold: gemms that two OpenBLAS threads would split
+    # unlike one thread, had training not held OpenBLAS at one thread.
+    records = [core.SampleRecord(f"a{a}_v{c}", f"a{a}", core.BlendAnnotation(core.EMOTIONS[c % 6], None, 100))
+               for a in range(4) for c in range(20)]
+    core.save_labels(records, tmp_path / "labels.csv")
+    feat_dir, rng = tmp_path / "features", np.random.default_rng(0)
+    feat_dir.mkdir()
+    for rec in records:
+        features.save_feature_file(features.FrameFeatureSequence(rec.video_id, rng.normal(size=(1, 3, 48))), feat_dir)
+    features.save_feature_manifest([(r.video_id, r.actor_id, f"{r.video_id}.feat") for r in records],
+                                   feat_dir / "manifest.csv")
+    assert run("split", "--manifest", tmp_path / "labels.csv", "--k", 2, "--out", tmp_path / "folds") == EXIT_OK
+    argv = ["train-mlp", "--features", feat_dir, "--labels", tmp_path / "labels.csv",
+            "--folds", tmp_path / "folds" / "folds.csv", "--layer-lo", 0, "--layer-hi", 0, "--hidden", 130,
+            "--epochs", 3]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"out{threads}"
+        proc = subprocess.run([sys.executable, "-m", "blendfuse", *map(str, argv), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(outputs_of(out))
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
 
 
 # The CSV-writing commands on one small synth input, run in order from one

@@ -30,7 +30,9 @@ from blendfuse.core import (
     save_labels,
     save_predictions,
 )
-from blendfuse.features import load_feature_file
+from blendfuse.evaluation import load_folds
+from blendfuse.features import load_feature_file, load_feature_manifest
+from blendfuse.fusion import load_weights
 
 
 def dist(*values):
@@ -449,7 +451,12 @@ def test_only_the_input_cache_reads_input_bytes():
     assert callers == {"core.cached_parse", "core._code_digest", "cli._sha256_file"}
 
 
-@pytest.mark.parametrize("loader", [load_prediction_table, load_label_table, load_feature_file])
+# The first three read through cached_parse, the rest through csv_reader.
+@pytest.mark.parametrize(
+    "loader",
+    [load_prediction_table, load_label_table, load_feature_file,
+     load_predictions, load_folds, load_weights, load_feature_manifest],
+)
 @pytest.mark.parametrize(
     "name, lead, reason",
     [("absent.csv", "{path}", "No such file or directory"), ("x\x00.csv", "{path!r}", "embedded null byte")],

@@ -3,15 +3,21 @@
 import gc
 import io
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blendfuse import mlp
 from blendfuse.core import ValidationError
 from blendfuse.labels import mean_kl, softmax
 from blendfuse.mlp import (
+    SPLIT_MIN_MACS,
     MlpConfig,
     MlpModel,
     NumericError,
@@ -26,6 +32,8 @@ from blendfuse.mlp import (
     train,
     _batches,
     _forward_batch,
+    _matmul,
+    _one_blas_thread,
 )
 
 
@@ -274,6 +282,46 @@ class TestTrain:
         y = random_soft_rows(rng, 16)
         with pytest.raises(NumericError, match=r"^overflow encountered in \w+ at epoch 1$"):
             train((x, y), (x, y), toy_config(lr=1e100, max_epochs=10, batch_size=16))
+
+    def test_overflow_in_the_worker_half_is_one_numeric_error_naming_the_epoch(self):
+        # One batch of 8 rows: the first gemm, 8 x 1024 @ 1024 x 1024, is
+        # split, and the worker takes the rows of the first four samples of
+        # the shuffled order (train shuffles with default_rng(seed + 1)).
+        # Only those samples overflow it.
+        cfg = MlpConfig(hidden_dims=(1024,), dropout=0.0, max_epochs=2, patience=2, batch_size=8, seed=5)
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(8, 1024)), random_soft_rows(rng, 8)
+        assert 8 * 1024 * 1024 >= SPLIT_MIN_MACS
+        x[np.random.default_rng(cfg.seed + 1).permutation(8)[:4]] = 1.7e308
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match=r"^overflow encountered in matmul at epoch 0$"):
+                train((x, y), (x[:2], y[:2]), cfg)
+        assert caught == []
+        assert threading.active_count() == threads
+
+    def test_the_worker_thread_ends_with_train(self):
+        rng = np.random.default_rng(17)
+        x, y = rng.normal(size=(16, 1024)), random_soft_rows(rng, 16)
+        threads = threading.active_count()
+        train((x, y), (x, y), MlpConfig(hidden_dims=(1024,), max_epochs=1, batch_size=16))
+        assert threading.active_count() == threads
+
+    def test_a_process_on_one_cpu_trains_on_one_thread_to_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        x, y = rng.normal(size=(16, 1024)), random_soft_rows(rng, 16)
+        cfg = MlpConfig(hidden_dims=(1024,), max_epochs=2, batch_size=16)
+        two_cpus = train((x, y), (x, y), cfg)
+
+        def no_pool(*args):
+            raise AssertionError("a worker thread on one CPU")
+
+        monkeypatch.setattr(mlp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(mlp, "ThreadPoolExecutor", no_pool)
+        one_cpu = train((x, y), (x, y), cfg)
+        assert one_cpu.log == two_cpus.log
+        assert_models_identical(one_cpu.model, two_cpus.model)
 
     def test_peak_memory_is_three_parameter_sized_arrays(self):
         # Parameters dominate activations here: 512 -> 512 -> 256 -> 6 on
@@ -596,14 +644,16 @@ class TestTrainMatchesReference:
         assert loss == np.inf and grads == {} and calls == []
 
     # 25 rows in batches of 8: _batches folds the trailing row into the third batch.
-    # In the "panels" case w0 is updated in row panels of 128, 128 and 8 rows,
-    # and w1 in panels of 128 and 72; in "folded-row" w0's 257th row joins the
-    # second panel, as numpy would multiply a one-row panel by gemv.
+    # In the "panels" case w0 is updated in row panels of 64, 64, 64, 64 and 8
+    # rows, and w1 in panels of 64, 64, 64 and 8; in "folded-row" w0's 257th
+    # row joins the fourth panel, as numpy would multiply a one-row panel by gemv.
+    # In "two-threads" every gemm of 1024 x 1024 weights is split between two
+    # threads, as are the panel updates of those weights.
     @pytest.mark.parametrize(
         "width,hidden,dropout,patience",
         [(12, (16, 8), 0.3, 8), (12, (16, 8), 0.0, 8), (12, (16, 8), 0.3, 1), (264, (200, 8), 0.3, 8),
-         (257, (8,), 0.3, 8)],
-        ids=["0.3-8", "0.0-8", "0.3-1", "panels", "folded-row"],
+         (257, (8,), 0.3, 8), (1024, (1024, 1024), 0.3, 8)],
+        ids=["0.3-8", "0.0-8", "0.3-1", "panels", "folded-row", "two-threads"],
     )
     def test_train_bit_identical_to_reference(self, width, hidden, dropout, patience):
         rng = np.random.default_rng(15)
@@ -617,3 +667,21 @@ class TestTrainMatchesReference:
         assert result.log == log
         assert (result.best_epoch, result.best_val_loss) == (best_epoch, best_val)
         assert_models_identical(result.model, best)
+
+
+# Widths the layers of a head take: the 6 logits, 128-dim features, the
+# hidden widths of the benchmark head and 130, which is not a multiple of 8.
+LAYER_WIDTHS = (6, 128, 130, 512, 768, 896, 1024)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(rows=st.integers(2, 130), inner=st.sampled_from(LAYER_WIDTHS), outer=st.sampled_from(LAYER_WIDTHS),
+       transposed=st.booleans())
+def test_a_gemm_split_in_row_halves_is_the_whole_gemm_bit_for_bit(rows, inner, outer, transposed):
+    # transposed: b is the transpose of a C-ordered array, as w.T is in backprop.
+    rng = np.random.default_rng([rows, inner, outer])
+    a = rng.normal(size=(rows, inner))
+    b = rng.normal(size=(outer, inner)).T if transposed else rng.normal(size=(inner, outer))
+    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
+        halves, whole = _matmul(a, b, pool), np.matmul(a, b)
+    assert np.array_equal(halves.view(np.int64), whole.view(np.int64))
