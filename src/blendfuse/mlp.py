@@ -9,6 +9,7 @@ best-validation snapshot.  Everything is seeded and deterministic.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import json
@@ -32,8 +33,8 @@ CHECKPOINT_VERSION = 1
 # Weight rows per gemm of a training step.  On two threads 128, 64 and 32 timed
 # the same; 128 peaked 1 MB higher (a panel buffer for each thread).
 PANEL_ROWS = 64
-# Multiply-adds below which a training gemm, or a weight's panel updates, stay
-# on one thread: splits of 4.2M measured no faster than the whole.  It also
+# Multiply-adds below which a hidden layer's gemm, or a weight's panel updates,
+# stay on one thread: splits of 4.2M measured no faster than the whole.  It also
 # keeps each half of a split gemm over OpenBLAS's small-matrix bound (10**6
 # multiply-adds), whose kernel sums in another order than the whole gemm's.
 SPLIT_MIN_MACS = 1 << 23
@@ -63,6 +64,8 @@ class MlpConfig:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not 0 < self.lr < math.inf:
             raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum!r}")
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs!r}")
         if self.batch_size < 2:
@@ -89,30 +92,6 @@ def param_layout(input_dim: int, config: MlpConfig) -> dict[str, tuple[int, ...]
     for i, dim in enumerate(config.hidden_dims):
         layout.update({f"bn{i}_{kind}": (dim,) for kind in ("gamma", "beta", "mean", "var")})
     return layout
-
-
-def batchnorm_forward(
-    batch: np.ndarray, params: dict[str, np.ndarray], layer: int, train: bool
-) -> tuple[np.ndarray, Optional[dict]]:
-    """Normalize a batch with hidden layer ``layer``'s entries of ``params``.
-    Training uses the batch statistics and replaces the running ones in
-    ``params``; otherwise the running statistics are used.
-
-    Returns the output and, when training, the cache needed for backprop.
-    """
-    gamma, beta = params[f"bn{layer}_gamma"], params[f"bn{layer}_beta"]
-    mean_key, var_key = f"bn{layer}_mean", f"bn{layer}_var"
-    if not train:
-        x_hat = (batch - params[mean_key]) / np.sqrt(params[var_key] + BN_EPS)
-        return gamma * x_hat + beta, None
-    if batch.shape[0] < 2:
-        raise ValidationError("batchnorm needs at least 2 rows in train mode")
-    mean, var = batch.mean(axis=0), batch.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (batch - mean) * inv_std
-    params[mean_key] = (1 - BN_MOMENTUM) * params[mean_key] + BN_MOMENTUM * mean
-    params[var_key] = (1 - BN_MOMENTUM) * params[var_key] + BN_MOMENTUM * var
-    return gamma * x_hat + beta, {"x_hat": x_hat, "inv_std": inv_std}
 
 
 @dataclass
@@ -183,7 +162,7 @@ def _one_blas_thread() -> Iterator[None]:
 def _step_pool() -> AbstractContextManager[Optional[Executor]]:
     """A one-worker pool for the training steps where this process may run
     on two CPUs or more, else None: on one CPU, splitting a step only adds
-    work (each row half of a gemm packs the whole weight)."""
+    work (the two halves take turns and each hands over to the other)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return ThreadPoolExecutor(1) if cpus > 1 else nullcontext(None)
 
@@ -206,50 +185,144 @@ def _on_two_threads(pool: Executor, first: Callable[[], object], second: Callabl
         future.result()
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, pool: Optional[Executor]) -> np.ndarray:
-    """``a @ b``, with its two row halves on two threads when there is a
-    ``pool`` and the gemm is large enough to gain.  On one BLAS thread each
-    row comes out bit for bit as it does from the whole gemm."""
-    n = a.shape[0]
-    if pool is None or n < 4 or n * a.shape[1] * b.shape[1] < SPLIT_MIN_MACS:
-        return a @ b
-    out, half = np.empty((n, b.shape[1])), n // 2
-    _on_two_threads(
-        pool,
-        lambda: np.matmul(a[:half], b, out=out[:half]),
-        lambda: np.matmul(a[half:], b, out=out[half:]),
-    )
-    return out
+def _in_column_halves(
+    pool: Optional[Executor], macs: int, width: int, run: Callable[[slice], None]
+) -> None:
+    """``run(cols)`` over the ``width`` columns of a layer whose gemm takes
+    ``macs`` multiply-adds: with a ``pool`` and at least ``SPLIT_MIN_MACS``,
+    as two column halves, the first on the worker; else whole, here.  On one
+    BLAS thread each column of a gemm comes out bit for bit as it does from
+    the whole gemm, and batchnorm, ReLU and dropout work column by column."""
+    if pool is None or macs < SPLIT_MIN_MACS or width < 4:
+        run(slice(0, width))
+        return
+    half = width // 2
+    _on_two_threads(pool, lambda: run(slice(0, half)), lambda: run(slice(half, width)))
 
 
-def _forward_batch(
+class _Layer:
+    """The arrays a hidden layer of a head writes for a batch, one row per
+    sample: ``z``, the pre-activation and then, in place, ``x_hat``; ``out``,
+    the layer's output; ``relu``, its mask.  Training adds ``drop``, the
+    dropout uniforms and then the mask (scratch in backprop); ``dh``, the
+    gradient of ``out`` and then, in place, ``dz``; and the batch ``mean``,
+    ``var`` and ``inv_std`` of each column."""
+
+    def __init__(self, rows: int, width: int, train: bool) -> None:
+        self.z, self.out = np.empty((rows, width)), np.empty((rows, width))
+        self.relu = np.empty((rows, width), dtype=bool)
+        if train:
+            self.drop, self.dh = np.empty((rows, width)), np.empty((rows, width))
+            self.mean, self.var, self.inv_std = np.empty(width), np.empty(width), np.empty(width)
+
+    def first(self, n: int) -> "_Layer":
+        """This layer's arrays cut to their first ``n`` rows."""
+        view = copy.copy(self)
+        view.__dict__.update((name, a[:n]) for name, a in vars(self).items() if a.ndim == 2)
+        return view
+
+
+def _hidden_forward(
+    params: dict[str, np.ndarray], i: int, h: np.ndarray, layer: _Layer, cols: slice, train: bool, rate: float
+) -> None:
+    """Hidden layer ``i`` on columns ``cols`` of ``layer``: affine, batchnorm
+    (on the batch statistics when training, else the running ones), ReLU
+    and, when training at a dropout ``rate``, the dropout whose uniforms
+    ``layer.drop`` holds."""
+    z, out, relu = layer.z[:, cols], layer.out[:, cols], layer.relu[:, cols]
+    np.matmul(h, params[f"w{i}"][:, cols], out=z)
+    z += params[f"b{i}"][cols]
+    if train:
+        # z.mean(axis=0) and z.var(axis=0), in numpy's own steps, so the bits match.
+        n, mean, var = h.shape[0], layer.mean[cols], layer.var[cols]
+        z.sum(axis=0, out=mean)
+        mean /= n
+        z -= mean
+        np.square(z, out=out).sum(axis=0, out=var)
+        var /= n
+        layer.inv_std[cols] = inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        z *= inv_std
+    else:
+        z -= params[f"bn{i}_mean"][cols]
+        z /= np.sqrt(params[f"bn{i}_var"][cols] + BN_EPS)
+    np.multiply(params[f"bn{i}_gamma"][cols], z, out=out)
+    out += params[f"bn{i}_beta"][cols]
+    np.greater(out, 0.0, out=relu)
+    out *= relu
+    if train and rate > 0.0:
+        drop = layer.drop[:, cols]
+        np.greater_equal(drop, rate, out=drop)
+        drop /= 1.0 - rate
+        out *= drop
+
+
+def _forward(
     model: MlpModel,
     x: np.ndarray,
+    layers: Sequence[_Layer],
     train: bool,
     dropout_rng: Optional[np.random.Generator] = None,
     pool: Optional[Executor] = None,
-) -> tuple[np.ndarray, list[dict]]:
-    """Run the stack up to the logits, recording caches when training.  With
-    a ``pool``, large gemms run half on its worker."""
-    caches: list[dict] = []
+) -> np.ndarray:
+    """The logits of ``x``, each hidden layer written into its entry of
+    ``layers``, whose arrays have ``x``'s rows.  Training normalizes with the
+    batch statistics, folds them into the running ones and draws each
+    layer's dropout uniforms from ``dropout_rng``.  With a ``pool``, a large
+    hidden layer runs as two column halves; the 6-logit layer stays whole."""
+    params, rate = model.params, model.config.dropout
+    if train and x.shape[0] < 2:
+        raise ValidationError("batchnorm needs at least 2 rows in train mode")
     h = x
-    params = model.params
-    n_hidden = len(model.config.hidden_dims)
-    rate = model.config.dropout
-    for i in range(n_hidden):
-        cache: dict = {"x": h}
-        z = _matmul(h, params[f"w{i}"], pool) + params[f"b{i}"]
-        z_bn, cache["bn"] = batchnorm_forward(z, params, i, train)
-        cache["relu_mask"] = relu_mask = z_bn > 0.0
-        h = z_bn * relu_mask
+    for i, layer in enumerate(layers):
         if train and rate > 0.0:
             assert dropout_rng is not None
-            cache["drop_mask"] = drop_mask = (dropout_rng.random(h.shape) >= rate) / (1.0 - rate)
-            h = h * drop_mask
-        caches.append(cache)
-    caches.append({"x": h})
-    logits = _matmul(h, params[f"w{n_hidden}"], pool) + params[f"b{n_hidden}"]
-    return logits, caches
+            dropout_rng.random(out=layer.drop)
+        w = params[f"w{i}"]
+        _in_column_halves(pool, h.shape[0] * w.size, w.shape[1],
+                          lambda cols: _hidden_forward(params, i, h, layer, cols, train, rate))
+        if train:
+            for stat, batch_stat in (("mean", layer.mean), ("var", layer.var)):
+                key = f"bn{i}_{stat}"
+                params[key] = (1 - BN_MOMENTUM) * params[key] + BN_MOMENTUM * batch_stat
+        h = layer.out
+    return h @ params[f"w{len(layers)}"] + params[f"b{len(layers)}"]
+
+
+def _hidden_backward(
+    params: dict[str, np.ndarray],
+    i: int,
+    layer: _Layer,
+    above: Optional[tuple[np.ndarray, np.ndarray]],
+    cols: slice,
+    grads: dict[str, np.ndarray],
+    rate: float,
+) -> None:
+    """Backprop through hidden layer ``i`` on columns ``cols``: turns the
+    gradient of its output in ``layer.dh`` into ``dz`` and writes those
+    columns of its bias and batchnorm gradients into ``grads``.  Given
+    ``above``, the ``dz`` and weight of the layer above, it first forms
+    those columns of the gradient of the output.  Its scratch is
+    ``layer.drop``, as ``layer.out`` is still to be read by the weight
+    hook of the layer above."""
+    dh, x_hat, scratch = layer.dh[:, cols], layer.z[:, cols], layer.drop[:, cols]
+    n = dh.shape[0]
+    if above is not None:
+        dz_above, w_above = above
+        np.matmul(dz_above, w_above[cols].T, out=dh)
+    if rate > 0.0:
+        dh *= scratch  # the dropout mask, read for the last time
+    dh *= layer.relu[:, cols]
+    np.multiply(dh, x_hat, out=scratch).sum(axis=0, out=grads[f"bn{i}_gamma"][cols])
+    dh.sum(axis=0, out=grads[f"bn{i}_beta"][cols])
+    dh *= params[f"bn{i}_gamma"][cols]  # dxhat from here
+    # dz = inv_std / n * (n * dxhat - dxhat.sum(0) - x_hat * (dxhat * x_hat).sum(0))
+    dxhat_sum = dh.sum(axis=0)
+    dxhat_x_hat_sum = np.multiply(dh, x_hat, out=scratch).sum(axis=0)
+    dh *= n
+    dh -= dxhat_sum
+    dh -= np.multiply(x_hat, dxhat_x_hat_sum, out=scratch)
+    dh *= layer.inv_std[cols] / n  # dz from here
+    dh.sum(axis=0, out=grads[f"b{i}"][cols])
 
 
 def loss_and_gradients(
@@ -259,6 +332,7 @@ def loss_and_gradients(
     dropout_rng: Optional[np.random.Generator],
     weight_hook: Callable[[str, np.ndarray, np.ndarray], None],
     pool: Optional[Executor] = None,
+    layers: Optional[Sequence[_Layer]] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean KL loss over a batch, the gradients of the biases and batchnorm
     parameters, and each weight gradient handed to ``weight_hook``.
@@ -269,42 +343,45 @@ def loss_and_gradients(
     ``weight_hook(name, inputs, dz)`` is called once backprop has read
     weight ``name``, whose gradient is ``inputs.T @ dz``.  A non-finite
     loss returns before any hook call.  The gradient with respect to ``x``
-    is not computed.  With a ``pool``, large gemms run half on its worker.
+    is not computed.  ``layers`` holds the arrays each hidden layer writes,
+    with ``x``'s rows; None allocates them.  With a ``pool``, each large
+    hidden layer runs as two column halves, its backprop too.
     """
-    logits, caches = _forward_batch(model, x, train=True, dropout_rng=dropout_rng, pool=pool)
-    probs = softmax(logits)
+    n, params, rate = x.shape[0], model.params, model.config.dropout
+    if layers is None:
+        layers = [_Layer(n, width, train=True) for width in model.config.hidden_dims]
+    probs = softmax(_forward(model, x, layers, True, dropout_rng, pool))
     loss = mean_kl(y, probs)
-    grads: dict[str, np.ndarray] = {}
     if not math.isfinite(loss):
-        return loss, grads
-    n, params = x.shape[0], model.params
+        return loss, {}
     dz = (probs - y) / n
-    for i in range(len(model.config.hidden_dims), -1, -1):
-        cache = caches[i]
-        if "bn" in cache:
-            if "drop_mask" in cache:
-                dh = dh * cache["drop_mask"]
-            dz_bn = dh * cache["relu_mask"]
-            x_hat, inv_std = cache["bn"]["x_hat"], cache["bn"]["inv_std"]
-            grads[f"bn{i}_gamma"] = (dz_bn * x_hat).sum(axis=0)
-            grads[f"bn{i}_beta"] = dz_bn.sum(axis=0)
-            dxhat = dz_bn * params[f"bn{i}_gamma"]
-            dz = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
-        grads[f"b{i}"] = dz.sum(axis=0)
-        if i > 0:
-            dh = _matmul(dz, params[f"w{i}"].T, pool)
-        weight_hook(f"w{i}", cache["x"], dz)
+    grads = {f"b{len(layers)}": dz.sum(axis=0)}
+    for i in range(len(layers) - 1, -1, -1):
+        layer, w_above = layers[i], params[f"w{i + 1}"]
+        width = w_above.shape[0]
+        # A gemm under SPLIT_MIN_MACS stays whole, as its halves could sum in another order.
+        above = (dz, w_above) if n * w_above.size >= SPLIT_MIN_MACS else None
+        if above is None:
+            np.matmul(dz, w_above.T, out=layer.dh)
+        grads.update({name: np.empty(width) for name in (f"bn{i}_gamma", f"bn{i}_beta", f"b{i}")})
+        macs = n * max(params[f"w{i}"].size, w_above.size)
+        _in_column_halves(pool, macs, width, lambda cols: _hidden_backward(params, i, layer, above, cols, grads, rate))
+        weight_hook(f"w{i + 1}", layer.out, dz)
+        dz = layer.dh
+    weight_hook("w0", x, dz)
     return loss, grads
 
 
 def predict_proba(model: MlpModel, x: np.ndarray, pool: Optional[Executor] = None) -> np.ndarray:
     """Eval-mode class probabilities for a batch of feature vectors, on one
-    BLAS thread.  With a ``pool``, large gemms run half on its worker."""
+    BLAS thread.  With a ``pool``, each large hidden layer runs as two
+    column halves."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise ValidationError(f"expected feature dim {model.input_dim}, got {x.shape[1]}")
+    layers = [_Layer(x.shape[0], width, train=False) for width in model.config.hidden_dims]
     with _one_blas_thread():
-        return softmax(_forward_batch(model, x, train=False, pool=pool)[0])
+        return softmax(_forward(model, x, layers, train=False, pool=pool))
 
 
 @dataclass(frozen=True)
@@ -341,8 +418,11 @@ def train(
 
     Each step runs on two threads where the process may use two CPUs: this
     one and a worker that lives as long as the call.  numpy's OpenBLAS is
-    held at one thread, so the head's bits depend on neither count.  Stops once mean validation KL has failed to improve
-    for ``max(patience, 1)`` consecutive epochs and returns the snapshot from
+    held at one thread, so the head's bits depend on neither count.  The
+    steps write into arrays allocated once for the head's largest batch.
+
+    Stops once mean validation KL has failed to improve for
+    ``max(patience, 1)`` consecutive epochs and returns the snapshot from
     the best validation epoch.  A floating-point overflow, invalid
     operation or division by zero is a :class:`NumericError` naming the
     epoch.
@@ -392,9 +472,14 @@ def train(
 
     best, best_val, best_epoch, bad_epochs, log = None, math.inf, -1, 0, []
     n = x_train.shape[0]
+    # The largest batch: _batches folds a one-row tail into the batch before it.
+    rows = min(n, cfg.batch_size + 1)
+    x_rows = np.empty((rows, x_train.shape[1]))
+    layers = [_Layer(rows, width, train=True) for width in cfg.hidden_dims]
 
-    # The worker runs numpy and the closures above, never a public function of
-    # this module: perfbench's tracer wraps those and keeps one span stack.
+    # The worker runs numpy, the closures above and this module's private
+    # functions, never a public one: perfbench's tracer wraps those and keeps
+    # one span stack.
     errors = np.errstate(over="raise", invalid="raise", divide="raise")
     try:
         with _one_blas_thread(), _step_pool() as pool, errors:
@@ -402,8 +487,10 @@ def train(
                 order = rng.permutation(n)
                 epoch_loss = 0.0
                 for batch in _batches(n, cfg.batch_size, order):
-                    xb, yb = x_train[batch], y_train[batch]
-                    loss, grads = loss_and_gradients(model, xb, yb, dropout_rng, step_weight, pool)
+                    # mode="clip" writes straight into the rows; "raise" would copy through a buffer.
+                    xb = np.take(x_train, batch, axis=0, out=x_rows[: batch.size], mode="clip")
+                    cut = [layer.first(batch.size) for layer in layers]
+                    loss, grads = loss_and_gradients(model, xb, y_train[batch], dropout_rng, step_weight, pool, cut)
                     if not math.isfinite(loss):
                         raise NumericError(f"non-finite training loss at epoch {epoch}: {loss!r}")
                     epoch_loss += loss * batch.size
