@@ -71,7 +71,7 @@ class AggregationConfig:
         object.__setattr__(self, "stats", tuple(self.stats))
         if self.layer_lo < 0 or self.layer_hi < self.layer_lo:
             raise ValidationError(
-                f"bad layer range [{self.layer_lo}, {self.layer_hi}]"
+                f"bad layer range: layer_lo {self.layer_lo}, layer_hi {self.layer_hi} (need 0 <= layer_lo <= layer_hi)"
             )
         if self.segments < 1:
             raise ValidationError(f"segments must be >= 1, got {self.segments}")
@@ -79,7 +79,7 @@ class AggregationConfig:
             raise ValidationError("stats list must not be empty")
         for stat in self.stats:
             if stat not in _REDUCERS:
-                raise ValidationError(f"unknown statistic {stat!r}")
+                raise ValidationError(f"unknown statistic {stat!r} in stats")
 
     @property
     def segment_stats(self) -> tuple[str, ...]:

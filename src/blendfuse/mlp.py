@@ -33,11 +33,16 @@ CHECKPOINT_VERSION = 1
 # Weight rows per gemm of a training step.  On two threads 128, 64 and 32 timed
 # the same; 128 peaked 1 MB higher (a panel buffer for each thread).
 PANEL_ROWS = 64
-# Multiply-adds below which a hidden layer's gemm, or a weight's panel updates,
-# stay on one thread: splits of 4.2M measured no faster than the whole.  It also
-# keeps each half of a split gemm over OpenBLAS's small-matrix bound (10**6
-# multiply-adds), whose kernel sums in another order than the whole gemm's.
+# Multiply-adds below which a gemm of a training step (a hidden layer's, backprop's
+# dz @ w.T, or a weight's panel updates) stays on one thread: splits of 4.2M
+# measured no faster than the whole.  It also keeps each half of a split gemm
+# over OpenBLAS's small-matrix bound (10**6 multiply-adds), whose kernel sums in
+# another order than the whole gemm's.  Only gemms are split: batchnorm, ReLU
+# and dropout on strided column halves, one per thread, took longer than whole.
 SPLIT_MIN_MACS = 1 << 23
+# The widest hidden layer: 64 times the paper's 1024.  Far wider ones ask numpy
+# for arrays it refuses (2**70 columns is past its largest dimension).
+MAX_HIDDEN_WIDTH = 1 << 16
 
 
 class NumericError(RuntimeError):
@@ -58,8 +63,8 @@ class MlpConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValidationError(f"bad hidden_dims: {self.hidden_dims!r}")
+        if not self.hidden_dims or any(not 1 <= h <= MAX_HIDDEN_WIDTH for h in self.hidden_dims):
+            raise ValidationError(f"hidden_dims must be widths in [1, {MAX_HIDDEN_WIDTH}], got {self.hidden_dims!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not 0 < self.lr < math.inf:
@@ -185,19 +190,18 @@ def _on_two_threads(pool: Executor, first: Callable[[], object], second: Callabl
         future.result()
 
 
-def _in_column_halves(
-    pool: Optional[Executor], macs: int, width: int, run: Callable[[slice], None]
-) -> None:
-    """``run(cols)`` over the ``width`` columns of a layer whose gemm takes
-    ``macs`` multiply-adds: with a ``pool`` and at least ``SPLIT_MIN_MACS``,
-    as two column halves, the first on the worker; else whole, here.  On one
-    BLAS thread each column of a gemm comes out bit for bit as it does from
-    the whole gemm, and batchnorm, ReLU and dropout work column by column."""
-    if pool is None or macs < SPLIT_MIN_MACS or width < 4:
-        run(slice(0, width))
+def _matmul(pool: Optional[Executor], a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(a, b, out=out)``: with a ``pool``, at least
+    ``SPLIT_MIN_MACS`` multiply-adds and 4 columns, as two column halves, the
+    first on the worker; else whole, here.  On one BLAS thread each column of
+    a gemm comes out bit for bit as it does from the whole gemm."""
+    width = b.shape[1]
+    if pool is None or a.shape[0] * b.size < SPLIT_MIN_MACS or width < 4:
+        np.matmul(a, b, out=out)
         return
     half = width // 2
-    _on_two_threads(pool, lambda: run(slice(0, half)), lambda: run(slice(half, width)))
+    _on_two_threads(pool, lambda: np.matmul(a, b[:, :half], out=out[:, :half]),
+                    lambda: np.matmul(a, b[:, half:], out=out[:, half:]))
 
 
 class _Layer:
@@ -222,35 +226,32 @@ class _Layer:
         return view
 
 
-def _hidden_forward(
-    params: dict[str, np.ndarray], i: int, h: np.ndarray, layer: _Layer, cols: slice, train: bool, rate: float
-) -> None:
-    """Hidden layer ``i`` on columns ``cols`` of ``layer``: affine, batchnorm
-    (on the batch statistics when training, else the running ones), ReLU
-    and, when training at a dropout ``rate``, the dropout whose uniforms
+def _hidden_forward(params: dict[str, np.ndarray], i: int, layer: _Layer, train: bool, rate: float) -> None:
+    """Hidden layer ``i`` from its gemm in ``layer.z``: bias, batchnorm (on
+    the batch statistics when training, else the running ones), ReLU and,
+    when training at a dropout ``rate``, the dropout whose uniforms
     ``layer.drop`` holds."""
-    z, out, relu = layer.z[:, cols], layer.out[:, cols], layer.relu[:, cols]
-    np.matmul(h, params[f"w{i}"][:, cols], out=z)
-    z += params[f"b{i}"][cols]
+    z, out, relu = layer.z, layer.out, layer.relu
+    z += params[f"b{i}"]
     if train:
         # z.mean(axis=0) and z.var(axis=0), in numpy's own steps, so the bits match.
-        n, mean, var = h.shape[0], layer.mean[cols], layer.var[cols]
+        n, mean, var = z.shape[0], layer.mean, layer.var
         z.sum(axis=0, out=mean)
         mean /= n
         z -= mean
         np.square(z, out=out).sum(axis=0, out=var)
         var /= n
-        layer.inv_std[cols] = inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        z *= inv_std
+        np.divide(1.0, np.sqrt(var + BN_EPS), out=layer.inv_std)
+        z *= layer.inv_std
     else:
-        z -= params[f"bn{i}_mean"][cols]
-        z /= np.sqrt(params[f"bn{i}_var"][cols] + BN_EPS)
-    np.multiply(params[f"bn{i}_gamma"][cols], z, out=out)
-    out += params[f"bn{i}_beta"][cols]
+        z -= params[f"bn{i}_mean"]
+        z /= np.sqrt(params[f"bn{i}_var"] + BN_EPS)
+    np.multiply(params[f"bn{i}_gamma"], z, out=out)
+    out += params[f"bn{i}_beta"]
     np.greater(out, 0.0, out=relu)
     out *= relu
     if train and rate > 0.0:
-        drop = layer.drop[:, cols]
+        drop = layer.drop
         np.greater_equal(drop, rate, out=drop)
         drop /= 1.0 - rate
         out *= drop
@@ -268,7 +269,8 @@ def _forward(
     ``layers``, whose arrays have ``x``'s rows.  Training normalizes with the
     batch statistics, folds them into the running ones and draws each
     layer's dropout uniforms from ``dropout_rng``.  With a ``pool``, a large
-    hidden layer runs as two column halves; the 6-logit layer stays whole."""
+    hidden layer's gemm runs as two column halves; its batchnorm, ReLU and
+    dropout, and the 6-logit layer, run whole here."""
     params, rate = model.params, model.config.dropout
     if train and x.shape[0] < 2:
         raise ValidationError("batchnorm needs at least 2 rows in train mode")
@@ -277,9 +279,8 @@ def _forward(
         if train and rate > 0.0:
             assert dropout_rng is not None
             dropout_rng.random(out=layer.drop)
-        w = params[f"w{i}"]
-        _in_column_halves(pool, h.shape[0] * w.size, w.shape[1],
-                          lambda cols: _hidden_forward(params, i, h, layer, cols, train, rate))
+        _matmul(pool, h, params[f"w{i}"], layer.z)
+        _hidden_forward(params, i, layer, train, rate)
         if train:
             for stat, batch_stat in (("mean", layer.mean), ("var", layer.var)):
                 key = f"bn{i}_{stat}"
@@ -289,40 +290,29 @@ def _forward(
 
 
 def _hidden_backward(
-    params: dict[str, np.ndarray],
-    i: int,
-    layer: _Layer,
-    above: Optional[tuple[np.ndarray, np.ndarray]],
-    cols: slice,
-    grads: dict[str, np.ndarray],
-    rate: float,
-) -> None:
-    """Backprop through hidden layer ``i`` on columns ``cols``: turns the
-    gradient of its output in ``layer.dh`` into ``dz`` and writes those
-    columns of its bias and batchnorm gradients into ``grads``.  Given
-    ``above``, the ``dz`` and weight of the layer above, it first forms
-    those columns of the gradient of the output.  Its scratch is
-    ``layer.drop``, as ``layer.out`` is still to be read by the weight
-    hook of the layer above."""
-    dh, x_hat, scratch = layer.dh[:, cols], layer.z[:, cols], layer.drop[:, cols]
+    params: dict[str, np.ndarray], i: int, layer: _Layer, rate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backprop through hidden layer ``i``: turns the gradient of its output
+    in ``layer.dh`` into ``dz``, and returns the gradients of its batchnorm
+    gamma and beta and of its bias.  Its scratch is ``layer.drop``, as
+    ``layer.out`` is still to be read by the weight hook of the layer
+    above."""
+    dh, x_hat, scratch = layer.dh, layer.z, layer.drop
     n = dh.shape[0]
-    if above is not None:
-        dz_above, w_above = above
-        np.matmul(dz_above, w_above[cols].T, out=dh)
     if rate > 0.0:
         dh *= scratch  # the dropout mask, read for the last time
-    dh *= layer.relu[:, cols]
-    np.multiply(dh, x_hat, out=scratch).sum(axis=0, out=grads[f"bn{i}_gamma"][cols])
-    dh.sum(axis=0, out=grads[f"bn{i}_beta"][cols])
-    dh *= params[f"bn{i}_gamma"][cols]  # dxhat from here
+    dh *= layer.relu
+    gamma = np.multiply(dh, x_hat, out=scratch).sum(axis=0)
+    beta = dh.sum(axis=0)
+    dh *= params[f"bn{i}_gamma"]  # dxhat from here
     # dz = inv_std / n * (n * dxhat - dxhat.sum(0) - x_hat * (dxhat * x_hat).sum(0))
     dxhat_sum = dh.sum(axis=0)
     dxhat_x_hat_sum = np.multiply(dh, x_hat, out=scratch).sum(axis=0)
     dh *= n
     dh -= dxhat_sum
     dh -= np.multiply(x_hat, dxhat_x_hat_sum, out=scratch)
-    dh *= layer.inv_std[cols] / n  # dz from here
-    dh.sum(axis=0, out=grads[f"b{i}"][cols])
+    dh *= layer.inv_std / n  # dz from here
+    return gamma, beta, dh.sum(axis=0)
 
 
 def loss_and_gradients(
@@ -345,7 +335,8 @@ def loss_and_gradients(
     loss returns before any hook call.  The gradient with respect to ``x``
     is not computed.  ``layers`` holds the arrays each hidden layer writes,
     with ``x``'s rows; None allocates them.  With a ``pool``, each large
-    hidden layer runs as two column halves, its backprop too.
+    hidden layer's gemm runs as two column halves, and so does backprop's
+    ``dz @ w.T`` into it; everything else runs whole here.
     """
     n, params, rate = x.shape[0], model.params, model.config.dropout
     if layers is None:
@@ -357,15 +348,10 @@ def loss_and_gradients(
     dz = (probs - y) / n
     grads = {f"b{len(layers)}": dz.sum(axis=0)}
     for i in range(len(layers) - 1, -1, -1):
-        layer, w_above = layers[i], params[f"w{i + 1}"]
-        width = w_above.shape[0]
-        # A gemm under SPLIT_MIN_MACS stays whole, as its halves could sum in another order.
-        above = (dz, w_above) if n * w_above.size >= SPLIT_MIN_MACS else None
-        if above is None:
-            np.matmul(dz, w_above.T, out=layer.dh)
-        grads.update({name: np.empty(width) for name in (f"bn{i}_gamma", f"bn{i}_beta", f"b{i}")})
-        macs = n * max(params[f"w{i}"].size, w_above.size)
-        _in_column_halves(pool, macs, width, lambda cols: _hidden_backward(params, i, layer, above, cols, grads, rate))
+        layer = layers[i]
+        # The column halves of w.T are the row halves of w.
+        _matmul(pool, dz, params[f"w{i + 1}"].T, layer.dh)
+        grads[f"bn{i}_gamma"], grads[f"bn{i}_beta"], grads[f"b{i}"] = _hidden_backward(params, i, layer, rate)
         weight_hook(f"w{i + 1}", layer.out, dz)
         dz = layer.dh
     weight_hook("w0", x, dz)
@@ -374,7 +360,7 @@ def loss_and_gradients(
 
 def predict_proba(model: MlpModel, x: np.ndarray, pool: Optional[Executor] = None) -> np.ndarray:
     """Eval-mode class probabilities for a batch of feature vectors, on one
-    BLAS thread.  With a ``pool``, each large hidden layer runs as two
+    BLAS thread.  With a ``pool``, each large hidden layer's gemm runs as two
     column halves."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.input_dim:
@@ -477,9 +463,8 @@ def train(
     x_rows = np.empty((rows, x_train.shape[1]))
     layers = [_Layer(rows, width, train=True) for width in cfg.hidden_dims]
 
-    # The worker runs numpy, the closures above and this module's private
-    # functions, never a public one: perfbench's tracer wraps those and keeps
-    # one span stack.
+    # The worker runs only gemms, from _matmul and step_weight, never a public
+    # function: perfbench's tracer wraps those and keeps one span stack.
     errors = np.errstate(over="raise", invalid="raise", divide="raise")
     try:
         with _one_blas_thread(), _step_pool() as pool, errors:

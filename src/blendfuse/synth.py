@@ -56,7 +56,9 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if self.n_actors < 1 or self.clips_per_actor < 1:
-            raise ValidationError("need at least one actor and one clip per actor")
+            raise ValidationError(
+                f"n_actors and clips_per_actor must be >= 1, got {self.n_actors} and {self.clips_per_actor}"
+            )
         if self.n_actors * self.clips_per_actor > MAX_VIDEOS:
             raise ValidationError(
                 f"n_actors * clips_per_actor must be at most {MAX_VIDEOS}, "

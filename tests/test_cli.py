@@ -972,6 +972,119 @@ def test_mutated_run_config_exits_cleanly_naming_the_file_or_key(case):
     _assert_run_config_exits_cleanly(*case, "--out", "out")
 
 
+# Flag values by kind: ints, floats and words, each with values out of every
+# field's range.  Ints stop at 5 or jump to 2**70, and grid steps skip the
+# fine steps a grid bound still admits, so that no draw asks for a large
+# array; 2**70 and 1e-300 are refused before anything is allocated.
+_FLAG_INTS = ["-" + str(2**70), "-1", "0", "1", "2", "5", str(2**70)]
+_FLAG_FLOATS = ["nan", "inf", "-inf", "1e400", "-1", "-0.0", "0", "1e-320", "0.3", "0.5", "1", "2", "1e308"]
+_FLAG_WORDS = ["", "x", "segment_mean", "global_median", " global_mean "]
+_GRID_STEPS = [0, -0.1, -0.0, 1e-300, 1e-5, 0.25, 0.5, 1, 2, "nan", "0.5"]
+# The item values of each comma-list flag, by the kind its parser takes.
+_LIST_ITEMS = {"--hidden": _FLAG_INTS, "--stats": _FLAG_WORDS, "--mix": _FLAG_FLOATS}
+
+# The flag tables of each command, and the flags it runs with on the inputs
+# of _fusion_input_bytes and _feature_input_bytes; a drawn flag comes after
+# them, so it overrides one of them.
+_FLAG_COMMANDS = {
+    "aggregate": ((cli._AGGREGATION_FLAGS,), ["--features", "features", "--layer-lo", "0", "--layer-hi", "0"]),
+    "train-mlp": ((cli._AGGREGATION_FLAGS, cli._MLP_FLAGS),
+                  ["--features", "features", "--labels", "labels.csv", "--folds", "folds.csv", "--layer-lo", "0",
+                   "--layer-hi", "0", "--hidden", "4", "--epochs", "1", "--patience", "1"]),
+    "sensitivity": ((cli._CROSS_VAL_FLAGS,),
+                    ["--predictions", "predictions", "--labels", "labels.csv", "--folds", "folds.csv",
+                     "--alpha-grid", "[0, 0.1]", "--beta-grid", "[0, 0.1]"]),
+    "synth": ((cli._SYNTH_FLAGS,), ["--actors", "2", "--clips", "2"]),
+}
+
+
+@st.composite
+def _flag_value(draw, flag):
+    """A value of ``flag``'s kind: one of its kind's values, a comma list
+    that may hold empty items, or a JSON grid list or start/stop/step object
+    with a zero, negative or tiny step among others."""
+    if flag.parse is cli._grid:
+        if draw(st.booleans()):
+            return json.dumps(draw(st.lists(st.sampled_from([-1, 0, 0.1, 0.5, 1, 2]), max_size=4)))
+        start, stop = draw(st.sampled_from([0, 0.5, 1, -1])), draw(st.sampled_from([0, 0.5, 1, 2]))
+        step = draw(st.sampled_from(_GRID_STEPS))
+        return json.dumps({"start": start, "stop": stop, "step": step}).replace('"nan"', "NaN")
+    if flag.parse is not None:
+        items = st.sampled_from(["", *_LIST_ITEMS[flag.flag]])
+        return ",".join(draw(st.lists(items, min_size=1, max_size=4)))
+    return draw(st.sampled_from({int: _FLAG_INTS, float: _FLAG_FLOATS}[flag.kind]))
+
+
+@st.composite
+def _flagged_command(draw):
+    """A command of _FLAG_COMMANDS with one or two of its table flags set to
+    drawn values.  --epochs and --patience are not drawn together: both at
+    2**70 would train for as long as the validation loss improves."""
+    command = draw(st.sampled_from(sorted(_FLAG_COMMANDS)))
+    tables, argv = _FLAG_COMMANDS[command]
+    flags = draw(st.lists(st.sampled_from([f for table in tables for f in table]), min_size=1, max_size=2,
+                          unique=True).filter(lambda fs: {"--epochs", "--patience"} - {f.flag for f in fs}))
+    values = [(f, draw(_flag_value(f))) for f in flags]
+    return [command, *argv, *(x for f, value in values for x in (f.flag, value))], [f for f, _ in values]
+
+
+def _assert_exits_cleanly_naming(argv, names, files=None):
+    """Run ``argv`` in a directory holding the inputs of _fusion_input_bytes
+    and _feature_input_bytes, and ``files`` by name (None: a directory in
+    its place): a success, or a one-line error that names an input file or
+    one of ``names``."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for file, data in {**_fusion_input_bytes(), **_feature_input_bytes(), **(files or {})}.items():
+            Path(file).parent.mkdir(exist_ok=True)
+            if data is None:
+                Path(file).mkdir()
+            else:
+                Path(file).write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(*argv, "--out", "out")
+        message = err.getvalue()
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG, EXIT_NUMERIC)
+        assert "Traceback" not in message
+        if code in (EXIT_DATA, EXIT_CONFIG):
+            inputs = [str(p) for p in Path().rglob("*") if p.suffix in (".csv", ".feat")]
+            assert any(name in message for name in [*names, *inputs]), message
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_flagged_command())
+def test_flag_value_of_any_kind_exits_cleanly_naming_the_flag(case):
+    # A config error names the flag, or the config field it sets.  Every
+    # comma-list flag of the tables draws items of its own kind.
+    tables = {table for tables, _ in _FLAG_COMMANDS.values() for table in tables}
+    assert {f.flag for table in tables for f in table if f.parse not in (None, cli._grid)} == set(_LIST_ITEMS)
+    argv, flags = case
+    _assert_exits_cleanly_naming(argv, [name for f in flags for name in (f.flag, f.field)])
+
+
+@functools.cache
+def _weights_bytes():
+    """A weights file for the encoder of _fusion_input_bytes and its twin."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fusion.save_weights(fusion.WeightVector({"synth": 0.6, "twin": 0.4}), Path(tmp) / "weights.csv")
+        return (Path(tmp) / "weights.csv").read_bytes()
+
+
+@st.composite
+def _mutated_weights(draw):
+    """The bytes of a valid weights file after one mutation, or None for a
+    directory in place of the file."""
+    return _mutated(draw, _weights_bytes(), "weights.csv")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(raw=_mutated_weights())
+def test_mutated_weights_file_exits_cleanly_naming_it(raw):
+    argv = ["sensitivity", *_FLAG_COMMANDS["sensitivity"][1], "--weights", "weights.csv"]
+    twin = _fusion_input_bytes()["predictions/synth.csv"]
+    _assert_exits_cleanly_naming(argv, [], {"predictions/twin.csv": twin, "weights.csv": raw})
+
+
 class TestGridSizeBound:
     def test_bound_is_inclusive(self):
         grid = cli._parse_grid({"start": 0, "stop": 1, "step": 1e-4}, "alpha_grid")
@@ -1168,6 +1281,17 @@ class TestTrainMlp:
         monkeypatch.setattr(features, "load_feature_file", no_reads)
         code = run("train-mlp", *flags_of(inputs), *flags, "--out", tmp_path / "mlp")
         assert code == EXIT_CONFIG
+
+    def test_hidden_width_past_the_bound_is_config_error_naming_it(self, tmp_path, capsys):
+        inputs = feature_inputs(tmp_path)
+
+        def outcome(width):
+            code = run("train-mlp", *flags_of(inputs), "--hidden", f"8,{width}", "--out", tmp_path / "mlp")
+            return code, "hidden_dims" in capsys.readouterr().err
+
+        # 2**70 columns used to end in numpy's "Maximum allowed dimension exceeded" traceback.
+        assert outcome(2**70) == (EXIT_CONFIG, True)
+        assert outcome(mlp.MAX_HIDDEN_WIDTH + 1) == (EXIT_CONFIG, True)
 
     def test_epochs_alone_caps_the_default_patience(self, tmp_path):
         inputs = feature_inputs(tmp_path)

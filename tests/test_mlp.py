@@ -33,7 +33,7 @@ from blendfuse.mlp import (
     _Layer,
     _batches,
     _forward,
-    _in_column_halves,
+    _matmul,
     _one_blas_thread,
 )
 
@@ -348,6 +348,30 @@ class TestTrain:
         one_cpu = train((x, y), (x, y), cfg)
         assert one_cpu.log == two_cpus.log
         assert_models_identical(one_cpu.model, two_cpus.model)
+
+    def test_batchnorm_relu_and_dropout_run_whole_on_the_calling_thread(self, monkeypatch):
+        # With two CPUs the worker takes half of each large gemm, and nothing
+        # else of a hidden layer: its forward and backward elementwise work
+        # runs on the thread that called train.
+        rng = np.random.default_rng(20)
+        x, y = rng.normal(size=(128, 128)), random_soft_rows(rng, 128)
+        cfg = MlpConfig(hidden_dims=(1024, 1024), dropout=0.3, max_epochs=1, batch_size=64)
+        elementwise, gemms = [], []
+
+        def traced(calls, run):
+            def call(*args, **kwargs):
+                calls.append(threading.get_ident())
+                return run(*args, **kwargs)
+            return call
+
+        for name in ("_hidden_forward", "_hidden_backward"):
+            monkeypatch.setattr(mlp, name, traced(elementwise, getattr(mlp, name)))
+        monkeypatch.setattr(np, "matmul", traced(gemms, np.matmul))
+        monkeypatch.setattr(mlp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        train((x, y), (x[:32], y[:32]), cfg)
+        assert set(elementwise) == {threading.get_ident()}
+        assert len(elementwise) == 2 * 2 + 2 * 2 + 2  # two steps forward and back, then validation
+        assert set(gemms) - {threading.get_ident()}
 
     def test_peak_memory_is_three_parameter_sized_arrays(self):
         # Parameters dominate activations here: 512 -> 512 -> 256 -> 6 on
@@ -776,6 +800,18 @@ class TestTrainMatchesReference:
 LAYER_WIDTHS = (6, 128, 130, 512, 768, 896, 1024, 1025)
 
 
+class _CountingPool(ThreadPoolExecutor):
+    """A one-worker pool that counts the tasks submitted to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(rows=st.integers(2, 130), inner=st.sampled_from(LAYER_WIDTHS), outer=st.sampled_from(LAYER_WIDTHS),
        transposed=st.booleans())
@@ -785,14 +821,9 @@ def test_a_gemm_split_in_column_halves_is_the_whole_gemm_bit_for_bit(rows, inner
     rng = np.random.default_rng([rows, inner, outer])
     a = rng.normal(size=(rows, inner))
     b = rng.normal(size=(outer, inner)).T if transposed else rng.normal(size=(inner, outer))
-    halves, threads = np.full((rows, outer), np.nan), set()
-
-    def run(cols):
-        threads.add(threading.get_ident())
-        np.matmul(a, b[:, cols], out=halves[:, cols])
-
-    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
-        _in_column_halves(pool, rows * inner * outer, outer, run)
+    halves = np.full((rows, outer), np.nan)
+    with _one_blas_thread(), _CountingPool() as pool:
+        _matmul(pool, a, b, halves)
         whole = np.matmul(a, b)
-    assert len(threads) == (2 if rows * inner * outer >= SPLIT_MIN_MACS else 1)
+    assert pool.submits == (1 if rows * inner * outer >= SPLIT_MIN_MACS else 0)
     assert np.array_equal(halves.view(np.int64), whole.view(np.int64))
