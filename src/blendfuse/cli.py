@@ -13,6 +13,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -22,7 +23,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,16 +58,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
 
-
-# Execution details that do not influence any computed content are not part
-# of a run's identity.
-_NON_SEMANTIC_KEYS = ("output_dir",)
-
-
-def _config_hash(resolved: dict[str, Any]) -> str:
-    hashed = {k: v for k, v in resolved.items() if k not in _NON_SEMANTIC_KEYS}
-    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    def _parse_optional(self, arg_string: str) -> Any:
+        # No flag holds a comma, so an argument that does before any "=" is a
+        # value, as the list "-1,4" is, which argparse would take for a flag.
+        if "," in arg_string.partition("=")[0]:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _sha256_file(path: Path) -> str:
@@ -77,29 +74,58 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_run_meta(
-    out_dir: Path, command: str, resolved: dict[str, Any], outputs: Sequence[Path], **extra: Any
-) -> None:
-    meta = {
-        "command": command,
-        "config_hash": _config_hash(resolved),
-        "resolved_config": resolved,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "outputs": {str(p.relative_to(out_dir)): _sha256_file(p) for p in outputs},
-        **extra,
-    }
-    _write_json(out_dir / "run_meta.json", meta)
+class _Run:
+    """A command's run record, made once its flags and config pass their
+    checks: it makes the output directory ``out`` (``name`` is its flag or
+    run-config key), names the outputs under it, times stages, counts the
+    input cache's use, and writes all of it as ``run_meta.json``."""
 
+    def __init__(self, command: str, out: str, resolved: dict[str, Any], name: str = "--out") -> None:
+        self.command, self.resolved, self.out = command, resolved, Path(out)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"{name} cannot be made a directory: {out!r}: {reason}") from None
+        # output_dir influences no computed content, so it is not part of the run's identity.
+        blob = json.dumps({k: v for k, v in resolved.items() if k != "output_dir"},
+                          sort_keys=True, separators=(",", ":")).encode()
+        self.config_hash = hashlib.sha256(blob).hexdigest()
+        self.outputs: list[Path] = []
+        self.timings: dict[str, Any] = {}
+        self.counters: dict[str, Any] = {}
+        self.cache_use: Counter[str] = Counter(hits=0, misses=0)
 
-def _out_dir(path_str: str, name: str = "--out") -> Path:
-    """The output directory, made if missing; ``name`` is its flag or run-config key."""
-    out = Path(path_str)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"{name} cannot be made a directory: {path_str!r}: {reason}") from None
-    return out
+    def path(self, name: str) -> Path:
+        """``out / name``, recorded as an output."""
+        self.outputs.append(self.out / name)
+        return self.outputs[-1]
+
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time the block into ``timings[name]``, or append to it when it is a list."""
+        start = time.perf_counter()
+        yield
+        seconds = time.perf_counter() - start
+        if isinstance(self.timings.get(name), list):
+            self.timings[name].append(seconds)
+        else:
+            self.timings[name] = seconds
+
+    def write(self) -> None:
+        """Write ``run_meta.json`` without the records that are empty, as
+        ``input_cache`` is when no input was read through the cache."""
+        records = {"counters": self.counters, "timings": self.timings,
+                   "input_cache": self.cache_use if self.cache_use.total() else {}}
+        meta = {
+            "command": self.command,
+            "config_hash": self.config_hash,
+            "resolved_config": self.resolved,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+            "outputs": {str(p.relative_to(self.out)): _sha256_file(p) for p in self.outputs},
+            **{key: record for key, record in records.items() if record},
+        }
+        _write_json(self.out / "run_meta.json", meta)
 
 
 def _manifest_actors(path: Path) -> Sequence[str]:
@@ -374,33 +400,33 @@ def cmd_split(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError(f"need at least 2 folds, got k={args.k}")
     _require_paths(("--manifest", args.manifest))
+    run = _Run("split", args.out, _record(args))
     manifest = Path(args.manifest)
     actor_ids = _manifest_actors(manifest)
     with core.located(manifest):  # too few actors for k folds
         assignment = split_actors(actor_ids, args.k)
-    out = _out_dir(args.out)
-    folds_path = out / "folds.csv"
+    folds_path = run.path("folds.csv")
     save_folds(assignment, folds_path)
-    _write_run_meta(out, "split", _record(args), [folds_path])
+    run.write()
     print(f"wrote {folds_path} ({assignment.k} folds, {len(assignment.folds)} actors)")
     return EXIT_OK
 
 
 def cmd_encode_labels(args: argparse.Namespace) -> int:
     _require_paths(("--labels", args.labels))
+    run = _Run("encode-labels", args.out, _record(args))
     labels = core.load_labels(Path(args.labels))
-    out = _out_dir(args.out)
-    path = out / "soft_labels.csv"
+    path = run.path("soft_labels.csv")
     targets = labels_mod.soft_label_rows(labels.primary, labels.secondary, labels.salience)
     rows = ([vid, *map(repr, row)] for vid, row in zip(labels.video_ids, targets.tolist()))
     core.write_csv_rows(path, ["video_id"] + [f"y_{e.label}" for e in core.EMOTIONS], rows)
-    _write_run_meta(out, "encode-labels", _record(args), [path])
+    run.write()
     print(f"wrote {path} ({len(labels.video_ids)} rows)")
     return EXIT_OK
 
 
 def _aggregate_directory(
-    feature_dir: Path, cfg: features.AggregationConfig, cache_use: Optional[Counter[str]] = None
+    feature_dir: Path, cfg: features.AggregationConfig, cache_use: Counter[str]
 ) -> tuple[list[str], list[str], np.ndarray]:
     """Video ids, actor ids and the ``(videos, D)`` matrix of aggregated
     vectors of a feature directory, in manifest order, counting the input
@@ -426,39 +452,41 @@ def _aggregate_directory(
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     cfg, resolved = _config(features.AggregationConfig, _AGGREGATION_FLAGS, args)
-    video_ids, actor_ids, matrix = _aggregate_directory(_feature_dir(args.features), cfg)
-    out = _out_dir(args.out)
-    path = out / "aggregated.csv"
+    feature_dir = _feature_dir(args.features)
+    run = _Run("aggregate", args.out, _record(args, **resolved))
+    video_ids, actor_ids, matrix = _aggregate_directory(feature_dir, cfg, run.cache_use)
+    path = run.path("aggregated.csv")
     dim = matrix.shape[1]
     rows = ([vid, actor, *map(repr, row)] for vid, actor, row in zip(video_ids, actor_ids, matrix.tolist()))
     core.write_csv_rows(path, ["video_id", "actor_id"] + [f"f{i}" for i in range(dim)], rows)
-    _write_run_meta(out, "aggregate", _record(args, **resolved), [path])
+    run.write()
     print(f"wrote {path} ({len(video_ids)} videos, {dim} dims)")
     return EXIT_OK
 
 
 def _train_fold(
     fold: int, rows: dict[int, np.ndarray], matrix: np.ndarray, targets: np.ndarray,
-    cfg: mlp.MlpConfig, videos: list[tuple[str, str]], out: Path,
+    cfg: mlp.MlpConfig, videos: list[tuple[str, str]], run: _Run,
 ) -> tuple[list[tuple[str, str, list[float]]], int, int]:
     """Train fold ``fold``'s head on the feature and target ``rows`` of the
     other folds, write its checkpoint, log and held-out predictions (one row
-    per ``(video, actor)`` of ``videos``) and return those rows, the epochs
-    run and the best epoch.  The head dies on return: one is alive at a time."""
+    per ``(video, actor)`` of ``videos``) as outputs of ``run`` and return
+    those rows, the epochs run and the best epoch.  The head dies on return:
+    one is alive at a time."""
     train_folds = [f for f in rows if f != fold]
     # The lowest-index remaining fold gates early stopping; the rest train,
     # or it does both when k == 2 leaves no other.
     val = rows[train_folds[0]]
     train = np.concatenate([rows[f] for f in train_folds[1:]] or [val])
     result = mlp.train((matrix[train], targets[train]), (matrix[val], targets[val]), cfg)
-    mlp.save_model(result.model, out / f"mlp_fold{fold}.npz")
-    mlp.save_train_log(result.log, out / f"mlp_fold{fold}_log.csv")
+    mlp.save_model(result.model, run.path(f"mlp_fold{fold}.npz"))
+    mlp.save_train_log(result.log, run.path(f"mlp_fold{fold}_log.csv"))
     probs = mlp.predict_proba(result.model, matrix[rows[fold]])
     probs /= probs.sum(axis=1, keepdims=True)
     if not np.isfinite(probs).all():
         raise ValidationError(f"fold {fold}: non-finite probability in the held-out predictions")
     fold_rows = [(vid, actor, row) for (vid, actor), row in zip(videos, probs.tolist())]
-    core.write_prediction_rows(out / f"mlp_fold{fold}.csv", fold_rows)
+    core.write_prediction_rows(run.path(f"mlp_fold{fold}.csv"), fold_rows)
     print(
         f"fold {fold}: best epoch {result.best_epoch}, val KL {result.best_val_loss:.6f}, "
         f"{len(videos)} held-out predictions"
@@ -471,99 +499,83 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
     mlp_cfg, mlp_resolved = _config(mlp.MlpConfig, _MLP_FLAGS, args)
     feature_dir = _feature_dir(args.features)
     _require_paths(("--labels", args.labels), ("--folds", args.folds))
+    run = _Run("train-mlp", args.out, _record(args, **agg_resolved, **mlp_resolved))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
-    labels = core.load_label_table(Path(args.labels), cache_use)
-    assignment = load_folds(Path(args.folds), labels.actor_ids)
-    video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg, cache_use)
+    with run.stage("ingest_s"):
+        labels = core.load_label_table(Path(args.labels), run.cache_use)
+        assignment = load_folds(Path(args.folds), labels.actor_ids)
+        video_ids, _, matrix = _aggregate_directory(feature_dir, agg_cfg, run.cache_use)
 
-    row_of = dict(zip(video_ids, range(len(video_ids))))
-    missing = [vid for vid in labels.video_ids if vid not in row_of]
-    if missing:
-        raise ValidationError(f"{feature_dir / 'manifest.csv'}: missing features for labeled videos: {missing}")
-    # Each labeled video's feature row, and its soft-label target on that row.
-    feature_row = np.array([row_of[vid] for vid in labels.video_ids], dtype=np.intp)
-    targets = np.zeros((len(video_ids), core.N_EMOTIONS))
-    targets[feature_row] = labels_mod.soft_label_rows(labels.primary, labels.secondary, labels.salience)
-    positions = assignment.fold_positions(labels.actor_ids)
-    # The labeled videos of each fold, in file order, in ascending fold order.
-    by_fold = {f: np.flatnonzero(positions == i) for i, f in enumerate(assignment.fold_indices())}
-    rows = {f: feature_row[held_out] for f, held_out in by_fold.items()}
-    timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start, "train_s": []}
+        row_of = dict(zip(video_ids, range(len(video_ids))))
+        missing = [vid for vid in labels.video_ids if vid not in row_of]
+        if missing:
+            raise ValidationError(f"{feature_dir / 'manifest.csv'}: missing features for labeled videos: {missing}")
+        # Each labeled video's feature row, and its soft-label target on that row.
+        feature_row = np.array([row_of[vid] for vid in labels.video_ids], dtype=np.intp)
+        targets = np.zeros((len(video_ids), core.N_EMOTIONS))
+        targets[feature_row] = labels_mod.soft_label_rows(labels.primary, labels.secondary, labels.salience)
+        positions = assignment.fold_positions(labels.actor_ids)
+        # The labeled videos of each fold, in file order, in ascending fold order.
+        by_fold = {f: np.flatnonzero(positions == i) for i, f in enumerate(assignment.fold_indices())}
+        rows = {f: feature_row[held_out] for f, held_out in by_fold.items()}
 
-    out = _out_dir(args.out)
-    outputs: list[Path] = []
     oof: list[tuple[str, str, list[float]]] = []
     layout = mlp.param_layout(matrix.shape[1], mlp_cfg)
-    counters: dict[str, Any] = {"videos": len(video_ids), "feature_dim": matrix.shape[1], "epochs": [],
-                                "parameters": sum(map(math.prod, layout.values())), "best_epoch": []}
+    run.counters = {"videos": len(video_ids), "feature_dim": matrix.shape[1], "epochs": [],
+                    "parameters": sum(map(math.prod, layout.values())), "best_epoch": []}
+    run.timings["train_s"] = []
     for fold in rows:
         cfg = dataclasses.replace(mlp_cfg, seed=mlp_cfg.seed + fold)
         videos = [(labels.video_ids[i], labels.actor_ids[i]) for i in by_fold[fold].tolist()]
-        start = time.perf_counter()
-        fold_rows, epochs, best_epoch = _train_fold(fold, rows, matrix, targets, cfg, videos, out)
-        timings["train_s"].append(time.perf_counter() - start)
+        with run.stage("train_s"):
+            fold_rows, epochs, best_epoch = _train_fold(fold, rows, matrix, targets, cfg, videos, run)
         oof += fold_rows
-        counters["epochs"].append(epochs)
-        counters["best_epoch"].append(best_epoch)
-        outputs += [out / f"mlp_fold{fold}{suffix}" for suffix in (".npz", "_log.csv", ".csv")]
+        run.counters["epochs"].append(epochs)
+        run.counters["best_epoch"].append(best_epoch)
 
-    oof_path = out / "mlp_oof.csv"
+    oof_path = run.path("mlp_oof.csv")
     core.write_prediction_rows(oof_path, sorted(oof))  # by video id, which is unique
-    outputs.append(oof_path)
-    counters["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    _write_run_meta(out, "train-mlp", _record(args, **agg_resolved, **mlp_resolved), outputs,
-                    counters=counters, timings=timings, input_cache=cache_use)
+    run.counters["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    run.write()
     print(f"wrote {oof_path}")
     return EXIT_OK
 
 
 def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     cfg, cv_cfg = load_run_config(Path(args.config), {"output_dir": args.out})
-    out = _out_dir(cfg["output_dir"], "output_dir" if args.out is None else "--out")
-    chash = _config_hash(cfg)
-
-    cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
-    tables = _load_prediction_tables(Path(cfg["predictions_dir"]), cache_use)
-    labels = core.load_label_table(Path(cfg["labels_file"]), cache_use)
-    assignment = load_folds(Path(cfg["folds_file"]), labels.actor_ids)
-    timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start}
-    start = time.perf_counter()
-    data = FusionDataset.build(tables, labels, assignment)
-    timings["build_s"] = time.perf_counter() - start
+    run = _Run("fuse-evaluate", cfg["output_dir"], cfg, "output_dir" if args.out is None else "--out")
+    with run.stage("ingest_s"):
+        tables = _load_prediction_tables(Path(cfg["predictions_dir"]), run.cache_use)
+        labels = core.load_label_table(Path(cfg["labels_file"]), run.cache_use)
+        assignment = load_folds(Path(cfg["folds_file"]), labels.actor_ids)
+    with run.stage("build_s"):
+        data = FusionDataset.build(tables, labels, assignment)
     if len(data.fold_ids) < 2:  # cross-validation holds out each fold in turn
         raise ValidationError(f"{cfg['folds_file']}: fold {data.fold_ids[0]} would leave no training data")
-    start = time.perf_counter()
-    weights, search_log, surfaces, chosen, _ = fusion.fit(data, cv_cfg)
-    timings["fit_s"] = time.perf_counter() - start
+    with run.stage("fit_s"):
+        weights, search_log, surfaces, chosen, _ = fusion.fit(data, cv_cfg)
 
-    weights_path = out / "weights.csv"
+    weights_path = run.path("weights.csv")
     fusion.save_weights(weights, weights_path)
-    log_path = out / "weight_search_log.csv"
-    fusion.save_search_log(search_log, log_path)
-    per_fold, svgs = _fold_report(surfaces, out if cfg["emit_plots"] else None)
+    fusion.save_search_log(search_log, run.path("weight_search_log.csv"))
+    per_fold = _fold_report(surfaces, run if cfg["emit_plots"] else None)
     report = {
-        "config_hash": chash,
+        "config_hash": run.config_hash,
         "strategy": cfg["threshold_strategy"],
         "alpha": chosen.alpha,
         "beta": chosen.beta,
         **per_fold,
     }
-    thresholds_path = out / "thresholds.json"
-    _write_json(thresholds_path, report)
+    _write_json(run.path("thresholds.json"), report)
 
     cv_report = cross_validate(data, cv_cfg)
-    results_path = out / "results.csv"
-    save_results(cv_report, results_path)
-    results_json = out / "results.json"
-    _write_json(results_json, _report_payload(cv_report, chash))
+    save_results(cv_report, run.path("results.csv"))
+    _write_json(run.path("results.json"), _report_payload(cv_report, run.config_hash))
 
-    outputs = [weights_path, log_path, thresholds_path, results_path, results_json, *svgs]
-    counters = {"videos": len(data.video_ids), "encoders": len(data.encoders),
-                "candidates_scored": sum(data.requests.values()), "distinct_candidates": len(data.scored)}
-    timings["cv_fold_s"] = [o.seconds for o in cv_report.folds]
-    _write_run_meta(out, "fuse-evaluate", cfg, outputs, counters=counters, timings=timings,
-                    input_cache=cache_use)
+    run.counters = {"videos": len(data.video_ids), "encoders": len(data.encoders),
+                    "candidates_scored": sum(data.requests.values()), "distinct_candidates": len(data.scored)}
+    run.timings["cv_fold_s"] = [o.seconds for o in cv_report.folds]
+    run.write()
     print(
         f"weights={weights_path} thresholds=({chosen.alpha:.4f},{chosen.beta:.4f}) "
         f"mean score={cv_report.mean.score:.4f}"
@@ -571,16 +583,19 @@ def cmd_fuse_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fold_report(
-    surfaces: Mapping[int, ThresholdSurface], svg_dir: Optional[Path]
-) -> tuple[dict[str, Any], list[Path]]:
+def _fold_report(surfaces: Mapping[int, ThresholdSurface], run: Optional[_Run]) -> dict[str, Any]:
     """The ``per_fold`` best cells and the fold beta spread of ``surfaces``,
-    and the paths of the mean-surface heatmap and fold-beta bars written
-    under ``svg_dir`` (none when it is None)."""
+    after writing the mean-surface heatmap and fold-beta bars as outputs of
+    ``run`` (none when it is None)."""
     pairs = [s.argmax_pair() for s in surfaces.values()]
     betas = [p.beta for p in pairs]
     lo, hi = min(betas), max(betas)
-    fields = {
+    if run is not None:
+        first = next(iter(surfaces.values()))
+        mean_score = np.mean([s.score for s in surfaces.values()], axis=0)
+        plots.surface_heatmap_svg(mean_score, first.alpha_grid, first.beta_grid, run.path("score_surface.svg"))
+        plots.fold_beta_bars_svg(pairs, run.path("fold_beta.svg"))
+    return {
         "per_fold": [
             {"fold": f, "alpha": p.alpha, "beta": p.beta, "best_score": s.best_score()}
             for (f, s), p in zip(surfaces.items(), pairs)
@@ -589,15 +604,6 @@ def _fold_report(
         "beta_max": hi,
         "beta_ratio": (hi / lo) if lo > 0 else None,
     }
-    if svg_dir is None:
-        return fields, []
-    heat_path = svg_dir / "score_surface.svg"
-    first = next(iter(surfaces.values()))
-    mean_score = np.mean([s.score for s in surfaces.values()], axis=0)
-    plots.surface_heatmap_svg(mean_score, first.alpha_grid, first.beta_grid, heat_path)
-    bars_path = svg_dir / "fold_beta.svg"
-    plots.fold_beta_bars_svg(pairs, bars_path)
-    return fields, [heat_path, bars_path]
 
 
 def _report_payload(report: CrossValReport, chash: str) -> dict[str, Any]:
@@ -622,47 +628,41 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         ("--weights", args.weights),
     )
     cfg, cfg_resolved = _config(CrossValConfig, _CROSS_VAL_FLAGS, args)
-    cache_use, start = Counter(hits=0, misses=0), time.perf_counter()
-    pred_path = Path(args.predictions)
-    if pred_path.is_dir():
-        tables = _load_prediction_tables(pred_path, cache_use)
-    else:
-        tables = [core.load_prediction_table(pred_path, cache_use)]
-    labels = core.load_label_table(Path(args.labels), cache_use)
-    assignment = load_folds(Path(args.folds), labels.actor_ids)
-    names = [t.encoder_name for t in tables]
-    if args.weights:
-        weights = fusion.load_weights(Path(args.weights))
-        unknown = sorted(weights.weights.keys() - set(names))
-        if unknown:
-            raise ValidationError(
-                f"{args.weights}: encoder {unknown[0]!r} has no predictions in {args.predictions}"
-            )
-    else:
-        weights = fusion.WeightVector.uniform(names)
-    timings: dict[str, Any] = {"ingest_s": time.perf_counter() - start}
+    run = _Run("sensitivity", args.out, _record(args, **cfg_resolved))
+    with run.stage("ingest_s"):
+        pred_path = Path(args.predictions)
+        if pred_path.is_dir():
+            tables = _load_prediction_tables(pred_path, run.cache_use)
+        else:
+            tables = [core.load_prediction_table(pred_path, run.cache_use)]
+        labels = core.load_label_table(Path(args.labels), run.cache_use)
+        assignment = load_folds(Path(args.folds), labels.actor_ids)
+        names = [t.encoder_name for t in tables]
+        if args.weights:
+            weights = fusion.load_weights(Path(args.weights))
+            unknown = sorted(weights.weights.keys() - set(names))
+            if unknown:
+                raise ValidationError(
+                    f"{args.weights}: encoder {unknown[0]!r} has no predictions in {args.predictions}"
+                )
+        else:
+            weights = fusion.WeightVector.uniform(names)
     # Only the weighted encoders need to cover the labeled videos.
     used = [t for t in tables if t.encoder_name in weights.weights]
-    start = time.perf_counter()
-    data = FusionDataset.build(used, labels, assignment)
-    timings["build_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    surfaces = fold_surfaces(data, fusion.fuse(data, weights.weights), cfg)
-    timings["surfaces_s"] = time.perf_counter() - start
-    resolved = _record(args, **cfg_resolved)
-    out = _out_dir(args.out)
-    per_fold, svgs = _fold_report(surfaces, out)
+    with run.stage("build_s"):
+        data = FusionDataset.build(used, labels, assignment)
+    with run.stage("surfaces_s"):
+        surfaces = fold_surfaces(data, fusion.fuse(data, weights.weights), cfg)
+    per_fold = _fold_report(surfaces, run)
     alphas = [e["alpha"] for e in per_fold["per_fold"]]
     report = {
-        "config_hash": _config_hash(resolved),
+        "config_hash": run.config_hash,
         **per_fold,
         "alpha_min": min(alphas),
         "alpha_max": max(alphas),
     }
-    report_path = out / "sensitivity.json"
-    _write_json(report_path, report)
-    _write_run_meta(out, "sensitivity", resolved, [report_path, *svgs], timings=timings,
-                    input_cache=cache_use)
+    _write_json(run.path("sensitivity.json"), report)
+    run.write()
     ratio = per_fold["beta_ratio"]
     print(
         f"beta spread: min={per_fold['beta_min']:.2f} max={per_fold['beta_max']:.2f} "
@@ -676,19 +676,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     lo, hi = synth.SynthConfig.actor_gap_range
     gap = (lo if args.gap_lo is None else args.gap_lo, hi if args.gap_hi is None else args.gap_hi)
     cfg, cfg_resolved = _config(synth.SynthConfig, _SYNTH_FLAGS, args, actor_gap_range=gap)
-    dataset = synth.generate(cfg)
-    out = _out_dir(args.out)
-    labels_path = out / "labels.csv"
-    core.save_labels(dataset.records, labels_path)
-    pred_dir = out / "predictions"
-    pred_dir.mkdir(exist_ok=True)
-    pred_path = pred_dir / f"{synth.ENCODER_NAME}.csv"
-    core.save_predictions(dataset.predictions, pred_path)
     gap_lo, gap_hi = cfg.actor_gap_range
-    resolved = _record(args, **cfg_resolved, gap_lo=gap_lo, gap_hi=gap_hi)
-    gaps_path = out / "actor_gaps.json"
-    _write_json(gaps_path, {"config_hash": _config_hash(resolved), "gaps": dict(dataset.actor_gaps)})
-    _write_run_meta(out, "synth", resolved, [labels_path, pred_path, gaps_path])
+    run = _Run("synth", args.out, _record(args, **cfg_resolved, gap_lo=gap_lo, gap_hi=gap_hi))
+    dataset = synth.generate(cfg)
+    labels_path = run.path("labels.csv")
+    core.save_labels(dataset.records, labels_path)
+    pred_path = run.path(f"predictions/{synth.ENCODER_NAME}.csv")
+    pred_path.parent.mkdir(exist_ok=True)
+    core.save_predictions(dataset.predictions, pred_path)
+    _write_json(run.path("actor_gaps.json"), {"config_hash": run.config_hash, "gaps": dict(dataset.actor_gaps)})
+    run.write()
     print(f"wrote {labels_path} and {pred_path} ({len(dataset.records)} clips)")
     return EXIT_OK
 

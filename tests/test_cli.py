@@ -1,6 +1,7 @@
 """Command-line surface: flows, exit codes, determinism, config handling."""
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import functools
@@ -1763,13 +1764,17 @@ class TestSensitivity:
 
 
 # The commands that read their inputs through the input cache.
-CACHED_COMMANDS = ("fuse-evaluate", "sensitivity", "train-mlp")
+CACHED_COMMANDS = ("aggregate", "fuse-evaluate", "sensitivity", "train-mlp")
 
 
 def cached_command_inputs(tmp_path, command):
     """The argv of ``command`` but ``--out``, and the input files it caches:
     two prediction files (the synth one and its rows reversed) and the labels
-    file, or the labels file and six feature files."""
+    file, or the labels file (not for aggregate) and six feature files."""
+    if command == "aggregate":
+        inputs = feature_inputs(tmp_path)
+        argv = ["aggregate", "--features", inputs["--features"], "--layer-lo", 0, "--layer-hi", 0]
+        return argv, sorted(inputs["--features"].glob("*.feat"))
     if command == "train-mlp":
         inputs = feature_inputs(tmp_path)
         argv = ["train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2]
@@ -2093,6 +2098,57 @@ def test_output_path_of_the_wrong_kind_is_config_error_naming_it(tmp_path, capsy
     assert run(command, *writing_argv(tmp_path, command, out)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "cannot write output" in err and repr(str(taken)) in err
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_run_meta_outputs_are_the_files_under_the_output_directory(tmp_path, command):
+    out = tmp_path / "out"
+    assert run(command, *writing_argv(tmp_path, command, out)) == EXIT_OK
+    files = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in outputs_of(out).items()
+        if core.CACHE_DIR not in Path(name).parts
+    }
+    assert json.loads((out / "run_meta.json").read_text())["outputs"] == files
+
+
+def test_only_the_run_record_times_stages_and_makes_the_output_directory():
+    """In cli.py ``time.perf_counter``, the name ``run_meta.json`` and the
+    output directory's ``mkdir`` appear in ``_Run`` alone, but for synth's
+    ``predictions/`` subdirectory."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None
+    }
+    users = {"perf_counter": set(), "run_meta.json": set(), "mkdir": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in users:
+                name = node.attr
+            elif isinstance(node, ast.Name) and node.id == "perf_counter":
+                name = node.id
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "run_meta.json" in node.value and id(node) not in docstrings):
+                name = "run_meta.json"
+            else:
+                continue
+            users[name].add(getattr(top, "name", "<module>"))
+    assert users == {"perf_counter": {"_Run"}, "run_meta.json": {"_Run"}, "mkdir": {"_Run", "cmd_synth"}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-mlp", "--features", "f", "--labels", "l", "--folds", "f", "--hidden", "-1,4"],
+     "hidden_dims must be widths in [1, 65536], got (-1, 4)"),
+    (["synth", "--mix", "-1,0.5,1.5"],
+     "label_mix must be three finite non-negative shares summing to 1: (-1.0, 0.5, 1.5)"),
+], ids=["hidden", "mix"])
+def test_comma_list_led_by_a_minus_sign_is_the_flags_value(tmp_path, capsys, argv, message):
+    # argparse's negative-number pattern holds no comma, so it would take the list for a flag.
+    assert run(*argv, "--out", tmp_path / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # Flags that set no config field, and so declare their own default.
