@@ -418,7 +418,7 @@ def cmd_encode_labels(args: argparse.Namespace) -> int:
     labels = core.load_labels(Path(args.labels))
     path = run.path("soft_labels.csv")
     targets = labels_mod.soft_label_rows(labels.primary, labels.secondary, labels.salience)
-    rows = ([vid, *map(repr, row)] for vid, row in zip(labels.video_ids, targets.tolist()))
+    rows = ([vid, *row] for vid, row in zip(labels.video_ids, targets.tolist()))
     core.write_csv_rows(path, ["video_id"] + [f"y_{e.label}" for e in core.EMOTIONS], rows)
     run.write()
     print(f"wrote {path} ({len(labels.video_ids)} rows)")
@@ -457,7 +457,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     video_ids, actor_ids, matrix = _aggregate_directory(feature_dir, cfg, run.cache_use)
     path = run.path("aggregated.csv")
     dim = matrix.shape[1]
-    rows = ([vid, actor, *map(repr, row)] for vid, actor, row in zip(video_ids, actor_ids, matrix.tolist()))
+    rows = ([vid, actor, *row] for vid, actor, row in zip(video_ids, actor_ids, matrix.tolist()))
     core.write_csv_rows(path, ["video_id", "actor_id"] + [f"f{i}" for i in range(dim)], rows)
     run.write()
     print(f"wrote {path} ({len(video_ids)} videos, {dim} dims)")
@@ -678,13 +678,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg, cfg_resolved = _config(synth.SynthConfig, _SYNTH_FLAGS, args, actor_gap_range=gap)
     gap_lo, gap_hi = cfg.actor_gap_range
     run = _Run("synth", args.out, _record(args, **cfg_resolved, gap_lo=gap_lo, gap_hi=gap_hi))
-    dataset = synth.generate(cfg)
-    labels_path = run.path("labels.csv")
-    core.save_labels(dataset.records, labels_path)
-    pred_path = run.path(f"predictions/{synth.ENCODER_NAME}.csv")
-    pred_path.parent.mkdir(exist_ok=True)
-    core.save_predictions(dataset.predictions, pred_path)
-    _write_json(run.path("actor_gaps.json"), {"config_hash": run.config_hash, "gaps": dict(dataset.actor_gaps)})
+    with run.stage("generate_s"):
+        dataset = synth.generate(cfg)
+    with run.stage("write_s"):
+        labels_path = run.path("labels.csv")
+        core.save_labels(dataset.records, labels_path)
+        pred_path = run.path(f"predictions/{synth.ENCODER_NAME}.csv")
+        pred_path.parent.mkdir(exist_ok=True)
+        core.save_predictions(dataset.predictions, pred_path)
+        report = {"config_hash": run.config_hash, "gaps": dict(dataset.actor_gaps)}
+        _write_json(run.path("actor_gaps.json"), report)
     run.write()
     print(f"wrote {labels_path} and {pred_path} ({len(dataset.records)} clips)")
     return EXIT_OK

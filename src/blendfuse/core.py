@@ -382,12 +382,6 @@ PREDICTIONS_HEADER = [
 LABELS_HEADER = ["video_id", "actor_id", "emotion_a", "emotion_b", "salience_a"]
 
 
-def _format_float(x: float) -> str:
-    # repr round-trips float64 exactly, which the serialization round-trip
-    # guarantees depend on.
-    return repr(float(x))
-
-
 @contextmanager
 def located(where: object) -> Iterator[None]:
     """Re-raise a ValueError (a :class:`ValidationError` is one) from inside
@@ -452,7 +446,8 @@ def read_csv_rows(
 
 
 def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV lines ending in CRLF."""
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV lines ending
+    in CRLF.  A Python float is written as its ``repr``, which round-trips it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -657,9 +652,9 @@ def _table_of_entry(path: Path, arrays: Mapping[str, np.ndarray]) -> PredictionT
 
 
 def write_prediction_rows(path: str | Path, rows: Iterable[tuple[str, str, Sequence[float]]]) -> None:
-    """Write a predictions file of ``(video_id, actor_id, probabilities)`` rows, in order."""
-    lines = ([vid, actor, *map(_format_float, values)] for vid, actor, values in rows)
-    write_csv_rows(path, PREDICTIONS_HEADER, lines)
+    """Write a predictions file of ``(video_id, actor_id, probabilities)`` rows,
+    in order, the probabilities as Python floats."""
+    write_csv_rows(path, PREDICTIONS_HEADER, ([vid, actor, *values] for vid, actor, values in rows))
 
 
 def save_predictions(preds: EncoderPredictionSet, path: str | Path) -> None:

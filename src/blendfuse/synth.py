@@ -30,6 +30,10 @@ from .core import (
 # Probability mass left for the non-target emotions of a clean clip.
 LEFTOVER_MASS = 0.10
 
+# The largest actor gap.  Above it, the secondary emotion of a 70/30 clip
+# would sink to the level of the leftover mass and leave the top-2.
+MAX_ACTOR_GAP = 0.8
+
 # Logit noise is cut at this many standard deviations.  The tight cut gives
 # the per-actor top-2 gap distribution a hard, well-populated edge, which
 # keeps per-fold optimal thresholds stable when all actors share one gap.
@@ -68,8 +72,10 @@ class SynthConfig:
         if len(mix) != 3 or not all(0.0 <= m < math.inf for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ValidationError(f"label_mix must be three finite non-negative shares summing to 1: {mix!r}")
         lo, hi = self.actor_gap_range
-        if not (0.0 < lo <= hi < 1.0):
-            raise ValidationError(f"actor_gap_range must satisfy 0 < lo <= hi < 1: {self.actor_gap_range!r}")
+        if not (0.0 < lo <= hi <= MAX_ACTOR_GAP):
+            raise ValidationError(
+                f"actor_gap_range must satisfy 0 < lo <= hi <= {MAX_ACTOR_GAP}: {self.actor_gap_range!r}"
+            )
         if not 0.0 <= self.noise_sigma < math.inf:  # also false for NaN
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.seed < 0:
@@ -88,26 +94,35 @@ def _truncated_normal(rng: np.random.Generator, size: int, sigma: float) -> np.n
     bound = NOISE_TRUNCATION_SIGMAS * sigma
     out = rng.normal(0.0, sigma, size)
     bad = np.abs(out) > bound
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, sigma, int(bad.sum()))
+    while n := np.count_nonzero(bad):
+        out[bad] = rng.normal(0.0, sigma, n)
         bad = np.abs(out) > bound
     return out
 
 
-def _clean_vector(kind: str, primary: int, secondary: int | None, gap: float) -> np.ndarray:
-    p = np.zeros(len(EMOTIONS))
-    if kind == "single":
-        p[:] = LEFTOVER_MASS / 5
-        p[primary] = 1.0 - LEFTOVER_MASS
-        return p
-    assert secondary is not None
-    p[:] = LEFTOVER_MASS / 4
-    if kind == "5050":
-        p[primary] = p[secondary] = (1.0 - LEFTOVER_MASS) / 2
-    else:  # 70/30
-        p[primary] = (1.0 - LEFTOVER_MASS + gap) / 2
-        p[secondary] = (1.0 - LEFTOVER_MASS - gap) / 2
-    return p
+def _probabilities(
+    draws: list[tuple[int, int, int]], gaps: np.ndarray, noise: np.ndarray, noise_sigma: float
+) -> np.ndarray:
+    """The ``(videos, 6)`` probability vectors of the clips ``draws`` whose
+    actors have the ``gaps``: each clean vector or, where ``noise_sigma`` times
+    the gap is above 0, the softmax of its log plus its row of ``noise``
+    (overwritten).  Its temporaries are freed on return, before the caller
+    builds a Python object per clip, so they do not raise the heap's peak."""
+    # The leftover mass over the other emotions, and the rest split between
+    # primary and secondary by the margin, the gap of a 70/30.  A single's
+    # primary, written last, overwrites its secondary.
+    salience, primary, secondary = np.array(draws).T
+    single = salience == 100
+    rows = np.arange(len(draws))
+    margin = np.where(salience == 70, gaps, 0.0)
+    clean = np.repeat(np.where(single, LEFTOVER_MASS / 5, LEFTOVER_MASS / 4)[:, None], len(EMOTIONS), 1)
+    clean[rows, secondary] = (1.0 - LEFTOVER_MASS - margin) / 2
+    clean[rows, primary] = np.where(single, 1.0 - LEFTOVER_MASS, (1.0 - LEFTOVER_MASS + margin) / 2)
+    noise += np.log(clean)
+    noise -= noise.max(axis=1, keepdims=True)
+    np.exp(noise, out=noise)
+    noise /= noise.sum(axis=1, keepdims=True)
+    return np.where((noise_sigma * gaps > 0.0)[:, None], noise, clean)
 
 
 def generate(cfg: SynthConfig) -> SynthDataset:
@@ -123,55 +138,40 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     """
     master = np.random.default_rng(cfg.seed)
     gaps = master.uniform(cfg.actor_gap_range[0], cfg.actor_gap_range[1], cfg.n_actors)
-    # Above this, the secondary emotion of a 70/30 clip would sink to the
-    # level of the leftover mass and leave the top-2.
-    if np.any(gaps > 0.8):
-        raise ValidationError("actor gap too large for the leftover probability mass")
     actor_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_actors)
+    single_share, even_share = np.cumsum(cfg.label_mix)[:2].tolist()
 
-    records: list[SampleRecord] = []
-    rows: dict[str, tuple[EmotionDistribution, ...]] = {}
-    actors: dict[str, str] = {}
-    actor_gaps: dict[str, float] = {}
-
-    cum_mix = np.cumsum(cfg.label_mix)
-    salience_of = {"single": 100, "5050": 50, "7030": 70}
-    for a in range(cfg.n_actors):
-        actor_id = f"actor{a:03d}"
-        gap = float(gaps[a])
-        actor_gaps[actor_id] = gap
+    # Only the random draws run per clip: the salience (100 single, 50 or
+    # 70), the primary and secondary emotions (a single's twice) and the noise.
+    draws: list[tuple[int, int, int]] = []
+    noise = np.zeros((cfg.n_actors * cfg.clips_per_actor, len(EMOTIONS)))
+    for a, gap in enumerate(gaps.tolist()):
         rng = np.random.default_rng(actor_seeds[a])
         sigma = cfg.noise_sigma * gap
-        for c in range(cfg.clips_per_actor):
-            video_id = f"{actor_id}_clip{c:03d}"
+        for row in range(a * cfg.clips_per_actor, (a + 1) * cfg.clips_per_actor):
             u = rng.random()
-            if u < cum_mix[0]:
-                kind = "single"
+            if u < single_share:
                 primary = int(rng.integers(len(EMOTIONS)))
-                secondary = None
+                draws.append((100, primary, primary))
             else:
-                kind = "5050" if u < cum_mix[1] else "7030"
-                pair = _PAIRS[int(rng.integers(len(_PAIRS)))]
-                if kind == "7030" and rng.random() < 0.5:
-                    pair = (pair[1], pair[0])
-                primary, secondary = pair
-
-            clean = _clean_vector(kind, primary, secondary, gap)
+                salience = 50 if u < even_share else 70
+                primary, secondary = _PAIRS[int(rng.integers(len(_PAIRS)))]
+                if salience == 70 and rng.random() < 0.5:
+                    primary, secondary = secondary, primary
+                draws.append((salience, primary, secondary))
             if sigma > 0.0:
-                noise = _truncated_normal(rng, len(EMOTIONS), sigma)
-                logits = np.log(clean) + noise
-                shifted = np.exp(logits - logits.max())
-                vector = shifted / shifted.sum()
-            else:
-                vector = clean
+                noise[row] = _truncated_normal(rng, len(EMOTIONS), sigma)
 
-            annotation = canonicalize_annotation(
-                Emotion(primary), None if secondary is None else Emotion(secondary), salience_of[kind]
-            )
-
-            records.append(SampleRecord(video_id, actor_id, annotation))
-            rows[video_id] = (EmotionDistribution(tuple(float(v) for v in vector)),)
-            actors[video_id] = actor_id
-
-    predictions = EncoderPredictionSet(ENCODER_NAME, rows, actors)
-    return SynthDataset(tuple(records), predictions, actor_gaps)
+    vectors = _probabilities(draws, np.repeat(gaps, cfg.clips_per_actor), noise, cfg.noise_sigma)
+    annotation = {  # one per distinct draw, at most 51
+        (s, p, q): canonicalize_annotation(Emotion(p), None if s == 100 else Emotion(q), s) for s, p, q in set(draws)
+    }
+    actor_ids = [f"actor{a:03d}" for a in range(cfg.n_actors)]
+    actors = {
+        f"{actor_id}_clip{c:03d}": actor_id for actor_id in actor_ids for c in range(cfg.clips_per_actor)
+    }
+    records = tuple(map(SampleRecord, actors, actors.values(), map(annotation.__getitem__, draws)))
+    predictions = EncoderPredictionSet(
+        ENCODER_NAME, {vid: (EmotionDistribution(tuple(v.tolist())),) for vid, v in zip(actors, vectors)}, actors
+    )
+    return SynthDataset(records, predictions, dict(zip(actor_ids, gaps.tolist())))

@@ -1,5 +1,7 @@
 """Scalar references that the array data path and the readers are tested against."""
 
+import csv
+import io
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 from blendfuse.core import (
     LABELS_HEADER,
     N_EMOTIONS,
+    PREDICTIONS_HEADER,
     SUM_TOLERANCE,
     Emotion,
     EmotionDistribution,
@@ -60,6 +63,18 @@ def feature_file_text(seq):
     for row in seq.data.reshape(layers * frames, dims):
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def prediction_rows_bytes(rows):
+    """The bytes of a predictions file of ``(video_id, actor_id, probabilities)``
+    ``rows``, as ``blendfuse.core.write_prediction_rows`` writes it: one
+    ``csv.writer`` line per row after the header, each probability as
+    ``repr(float(x))``."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(PREDICTIONS_HEADER)
+    writer.writerows([vid, actor, *(repr(float(x)) for x in values)] for vid, actor, values in rows)
+    return text.getvalue().encode("utf-8")
 
 
 def label_table(records):

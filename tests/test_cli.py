@@ -26,7 +26,7 @@ from fixtures_util import outputs_of, write_feature_dir
 from blendfuse import cli, core, features, fusion, mlp, synth
 from blendfuse.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from blendfuse.core import FoldAssignment
-from blendfuse.evaluation import evaluate, load_folds, save_folds, split_actors
+from blendfuse.evaluation import RESULTS_HEADER, evaluate, load_folds, save_folds, split_actors
 from blendfuse.fusion import CrossValConfig, FusionDataset
 from blendfuse.postprocess import PostprocessConfig, ThresholdPair, discretize
 
@@ -193,6 +193,17 @@ class TestSynthAndSplit:
             f"config error: n_actors * clips_per_actor must be at most {synth.MAX_VIDEOS}, got {actors} * {clips}\n"
         )
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_synth_gap_range_above_max_gap_is_config_error_for_every_seed(self, tmp_path, capsys, seed):
+        # The bound was checked against the drawn gaps: seed 4 exited 2, the others 0.
+        out = tmp_path / "data"
+        argv = ["--gap-lo", 0.5, "--gap-hi", 0.85, "--actors", 1, "--clips", 2, "--seed", seed, "--out", out]
+        assert run("synth", *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: actor_gap_range must satisfy 0 < lo <= hi <= {synth.MAX_ACTOR_GAP}: (0.5, 0.85)\n"
+        )
+        assert not out.exists()
 
     def test_split_k1_is_config_error(self, tmp_path):
         data = synth_dataset(tmp_path)
@@ -830,10 +841,12 @@ def _feature_input_bytes():
 
 @st.composite
 def _mutated_input(draw):
-    """The relative path of an input of ``_fusion_input_bytes`` or of the
-    first ``.feat`` file of ``_feature_input_bytes``, and its mutated bytes."""
+    """The relative path of an input of ``_fusion_input_bytes``, of the first
+    ``.feat`` file of ``_feature_input_bytes`` or of its ``manifest.csv``, and
+    its mutated bytes."""
     inputs = {**_fusion_input_bytes(), **_feature_input_bytes()}
-    name = draw(st.sampled_from([*_fusion_input_bytes(), min(n for n in inputs if n.endswith(".feat"))]))
+    first_feat = min(n for n in inputs if n.endswith(".feat"))
+    name = draw(st.sampled_from([*_fusion_input_bytes(), first_feat, "features/manifest.csv"]))
     return name, _mutated(draw, inputs[name], Path(name).name)
 
 
@@ -865,6 +878,7 @@ def test_mutated_input_file_exits_cleanly_and_alike_cold_and_warm(case):
              "--folds", root / "folds.csv", "--alpha-grid", json.dumps(grid), "--beta-grid", json.dumps(grid)],
             ["train-mlp", "--features", root / "features", "--labels", root / "labels.csv",
              "--folds", root / "folds.csv", "--layer-lo", 0, "--layer-hi", 0, "--hidden", 4, "--epochs", 2],
+            ["aggregate", "--features", root / "features", "--layer-lo", 0, "--layer-hi", 0],
         ]
         for argv in commands:
             for cache in (root / core.CACHE_DIR, root / "predictions" / core.CACHE_DIR, root / "features" / core.CACHE_DIR):
@@ -887,6 +901,38 @@ def test_mutated_input_file_exits_cleanly_and_alike_cold_and_warm(case):
             if code == EXIT_DATA:
                 named = [path for path in root.rglob("*") if path.suffix in (".csv", ".feat")]
                 assert any(message.startswith(f"validation error: {path}") for path in named), message
+
+
+@st.composite
+def _mutated_results(draw):
+    """The bytes of a results file, as fuse-evaluate writes one, whose rows
+    pass the score identity, after one mutation; or None for a directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        rows = [[0, 0.34, 0.14, 0.24, 100], [1, 0.391, 0.168, 0.2795, 100], ["summary", 0.3655, 0.154, 0.25975, 200]]
+        core.write_csv_rows(path, RESULTS_HEADER, rows)
+        return _mutated(draw, path.read_bytes(), path.name)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(raw=_mutated_results())
+def test_mutated_results_file_exits_cleanly_naming_it(raw):
+    # verify-identities --results: a pass, a failed identity reported on
+    # stdout, or a one-line error led by the results file.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        if raw is None:
+            path.mkdir()
+        else:
+            path.write_bytes(raw)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = run("verify-identities", "--results", path)
+        assert code in (EXIT_OK, EXIT_DATA)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_DATA:
+            failed = err.getvalue() == "" and "\nFAIL row " in f"\n{out.getvalue()}"
+            assert failed or err.getvalue().startswith(f"validation error: {path}"), err.getvalue()
 
 
 _VALID_RUN_CONFIG = {
@@ -1483,6 +1529,11 @@ PINNED_DATA_ARGV = {
         "sensitivity", "--predictions", "data/predictions", "--labels", "data/labels.csv",
         "--folds", "folds/folds.csv", "--weights", "fused/weights.csv", "--out", "sens",
     ],
+    "synth-clean": ["synth", "--actors", "6", "--clips", "9", "--noise-sigma", "0", "--seed", "4", "--out", "clean"],
+    "synth-blends": [
+        "synth", "--actors", "5", "--clips", "8", "--mix", "0,0,1", "--gap-lo", "0.2", "--gap-hi", "0.22",
+        "--noise-sigma", "0.5", "--seed", "7", "--out", "blends",
+    ],
 }
 
 
@@ -1538,6 +1589,18 @@ PINNED_DATA_OUTPUTS = {
         "fold_beta.svg": "8fcc0018f94eabe88183e299efa4ae7d01bf734227382d4b0ab5303b6ea3d477",
         "score_surface.svg": "35f80ff5d894c67feaaa8b547bc1234602ba434f63e5797f06d7713d47931bb9",
         "sensitivity.json": "aec45b34ef91c3ae4ddd2f31db81ce749c9b84caae643eb157f4fe6d3b54f809",
+    },
+    # These two were recorded from the generator that built each clip's
+    # vector in its own loop iteration.
+    "synth-clean": {
+        "actor_gaps.json": "09630afe5e1e021193ab41c9ff459105f7c06d5769027b09c5a749e14dc2b926",
+        "labels.csv": "a153f439fe3e564daed20466c7ba17a000206bcf222b4dc598274583dc744c24",
+        "predictions/synth.csv": "7a20514b46769f42b26ff53d0eab9c3d1e4ceba9fda26f66829dc34cf686e5c5",
+    },
+    "synth-blends": {
+        "actor_gaps.json": "c51a4fda93266ee66ab096fe568d9ae5cd2d7e700630c734cdf2b5a5e8f0c3dd",
+        "labels.csv": "2afdcf0ba8ea5dee927679c9dc30ef44b9caf94dadf03ba8523a089325269926",
+        "predictions/synth.csv": "0a21fc32ae86b53e8cf39e6fa01498ad6f32e50271d28652e369a65e7fce8f9c",
     },
 }
 
@@ -2247,6 +2310,13 @@ class TestOmittedFlagsTakeLibraryDefaults:
         assert run("synth", "--actors", 2, "--clips", 2, "--gap-hi", 0.3, "--out", out) == EXIT_OK
         resolved = json.loads((out / "run_meta.json").read_text())["resolved_config"]
         assert (resolved["gap_lo"], resolved["gap_hi"]) == (synth.SynthConfig().actor_gap_range[0], 0.3)
+
+    def test_synth_times_generating_and_writing(self, tmp_path):
+        out = tmp_path / "data"
+        assert run("synth", "--actors", 2, "--clips", 2, "--out", out) == EXIT_OK
+        timings = json.loads((out / "run_meta.json").read_text())["timings"]
+        assert timings.keys() == {"generate_s", "write_s"}
+        assert all(type(t) is float and t >= 0 for t in timings.values())
 
     def test_train_mlp(self, tmp_path, monkeypatch):
         @dataclasses.dataclass(frozen=True)

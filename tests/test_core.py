@@ -3,12 +3,15 @@
 import ast
 import graphlib
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import label_table, label_table_bits
+from oracles import label_table, label_table_bits, prediction_rows_bytes
 
 import blendfuse
 from blendfuse.core import (
@@ -29,6 +32,7 @@ from blendfuse.core import (
     load_predictions,
     save_labels,
     save_predictions,
+    write_prediction_rows,
 )
 from blendfuse.evaluation import load_folds
 from blendfuse.features import load_feature_file, load_feature_manifest
@@ -466,3 +470,17 @@ def test_an_unreadable_input_is_led_by_its_path(tmp_path, loader, name, lead, re
     with pytest.raises(ValidationError) as exc:
         loader(path)
     assert str(exc.value) == f"{lead.format(path=str(path))}: cannot read file: {reason}"
+
+
+# Ids with the characters csv.writer must quote, and non-ASCII text.
+_IDS = st.text(st.sampled_from(["a", "1", " ", ",", '"', "\r", "\n", "é", "中"]), max_size=5)
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1 - 2**-53, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.lists(st.tuples(_IDS, st.one_of(st.just(""), _IDS), st.lists(_PROBABILITIES, min_size=6, max_size=6))))
+def test_write_prediction_rows_writes_each_probability_as_its_repr(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_prediction_rows(path, rows)
+        assert path.read_bytes() == prediction_rows_bytes(rows)

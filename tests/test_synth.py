@@ -7,7 +7,7 @@ import pytest
 from fixtures_util import beta_instability_run
 
 from blendfuse.core import ValidationError
-from blendfuse.synth import SynthConfig, generate
+from blendfuse.synth import MAX_ACTOR_GAP, SynthConfig, generate
 
 
 class TestGenerate:
@@ -69,6 +69,10 @@ class TestGenerate:
         ds = generate(cfg)
         assert all(0.1 <= g <= 0.2 for g in ds.actor_gaps.values())
 
+    def test_gap_range_may_reach_max_actor_gap(self):
+        cfg = SynthConfig(n_actors=3, clips_per_actor=2, actor_gap_range=(0.7, MAX_ACTOR_GAP))
+        assert all(0.7 <= g <= MAX_ACTOR_GAP for g in generate(cfg).actor_gaps.values())
+
     def test_bad_configs_rejected(self):
         with pytest.raises(ValidationError):
             SynthConfig(label_mix=(0.5, 0.5, 0.5))
@@ -76,6 +80,8 @@ class TestGenerate:
             SynthConfig(label_mix=(0.5, 0.5))
         with pytest.raises(ValidationError):
             SynthConfig(actor_gap_range=(0.0, 0.4))
+        with pytest.raises(ValidationError, match="actor_gap_range"):
+            SynthConfig(actor_gap_range=(0.5, 0.85))
         with pytest.raises(ValidationError):
             SynthConfig(noise_sigma=-0.1)
         with pytest.raises(ValidationError):
