@@ -130,12 +130,13 @@ class _Run:
 
 def _manifest_actors(path: Path) -> Sequence[str]:
     """The actor of each clip of a labels file or a feature manifest."""
-    with core.csv_reader(path) as reader:
+    data = core.read_input(path)
+    with core.csv_reader(path, data) as reader:
         header = next(reader, None)
     if header == core.LABELS_HEADER:
-        return core.load_labels(path).actor_ids
+        return core.load_labels(path, data).actor_ids
     if header == features.MANIFEST_HEADER:
-        return [actor_id for _, actor_id, _ in features.load_feature_manifest(path)]
+        return [actor_id for _, actor_id, _ in features.load_feature_manifest(path, data)]
     raise ValidationError(f"{path}: unrecognized manifest header {header!r}")
 
 
@@ -464,6 +465,13 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fold_split(fold: int, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that gate fold ``fold``'s early stopping (the lowest-index other
+    fold's) and those it trains on (the rest, or the same ones when k == 2)."""
+    others = [rows[f] for f in rows if f != fold]
+    return others[0], np.concatenate(others[1:] or others[:1])
+
+
 def _train_fold(
     fold: int, rows: dict[int, np.ndarray], matrix: np.ndarray, targets: np.ndarray,
     cfg: mlp.MlpConfig, videos: list[tuple[str, str]], run: _Run,
@@ -473,11 +481,7 @@ def _train_fold(
     per ``(video, actor)`` of ``videos``) as outputs of ``run`` and return
     those rows, the epochs run and the best epoch.  The head dies on return:
     one is alive at a time."""
-    train_folds = [f for f in rows if f != fold]
-    # The lowest-index remaining fold gates early stopping; the rest train,
-    # or it does both when k == 2 leaves no other.
-    val = rows[train_folds[0]]
-    train = np.concatenate([rows[f] for f in train_folds[1:]] or [val])
+    val, train = _fold_split(fold, rows)
     result = mlp.train((matrix[train], targets[train]), (matrix[val], targets[val]), cfg)
     mlp.save_model(result.model, run.path(f"mlp_fold{fold}.npz"))
     mlp.save_train_log(result.log, run.path(f"mlp_fold{fold}_log.csv"))
@@ -518,6 +522,9 @@ def cmd_train_mlp(args: argparse.Namespace) -> int:
         # The labeled videos of each fold, in file order, in ascending fold order.
         by_fold = {f: np.flatnonzero(positions == i) for i, f in enumerate(assignment.fold_indices())}
         rows = {f: feature_row[held_out] for f, held_out in by_fold.items()}
+        for fold in rows:  # checked before any head trains: batchnorm needs 2 rows
+            if (n := len(_fold_split(fold, rows)[1])) < 2:
+                raise ValidationError(f"{args.folds}: fold {fold} trains on {n} labeled video, need at least 2")
 
     oof: list[tuple[str, str, list[float]]] = []
     layout = mlp.param_layout(matrix.shape[1], mlp_cfg)
@@ -700,9 +707,9 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
     ok = True
     _require_paths(("--results", args.results), ("--weights", args.weights))
     if args.results:
-        for lineno, row in core.read_csv_rows(Path(args.results), RESULTS_HEADER):
-            if row[0] == "summary":
-                continue
+        rows = core.read_csv_rows(Path(args.results), RESULTS_HEADER)
+        lineno = 0  # stays 0 if the file holds no fold row
+        for lineno, row in ((n, row) for n, row in rows if row[0] != "summary"):
             try:
                 acc_p, acc_s, score = map(float, row[1:4])
             except ValueError:
@@ -716,6 +723,8 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
                 f"{'PASS' if passed else 'FAIL'} row {row[0]}: "
                 f"0.5*({acc_p}+{acc_s}) vs {score} (diff {diff:.6f})"
             )
+        if not lineno:
+            raise ValidationError(f"{args.results}: no fold row to check")
     if args.weights:
         try:
             fusion.load_weights(Path(args.weights), tol=args.tol_simplex)

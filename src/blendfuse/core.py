@@ -303,12 +303,16 @@ def _code_digest() -> bytes:
     return digest.digest()
 
 
-def _unreadable(path: str | Path, exc: OSError | ValueError) -> ValidationError:
-    """The fault of an input file that cannot be opened or read, led by
-    ``path``; by its ``repr`` for the ``ValueError`` of a NUL byte in it."""
-    if isinstance(exc, OSError):
-        return ValidationError(f"{path}: cannot read file: {exc.strerror or exc}")
-    return ValidationError(f"{str(path)!r}: cannot read file: {exc}")
+def read_input(path: str | Path) -> bytes:
+    """The bytes of the input file ``path``: every input file is read here.  One
+    that cannot be read is a :class:`ValidationError` led by ``path``, or by
+    its ``repr`` if it holds a NUL byte."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{str(path)!r}: cannot read file: {exc}") from None
 
 
 def cached_parse(
@@ -317,22 +321,17 @@ def cached_parse(
     restore: Callable[[Mapping[str, np.ndarray]], _T],
     cache_use: Optional[Counter[str]] = None,
 ) -> _T:
-    """What ``parse(data)`` makes of ``data``, the bytes of the input file ``path``.
+    """What ``parse(data)`` makes of ``data``, the bytes :func:`read_input` reads from ``path``.
 
-    A file that cannot be read is a :class:`ValidationError` led by ``path``
-    (by its ``repr`` if the path holds a NUL byte).  ``parse`` returns the
-    value and the arrays to store for it, or None to store nothing.  They are
-    stored in ``<dir>/.blendfuse-cache/<name>.npz`` under a key, the SHA-256
-    of ``data`` and :func:`_code_digest`.  While the key matches, ``restore``
-    rebuilds the value from the stored arrays instead, raising a ValueError
-    if they do not fit.  Every fault of the cache, such as a directory that
-    cannot be written, is a miss.  Each call adds one to
-    ``cache_use["hits"]`` or ``cache_use["misses"]``.
+    ``parse`` returns the value and the arrays to store for it, or None to
+    store nothing.  They are stored in ``<dir>/.blendfuse-cache/<name>.npz``
+    under a key, the SHA-256 of ``data`` and :func:`_code_digest`.  While the
+    key matches, ``restore`` rebuilds the value from the stored arrays
+    instead, raising a ValueError if they do not fit.  Every fault of the
+    cache, such as a directory that cannot be written, is a miss.  Each call
+    adds one to ``cache_use["hits"]`` or ``cache_use["misses"]``.
     """
-    try:
-        data = path.read_bytes()
-    except (OSError, ValueError) as exc:
-        raise _unreadable(path, exc) from None
+    data = read_input(path)
     cache_use = Counter() if cache_use is None else cache_use
     entry = path.parent / CACHE_DIR / f"{path.name}.npz"
     digest = hashlib.sha256(_code_digest())
@@ -392,32 +391,17 @@ def located(where: object) -> Iterator[None]:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _text(path: str | Path, data: Optional[bytes]) -> io.TextIOWrapper:
-    """``path`` opened as UTF-8 with its line ends kept, or ``data``, the
-    bytes read from it, decoded the same way."""
-    if data is None:
-        return open(path, encoding="utf-8", newline="")
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-
-
 @contextmanager
 def csv_reader(path: str | Path, data: Optional[bytes] = None) -> Iterator[Any]:
-    """A ``csv.reader`` over ``path`` (or over ``data``, its bytes) as UTF-8.
-    An unreadable path (such as a directory, or one holding a NUL byte),
-    bytes that are not UTF-8 or a field over ``csv.field_size_limit()`` are a
-    :class:`ValidationError` naming ``path``."""
-    # Only the open may turn a ValueError into this fault: the body below
-    # also sees the callers' own ValidationErrors, which are ValueErrors.
+    """A ``csv.reader`` over ``data``, the bytes of ``path`` (read by
+    :func:`read_input` if not given), as UTF-8.  Bytes that are not UTF-8 or a
+    field over ``csv.field_size_limit()`` are a :class:`ValidationError`
+    naming ``path``."""
+    data = read_input(path) if data is None else data
     try:
-        fh = _text(path, data)
-    except (OSError, ValueError) as exc:
-        raise _unreadable(path, exc) from None
-    try:
-        with fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             yield reader
-    except OSError as exc:
-        raise _unreadable(path, exc) from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
@@ -459,10 +443,6 @@ def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Seque
 _BLOCK_CHARS = 1 << 18
 
 
-class _Doubt(Exception):
-    """The block reader cannot vouch for a file; the per-row reader reads it."""
-
-
 def _doubtful_rows(matrix: np.ndarray) -> np.ndarray:
     """Rows that may fail or need :meth:`EmotionDistribution.from_raw`: all
     but those finite, within [0, 1] and summing to 1 well inside
@@ -485,48 +465,47 @@ def _parse_predictions(
     whose renormalized values it keeps, and a video may not be listed under
     two actors.  The first faulty line is reported as ``path:line``.
     """
-    try:
-        return _parse_prediction_blocks(path, data), True
-    except _Doubt:
-        return _parse_prediction_rows(path, data), False
+    data = read_input(path) if data is None else data
+    parsed = _parse_prediction_blocks(data)
+    return (parsed, True) if parsed is not None else (_parse_prediction_rows(path, data), False)
 
 
-def _parse_prediction_blocks(path: Path, data: Optional[bytes] = None) -> tuple[list[str], list[str], np.ndarray]:
-    """The rows :func:`_parse_predictions` reads from a file of rows valid as
-    they stand, a block of whole lines at a time, each block's numbers parsed
-    by one ``np.array`` call (``float()``'s parser).  Raises :class:`_Doubt`
-    unless every line is one that ``csv.reader`` splits at each comma: no
-    quote or NUL (rejected before Python 3.11), seven commas and at most
-    ``csv.field_size_limit()`` characters."""
+def _parse_prediction_blocks(data: bytes) -> Optional[tuple[list[str], list[str], np.ndarray]]:
+    """The rows :func:`_parse_predictions` reads from ``data``, the bytes of a
+    file of rows valid as they stand, a block of whole lines at a time, each
+    block's numbers parsed by one ``np.array`` call (``float()``'s parser).
+    None, for the per-row reader to read the file, unless every line is one
+    that ``csv.reader`` splits at each comma: no quote or NUL (rejected
+    before Python 3.11), seven commas and at most ``csv.field_size_limit()``
+    characters."""
     width, limit = len(PREDICTIONS_HEADER), csv.field_size_limit()
     video_ids: list[str] = []
     actor_ids: list[str] = []
     blocks = [np.empty(0)]
     try:
-        with _text(path, data) as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
             if fh.readline().rstrip("\r\n") != ",".join(PREDICTIONS_HEADER):
-                raise _Doubt
+                return None
             while lines := fh.readlines(_BLOCK_CHARS):
                 # Lines end in "\n", "\r\n" or a lone "\r", as csv.reader splits them.
                 rows = list(filter(None, map(str.rstrip, lines, repeat("\r\n"))))
                 if not rows:
                     continue
                 text = ",".join(rows)
-                if '"' in text or "\0" in text or max(map(len, rows)) > limit:
-                    raise _Doubt
-                if set(map(str.count, rows, repeat(","))) != {width - 1}:
-                    raise _Doubt
+                if ('"' in text or "\0" in text or max(map(len, rows)) > limit
+                        or set(map(str.count, rows, repeat(","))) != {width - 1}):
+                    return None
                 fields = text.split(",")
                 video_ids += fields[0::width]
                 actor_ids += fields[1::width]
                 del fields[0::width], fields[0::width - 1]  # leaves the probabilities
                 blocks.append(np.array(fields, dtype=np.float64))
-    except (OSError, ValueError):  # unreadable, not UTF-8 or not a number
-        raise _Doubt from None
+    except ValueError:  # not UTF-8 or not a number
+        return None
     matrix = np.concatenate(blocks).reshape(-1, N_EMOTIONS)
     actor_of = dict(zip(video_ids, actor_ids))
     if _doubtful_rows(matrix).any() or list(map(actor_of.__getitem__, video_ids)) != actor_ids:
-        raise _Doubt
+        return None
     return video_ids, actor_ids, matrix
 
 

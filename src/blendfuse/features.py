@@ -222,9 +222,9 @@ def save_feature_manifest(
     write_csv_rows(path, MANIFEST_HEADER, entries)
 
 
-def load_feature_manifest(path: str | Path) -> list[tuple[str, str, str]]:
+def load_feature_manifest(path: str | Path, data: Optional[bytes] = None) -> list[tuple[str, str, str]]:
     entries: dict[str, tuple[str, str, str]] = {}
-    for lineno, row in read_csv_rows(path, MANIFEST_HEADER):
+    for lineno, row in read_csv_rows(path, MANIFEST_HEADER, data):
         if row[0] in entries:
             raise ValidationError(f"{path}:{lineno}: video {row[0]!r} is listed twice")
         entries[row[0]] = (row[0], row[1], row[2])

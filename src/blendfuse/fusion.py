@@ -218,6 +218,15 @@ def validate_simplex(weights: Mapping[str, float], tol: float) -> None:
         raise ValidationError(f"weights sum to {total!r}, outside tolerance {tol}")
 
 
+def _exact_simplex(weights: Mapping[str, float]) -> dict[str, float]:
+    """``weights`` divided by their ``math.fsum``, the float residue absorbed
+    by the first name in sorted order so that the sum is exact."""
+    total = math.fsum(weights.values())
+    scaled = {name: w / total for name, w in weights.items()}
+    scaled[min(scaled)] += 1.0 - math.fsum(scaled.values())
+    return scaled
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Simplex-constrained encoder weights."""
@@ -232,12 +241,7 @@ class WeightVector:
     def uniform(cls, names: Sequence[str]) -> "WeightVector":
         if not names:
             raise ValidationError("need at least one encoder")
-        w = 1.0 / len(names)
-        vec = {name: w for name in names}
-        # Absorb float residue into the first entry so the sum is exact.
-        first = next(iter(sorted(vec)))
-        vec[first] += 1.0 - math.fsum(vec.values())
-        return cls(vec)
+        return cls(_exact_simplex(dict.fromkeys(names, 1.0)))
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
@@ -392,12 +396,7 @@ def load_weights(path: str | Path, tol: float = ROUNDING_TOLERANCE) -> WeightVec
             weights[row[0]] = _check_weight(row[0], float(row[1]))
     with located(path):
         validate_simplex(weights, tol)
-    total = math.fsum(weights.values())
-    scaled = {name: w / total for name, w in weights.items()}
-    residue = 1.0 - math.fsum(scaled.values())
-    first = next(iter(sorted(scaled)))
-    scaled[first] += residue
-    return WeightVector(scaled)
+    return WeightVector(_exact_simplex(weights))
 
 
 def save_search_log(entries: Sequence[SearchLogEntry], path: str | Path) -> None:

@@ -808,6 +808,27 @@ def test_mutated_labels_file_exits_cleanly_naming_it(raw):
                 assert err.getvalue().startswith(f"validation error: {path}")
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_mutated_feature_manifest_exits_cleanly_through_split(data):
+    # As for a labels file: split reads a feature manifest through the other
+    # branch of its --manifest, which takes either.
+    raw = _mutated(data.draw, _feature_input_bytes()["features/manifest.csv"], "manifest.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.csv"
+        if raw is None:
+            path.mkdir()
+        else:
+            path.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("split", "--manifest", path, "--out", Path(tmp) / "out")
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_CONFIG)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_DATA:
+            assert err.getvalue().startswith(f"validation error: {path}"), err.getvalue()
+
+
 @functools.cache
 def _small_synth():
     """A synthetic dataset of 6 actors with 3 clips each."""
@@ -1992,6 +2013,14 @@ class TestVerifyIdentities:
         assert run("verify-identities", "--results", path) == EXIT_DATA
         assert f"{path}:4: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["", "summary,0.3,0.1,0.2,10\n"], ids=["header only", "summary row only"])
+    def test_results_without_a_fold_row_is_data_error_naming_it(self, tmp_path, capsys, rows):
+        # Such a file checks no identity, so it may not pass.
+        path = tmp_path / "results.csv"
+        path.write_text(f"fold,acc_p,acc_s,score,n\n{rows}", encoding="utf-8")
+        assert run("verify-identities", "--results", path) == EXIT_DATA
+        assert capsys.readouterr().err == f"validation error: {path}: no fold row to check\n"
+
     def test_results_not_utf8_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
         path.write_bytes(b"fold,acc_p,acc_s,score,n\n0,0.3,0.1,0.2,10\n\xff\n")
@@ -2054,6 +2083,30 @@ def test_fold_without_labeled_videos_is_data_error_led_by_the_folds_file(tmp_pat
                     "--out", tmp_path / "out"]
     assert run(command, *argv) == EXIT_DATA
     assert capsys.readouterr().err == f"validation error: {folds}: fold 5 holds no labeled videos\n"
+
+
+@pytest.mark.parametrize(
+    "clips, folds, fold",
+    [
+        ({"a0": 1, "a1": 2}, "a0,0\na1,1\n", 1),  # k = 2: fold 1 trains on fold 0 alone
+        ({"a0": 2, "a1": 2, "a2": 1}, "a0,0\na1,1\na2,2\n", 0),  # fold 1 validates, fold 2 trains
+    ],
+    ids=["2 folds", "3 folds"],
+)
+def test_fold_with_one_video_to_train_on_is_data_error_led_by_the_folds_file(tmp_path, capsys, clips, folds, fold):
+    records = [
+        core.SampleRecord(f"{actor}_v{c}", actor, core.BlendAnnotation(core.EMOTIONS[c], None, 100))
+        for actor, n in clips.items()
+        for c in range(n)
+    ]
+    core.save_labels(records, tmp_path / "labels.csv")
+    (tmp_path / "folds.csv").write_text(f"actor_id,fold\n{folds}", encoding="utf-8")
+    inputs = {"--features": write_feature_dir(tmp_path, records, np.random.default_rng(0)),
+              "--labels": tmp_path / "labels.csv", "--folds": tmp_path / "folds.csv", "--layer-lo": 0, "--layer-hi": 0}
+    assert run("train-mlp", *flags_of(inputs), "--hidden", 4, "--epochs", 2, "--out", tmp_path / "out") == EXIT_DATA
+    message = f"{tmp_path / 'folds.csv'}: fold {fold} trains on 1 labeled video, need at least 2"
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not list((tmp_path / "out").glob("mlp_fold*"))  # checked before any head trained
 
 
 @pytest.mark.parametrize("command", ["sensitivity", "fuse-evaluate"])

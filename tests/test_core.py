@@ -431,9 +431,8 @@ def test_only_core_imports_csv():
     assert importers == {"core.py"}
 
 
-def test_only_the_input_cache_reads_input_bytes():
-    """Every input file's bytes are read by ``core.cached_parse``; the other
-    ``.read_bytes()`` calls hash the package's source and the outputs."""
+def _callers(is_call):
+    """``module.function`` of each call in the package for which ``is_call(node)`` holds."""
     callers = set()
 
     class Calls(ast.NodeVisitor):
@@ -446,13 +445,28 @@ def test_only_the_input_cache_reads_input_bytes():
             self.scope.pop()
 
         def visit_Call(self, node):
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "read_bytes":
+            if is_call(node):
                 callers.add(".".join(self.scope))
             self.generic_visit(node)
 
     for module in sorted(Path(blendfuse.__file__).parent.glob("*.py")):
         Calls(module.stem).visit(ast.parse(module.read_text(encoding="utf-8")))
-    assert callers == {"core.cached_parse", "core._code_digest", "cli._sha256_file"}
+    return callers
+
+
+def test_only_read_input_reads_input_bytes():
+    """Every input file's bytes are read by ``core.read_input``; the other
+    ``.read_bytes()`` calls hash the package's source and the outputs."""
+    callers = _callers(lambda node: isinstance(node.func, ast.Attribute) and node.func.attr == "read_bytes")
+    assert callers == {"core.read_input", "core._code_digest", "cli._sha256_file"}
+
+
+def test_only_the_cache_the_writer_and_the_checkpoint_loader_call_open():
+    """The builtin ``open`` only reads and writes the input cache's entries,
+    writes CSV files and reads a saved model; the CSV and feature inputs are
+    read by ``core.read_input``."""
+    callers = _callers(lambda node: isinstance(node.func, ast.Name) and node.func.id == "open")
+    assert callers == {"core.cached_parse", "core.write_csv_rows", "mlp.load_model"}
 
 
 # The first three read through cached_parse, the rest through csv_reader.

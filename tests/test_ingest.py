@@ -240,7 +240,8 @@ def _read_both(data, header, rows, fast, slow, header_quirks=False):
 def test_block_reader_reads_valid_predictions_as_the_per_row_reader(data):
     rows = data.draw(_valid_prediction_rows(), label="rows")
     fast, slow = _read_both(
-        data, PREDICTIONS_HEADER, rows, core._parse_prediction_blocks, core._parse_prediction_rows
+        data, PREDICTIONS_HEADER, rows, lambda path: core._parse_prediction_blocks(path.read_bytes()),
+        core._parse_prediction_rows,
     )
     assert fast == slow
     assert slow[1] == []
